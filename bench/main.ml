@@ -5,7 +5,8 @@
     ablation-memo|ablation-pwj|micro|micro-exec|part-select|obs-overhead|
     verify|join-filter|opt-scaling|all]] — no argument runs everything
     except the bechamel micro-benchmarks.  [micro-exec] measures the executor hot path
-    (interpreted vs compiled expressions, serial vs domain-pool join);
+    (interpreted vs compiled expressions, serial vs domain-pool join, the
+    grouped-aggregation and two-key join kernels);
     [part-select] measures partition-selection cost vs partition count
     (legacy scan vs the selection index, the paper's Fig. 14 shape);
     [verify] measures plan-verifier cost against optimize time (the <1%
@@ -640,7 +641,10 @@ let micro () =
       linear layout search) vs the compiled [Expr.compile_pred] closure
       (offsets resolved once, per-row work is array loads);
    2. a hash join on a multi-segment cluster executed serially vs through
-      the domain pool ([?domains]).
+      the domain pool ([?domains]);
+   3. the key-table kernels on one segment, serially, in ns per input
+      row: grouped aggregation on 1 and 3 int keys, and a two-key hash
+      join.
 
    [~smoke] runs the same code on tiny inputs and asserts only that both
    sides were measured and the JSON section has the right shape — no
@@ -714,7 +718,8 @@ let micro_exec ?(smoke = false) () =
   assert (n_interp = n_comp);
   let t_interp = best_of reps interpret in
   let t_comp = best_of reps run_compiled in
-  let ns_per t = 1e9 *. t /. float_of_int nrows in
+  let ns_per_rows n t = 1e9 *. t /. float_of_int n in
+  let ns_per = ns_per_rows nrows in
   let filter_speedup = t_interp /. t_comp in
   Printf.printf
     "scan-filter (%d rows, %d selected):\n\
@@ -767,6 +772,71 @@ let micro_exec ?(smoke = false) () =
     \  %d domains    %8.2f ms   (%.2fx)\n"
     nseg nfact cores (t_serial *. 1000.0) domains (t_parallel *. 1000.0)
     join_speedup;
+  (* ---- 3. key-table kernels: grouped aggregation, two-key join ---- *)
+  (* one segment, serial: the per-row cost of the kernel itself *)
+  let kcatalog = Cat.create () in
+  let kstorage = Storage.create ~nsegments:1 in
+  let int_cols names = List.map (fun n -> (n, Value.Tint)) names in
+  let grp =
+    Cat.add_table kcatalog ~name:"grp"
+      ~columns:(int_cols [ "g1"; "g2"; "g3"; "v" ])
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let nkrows = if smoke then 2_000 else 200_000 in
+  for _ = 1 to nkrows do
+    Storage.insert kstorage grp
+      [| Value.Int (W.Rng.int rng 100); Value.Int (W.Rng.int rng 4);
+         Value.Int (W.Rng.int rng 3); Value.Int (W.Rng.int rng 1000) |]
+  done;
+  let kcol rel i name =
+    Expr.col (Colref.make ~rel ~index:i ~name ~dtype:Value.Tint)
+  in
+  let gcol = kcol 0 in
+  let agg_plan ngroup =
+    Plan.agg
+      ~group_by:(List.filteri (fun i _ -> i < ngroup)
+                   [ gcol 0 "g1"; gcol 1 "g2"; gcol 2 "g3" ])
+      ~aggs:
+        [ ("n", Plan.Count_star); ("s", Plan.Sum (gcol 3 "v"));
+          ("m", Plan.Max (gcol 3 "v")) ]
+      (Plan.table_scan ~rel:0 grp.Table.oid)
+  in
+  let kernel_ns plan =
+    let run () =
+      fst
+        (Mpp_exec.Exec.run ~domains:1 ~catalog:kcatalog ~storage:kstorage plan)
+    in
+    (ns_per_rows nkrows (best_of reps run), List.length (run ()))
+  in
+  let agg1_ns, agg1_groups = kernel_ns (agg_plan 1) in
+  let agg3_ns, agg3_groups = kernel_ns (agg_plan 3) in
+  let dim2 =
+    Cat.add_table kcatalog ~name:"dim2"
+      ~columns:(int_cols [ "k1"; "k2"; "s" ])
+      ~distribution:Dist.Replicated ()
+  in
+  for k1 = 0 to 99 do
+    for k2 = 0 to 3 do
+      Storage.insert kstorage dim2
+        [| Value.Int k1; Value.Int k2; Value.Int (k1 + k2) |]
+    done
+  done;
+  let join2 =
+    Plan.hash_join ~kind:Plan.Inner
+      ~pred:
+        (Expr.And
+           [ Expr.eq (kcol 1 0 "k1") (kcol 0 0 "g1");
+             Expr.eq (kcol 1 1 "k2") (kcol 0 1 "g2") ])
+      (Plan.table_scan ~rel:1 dim2.Table.oid)
+      (Plan.table_scan ~rel:0 grp.Table.oid)
+  in
+  let join2_ns, join2_rows = kernel_ns join2 in
+  Printf.printf
+    "key-table kernels (%d rows, 1 segment, serial):\n\
+    \  group by 1 key   %8.1f ns/row   (%d groups)\n\
+    \  group by 3 keys  %8.1f ns/row   (%d groups)\n\
+    \  2-key hash join  %8.1f ns/row   (%d rows out)\n"
+    nkrows agg1_ns agg1_groups agg3_ns agg3_groups join2_ns join2_rows;
   let section =
     Json.Obj
       [ ("cores", Json.Int cores);
@@ -785,7 +855,13 @@ let micro_exec ?(smoke = false) () =
              ("serial_ms", Json.Float (t_serial *. 1000.0));
              ("parallel_ms", Json.Float (t_parallel *. 1000.0));
              ("domains", Json.Int domains);
-             ("speedup", Json.Float join_speedup) ]) ]
+             ("speedup", Json.Float join_speedup) ]);
+        ("key_kernels",
+         Json.Obj
+           [ ("rows", Json.Int nkrows);
+             ("agg_1key_ns_per_row", Json.Float agg1_ns);
+             ("agg_3key_ns_per_row", Json.Float agg3_ns);
+             ("join_2key_ns_per_row", Json.Float join2_ns) ]) ]
   in
   record "micro_exec" section;
   if smoke then begin
@@ -809,6 +885,10 @@ let micro_exec ?(smoke = false) () =
     assert (measured (field sf "speedup"));
     assert (measured (field pj "serial_ms"));
     assert (measured (field pj "parallel_ms"));
+    let kk = field section "key_kernels" in
+    assert (measured (field kk "agg_1key_ns_per_row"));
+    assert (measured (field kk "agg_3key_ns_per_row"));
+    assert (measured (field kk "join_2key_ns_per_row"));
     assert (match field section "cores" with Json.Int n -> n >= 1 | _ -> false);
     print_endline
       "smoke OK: micro_exec schema valid; interpreted and compiled paths both \

@@ -53,16 +53,9 @@ type leaf = {
 (* Index representation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Value-keyed hash table for the categorical point index.  [Value.hash] is
-   only consistent with [Value.equal] within one type, and Int/Float compare
-   numerically across types, so keys are normalized first (integral floats
-   become ints — see [norm_key]). *)
-module VH = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+(* Value-keyed hash table for the categorical point index; its keys are
+   SQL-equal, so a float literal finds the int bound it equals. *)
+module VH = Value.Tbl
 
 (* One default-arm equivalence class at a level: all default leaves sharing
    a constraint prefix.  [dc_covered] is what their non-default siblings
@@ -208,15 +201,6 @@ module Index = struct
 
   let nparts (ix : t) = ix.ix_nleaves
 
-  (* Int/Float compare numerically across types, so integral floats are
-     folded onto ints before hashing — the hash then agrees with
-     [Value.equal] for every key pair the catalog can produce. *)
-  let norm_key = function
-    | Value.Float f
-      when Float.is_integer f && Float.abs f <= 4.611686018427387904e18 ->
-        Value.Int (int_of_float f)
-    | v -> v
-
   (* first index with cuts.(i) >= v *)
   let lower_bound (cuts : Value.t array) v =
     let lo = ref 0 and hi = ref (Array.length cuts) in
@@ -299,13 +283,12 @@ module Index = struct
             (fun (iv : Interval.t) ->
               (match Interval.is_point iv with
               | Some v ->
-                  let key = norm_key v in
                   let cell =
-                    match VH.find_opt points key with
+                    match VH.find_opt points v with
                     | Some c -> c
                     | None ->
                         let c = ref [] in
-                        VH.add points key c;
+                        VH.add points v c;
                         c
                   in
                   cell := j :: !cell
@@ -385,7 +368,7 @@ module Index = struct
         match Interval.is_point iv with
         | Some v when li.li_all_points -> (
             (* categorical fast path: O(1) hash hit *)
-            match VH.find_opt li.li_points (norm_key v) with
+            match VH.find_opt li.li_points v with
             | Some ms -> Bitset.set_array bits ms
             | None -> ())
         | _ ->
@@ -439,7 +422,7 @@ module Index = struct
       Array.iter (fun dc -> Bitset.set_array bits dc.dc_members) li.li_defaults
     else begin
       (if li.li_all_points then (
-         match VH.find_opt li.li_points (norm_key v) with
+         match VH.find_opt li.li_points v with
          | Some ms -> Bitset.set_array bits ms
          | None -> ())
        else

@@ -73,43 +73,6 @@ let nkeys t = t.nkeys
 let nbits t = t.nbits
 let count t = t.count
 
-(* 64-bit finalizer (splitmix64 style); the multiplier constants are the
-   splitmix64 ones wrapped into OCaml's 63-bit native int (written as
-   Int64 literals — the plain hex form would not parse). *)
-let mix_c1 = Int64.to_int 0xbf58476d1ce4e5b9L
-let mix_c2 = Int64.to_int 0x94d049bb133111ebL
-
-let mix h =
-  let h = (h lxor (h lsr 30)) * mix_c1 in
-  let h = (h lxor (h lsr 27)) * mix_c2 in
-  (h lxor (h lsr 31)) land max_int
-
-(* One well-mixed hash of the key tuple, then double hashing for the k
-   probe positions: position_i = h1 + i * h2 (mod nbits), h2 odd so the
-   probe sequence walks the whole (power-of-two-sized) table. *)
-let hash_seed = Int64.to_int 0x9e3779b97f4a7c15L
-
-(* Per-component hash.  Scalar constructors are mixed directly — the
-   generic [Value.hash] bottoms out in the polymorphic runtime hash, an
-   out-of-line C call that dominates the probe cost for the typical
-   single-int join key.  Strings (and anything else) still take the
-   generic path. *)
-let value_hash (v : Value.t) =
-  match v with
-  | Value.Int i -> mix i
-  | Value.Date d -> mix (d : Date.t :> int)
-  | Value.Bool b -> mix (if b then 1 else 2)
-  | Value.Float f -> mix (Int64.to_int (Int64.bits_of_float f))
-  | Value.Null | Value.String _ -> Value.hash v
-
-let hash_tuple keys =
-  let n = Array.length keys in
-  let h = ref hash_seed in
-  for i = 0 to n - 1 do
-    h := mix ((!h * 31) + value_hash (Array.unsafe_get keys i))
-  done;
-  !h
-
 let set_bit words i =
   let w = i lsr 5 in
   words.(w) <- words.(w) lor (1 lsl (i land 31))
@@ -121,11 +84,16 @@ let has_null keys =
   let rec go i = i < n && (Value.is_null keys.(i) || go (i + 1)) in
   go 0
 
+(* One well-mixed hash of the key tuple ({!Value.tuple_hash}, so a filter
+   agrees with SQL [=]: an integral float key hits the bits its equal int
+   set), then double hashing for the k probe positions: position_i = h1 +
+   i * h2 (mod nbits), h2 odd so the probe sequence walks the whole
+   (power-of-two-sized) table. *)
 let add t keys =
   if Array.length keys <> t.nkeys then invalid_arg "Bloom.add: key arity";
   if not (has_null keys) then begin
-    let h1 = hash_tuple keys in
-    let h2 = mix h1 lor 1 in
+    let h1 = Value.tuple_hash keys in
+    let h2 = Value.mix h1 lor 1 in
     for i = 0 to nprobes - 1 do
       set_bit t.words ((h1 + (i * h2)) land t.mask)
     done;
@@ -147,8 +115,8 @@ let mem1 t v =
   &&
   (* identical probe positions to {!mem} on [\[| v |\]]: same seed, same
      per-component fold, same double hashing *)
-  let h1 = mix ((hash_seed * 31) + value_hash v) in
-  let h2 = mix h1 lor 1 in
+  let h1 = Value.tuple_hash1 v in
+  let h2 = Value.mix h1 lor 1 in
   let rec probe i =
     i >= nprobes
     || (get_bit t.words ((h1 + (i * h2)) land t.mask) && probe (i + 1))
@@ -159,8 +127,8 @@ let mem t keys =
   if Array.length keys <> t.nkeys then invalid_arg "Bloom.mem: key arity";
   (not (has_null keys))
   &&
-  let h1 = hash_tuple keys in
-  let h2 = mix h1 lor 1 in
+  let h1 = Value.tuple_hash keys in
+  let h2 = Value.mix h1 lor 1 in
   let rec probe i =
     i >= nprobes
     || (get_bit t.words ((h1 + (i * h2)) land t.mask) && probe (i + 1))

@@ -9,7 +9,7 @@
     PartitionSelector always executes (and pushes its OIDs into the
     per-segment {!Channel}) before the DynamicScan that consumes them.
 
-    Three hot-path design decisions (the Figure 15 argument, applied to the
+    Four hot-path design decisions (the Figure 15 argument, applied to the
     whole executor, plus the paper's MPP premise):
 
     - {b Compiled expressions.}  Every operator compiles its expressions
@@ -22,6 +22,16 @@
       (hash-join builds size their tables exactly), and unfiltered scans
       alias the live storage heap zero-copy.  Operators treat input batches
       as immutable.
+    - {b Monomorphic key tables.}  Hash joins, grouped aggregation, the
+      streaming selector's memo and DML's deleted-tuple multiset key
+      [Hashtbl.Make] tables on a single [Value.t] ([Key1]) or a
+      [Value.t array] ([KeyN]), with {!Value.equal} (SQL [=], so [Int 1]
+      matches [Float 1.0]) and {!Value.key_hash} matched on the
+      constructor — no polymorphic hash or compare call per probe.  Probe
+      and group keys go through a per-segment scratch tuple, copied only
+      when a new key is stored; a join's equal-key build rows form an
+      index chain, so a probe allocates nothing but its output rows.
+      Aggregates pick their per-row feeder at compile time.
     - {b Segment parallelism.}  Each operator's per-segment work fans out
       across a {!Dpool} domain pool (knob: [MPP_DOMAINS] / [?domains]).  The
       plan walk itself stays on the coordinating domain; {!Channel} and
@@ -237,6 +247,23 @@ let par_init ctx (f : int -> 'a) : 'a array =
                 ]
               ~start:t0 ~stop:t1 ();
           r)
+
+(* The key tables.  Keys compare with {!Value.equal} (SQL [=]: [Int 1]
+   matches [Float 1.0]) and hash with {!Value.key_hash}, both matched on
+   the constructor: no polymorphic [caml_hash] / [caml_compare] call and
+   no key list per row.  A single key is the value itself; several keys
+   are an array. *)
+module Key1 = Value.Tbl
+
+module KeyN = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal (a : t) (b : t) =
+    let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
+    Array.length a = Array.length b && go (Array.length a - 1)
+
+  let hash = Value.tuple_hash
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Layout plumbing and expression compilation                          *)
@@ -533,27 +560,24 @@ let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
          let rows = child.rows.(segment) in
          if general then Vec.iter (fun row -> push (oids_for row)) rows
          else begin
-           (* cheap memo key: the per-level point values (None for static /
-              unrestricted levels, which contribute nothing row-specific);
-              each entry caches the resolved OID set so a repeated key
-              costs one hash probe, not a re-selection *)
-           let memo : (Value.t option list, int list) Hashtbl.t =
-             Hashtbl.create 64
-           in
+           (* cheap memo key: the per-level point values (Null for static /
+              unrestricted levels, which contribute nothing row-specific —
+              a level is a point level or not for every row, so the
+              placeholder never collides with a point value), built in a
+              scratch tuple and copied only on a miss; a repeated key costs
+              one hash probe, not a re-selection *)
+           let memo = KeyN.create 64 in
+           let scratch = Array.make (Array.length points) Value.Null in
            Vec.iter
              (fun row ->
-               let fast_key =
-                 Array.to_list
-                   (Array.map
-                      (function Some f -> Some (f row) | None -> None)
-                      points)
-               in
-               match Hashtbl.find_opt memo fast_key with
-               | Some _ -> ()  (* already resolved and pushed *)
-               | None ->
-                   let oids = oids_for row in
-                   Hashtbl.replace memo fast_key oids;
-                   push oids)
+               Array.iteri
+                 (fun i p ->
+                   match p with Some f -> scratch.(i) <- f row | None -> ())
+                 points;
+               if not (KeyN.mem memo scratch) then begin
+                 KeyN.add memo (Array.copy scratch) ();
+                 push (oids_for row)
+               end)
              rows
          end))
 
@@ -729,6 +753,83 @@ let equi_keys ~left_rels ~right_rels pred =
 
 let null_row width = Array.make width Value.Null
 
+let has_null keys = Array.exists Value.is_null keys
+
+(* A join's per-segment build-side index.  Build rows with equal keys form
+   a chain through [next] (-1 ends it), headed by the table entry; rows are
+   linked back to front, so a chain walks ascending build order.  [first]
+   is the head of the probe row's chain (-1: no match, including a NULL
+   key); [mem] is the semi-join witness test. *)
+type join_index = { next : int array; first : row -> int; mem : row -> bool }
+
+(* Insert build row [bi] (visited back to front) at the head of its key's
+   chain.  Shared by the one-key and the many-key table. *)
+let chain_insert ~find ~replace ~add next key bi =
+  match find key with
+  | head ->
+      next.(bi) <- head;
+      replace key bi
+  | exception Not_found -> add key bi
+
+let build_index (lkeys : (row -> Value.t) array)
+    (rkeys : (row -> Value.t) array) (build : row Vec.t) : join_index =
+  let n = Vec.length build in
+  let next = Array.make n (-1) in
+  match (lkeys, rkeys) with
+  | [||], _ ->
+      (* no equi-key (nested loop): one chain through every build row *)
+      for bi = 0 to n - 2 do
+        next.(bi) <- bi + 1
+      done;
+      let first _ = if n > 0 then 0 else -1 in
+      { next; first; mem = (fun _ -> n > 0) }
+  | [| lk |], [| rk |] ->
+      let tbl = Key1.create (max 16 n) in
+      let insert =
+        chain_insert ~find:(Key1.find tbl) ~replace:(Key1.replace tbl)
+          ~add:(Key1.add tbl) next
+      in
+      for bi = n - 1 downto 0 do
+        match lk (Vec.unsafe_get build bi) with
+        | Value.Null -> ()
+        | k -> insert k bi
+      done;
+      let first prow =
+        match rk prow with
+        | Value.Null -> -1
+        | k -> ( try Key1.find tbl k with Not_found -> -1)
+      in
+      let mem prow =
+        match rk prow with Value.Null -> false | k -> Key1.mem tbl k
+      in
+      { next; first; mem }
+  | _ ->
+      let nkeys = Array.length lkeys in
+      let tbl = KeyN.create (max 16 n) in
+      let insert =
+        chain_insert ~find:(KeyN.find tbl) ~replace:(KeyN.replace tbl)
+          ~add:(KeyN.add tbl) next
+      in
+      for bi = n - 1 downto 0 do
+        let brow = Vec.unsafe_get build bi in
+        let k = Array.map (fun f -> f brow) lkeys in
+        if not (has_null k) then insert k bi
+      done;
+      (* probe keys go through one scratch tuple: lookups never retain it *)
+      let scratch = Array.make nkeys Value.Null in
+      let probe_key prow =
+        for i = 0 to nkeys - 1 do
+          scratch.(i) <- rkeys.(i) prow
+        done;
+        not (has_null scratch)
+      in
+      let first prow =
+        if probe_key prow then try KeyN.find tbl scratch with Not_found -> -1
+        else -1
+      in
+      let mem prow = probe_key prow && KeyN.mem tbl scratch in
+      { next; first; mem }
+
 let exec_join ctx ~kind ~pred ~(left : result) ~(right : result) ~hash =
   let layout =
     match kind with
@@ -750,97 +851,64 @@ let exec_join ctx ~kind ~pred ~(left : result) ~(right : result) ~hash =
     Array.of_list
       (List.map (fun (_, b) -> compile_expr ctx right.layout b) keys)
   in
-  let nkeys = Array.length lkey_fns in
   let residual_fn =
     if Expr.equal residual_pred Expr.true_ then None
     else Some (compile_filter ctx joined_layout residual_pred)
-  in
-  (* [Some key-values], or [None] if any key is NULL (never matches) *)
-  let eval_keys (fns : (row -> Value.t) array) r =
-    let rec go i acc =
-      if i < 0 then Some acc
-      else
-        let v = fns.(i) r in
-        if Value.is_null v then None else go (i - 1) (v :: acc)
-    in
-    go (nkeys - 1) []
   in
   let rwidth = layout_width right.layout in
   let rows =
     par_init ctx (fun seg ->
         let build = left.rows.(seg) and probe = right.rows.(seg) in
         let nbuild = Vec.length build in
-        let table : (Value.t list, int) Hashtbl.t =
-          Hashtbl.create (max 16 nbuild)
-        in
-        if nkeys > 0 then
-          (* insert back to front so [find_all] yields ascending build
-             order — deterministic output without per-probe reversals *)
-          for bi = nbuild - 1 downto 0 do
-            match eval_keys lkey_fns (Vec.unsafe_get build bi) with
-            | Some k -> Hashtbl.add table k bi
-            | None -> ()
-          done;
+        let ix = build_index lkey_fns rkey_fns build in
+        let next = ix.next in
         let out = Vec.create () in
-        let semi_fast = kind = Plan.Semi && residual_fn = None in
-        if semi_fast then
-          (* Semi with trivial residual: probe-row emission only needs a
-             match witness — no concatenated row is ever materialized *)
-          Vec.iter
-            (fun prow ->
-              let witness =
-                if nkeys = 0 then nbuild > 0
-                else
-                  match eval_keys rkey_fns prow with
-                  | None -> false
-                  | Some k -> Hashtbl.mem table k
-              in
-              if witness then Vec.push out prow)
-            probe
-        else begin
-          (* matched-build tracking by INDEX, not by row value: duplicate
-             identical build rows each keep their own outer-join status *)
-          let matched =
-            if kind = Plan.Left_outer then Bytes.make nbuild '\000'
-            else Bytes.empty
-          in
-          let all_build = lazy (List.init nbuild (fun i -> i)) in
-          Vec.iter
-            (fun prow ->
-              let cands =
-                if nkeys = 0 then Lazy.force all_build
-                else
-                  match eval_keys rkey_fns prow with
-                  | None -> []
-                  | Some k -> Hashtbl.find_all table k
-              in
-              let emitted = ref false in
-              List.iter
-                (fun bi ->
-                  let brow = Vec.unsafe_get build bi in
-                  let jrow = Array.append brow prow in
-                  let ok =
-                    match residual_fn with None -> true | Some f -> f jrow
-                  in
-                  if ok then begin
-                    (match kind with
-                    | Plan.Semi -> if not !emitted then Vec.push out prow
-                    | Plan.Inner | Plan.Left_outer -> Vec.push out jrow);
-                    emitted := true;
-                    if kind = Plan.Left_outer then Bytes.set matched bi '\001'
-                  end)
-                cands)
-            probe;
-          (* Left_outer with left = preserved side: emit unmatched build
-             rows padded with NULLs. *)
-          if kind = Plan.Left_outer then
-            for bi = 0 to nbuild - 1 do
-              if Bytes.get matched bi = '\000' then
-                Vec.push out
-                  (Array.append (Vec.unsafe_get build bi) (null_row rwidth))
-            done
-        end;
-        out)
+        match (kind, residual_fn) with
+        | Plan.Semi, None ->
+            (* probe-row emission only needs a match witness — no
+               concatenated row is ever materialized *)
+            Vec.iter (fun prow -> if ix.mem prow then Vec.push out prow) probe;
+            out
+        | Plan.Semi, Some f ->
+            Vec.iter
+              (fun prow ->
+                let rec witness bi =
+                  bi >= 0
+                  && (f (Array.append (Vec.unsafe_get build bi) prow)
+                     || witness next.(bi))
+                in
+                if witness (ix.first prow) then Vec.push out prow)
+              probe;
+            out
+        | (Plan.Inner | Plan.Left_outer), _ ->
+            (* matched-build tracking by INDEX, not by row value: duplicate
+               identical build rows each keep their own outer-join status *)
+            let outer = kind = Plan.Left_outer in
+            let matched =
+              if outer then Bytes.make nbuild '\000' else Bytes.empty
+            in
+            Vec.iter
+              (fun prow ->
+                let bi = ref (ix.first prow) in
+                while !bi >= 0 do
+                  let jrow = Array.append (Vec.unsafe_get build !bi) prow in
+                  if match residual_fn with None -> true | Some f -> f jrow
+                  then begin
+                    Vec.push out jrow;
+                    if outer then Bytes.set matched !bi '\001'
+                  end;
+                  bi := next.(!bi)
+                done)
+              probe;
+            (* Left_outer with left = preserved side: emit unmatched build
+               rows padded with NULLs. *)
+            if outer then
+              for bi = 0 to nbuild - 1 do
+                if Bytes.get matched bi = '\000' then
+                  Vec.push out
+                    (Array.append (Vec.unsafe_get build bi) (null_row rwidth))
+              done;
+            out)
   in
   { layout; rows }
 
@@ -848,134 +916,175 @@ let exec_join ctx ~kind ~pred ~(left : result) ~(right : result) ~hash =
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type agg_state = {
-  mutable count : int;
-  mutable sum : float;
-  mutable sum_int : int;
-  mutable ints_only : bool;
-      (* SQL returns an integer sum/count for integer inputs; track whether
-         any non-integer contributed *)
-  mutable saw_value : bool;
-  mutable min : Value.t option;
-  mutable max : Value.t option;
+(* One group's running state.  Per aggregate [i]: [cnt.(i)] non-NULL
+   inputs; for SUM/AVG [isum.(i)] the integer inputs' sum, [fsum.(i)] the
+   running float sum of every numeric input (a flat float array, so the
+   update allocates nothing) and [nfloat.(i)] the float inputs seen (any
+   makes SUM a float); for MIN/MAX [ext.(i)] the extreme so far ([Null]
+   until the first input).  Arrays an aggregate list does not need are
+   empty. *)
+type group = {
+  mutable nrows : int;
+  cnt : int array;
+  isum : int array;
+  fsum : float array;
+  nfloat : int array;
+  ext : Value.t array;
 }
 
-let new_agg_state () =
-  { count = 0; sum = 0.0; sum_int = 0; ints_only = true; saw_value = false;
-    min = None; max = None }
-
-let agg_feed st (v : Value.t) =
-  if not (Value.is_null v) then begin
-    st.count <- st.count + 1;
-    st.saw_value <- true;
-    (match v with
-    | Value.Int i ->
-        st.sum <- st.sum +. float_of_int i;
-        st.sum_int <- st.sum_int + i
-    | Value.Float f ->
-        st.sum <- st.sum +. f;
-        st.ints_only <- false
-    | _ -> ());
-    (match st.min with
-    | None -> st.min <- Some v
-    | Some m -> if Value.compare v m < 0 then st.min <- Some v);
-    match st.max with
-    | None -> st.max <- Some v
-    | Some m -> if Value.compare v m > 0 then st.max <- Some v
-  end
-
-let agg_result (f : Plan.agg_fun) ~nrows (st : agg_state) : Value.t =
+(* The per-row work of aggregate [i], picked once per operator: COUNT only
+   tests for NULL, SUM/AVG only add, MIN/MAX only compare.  COUNT( * ) has
+   no feeder — it reads [nrows]. *)
+let agg_feeder ctx layout i (f : Plan.agg_fun) : (group -> row -> unit) option
+    =
   match f with
-  | Plan.Count_star -> Value.Int nrows
-  | Plan.Count _ -> Value.Int st.count
-  | Plan.Sum _ ->
-      if not st.saw_value then Value.Null
-      else if st.ints_only then Value.Int st.sum_int
-      else Value.Float st.sum
-  | Plan.Avg _ ->
-      if st.count = 0 then Value.Null
-      else Value.Float (st.sum /. float_of_int st.count)
-  | Plan.Min _ -> ( match st.min with Some v -> v | None -> Value.Null)
-  | Plan.Max _ -> ( match st.max with Some v -> v | None -> Value.Null)
-
-let agg_arg = function
   | Plan.Count_star -> None
-  | Plan.Count e | Plan.Sum e | Plan.Avg e | Plan.Min e | Plan.Max e -> Some e
+  | Plan.Count e ->
+      let arg = compile_expr ctx layout e in
+      Some
+        (fun g r ->
+          if not (Value.is_null (arg r)) then g.cnt.(i) <- g.cnt.(i) + 1)
+  | Plan.Sum e | Plan.Avg e ->
+      let arg = compile_expr ctx layout e in
+      Some
+        (fun g r ->
+          match arg r with
+          | Value.Null -> ()
+          | Value.Int x ->
+              g.cnt.(i) <- g.cnt.(i) + 1;
+              g.isum.(i) <- g.isum.(i) + x;
+              g.fsum.(i) <- g.fsum.(i) +. float_of_int x
+          | Value.Float x ->
+              g.cnt.(i) <- g.cnt.(i) + 1;
+              g.nfloat.(i) <- g.nfloat.(i) + 1;
+              g.fsum.(i) <- g.fsum.(i) +. x
+          | Value.Bool _ | Value.String _ | Value.Date _ ->
+              g.cnt.(i) <- g.cnt.(i) + 1)
+  | Plan.Min e | Plan.Max e ->
+      let arg = compile_expr ctx layout e in
+      (* MIN keeps v when [compare v m < 0], MAX when it is [> 0] *)
+      let sign = match f with Plan.Min _ -> -1 | _ -> 1 in
+      Some
+        (fun g r ->
+          match arg r with
+          | Value.Null -> ()
+          | v -> (
+              match g.ext.(i) with
+              | Value.Null -> g.ext.(i) <- v
+              | m -> if sign * Value.compare v m > 0 then g.ext.(i) <- v))
+
+let agg_result i (f : Plan.agg_fun) (g : group) : Value.t =
+  match f with
+  | Plan.Count_star -> Value.Int g.nrows
+  | Plan.Count _ -> Value.Int g.cnt.(i)
+  | Plan.Sum _ ->
+      (* SQL returns an integer sum for integer inputs *)
+      if g.cnt.(i) = 0 then Value.Null
+      else if g.nfloat.(i) = 0 then Value.Int g.isum.(i)
+      else Value.Float g.fsum.(i)
+  | Plan.Avg _ ->
+      if g.cnt.(i) = 0 then Value.Null
+      else Value.Float (g.fsum.(i) /. float_of_int g.cnt.(i))
+  | Plan.Min _ | Plan.Max _ -> g.ext.(i)
 
 let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
   let ngroup = List.length group_by in
   let out_width = ngroup + List.length aggs in
   let layout = [ (output_rel, out_width) ] in
-  (* compiled once: group-key extractors and aggregate arguments *)
+  (* compiled once: group-key extractors, aggregate feeders *)
   let key_fns =
     Array.of_list (List.map (compile_expr ctx child.layout) group_by)
   in
-  let agg_fns =
+  let funs = Array.of_list (List.map snd aggs) in
+  let naggs = Array.length funs in
+  let feeders =
     Array.of_list
-      (List.map
-         (fun (_, f) -> (f, Option.map (compile_expr ctx child.layout) (agg_arg f)))
-         aggs)
+      (List.filter_map Fun.id
+         (List.mapi (fun i (_, f) -> agg_feeder ctx child.layout i f) aggs))
   in
-  let naggs = Array.length agg_fns in
+  let nfeeders = Array.length feeders in
+  let slots p = if Array.exists p funs then naggs else 0 in
+  let sum_slots =
+    slots (function Plan.Sum _ | Plan.Avg _ -> true | _ -> false)
+  and ext_slots =
+    slots (function Plan.Min _ | Plan.Max _ -> true | _ -> false)
+  in
+  let new_group () =
+    {
+      nrows = 0;
+      cnt = Array.make naggs 0;
+      isum = Array.make sum_slots 0;
+      fsum = Array.make sum_slots 0.0;
+      nfloat = Array.make sum_slots 0;
+      ext = Array.make ext_slots Value.Null;
+    }
+  in
+  let feed g r =
+    g.nrows <- g.nrows + 1;
+    for i = 0 to nfeeders - 1 do
+      (Array.unsafe_get feeders i) g r
+    done
+  in
+  let emit out (key : Value.t array) g =
+    let r = Array.make out_width Value.Null in
+    Array.blit key 0 r 0 ngroup;
+    for i = 0 to naggs - 1 do
+      r.(ngroup + i) <- agg_result i funs.(i) g
+    done;
+    Vec.push out r
+  in
   let rows =
     par_init ctx (fun segment ->
         let seg_rows = child.rows.(segment) in
-        let groups : (Value.t list, int ref * agg_state array) Hashtbl.t =
-          Hashtbl.create 64
-        in
-        (* group output in deterministic first-seen order *)
-        let order : Value.t list Vec.t = Vec.create () in
-        Vec.iter
-          (fun r ->
-            let key =
-              Array.fold_right (fun f acc -> f r :: acc) key_fns []
-            in
-            let nrows, states =
-              match Hashtbl.find_opt groups key with
-              | Some s -> s
-              | None ->
-                  let s =
-                    (ref 0, Array.init naggs (fun _ -> new_agg_state ()))
-                  in
-                  Hashtbl.replace groups key s;
-                  Vec.push order key;
-                  s
-            in
-            incr nrows;
-            for i = 0 to naggs - 1 do
-              match snd agg_fns.(i) with
-              | None -> ()
-              | Some f -> agg_feed states.(i) (f r)
-            done)
-          seg_rows;
-        if Hashtbl.length groups = 0 && ngroup = 0 then begin
-          (* A scalar aggregate over empty input still yields one row; emit
-             it on the first segment only — the final aggregate runs above a
-             Gather, so this is the master's row. *)
-          let out = Vec.create () in
-          if segment = 0 then
-            Vec.push out
-              (Array.of_list
-                 (List.map
-                    (fun (_, f) -> agg_result f ~nrows:0 (new_agg_state ()))
-                    aggs));
-          out
-        end
-        else begin
-          let out = Vec.create () in
-          Vec.iter
-            (fun key ->
-              let nrows, states = Hashtbl.find groups key in
-              let r = Array.make out_width Value.Null in
-              List.iteri (fun i v -> r.(i) <- v) key;
-              for i = 0 to naggs - 1 do
-                r.(ngroup + i) <-
-                  agg_result (fst agg_fns.(i)) ~nrows:!nrows states.(i)
-              done;
-              Vec.push out r)
-            order;
-          out
-        end)
+        let out = Vec.create () in
+        (match key_fns with
+        | [||] ->
+            (* no GROUP BY: one group, no table.  A scalar aggregate over
+               empty input still yields one row; emit it on the first
+               segment only — the final aggregate runs above a Gather, so
+               this is the master's row. *)
+            let g = new_group () in
+            Vec.iter (feed g) seg_rows;
+            if g.nrows > 0 || segment = 0 then emit out [||] g
+        | [| kf |] ->
+            let groups = Key1.create 64 in
+            (* groups in first-seen order *)
+            let order = Vec.create () in
+            Vec.iter
+              (fun r ->
+                let k = kf r in
+                let g =
+                  try Key1.find groups k
+                  with Not_found ->
+                    let g = new_group () in
+                    Key1.add groups k g;
+                    Vec.push order ([| k |], g);
+                    g
+                in
+                feed g r)
+              seg_rows;
+            Vec.iter (fun (k, g) -> emit out k g) order
+        | _ ->
+            let groups = KeyN.create 64 in
+            let order = Vec.create () in
+            let scratch = Array.make ngroup Value.Null in
+            Vec.iter
+              (fun r ->
+                for i = 0 to ngroup - 1 do
+                  scratch.(i) <- key_fns.(i) r
+                done;
+                let g =
+                  try KeyN.find groups scratch
+                  with Not_found ->
+                    let k = Array.copy scratch and g = new_group () in
+                    KeyN.add groups k g;
+                    Vec.push order (k, g);
+                    g
+                in
+                feed g r)
+              seg_rows;
+            Vec.iter (fun (k, g) -> emit out k g) order);
+        out)
   in
   { layout; rows }
 
@@ -986,134 +1095,101 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
 (* DML mutates shared storage, so it runs on the coordinating domain; its
    counters go to metrics shard 0. *)
 
-let exec_update ctx ~rel ~table_oid ~set_exprs ~(child : result) =
+(* Remove one stored occurrence of each [(segment, tuple)] image: every
+   touched heap is rebuilt once, against a multiset of its deleted images.
+   Returns how many stored tuples were removed. *)
+let remove_tuples ctx table (images : (int * row) list) =
+  let touched = Hashtbl.create 16 in
+  List.iter
+    (fun (seg, tuple) ->
+      let key = (seg, Mpp_storage.Storage.physical_oid table tuple) in
+      let dels =
+        match Hashtbl.find_opt touched key with
+        | Some d -> d
+        | None ->
+            let d = KeyN.create 16 in
+            Hashtbl.replace touched key d;
+            d
+      in
+      match KeyN.find_opt dels tuple with
+      | Some n -> incr n
+      | None -> KeyN.add dels tuple (ref 1))
+    images;
+  let removed = ref 0 in
+  Hashtbl.iter
+    (fun (seg, oid) dels ->
+      let keep t =
+        match KeyN.find_opt dels t with
+        | Some n when !n > 0 ->
+            decr n;
+            incr removed;
+            false
+        | _ -> true
+      in
+      Mpp_storage.Storage.replace_heap ctx.storage ~segment:seg ~oid
+        (List.filter keep
+           (Mpp_storage.Storage.scan_list ctx.storage ~segment:seg ~oid)))
+    touched;
+  !removed
+
+(* The DML target table, and the slice of a child row that is its stored
+   tuple image. *)
+let target_image ctx ~rel ~table_oid ~(child : result) what =
   let table = Mpp_catalog.Catalog.find_oid ctx.catalog table_oid in
-  let width = Mpp_catalog.Table.ncols table in
-  let off =
-    match offset_of child.layout rel with
-    | Some o -> o
-    | None -> invalid_arg "Exec: Update target not in child output"
-  in
+  match offset_of child.layout rel with
+  | Some off ->
+      let width = Mpp_catalog.Table.ncols table in
+      (table, fun (r : row) -> Array.sub r off width)
+  | None ->
+      invalid_arg (Printf.sprintf "Exec: %s target not in child output" what)
+
+let dml_count ctx n =
+  let rows = empty_rows ctx in
+  Vec.push rows.(0) [| Value.Int n |];
+  { layout = [ (-1, 1) ]; rows }
+
+let exec_update ctx ~rel ~table_oid ~set_exprs ~(child : result) =
+  let table, image = target_image ctx ~rel ~table_oid ~child "Update" in
   let set_fns =
     List.map (fun (col, e) -> (col, compile_expr ctx child.layout e)) set_exprs
   in
-  let updated = ref 0 in
-  (* Collect (segment, physical oid, old tuple, new tuple) actions first so
-     the scan underneath is not disturbed mid-flight. *)
+  (* Collect (segment, old tuple, new tuple) actions first so the scan
+     underneath is not disturbed mid-flight. *)
   let actions = ref [] in
   Array.iteri
     (fun seg rows ->
       Vec.iter
         (fun r ->
-          let old_tuple = Array.sub r off width in
+          let old_tuple = image r in
           let new_tuple = Array.copy old_tuple in
           List.iter (fun (col, f) -> new_tuple.(col) <- f r) set_fns;
-          let old_oid = Mpp_storage.Storage.physical_oid table old_tuple in
-          actions := (seg, old_oid, old_tuple, new_tuple) :: !actions)
+          actions := (seg, old_tuple, new_tuple) :: !actions)
         rows)
     child.rows;
-  (* Delete the old images: rebuild each touched heap without one occurrence
-     per deleted tuple. *)
-  let touched = Hashtbl.create 16 in
-  List.iter
-    (fun (seg, oid, old_tuple, _) ->
-      let key = (seg, oid) in
-      let dels =
-        match Hashtbl.find_opt touched key with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace touched key l;
-            l
-      in
-      dels := old_tuple :: !dels)
-    !actions;
-  Hashtbl.iter
-    (fun (seg, oid) dels ->
-      let remaining = ref [] in
-      let pending = ref !dels in
-      Array.iter
-        (fun t ->
-          let rec remove acc = function
-            | [] -> None
-            | d :: rest ->
-                if d == t || d = t then Some (List.rev_append acc rest)
-                else remove (d :: acc) rest
-          in
-          match remove [] !pending with
-          | Some rest -> pending := rest
-          | None -> remaining := t :: !remaining)
-        (Mpp_storage.Storage.scan ctx.storage ~segment:seg ~oid);
-      Mpp_storage.Storage.replace_heap ctx.storage ~segment:seg ~oid
-        (List.rev !remaining))
-    touched;
+  ignore
+    (remove_tuples ctx table (List.map (fun (seg, t, _) -> (seg, t)) !actions));
   (* Re-insert the new images through the normal path so they land on the
      right segment and partition. *)
   List.iter
-    (fun (_, _, _, new_tuple) ->
-      Mpp_storage.Storage.insert ctx.storage table new_tuple;
-      incr updated)
+    (fun (_, _, new_tuple) ->
+      Mpp_storage.Storage.insert ctx.storage table new_tuple)
     !actions;
+  let updated = List.length !actions in
   ctx.metrics.(0).Metrics.rows_updated <-
-    ctx.metrics.(0).Metrics.rows_updated + !updated;
-  let rows = empty_rows ctx in
-  Vec.push rows.(0) [| Value.Int !updated |];
-  { layout = [ (-1, 1) ]; rows }
+    ctx.metrics.(0).Metrics.rows_updated + updated;
+  dml_count ctx updated
 
 let exec_delete ctx ~rel ~table_oid ~(child : result) =
-  let table = Mpp_catalog.Catalog.find_oid ctx.catalog table_oid in
-  let width = Mpp_catalog.Table.ncols table in
-  let off =
-    match offset_of child.layout rel with
-    | Some o -> o
-    | None -> invalid_arg "Exec: Delete target not in child output"
-  in
-  let deleted = ref 0 in
-  let touched = Hashtbl.create 16 in
+  let table, image = target_image ctx ~rel ~table_oid ~child "Delete" in
+  let images = ref [] in
   Array.iteri
     (fun seg rows ->
-      Vec.iter
-        (fun r ->
-          let old_tuple = Array.sub r off width in
-          let oid = Mpp_storage.Storage.physical_oid table old_tuple in
-          let key = (seg, oid) in
-          let dels =
-            match Hashtbl.find_opt touched key with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace touched key l;
-                l
-          in
-          dels := old_tuple :: !dels)
-        rows)
+      Vec.iter (fun r -> images := (seg, image r) :: !images) rows)
     child.rows;
-  Hashtbl.iter
-    (fun (seg, oid) dels ->
-      let remaining = ref [] in
-      let pending = ref !dels in
-      Array.iter
-        (fun t ->
-          let rec remove acc = function
-            | [] -> None
-            | d :: rest ->
-                if d = t then Some (List.rev_append acc rest)
-                else remove (d :: acc) rest
-          in
-          match remove [] !pending with
-          | Some rest ->
-              pending := rest;
-              incr deleted
-          | None -> remaining := t :: !remaining)
-        (Mpp_storage.Storage.scan ctx.storage ~segment:seg ~oid);
-      Mpp_storage.Storage.replace_heap ctx.storage ~segment:seg ~oid
-        (List.rev !remaining))
-    touched;
+  let deleted = remove_tuples ctx table !images in
   ctx.metrics.(0).Metrics.rows_deleted <-
-    ctx.metrics.(0).Metrics.rows_deleted + !deleted;
-  let rows = empty_rows ctx in
-  Vec.push rows.(0) [| Value.Int !deleted |];
-  { layout = [ (-1, 1) ]; rows }
+    ctx.metrics.(0).Metrics.rows_deleted + deleted;
+  dml_count ctx deleted
 
 (* ------------------------------------------------------------------ *)
 (* Motion                                                              *)
@@ -1471,9 +1547,7 @@ and exec_node ctx id (plan : Plan.t) : result =
           in
           Mpp_storage.Storage.insert ctx.storage table tuple)
         rows;
-      let out = empty_rows ctx in
-      Vec.push out.(0) [| Value.Int (List.length rows) |];
-      { layout = [ (-1, 1) ]; rows = out }
+      dml_count ctx (List.length rows)
 
 (** Evaluate a plan with this context; the root gets pre-order index 0. *)
 let exec ctx (plan : Plan.t) : result =

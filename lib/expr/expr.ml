@@ -279,9 +279,9 @@ let compile ~(resolve : Colref.t -> int) ~(params : Value.t array) e :
     | Cmp (op, a, b) ->
         let fa = go a and fb = go b in
         fun tup -> (
-          match Value.sql_compare (fa tup) (fb tup) with
-          | None -> Value.Null
-          | Some c -> Value.Bool (eval_cmp op c))
+          match (fa tup, fb tup) with
+          | Value.Null, _ | _, Value.Null -> Value.Null
+          | va, vb -> Value.Bool (eval_cmp op (Value.compare va vb)))
     | And es ->
         let fs = Array.of_list (List.map go es) in
         let n = Array.length fs in
@@ -362,10 +362,12 @@ let compile_pred ~resolve ~params e : Value.t array -> bool =
     | Cmp (op, a, b) ->
         let fa = compile ~resolve ~params a
         and fb = compile ~resolve ~params b in
+        (* SQL's unknown on a NULL operand, tested before comparing — no
+           [Value.sql_compare] option allocated per row *)
         fun tup -> (
-          match Value.sql_compare (fa tup) (fb tup) with
-          | Some c -> eval_cmp op c
-          | None -> false)
+          match (fa tup, fb tup) with
+          | Value.Null, _ | _, Value.Null -> false
+          | va, vb -> eval_cmp op (Value.compare va vb))
     | In_list (e, vs) ->
         let f = compile ~resolve ~params e in
         fun tup -> (

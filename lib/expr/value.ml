@@ -57,7 +57,20 @@ let compare a b =
   | (Null | Bool _ | Int _ | Float _ | String _ | Date _), _ ->
       Int.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
+(* Equality under {!compare}, matched on the constructor pair so the common
+   same-type cases are a single comparison — no rank closure, no [int]
+   result to test.  Ints and floats are equal when numerically equal. *)
+let equal a b =
+  match (a, b) with
+  | Int x, Int y -> Int.equal x y
+  | Date x, Date y -> Int.equal (x : Date.t :> int) (y : Date.t :> int)
+  | String x, String y -> String.equal x y
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Float x, Float y -> Float.compare x y = 0
+  | Int x, Float y -> Float.compare (float_of_int x) y = 0
+  | Float x, Int y -> Float.compare x (float_of_int y) = 0
+  | (Null | Bool _ | Int _ | Float _ | String _ | Date _), _ -> false
 
 (** SQL comparison: [None] when either side is [Null] (unknown). *)
 let sql_compare a b =
@@ -82,6 +95,8 @@ let to_int = function
   | Float f -> int_of_float f
   | _ -> invalid_arg "Value.to_int"
 
+(* The placement hash: which segment a hash-distributed tuple lives on.
+   Stored data is laid out by it, so it never changes. *)
 let hash = function
   | Null -> 0
   | Bool b -> Hashtbl.hash b
@@ -89,6 +104,56 @@ let hash = function
   | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d : Date.t :> int)
+
+(* 64-bit finalizer (splitmix64 style); the multiplier constants are the
+   splitmix64 ones wrapped into OCaml's 63-bit native int (written as
+   Int64 literals — the plain hex form would not parse). *)
+let mix_c1 = Int64.to_int 0xbf58476d1ce4e5b9L
+let mix_c2 = Int64.to_int 0x94d049bb133111ebL
+
+let mix h =
+  let h = (h lxor (h lsr 30)) * mix_c1 in
+  let h = (h lxor (h lsr 27)) * mix_c2 in
+  (h lxor (h lsr 31)) land max_int
+
+let float_bits f = Int64.to_int (Int64.bits_of_float f)
+
+(* The hash for hash tables and Bloom filters.  Scalar constructors are
+   mixed directly — the generic runtime hash is an out-of-line C call that
+   dominates a single-int probe.  Integral floats hash as the int they
+   equal (and every NaN alike), so the hash agrees with {!equal} across
+   Int and Float. *)
+let key_hash = function
+  | Int i -> mix i
+  | Date d -> mix (d : Date.t :> int)
+  | Float f ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+        mix (int_of_float f)
+      else if Float.is_nan f then mix (float_bits Float.nan)
+      else mix (float_bits f)
+  | Bool b -> mix (if b then 1 else 2)
+  | Null -> 0
+  | String s -> Hashtbl.hash s
+
+(* A key tuple's hash: the component hashes folded through {!mix} from a
+   fixed seed.  [tuple_hash1 v] equals [tuple_hash [| v |]]. *)
+let tuple_seed = Int64.to_int 0x9e3779b97f4a7c15L
+
+let tuple_hash (keys : t array) =
+  let h = ref tuple_seed in
+  for i = 0 to Array.length keys - 1 do
+    h := mix ((!h * 31) + key_hash (Array.unsafe_get keys i))
+  done;
+  !h
+
+let tuple_hash1 v = mix ((tuple_seed * 31) + key_hash v)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = key_hash
+end)
 
 let to_string = function
   | Null -> "NULL"

@@ -26,6 +26,7 @@ val compare : t -> t -> int
     then by type rank; ints and floats compare numerically across types. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0]: [Int 1] equals [Float 1.0]. *)
 
 val sql_compare : t -> t -> int option
 (** SQL comparison: [None] (unknown) when either side is [Null]. *)
@@ -41,7 +42,29 @@ val to_float : t -> float
 val to_int : t -> int
 
 val hash : t -> int
-(** Consistent with {!equal} for same-type values. *)
+(** The placement hash behind hash distribution and Redistribute Motions.
+    Consistent with {!equal} for same-type values only; row placement
+    depends on it, so it is frozen.  Hash tables use {!key_hash}. *)
+
+val mix : int -> int
+(** A 64-bit (splitmix64-style) finalizer onto non-negative ints. *)
+
+val key_hash : t -> int
+(** The hash for hash tables and Bloom filters, consistent with {!equal}
+    for every pair of values (an integral [Float] hashes as the [Int] it
+    equals) — except ints beyond 2{^53}, which a float cannot represent
+    exactly.  Non-negative; built from {!mix} for scalars. *)
+
+val tuple_hash : t array -> int
+(** Hash of a key tuple: the {!key_hash}es folded through {!mix}.  Equal
+    (under {!equal}, position by position) tuples hash equally. *)
+
+val tuple_hash1 : t -> int
+(** [tuple_hash1 v = tuple_hash [| v |]], without the array. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed on one value under {!equal} and {!key_hash}: SQL
+    [=], so [Int 1] and [Float 1.0] are one key. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

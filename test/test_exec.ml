@@ -613,6 +613,297 @@ let prop_join_matches_reference =
       in
       List.length rows = expected)
 
+(* ---- SQL [=] on mixed int/float join keys ---- *)
+
+(* Regression: [t.a = u.x] with [t(a int) = {1}] and [u(x float) = {1.0}]
+   is true under SQL [=] (Value.equal), so every join operator must
+   return the one row — the hash join's key table and the runtime
+   filter's Bloom hash included. *)
+let test_mixed_int_float_keys () =
+  let catalog = Cat.create () in
+  let t =
+    Cat.add_table catalog ~name:"t" ~columns:[ ("a", Value.Tint) ]
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let u =
+    Cat.add_table catalog ~name:"u" ~columns:[ ("x", Value.Tfloat) ]
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let storage = Storage.create ~nsegments:1 in
+  Storage.insert storage t [| Value.Int 1 |];
+  Storage.insert storage u [| Value.Float 1.0 |];
+  let t_a = col ~rel:0 ~index:0 ~name:"a" in
+  let u_x = Colref.make ~rel:1 ~index:0 ~name:"x" ~dtype:Value.Tfloat in
+  let pred = Expr.eq (Expr.col t_a) (Expr.col u_x) in
+  let scan_t = Plan.table_scan ~rel:0 t.Mpp_catalog.Table.oid
+  and scan_u = Plan.table_scan ~rel:1 u.Mpp_catalog.Table.oid in
+  let with_rf =
+    Plan.hash_join ~kind:Plan.Inner ~pred
+      (Plan.runtime_filter_build ~rf_id:1 ~keys:[ t_a ] ~rows_est:1 scan_t)
+      (Plan.runtime_filter ~rf_id:1 ~keys:[ u_x ] scan_u)
+  in
+  let expected = [ [| Value.Int 1; Value.Float 1.0 |] ] in
+  List.iter
+    (fun (name, plan) ->
+      let rows, _ = run ~catalog ~storage (gather plan) in
+      Alcotest.(check int) (name ^ ": one row") 1 (List.length rows);
+      Alcotest.(check bool)
+        (name ^ ": the matching pair") true (rows = expected))
+    [ ("nl join", Plan.nl_join ~kind:Plan.Inner ~pred scan_t scan_u);
+      ("hash join", Plan.hash_join ~kind:Plan.Inner ~pred scan_t scan_u);
+      ("hash join + runtime filter", with_rf) ]
+
+(* ---- differential kernel tests against a list-based oracle ---- *)
+
+(* Random tables with few distinct values per column (duplicate keys) and
+   NULLs, run through the hash-join and aggregation kernels serially and
+   on a domain pool, and compared with an oracle that works on the
+   generated lists directly.  Floats are quarter multiples, so sums are
+   exact in any order. *)
+
+type kty = K_int | K_date | K_string | K_float
+
+let kty_dtype = function
+  | K_int -> Value.Tint
+  | K_date -> Value.Tdate
+  | K_string -> Value.Tstring
+  | K_float -> Value.Tfloat
+
+let gen_key rs ty =
+  if Random.State.int rs 8 = 0 then Value.Null
+  else
+    let i = Random.State.int rs 4 in
+    match ty with
+    | K_int -> Value.Int i
+    | K_date -> Value.Date (Date.add_days (Date.of_ymd 2013 1 1) i)
+    | K_string -> Value.String ("s" ^ string_of_int i)
+    | K_float -> Value.Float (0.5 *. float_of_int i)
+
+let gen_int rs =
+  if Random.State.int rs 6 = 0 then Value.Null
+  else Value.Int (Random.State.int rs 11 - 5)
+
+let gen_float rs =
+  if Random.State.int rs 6 = 0 then Value.Null
+  else Value.Float (0.25 *. float_of_int (Random.State.int rs 21 - 10))
+
+let gen_kty rs = [| K_int; K_date; K_string; K_float |].(Random.State.int rs 4)
+
+(* A table of [ncols] columns hashed on column 0 — equal first keys share a
+   segment, so segment-local joins and groupings are complete. *)
+let diff_table catalog storage ~name ~dtypes rows =
+  let tbl =
+    Cat.add_table catalog ~name
+      ~columns:(List.mapi (fun i d -> (Printf.sprintf "c%d" i, d)) dtypes)
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  List.iter (Storage.insert storage tbl) rows;
+  tbl
+
+let sort_rows rows = List.sort compare rows
+
+let differential_modes = [ ("serial", 1); ("parallel", 3) ]
+
+(* Runs [plan] in both modes: the result must equal [expected] as a
+   multiset, and the two modes must agree row for row, in order. *)
+let check_differential what ~catalog ~storage ~expected plan =
+  let results =
+    List.map
+      (fun (mode, domains) ->
+        let rows, _ =
+          Exec.run ~domains ~catalog ~storage (Plan.motion Plan.Gather plan)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s [%s]: matches the oracle" what mode)
+          true
+          (sort_rows rows = sort_rows expected);
+        rows)
+      differential_modes
+  in
+  match results with
+  | serial :: parallel :: _ ->
+      Alcotest.(check bool) (what ^ ": serial = parallel, same order") true
+        (serial = parallel)
+  | _ -> ()
+
+let test_differential_join () =
+  let rs = Random.State.make [| 14 |] in
+  for case = 1 to 40 do
+    let nkeys = 1 + Random.State.int rs 3 in
+    let ktys = List.init 3 (fun _ -> gen_kty rs) in
+    let dtypes = List.map kty_dtype ktys @ [ Value.Tint ] in
+    let gen_rows n =
+      List.init n (fun _ ->
+          Array.of_list (List.map (gen_key rs) ktys @ [ gen_int rs ]))
+    in
+    let lrows = gen_rows (Random.State.int rs 25)
+    and rrows = gen_rows (Random.State.int rs 25) in
+    let catalog = Cat.create () in
+    let storage = Storage.create ~nsegments:(1 + Random.State.int rs 4) in
+    let l = diff_table catalog storage ~name:"l" ~dtypes lrows
+    and r = diff_table catalog storage ~name:"r" ~dtypes rrows in
+    let cref rel i =
+      Colref.make ~rel ~index:i ~name:(Printf.sprintf "c%d" i)
+        ~dtype:(List.nth dtypes i)
+    in
+    let equi =
+      List.init nkeys (fun i ->
+          Expr.eq (Expr.col (cref 0 i)) (Expr.col (cref 1 i)))
+    in
+    (* oracle: keys all non-NULL and equal; the residual [l.v <= r.v] is
+       false on NULL *)
+    let keys_match (a : Value.t array) (b : Value.t array) =
+      List.for_all
+        (fun i -> (not (Value.is_null a.(i))) && a.(i) = b.(i))
+        (List.init nkeys Fun.id)
+    in
+    let residual_ok (a : Value.t array) (b : Value.t array) =
+      match (a.(3), b.(3)) with Value.Int x, Value.Int y -> x <= y | _ -> false
+    in
+    List.iter
+      (fun with_residual ->
+        let pred =
+          Expr.And
+            (equi
+            @
+            if with_residual then
+              [ Expr.le (Expr.col (cref 0 3)) (Expr.col (cref 1 3)) ]
+            else [])
+        in
+        let ok a b =
+          keys_match a b && ((not with_residual) || residual_ok a b)
+        in
+        let inner =
+          List.concat_map
+            (fun a ->
+              List.filter_map
+                (fun b -> if ok a b then Some (Array.append a b) else None)
+                rrows)
+            lrows
+        in
+        let semi =
+          List.filter (fun b -> List.exists (fun a -> ok a b) lrows) rrows
+        in
+        let left_outer =
+          inner
+          @ List.filter_map
+              (fun a ->
+                if List.exists (ok a) rrows then None
+                else Some (Array.append a (Array.make 4 Value.Null)))
+              lrows
+        in
+        List.iter
+          (fun (kname, kind, expected) ->
+            List.iter
+              (fun (oname, ctor) ->
+                let what =
+                  Printf.sprintf "case %d: %s %s, %d keys%s" case oname kname
+                    nkeys
+                    (if with_residual then " + residual" else "")
+                in
+                check_differential what ~catalog ~storage ~expected
+                  (ctor ~kind ~pred
+                     (Plan.table_scan ~rel:0 l.Mpp_catalog.Table.oid)
+                     (Plan.table_scan ~rel:1 r.Mpp_catalog.Table.oid)))
+              [ ("hash", Plan.hash_join); ("nl", Plan.nl_join) ])
+          [ ("inner", Plan.Inner, inner); ("semi", Plan.Semi, semi);
+            ("left outer", Plan.Left_outer, left_outer) ])
+      [ false; true ]
+  done
+
+let test_differential_agg () =
+  let rs = Random.State.make [| 41 |] in
+  for case = 1 to 60 do
+    let ngroup = Random.State.int rs 3 in
+    let k0 = gen_kty rs and k1 = gen_kty rs in
+    (* columns: g0, g1, iv (int), fv (float), xv (int, float or NULL) *)
+    let dtypes =
+      [ kty_dtype k0; kty_dtype k1; Value.Tint; Value.Tfloat; Value.Tfloat ]
+    in
+    let rows =
+      List.init (Random.State.int rs 30) (fun _ ->
+          [| gen_key rs k0; gen_key rs k1; gen_int rs; gen_float rs;
+             (if Random.State.bool rs then gen_int rs else gen_float rs) |])
+    in
+    let catalog = Cat.create () in
+    let storage = Storage.create ~nsegments:(1 + Random.State.int rs 4) in
+    let g = diff_table catalog storage ~name:"g" ~dtypes rows in
+    let c i =
+      Expr.col
+        (Colref.make ~rel:0 ~index:i ~name:"c" ~dtype:(List.nth dtypes i))
+    in
+    let aggs =
+      [ ("n", Plan.Count_star); ("cnt_i", Plan.Count (c 2));
+        ("cnt_f", Plan.Count (c 3)); ("sum_i", Plan.Sum (c 2));
+        ("sum_f", Plan.Sum (c 3)); ("sum_x", Plan.Sum (c 4));
+        ("avg_i", Plan.Avg (c 2)); ("avg_x", Plan.Avg (c 4));
+        ("min_i", Plan.Min (c 2)); ("max_i", Plan.Max (c 2));
+        ("min_f", Plan.Min (c 3)); ("max_f", Plan.Max (c 3));
+        ("min_g", Plan.Min (c 0)) ]
+    in
+    (* oracle, one aggregate over one group's rows *)
+    let vals i grp =
+      List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> r.(i)) grp)
+    in
+    let fsum = List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 in
+    let extreme pick = function
+      | [] -> Value.Null
+      | v :: rest ->
+          List.fold_left (fun m v -> if pick (compare v m) then v else m) v rest
+    in
+    let is_int = function Value.Int _ -> true | _ -> false in
+    let oracle grp = function
+      | Plan.Count_star -> Value.Int (List.length grp)
+      | Plan.Count (Expr.Col cr) ->
+          Value.Int (List.length (vals cr.Colref.index grp))
+      | Plan.Sum (Expr.Col cr) -> (
+          match vals cr.Colref.index grp with
+          | [] -> Value.Null
+          | vs when List.for_all is_int vs ->
+              Value.Int (List.fold_left (fun acc v -> acc + Value.to_int v) 0 vs)
+          | vs -> Value.Float (fsum vs))
+      | Plan.Avg (Expr.Col cr) -> (
+          match vals cr.Colref.index grp with
+          | [] -> Value.Null
+          | vs -> Value.Float (fsum vs /. float_of_int (List.length vs)))
+      | Plan.Min (Expr.Col cr) ->
+          extreme (fun c -> c < 0) (vals cr.Colref.index grp)
+      | Plan.Max (Expr.Col cr) ->
+          extreme (fun c -> c > 0) (vals cr.Colref.index grp)
+      | _ -> Alcotest.fail "oracle: unexpected aggregate"
+    in
+    let key r = List.init ngroup (fun i -> r.(i)) in
+    let groups =
+      List.fold_left
+        (fun acc r ->
+          let k = key r in
+          if List.mem_assoc k acc then
+            List.map
+              (fun (k', rs) -> if k' = k then (k', r :: rs) else (k', rs))
+              acc
+          else (k, [ r ]) :: acc)
+        [] rows
+    in
+    let groups = if ngroup = 0 && groups = [] then [ ([], []) ] else groups in
+    let expected =
+      List.map
+        (fun (k, grp) ->
+          Array.of_list (k @ List.map (fun (_, f) -> oracle grp f) aggs))
+        groups
+    in
+    let scan = Plan.table_scan ~rel:0 g.Mpp_catalog.Table.oid in
+    let group_by = List.init ngroup c in
+    (* grouped: segment-local (groups include the distribution column);
+       scalar: one final aggregate above a Gather *)
+    let plan =
+      if ngroup = 0 then Plan.agg ~group_by ~aggs (Plan.motion Plan.Gather scan)
+      else Plan.agg ~group_by ~aggs scan
+    in
+    check_differential
+      (Printf.sprintf "case %d: %d group keys" case ngroup)
+      ~catalog ~storage ~expected plan
+  done
+
 let () =
   Alcotest.run "exec"
     [ ("relational operators",
@@ -626,7 +917,13 @@ let () =
            test_left_outer_duplicate_build_rows;
          Alcotest.test_case "grouped aggregation" `Quick test_agg_group_by;
          Alcotest.test_case "scalar agg over empty" `Quick test_agg_scalar_empty;
-         Alcotest.test_case "sort + limit" `Quick test_sort_limit ]);
+         Alcotest.test_case "sort + limit" `Quick test_sort_limit;
+         Alcotest.test_case "int = float join keys" `Quick
+           test_mixed_int_float_keys ]);
+      ("differential kernels",
+       [ Alcotest.test_case "joins vs oracle" `Quick test_differential_join;
+         Alcotest.test_case "aggregation vs oracle" `Quick
+           test_differential_agg ]);
       ("motions",
        [ Alcotest.test_case "redistribute co-locates" `Quick
            test_redistribute_colocates;

@@ -67,6 +67,48 @@ let prop_equal_consistent_hash =
     QCheck2.Gen.(pair Support.value_gen Support.value_gen)
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* Int 1 and Float 1.0 are SQL-equal: the table and Bloom hash must agree,
+   and [equal] must be exactly [compare = 0] on every pair. *)
+let numeric_twins_gen =
+  QCheck2.Gen.(
+    oneof
+      [ Support.value_gen;
+        map (fun i -> Value.Int i) (int_range (-8) 8);
+        map (fun i -> Value.Float (float_of_int i /. 2.0)) (int_range (-16) 16) ])
+
+let prop_equal_is_compare =
+  QCheck2.Test.make ~count:2000 ~name:"equal is compare = 0"
+    QCheck2.Gen.(pair numeric_twins_gen numeric_twins_gen)
+    (fun (a, b) -> Value.equal a b = (Value.compare a b = 0))
+
+let prop_key_hash_consistent =
+  QCheck2.Test.make ~count:2000 ~name:"equal values key_hash equally"
+    QCheck2.Gen.(pair numeric_twins_gen numeric_twins_gen)
+    (fun (a, b) ->
+      (not (Value.equal a b))
+      || Value.key_hash a = Value.key_hash b
+         && Value.tuple_hash [| a; b |] = Value.tuple_hash [| b; a |])
+
+(* Bloom filter bit patterns are a function of [key_hash]: pin it for the
+   non-float constructors. *)
+let test_key_hash_pinned () =
+  let d = Value.date_of_string "2013-10-01" in
+  let days = match d with Value.Date x -> x | _ -> assert false in
+  Alcotest.(check int) "int" (Value.mix 42) (Value.key_hash (v_int 42));
+  Alcotest.(check int) "mix 42" 2835554892900365858 (Value.mix 42);
+  Alcotest.(check int) "date" (Value.mix days) (Value.key_hash d);
+  Alcotest.(check int) "bool true" (Value.mix 1) (Value.key_hash (Value.Bool true));
+  Alcotest.(check int) "bool false" (Value.mix 2)
+    (Value.key_hash (Value.Bool false));
+  Alcotest.(check int) "string" (Hashtbl.hash "abc")
+    (Value.key_hash (Value.String "abc"));
+  Alcotest.(check int) "null" 0 (Value.key_hash Value.Null);
+  Alcotest.(check int) "integral float hashes as its int" (Value.mix 3)
+    (Value.key_hash (Value.Float 3.0));
+  Alcotest.(check int) "one-key tuple"
+    (Value.tuple_hash [| v_int 7 |])
+    (Value.tuple_hash1 (v_int 7))
+
 let prop_size_positive =
   QCheck2.Test.make ~count:500 ~name:"serialized size is positive"
     Support.value_gen
@@ -80,8 +122,10 @@ let () =
          Alcotest.test_case "null ordering" `Quick test_null_ordering;
          Alcotest.test_case "sql_compare" `Quick test_sql_compare;
          Alcotest.test_case "to_string" `Quick test_to_string;
-         Alcotest.test_case "serialized size" `Quick test_serialized_size ]);
+         Alcotest.test_case "serialized size" `Quick test_serialized_size;
+         Alcotest.test_case "key_hash pinned" `Quick test_key_hash_pinned ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_compare_antisym; prop_compare_transitive;
-           prop_equal_consistent_hash; prop_size_positive ]) ]
+           prop_equal_consistent_hash; prop_equal_is_compare;
+           prop_key_hash_consistent; prop_size_positive ]) ]
