@@ -98,14 +98,98 @@ let write_results () =
     Printf.printf "\nresults written to BENCH_RESULTS.json\n"
   end
 
+(* Smoke-mode schema checks: the named field of a JSON section (failing
+   with the experiment's name when it is missing) and whether a value is
+   a positive, finite measurement. *)
+let field ~what obj name =
+  match obj with
+  | Json.Obj fields -> (
+      match List.assoc_opt name fields with
+      | Some v -> v
+      | None -> failwith (what ^ " smoke: missing field " ^ name))
+  | _ -> failwith (what ^ " smoke: section is not an object")
+
+let measured = function
+  | Json.Float f -> f > 0.0 && Float.is_finite f
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Timing harness: every experiment times through these                 *)
+(* ------------------------------------------------------------------ *)
+
 let median l =
   let s = List.sort Float.compare l in
   List.nth s (List.length s / 2)
 
+let minimum l = List.fold_left Float.min Float.infinity l
+
+(* Wall time of one call, in seconds, with its result. *)
 let time_run f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (Unix.gettimeofday () -. t0, r)
+
+(* [n] timings of [f] in seconds per call, after [warmup] untimed calls.
+   Each timing covers [batch] consecutive calls (divided back out), so
+   sub-millisecond work rises above timer noise. *)
+let samples ?(warmup = 1) ?(batch = 1) n f =
+  for _ = 1 to warmup do
+    ignore (f ())
+  done;
+  List.init n (fun _ ->
+      let t, () =
+        time_run (fun () ->
+            for _ = 1 to batch do
+              ignore (f ())
+            done)
+      in
+      t /. float_of_int batch)
+
+(* [n] timings of each of two configurations, taken in pairs that
+   alternate which side runs first, each after a major collection, so
+   slow drift of the machine and GC debt left by the previous run land on
+   both sides evenly instead of penalizing whichever runs later.  One
+   untimed warm-up call of each side first. *)
+let paired n f_a f_b =
+  ignore (f_a ());
+  ignore (f_b ());
+  let timed f =
+    Gc.major ();
+    fst (time_run f)
+  in
+  let ta = ref [] and tb = ref [] in
+  for i = 1 to n do
+    if i land 1 = 0 then begin
+      ta := timed f_a :: !ta;
+      tb := timed f_b :: !tb
+    end
+    else begin
+      tb := timed f_b :: !tb;
+      ta := timed f_a :: !ta
+    end
+  done;
+  (!ta, !tb)
+
+(* Both medians of [paired], in milliseconds. *)
+let paired_median_ms n f_a f_b =
+  let ta, tb = paired n f_a f_b in
+  (1000.0 *. median ta, 1000.0 *. median tb)
+
+(* Adaptive nanoseconds per call: one untimed warm-up call, then batches
+   of 1, 4, 16, ... calls until one batch runs at least [min_time]
+   seconds, long enough to swamp timer resolution. *)
+let ns_per_op ~min_time f =
+  ignore (f ());
+  let rec go reps =
+    let dt, () =
+      time_run (fun () ->
+          for _ = 1 to reps do
+            ignore (f ())
+          done)
+    in
+    if dt >= min_time then 1e9 *. dt /. float_of_int reps else go (reps * 4)
+  in
+  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: partitioning overhead of a full scan                        *)
@@ -151,8 +235,8 @@ let table2 () =
         done;
         Gc.compact ();
         let ts =
-          List.init runs (fun _ ->
-              fst (time_run (fun () -> Mpp_exec.Exec.run ~catalog ~storage plan)))
+          samples ~warmup:0 runs (fun () ->
+              Mpp_exec.Exec.run ~catalog ~storage plan)
         in
         (scenario, paper, median ts))
       scenarios
@@ -259,15 +343,7 @@ let fig17 () =
   (* sub-millisecond executions are noise-dominated: time batches of five
      consecutive runs and take the median of five batches *)
   let measure kind qu =
-    let batch () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to 5 do
-        ignore (W.Runner.run env kind qu)
-      done;
-      (Unix.gettimeofday () -. t0) /. 5.0
-    in
-    ignore (batch ());
-    median (List.init 5 (fun _ -> batch ()))
+    median (samples ~warmup:5 ~batch:5 5 (fun () -> W.Runner.run env kind qu))
   in
   let results =
     List.map
@@ -533,12 +609,8 @@ let ablation_pwj () =
             enable_partition_wise_join = true }
       in
       let time plan =
-        ignore (Mpp_exec.Exec.run ~catalog ~storage plan);
-        let ts =
-          List.init 5 (fun _ ->
-              fst (time_run (fun () -> Mpp_exec.Exec.run ~catalog ~storage plan)))
-        in
-        1000.0 *. List.fold_left Float.min Float.infinity ts
+        let run () = Mpp_exec.Exec.run ~catalog ~storage plan in
+        1000.0 *. minimum (samples 5 run)
       in
       let r1, _ = Mpp_exec.Exec.run ~catalog ~storage dyn in
       let r2, _ = Mpp_exec.Exec.run ~catalog ~storage pwj in
@@ -656,17 +728,8 @@ let micro_exec ?(smoke = false) () =
     (if smoke then "Micro: executor hot path (smoke mode, tiny inputs)"
      else "Micro: executor hot path (compiled expressions, domain pool)");
   let cores = Domain.recommended_domain_count () in
-  let best_of k f =
-    ignore (f ());
-    (* warm-up *)
-    let best = ref Float.infinity in
-    for _ = 1 to k do
-      let t, _ = time_run f in
-      if t < !best then best := t
-    done;
-    !best
-  in
   let reps = if smoke then 3 else 7 in
+  let best_of f = minimum (samples reps f) in
   (* ---- 1. scan-filter: interpreted env-per-row vs compiled ---- *)
   let nrows = if smoke then 2_000 else 400_000 in
   let rng = W.Rng.create () in
@@ -716,8 +779,8 @@ let micro_exec ?(smoke = false) () =
   in
   let n_interp = interpret () and n_comp = run_compiled () in
   assert (n_interp = n_comp);
-  let t_interp = best_of reps interpret in
-  let t_comp = best_of reps run_compiled in
+  let t_interp = best_of interpret in
+  let t_comp = best_of run_compiled in
   let ns_per_rows n t = 1e9 *. t /. float_of_int n in
   let ns_per = ns_per_rows nrows in
   let filter_speedup = t_interp /. t_comp in
@@ -763,8 +826,8 @@ let micro_exec ?(smoke = false) () =
   in
   let serial_rows = run_with 1 and parallel_rows = run_with domains in
   assert (List.length serial_rows = List.length parallel_rows);
-  let t_serial = best_of reps (fun () -> run_with 1) in
-  let t_parallel = best_of reps (fun () -> run_with domains) in
+  let t_serial = best_of (fun () -> run_with 1) in
+  let t_parallel = best_of (fun () -> run_with domains) in
   let join_speedup = t_serial /. t_parallel in
   Printf.printf
     "hash join (%d segments, %d fact rows, %d cores on this host):\n\
@@ -806,7 +869,7 @@ let micro_exec ?(smoke = false) () =
       fst
         (Mpp_exec.Exec.run ~domains:1 ~catalog:kcatalog ~storage:kstorage plan)
     in
-    (ns_per_rows nkrows (best_of reps run), List.length (run ()))
+    (ns_per_rows nkrows (best_of run), List.length (run ()))
   in
   let agg1_ns, agg1_groups = kernel_ns (agg_plan 1) in
   let agg3_ns, agg3_groups = kernel_ns (agg_plan 3) in
@@ -867,18 +930,7 @@ let micro_exec ?(smoke = false) () =
   if smoke then begin
     (* schema assertions only — values must exist and be measurements, no
        performance thresholds *)
-    let field obj name =
-      match obj with
-      | Json.Obj fields -> (
-          match List.assoc_opt name fields with
-          | Some v -> v
-          | None -> failwith ("micro_exec smoke: missing field " ^ name))
-      | _ -> failwith "micro_exec smoke: section is not an object"
-    in
-    let measured = function
-      | Json.Float f -> f > 0.0 && Float.is_finite f
-      | _ -> false
-    in
+    let field = field ~what:"micro_exec" in
     let sf = field section "scan_filter" and pj = field section "parallel_join" in
     assert (measured (field sf "interpreted_ns_per_row"));
     assert (measured (field sf "compiled_ns_per_row"));
@@ -937,21 +989,7 @@ let part_select ?(smoke = false) () =
     (if smoke then "Bench: partition-selection scaling (smoke mode, tiny P)"
      else "Bench: partition-selection scaling, legacy scan vs index");
   let min_time = if smoke then 0.002 else 0.05 in
-  (* adaptive repetition: grow the batch until it runs long enough to
-     swamp timer resolution, then report ns per call *)
-  let ns_per_op f =
-    ignore (f ());
-    (* warm-up *)
-    let rec go reps =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        ignore (f ())
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt >= min_time then 1e9 *. dt /. float_of_int reps else go (reps * 4)
-    in
-    go 1
-  in
+  let ns_per_op = ns_per_op ~min_time in
   let ps = if smoke then [ 16; 64 ] else [ 16; 128; 1024; 8192; 32768 ] in
   Printf.printf "%-8s %-12s %14s %14s %10s\n" "P" "case" "legacy ns"
     "indexed ns" "speedup";
@@ -1056,18 +1094,7 @@ let part_select ?(smoke = false) () =
         s
   | None -> ());
   if smoke then begin
-    let field obj name =
-      match obj with
-      | Json.Obj fields -> (
-          match List.assoc_opt name fields with
-          | Some v -> v
-          | None -> failwith ("part_select smoke: missing field " ^ name))
-      | _ -> failwith "part_select smoke: not an object"
-    in
-    let measured = function
-      | Json.Float f -> f > 0.0 && Float.is_finite f
-      | _ -> false
-    in
+    let field = field ~what:"part_select" in
     (match field section "points" with
     | Json.List (_ :: _ as pts) ->
         List.iter
@@ -1106,15 +1133,9 @@ let obs_overhead () =
   let env = get_env () in
   let qu = List.hd W.Queries.all in
   let measure () =
-    let batch () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to 10 do
-        ignore (W.Runner.run env W.Runner.Orca qu)
-      done;
-      (Unix.gettimeofday () -. t0) /. 10.0
-    in
-    ignore (batch ());
-    median (List.init 7 (fun _ -> batch ()))
+    median
+      (samples ~warmup:10 ~batch:10 7 (fun () ->
+           W.Runner.run env W.Runner.Orca qu))
   in
   Obs.uninstall ();
   let disabled = measure () in
@@ -1130,11 +1151,13 @@ let obs_overhead () =
   Obs.uninstall ();
   (* per-event cost of a recording site hitting the disabled sink *)
   let n = 20_000_000 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    Obs.incr Obs.null "bench.noop"
-  done;
-  let per_event = (Unix.gettimeofday () -. t0) /. float_of_int n in
+  let dt, () =
+    time_run (fun () ->
+        for _ = 1 to n do
+          Obs.incr Obs.null "bench.noop"
+        done)
+  in
+  let per_event = dt /. float_of_int n in
   let disabled_pct =
     100.0 *. per_event *. float_of_int events_per_query /. disabled
   in
@@ -1180,14 +1203,7 @@ let bench_verify ?(smoke = false) () =
   let env = get_env () in
   let catalog = env.W.Runner.catalog in
   let reps = if smoke then 3 else 11 in
-  let med f =
-    ignore (f ());
-    median
-      (List.init reps (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (f ());
-           Unix.gettimeofday () -. t0))
-  in
+  let med f = median (samples reps f) in
   (* (a) workload aggregate, per optimizer.  Both optimizers run the
      verifier on every plan they emit, so the measured optimize time
      already contains one embedded verify; [raw] subtracts it back out to
@@ -1196,14 +1212,6 @@ let bench_verify ?(smoke = false) () =
      experiences. *)
   let queries = if smoke then [ List.hd W.Queries.all ] else W.Queries.all in
   let e2e_reps = if smoke then 1 else 3 in
-  let med_of reps f =
-    ignore (f ());
-    median
-      (List.init reps (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (f ());
-           Unix.gettimeofday () -. t0))
-  in
   let kind_section kind =
     let opt_ms = ref 0.0 and ver_ms = ref 0.0 in
     let plans = ref 0 and nodes = ref 0 in
@@ -1221,8 +1229,10 @@ let bench_verify ?(smoke = false) () =
     let pct = 100.0 *. !ver_ms /. raw_ms in
     let e2e_ms =
       1000.0
-      *. med_of e2e_reps (fun () ->
-             List.iter (fun qu -> ignore (W.Runner.run env kind qu)) queries)
+      *. median
+           (samples e2e_reps (fun () ->
+                List.iter (fun qu -> ignore (W.Runner.run env kind qu))
+                  queries))
     in
     let pct_e2e = 100.0 *. !ver_ms /. e2e_ms in
     Printf.printf
@@ -1301,21 +1311,15 @@ let bench_verify ?(smoke = false) () =
   record "verify" section;
   if smoke then begin
     (* schema check only: the numbers are meaningless at tiny inputs *)
-    let field name = function
-      | Json.Obj fields -> (
-          match List.assoc_opt name fields with
-          | Some v -> v
-          | None -> failwith ("bench_verify smoke: missing field " ^ name))
-      | _ -> failwith "bench_verify smoke: section is not an object"
-    in
-    let workload = field "workload" section in
+    let field = field ~what:"bench_verify" in
+    let workload = field section "workload" in
     List.iter
       (fun k ->
-        match field "overhead_pct" (field k workload) with
+        match field (field workload k) "overhead_pct" with
         | Json.Float _ -> ()
         | _ -> failwith ("bench_verify smoke: " ^ k ^ " overhead not a float"))
       [ "orca"; "planner" ];
-    (match field "scaling" section with
+    (match field section "scaling" with
     | Json.List (_ :: _) -> ()
     | _ -> failwith "bench_verify smoke: scaling points missing");
     print_endline
@@ -1356,31 +1360,6 @@ let join_filter ?(smoke = false) () =
   let env = W.Runner.setup_env ~scale () in
   let catalog = env.W.Runner.catalog and storage = env.W.Runner.storage in
   let reps = if smoke then 1 else 15 in
-  (* Paired measurement: both configurations are timed within the same
-     rep, alternating which goes first, with a major collection before
-     every timed run — so slow drift of the machine and GC debt left by
-     the previous run land on both sides evenly instead of penalizing
-     whichever configuration happens to run later. *)
-  let med_ms_pair f_a f_b =
-    ignore (f_a ());
-    ignore (f_b ());
-    let ta = ref [] and tb = ref [] in
-    for i = 1 to reps do
-      let timed f =
-        Gc.major ();
-        fst (time_run f)
-      in
-      if i land 1 = 0 then begin
-        ta := timed f_a :: !ta;
-        tb := timed f_b :: !tb
-      end
-      else begin
-        tb := timed f_b :: !tb;
-        ta := timed f_a :: !ta
-      end
-    done;
-    (1000.0 *. median !ta, 1000.0 *. median !tb)
-  in
   let sorted_rows rows = List.sort compare rows in
   let is_subset a b = List.for_all (fun x -> List.mem x b) a in
   (* ---- 1. workload queries, filters on vs off ---- *)
@@ -1422,7 +1401,7 @@ let join_filter ?(smoke = false) () =
                 (Mpp_exec.Metrics.scanned_oids m_off ~root_oid:root)))
           (Mpp_exec.Metrics.roots_scanned m_on);
         let off_ms, on_ms =
-          med_ms_pair (fun () -> exec false) (fun () -> exec true)
+          paired_median_ms reps (fun () -> exec false) (fun () -> exec true)
         in
         let speedup = off_ms /. on_ms in
         if speedup > snd !best_speedup then
@@ -1588,36 +1567,15 @@ let bench_profile ?(smoke = false) () =
         ignore (Mpp_exec.Exec.run ~stats ~trace ~catalog ~storage plan))
   in
   let reps = if smoke then 13 else 21 in
-  (* paired alternating runs (same discipline as join_filter): drift and
-     GC debt land on both configurations evenly.  Median for reporting;
+  (* paired alternating runs ([paired]): drift and GC debt land on both
+     configurations evenly.  Median for reporting;
      minimum for the smoke gate — the suite runs concurrently with the
      other smoke benches under [dune runtest], and scheduler contention
      only ever *adds* time, so the paired minima are the contention-robust
      estimate of the true cost difference. *)
-  let times_pair f_a f_b =
-    ignore (f_a ());
-    ignore (f_b ());
-    let ta = ref [] and tb = ref [] in
-    for i = 1 to reps do
-      let timed f =
-        Gc.major ();
-        fst (time_run f)
-      in
-      if i land 1 = 0 then begin
-        ta := timed f_a :: !ta;
-        tb := timed f_b :: !tb
-      end
-      else begin
-        tb := timed f_b :: !tb;
-        ta := timed f_a :: !ta
-      end
-    done;
-    (!ta, !tb)
-  in
   let ms = List.map (fun t -> 1000.0 *. t) in
-  let minimum l = List.fold_left Float.min infinity l in
-  let ta, tb = times_pair run_plain run_accounting in
-  let ta', tc = times_pair run_plain run_profile in
+  let ta, tb = paired reps run_plain run_accounting in
+  let ta', tc = paired reps run_plain run_profile in
   let plain_ms = Float.min (median (ms ta)) (median (ms ta'))
   and acct_ms = median (ms tb)
   and prof_ms = median (ms tc) in
@@ -1732,13 +1690,9 @@ let opt_scaling ?(smoke = false) () =
     in
     Orca.Optimizer.optimize opt benv.W.Biggen.logical
   in
+  (* the warm-up call warms the stats caches *)
   let timed benv ~domains =
-    ignore (optimize_once benv ~domains) (* warm stats caches *);
-    let ts =
-      List.init reps (fun _ ->
-          fst (time_run (fun () -> optimize_once benv ~domains)))
-    in
-    median ts *. 1000.0
+    median (samples reps (fun () -> optimize_once benv ~domains)) *. 1000.0
   in
   Printf.printf "%-10s %8s %14s\n" "shape" "#rels" "optimize (ms)";
   let points =
@@ -1858,28 +1812,6 @@ let bench_analysis ?(smoke = false) () =
   in
   let queries = if smoke then [ List.hd W.Queries.all ] else W.Queries.all in
   let reps = if smoke then 1 else 11 in
-  (* paired medians, alternating order, major collection before each
-     timed run — same discipline as the join-filter benchmark *)
-  let med_ms_pair f_a f_b =
-    ignore (f_a ());
-    ignore (f_b ());
-    let ta = ref [] and tb = ref [] in
-    for i = 1 to reps do
-      let timed f =
-        Gc.major ();
-        fst (time_run f)
-      in
-      if i land 1 = 0 then begin
-        ta := timed f_a :: !ta;
-        tb := timed f_b :: !tb
-      end
-      else begin
-        tb := timed f_b :: !tb;
-        ta := timed f_a :: !ta
-      end
-    done;
-    (1000.0 *. median !ta, 1000.0 *. median !tb)
-  in
   let kind_section (kname, kind) =
     (* the gate denominator is what a query actually experiences —
        optimize + execute, like the PR 6 profiler gate; the pure-optimize
@@ -1891,7 +1823,7 @@ let bench_analysis ?(smoke = false) () =
     List.iter
       (fun qu ->
         let t_opt_on, t_opt_off =
-          med_ms_pair
+          paired_median_ms reps
             (fun () -> optimize kind ~simplify:true qu)
             (fun () -> optimize kind ~simplify:false qu)
         in
@@ -1902,7 +1834,7 @@ let bench_analysis ?(smoke = false) () =
           ignore
             (Mpp_exec.Exec.run ~catalog ~storage:env.W.Runner.storage plan)
         in
-        let t_on, t_off = med_ms_pair (e2e true) (e2e false) in
+        let t_on, t_off = paired_median_ms reps (e2e true) (e2e false) in
         on_ms := !on_ms +. t_on;
         off_ms := !off_ms +. t_off)
       queries;

@@ -132,16 +132,6 @@ let write_trace trace sink extras =
       Json.to_file file json;
       Printf.eprintf "trace written to %s\n%!" file
 
-(* Whether the executor runs annotated filters: the [--no-runtime-filters]
-   flag wins, then [MPP_RUNTIME_FILTERS=0] (or [false]/[off]), default on.
-   Plans are identical either way — this is purely an executor knob. *)
-let runtime_filters_on ~no_rf =
-  (not no_rf)
-  &&
-  match Sys.getenv_opt "MPP_RUNTIME_FILTERS" with
-  | Some ("0" | "false" | "off") -> false
-  | Some _ | None -> true
-
 let do_explain ?(analyze = false) ?trace ?domains ?opt_domains
     ?(runtime_filters = true) env kind selection sql =
   let sink = sink_for trace in
@@ -167,6 +157,24 @@ let do_explain ?(analyze = false) ?trace ?domains ?opt_domains
     end
   in
   write_trace trace sink extras
+
+(* One execution with per-node stats and per-domain pool accounting on:
+   the context (metrics, pool and channel stats), the node stats, the
+   result and the wall time of [exec] alone. *)
+let profiled_exec ?domains ?trace ~runtime_filters env plan =
+  let stats = Mpp_exec.Node_stats.create () in
+  let ctx =
+    Mpp_exec.Exec.create_ctx ~verify:true ?domains ~runtime_filters ~stats
+      ?trace ~catalog:env.W.Runner.catalog ~storage:env.W.Runner.storage ()
+  in
+  let pool = ctx.Mpp_exec.Exec.pool in
+  Mpp_exec.Dpool.reset_stats pool;
+  Mpp_exec.Dpool.set_accounting pool true;
+  let t0 = Unix.gettimeofday () in
+  let res = Mpp_exec.Exec.exec ctx plan in
+  let dt = Unix.gettimeofday () -. t0 in
+  Mpp_exec.Dpool.set_accounting pool false;
+  (ctx, stats, res, dt)
 
 let print_rows rows dt =
   List.iteri
@@ -202,17 +210,9 @@ let do_run ?trace ?stats_json ?domains ?opt_domains ?(runtime_filters = true)
   | Some file ->
       (* profiled run: per-node stats, per-domain pool accounting and
          channel occupancy, all dumped to one JSON artifact *)
-      let stats = Mpp_exec.Node_stats.create () in
-      let ctx =
-        Mpp_exec.Exec.create_ctx ~verify:true ?domains ~runtime_filters ~stats
-          ~catalog:env.W.Runner.catalog ~storage:env.W.Runner.storage ()
+      let ctx, stats, res, dt =
+        profiled_exec ?domains ~runtime_filters env plan
       in
-      Mpp_exec.Dpool.reset_stats ctx.Mpp_exec.Exec.pool;
-      Mpp_exec.Dpool.set_accounting ctx.Mpp_exec.Exec.pool true;
-      let t0 = Unix.gettimeofday () in
-      let res = Mpp_exec.Exec.exec ctx plan in
-      let dt = Unix.gettimeofday () -. t0 in
-      Mpp_exec.Dpool.set_accounting ctx.Mpp_exec.Exec.pool false;
       let rows =
         List.concat
           (Array.to_list
@@ -249,17 +249,9 @@ let do_profile ?domains ?(runtime_filters = true) ~out env kind selection sql =
     "optimizer";
   Mpp_obs.Trace.add_obs_spans trace ~tid:Mpp_exec.Exec.optimizer_tid
     ~cat:"optimizer" (Obs.root_spans sink);
-  let stats = Mpp_exec.Node_stats.create () in
-  let ctx =
-    Mpp_exec.Exec.create_ctx ~verify:true ?domains ~runtime_filters ~stats
-      ~trace ~catalog:env.W.Runner.catalog ~storage:env.W.Runner.storage ()
+  let ctx, stats, res, dt =
+    profiled_exec ?domains ~trace ~runtime_filters env plan
   in
-  Mpp_exec.Dpool.reset_stats ctx.Mpp_exec.Exec.pool;
-  Mpp_exec.Dpool.set_accounting ctx.Mpp_exec.Exec.pool true;
-  let t0 = Unix.gettimeofday () in
-  let res = Mpp_exec.Exec.exec ctx plan in
-  let dt = Unix.gettimeofday () -. t0 in
-  Mpp_exec.Dpool.set_accounting ctx.Mpp_exec.Exec.pool false;
   let nrows =
     Array.fold_left
       (fun acc v -> acc + Mpp_storage.Vec.length v)
@@ -597,8 +589,7 @@ let do_repl ?domains ?runtime_filters env kind selection =
 (* [mppsim serve] — an interactive front end over the serving layer: plain
    SQL statements run through the normalized plan cache; [\prepare] /
    [\execute] exercise explicit bind parameters. *)
-let do_serve ?stats_json ?(workers = 2) ?(capacity = 4) ?domains env kind
-    _selection =
+let do_serve ?stats_json ?(workers = 2) ?(capacity = 4) ?domains env kind =
   let config = serve_config ~workers ~capacity ?domains kind in
   with_server env config (fun srv ->
       let named = Hashtbl.create 16 in
@@ -707,80 +698,6 @@ let do_serve ?stats_json ?(workers = 2) ?(capacity = 4) ?domains env kind
           Printf.eprintf "serve stats written to %s\n%!" file
       | None -> ())
 
-(* [mppsim bench-serve] — sustained-QPS measurement on the mixed workload:
-   one cold pass (empty cache) then [repeat] warm passes over [sessions]
-   concurrent sessions.  The heavyweight sweep lives in [bench serve];
-   this is the quick CLI probe. *)
-let do_bench_serve ?stats_json ?(sessions = 4) ?(repeat = 2) ?(workers = 2)
-    ?(capacity = 4) ?domains env kind _selection =
-  let config = serve_config ~workers ~capacity ?domains kind in
-  with_server env config (fun srv ->
-      let stmts =
-        List.map
-          (fun (qu : W.Queries.query) ->
-            (Serve.prepare srv qu.W.Queries.sql, []))
-          W.Queries.all
-      in
-      let nq = List.length stmts in
-      let t0 = Unix.gettimeofday () in
-      let cold = Serve.run_stream srv [| stmts |] in
-      let cold_s = Unix.gettimeofday () -. t0 in
-      let pass () = List.concat (List.init repeat (fun _ -> stmts)) in
-      let t1 = Unix.gettimeofday () in
-      let warm = Serve.run_stream srv (Array.init sessions (fun _ -> pass ())) in
-      let warm_s = Unix.gettimeofday () -. t1 in
-      let warm_rs = List.concat (Array.to_list (Array.map (fun l -> l) warm)) in
-      let warm_n = List.length warm_rs in
-      let hits =
-        List.length (List.filter (fun r -> r.Serve.cache_hit) warm_rs)
-      in
-      let hit_opt_ms =
-        match List.filter (fun r -> r.Serve.cache_hit) warm_rs with
-        | [] -> 0.0
-        | rs ->
-            List.fold_left (fun a r -> a +. r.Serve.opt_seconds) 0.0 rs
-            *. 1000.0
-            /. float_of_int (List.length rs)
-      in
-      (* warm results must be row-identical to the cold pass, per query *)
-      let cold_rows = List.map (fun r -> rows_sorted r.Serve.rows) cold.(0) in
-      Array.iter
-        (fun rs ->
-          List.iteri
-            (fun i r ->
-              let want = List.nth cold_rows (i mod nq) in
-              if rows_sorted r.Serve.rows <> want then begin
-                prerr_endline "bench-serve: warm rows differ from cold rows";
-                exit 1
-              end)
-            rs)
-        warm;
-      let cold_qps = float_of_int nq /. cold_s in
-      let warm_qps = float_of_int warm_n /. warm_s in
-      Printf.printf
-        "cold: %d queries, 1 session: %.2f s (%.1f QPS)\n\
-         warm: %d queries, %d session(s): %.2f s (%.1f QPS)\n\
-         warm cache hit rate: %.2f; mean optimizer time on hits: %.3f ms\n"
-        nq cold_s cold_qps warm_n sessions warm_s warm_qps
-        (float_of_int hits /. float_of_int (max warm_n 1))
-        hit_opt_ms;
-      match stats_json with
-      | Some file ->
-          Json.to_file file
-            (Json.Obj
-               [
-                 ("cold_qps", Json.Float cold_qps);
-                 ("warm_qps", Json.Float warm_qps);
-                 ("sessions", Json.Int sessions);
-                 ("hit_rate",
-                  Json.Float
-                    (float_of_int hits /. float_of_int (max warm_n 1)));
-                 ("hit_opt_ms", Json.Float hit_opt_ms);
-                 ("serve", Serve.stats_to_json srv);
-               ]);
-          Printf.eprintf "serve stats written to %s\n%!" file
-      | None -> ())
-
 (* ---------------- cmdliner wiring ---------------- *)
 
 let verbose_arg =
@@ -812,6 +729,8 @@ let segments_arg =
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")
 
+let sql_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
+
 let analyze_arg =
   Arg.(value & flag & info [ "analyze" ]
          ~doc:"Execute the plan and annotate every node with actual rows, \
@@ -835,32 +754,42 @@ let opt_domains_arg =
                $(b,MPP_OPT_DOMAINS), else 1 (serial). The chosen plan is \
                identical at any setting.")
 
-let no_rf_arg =
-  Arg.(value & flag & info [ "no-runtime-filters" ]
-         ~doc:"Disable runtime join filters in the executor (the Bloom + \
-               min-max filters built during hash-join builds and pushed to \
-               probe-side scans and Motion sends). The plan is unchanged — \
-               annotated filter operators become no-ops — so this isolates \
-               the filters' execution-time effect. $(b,MPP_RUNTIME_FILTERS=0) \
-               (or $(b,false)/$(b,off)) disables them too; the flag wins.")
+let runtime_filters_arg =
+  Term.(
+    const not
+    $ Arg.(value & flag & info [ "no-runtime-filters" ]
+             ~doc:"Disable runtime join filters in the executor (the Bloom \
+                   + min-max filters built during hash-join builds and \
+                   pushed to probe-side scans and Motion sends). The plan \
+                   is unchanged — annotated filter operators become no-ops \
+                   — so this isolates the filters' execution-time effect."))
 
-let with_env f kind no_selection scale segments verbose =
-  setup_logs verbose;
-  let env = env_of ~scale ~segments in
-  f env kind (not no_selection)
+(* The flags every query command shares — optimizer choice, partition
+   selection, the demo cluster's scale and segment count, optimizer
+   logging — as one term yielding [(env, kind, selection)].  [check] and
+   [lint] run both optimizers and leave out [--optimizer]; [serve] has no
+   selection switch.  Each command applies it last: terms are evaluated
+   left to right, so a bad argument is reported before the demo cluster
+   is loaded. *)
+let cluster_term ?(optimizer = true) ?(selection = true) () =
+  Term.(
+    const (fun kind no_selection scale segments verbose ->
+        setup_logs verbose;
+        (env_of ~scale ~segments, kind, not no_selection))
+    $ (if optimizer then optimizer_arg else const Orca)
+    $ (if selection then no_selection_arg else const false)
+    $ scale_arg $ segments_arg $ verbose_arg)
 
 let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Show the plan for a SQL statement.")
-    Term.(const (fun k n sc sg v analyze trace domains opt_domains no_rf sql ->
-                    with_env
-                    (fun env k sel ->
-                      do_explain ~analyze ?trace ?domains ?opt_domains
-                        ~runtime_filters:(runtime_filters_on ~no_rf) env k sel
-                        sql)
-                    k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ analyze_arg $ trace_arg $ parallel_arg
-          $ opt_domains_arg $ no_rf_arg $ sql_arg)
+    Term.(
+      const
+        (fun analyze trace domains opt_domains runtime_filters sql
+             (env, kind, sel) ->
+          do_explain ~analyze ?trace ?domains ?opt_domains ~runtime_filters
+            env kind sel sql)
+      $ analyze_arg $ trace_arg $ parallel_arg $ opt_domains_arg
+      $ runtime_filters_arg $ sql_arg $ cluster_term ())
 
 let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
@@ -871,16 +800,14 @@ let stats_json_arg =
 
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a SQL statement on the demo cluster.")
-    Term.(const (fun k n sc sg v trace stats_json domains opt_domains no_rf
-                     sql -> with_env
-                    (fun env k sel ->
-                      do_run ?trace ?stats_json ?domains ?opt_domains
-                        ~runtime_filters:(runtime_filters_on ~no_rf) env k sel
-                        sql)
-                    k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ trace_arg $ stats_json_arg $ parallel_arg
-          $ opt_domains_arg $ no_rf_arg $ sql_arg)
+    Term.(
+      const
+        (fun trace stats_json domains opt_domains runtime_filters sql
+             (env, kind, sel) ->
+          do_run ?trace ?stats_json ?domains ?opt_domains ~runtime_filters env
+            kind sel sql)
+      $ trace_arg $ stats_json_arg $ parallel_arg $ opt_domains_arg
+      $ runtime_filters_arg $ sql_arg $ cluster_term ())
 
 let profile_cmd =
   let out_arg =
@@ -896,24 +823,18 @@ let profile_cmd =
           busy/wait accounting, and a Chrome/Perfetto trace-event timeline \
           with one track per executor domain plus coordinator and optimizer \
           tracks.")
-    Term.(const (fun k n sc sg v out domains no_rf sql -> with_env
-                    (fun env k sel ->
-                      do_profile ?domains
-                        ~runtime_filters:(runtime_filters_on ~no_rf) ~out env
-                        k sel sql)
-                    k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ out_arg $ parallel_arg $ no_rf_arg $ sql_arg)
+    Term.(
+      const (fun out domains runtime_filters sql (env, kind, sel) ->
+          do_profile ?domains ~runtime_filters ~out env kind sel sql)
+      $ out_arg $ parallel_arg $ runtime_filters_arg $ sql_arg
+      $ cluster_term ())
 
 let repl_cmd =
   Cmd.v (Cmd.info "repl" ~doc:"Interactive SQL prompt on the demo cluster.")
-    Term.(const (fun k n sc sg v domains no_rf -> with_env
-                    (fun env k sel ->
-                      do_repl ?domains
-                        ~runtime_filters:(runtime_filters_on ~no_rf) env k sel)
-                    k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ parallel_arg $ no_rf_arg)
+    Term.(
+      const (fun domains runtime_filters (env, kind, sel) ->
+          do_repl ?domains ~runtime_filters env kind sel)
+      $ parallel_arg $ runtime_filters_arg $ cluster_term ())
 
 let check_cmd =
   let workload_arg =
@@ -928,9 +849,6 @@ let check_cmd =
                  the serial and 4-domain optimizations must pick identical \
                  plans.")
   in
-  let sql_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
@@ -939,11 +857,11 @@ let check_cmd =
           pruning soundness) and run the predicate linter over the same \
           inputs; exit 1 on any error-severity diagnostic or lint \
           finding.")
-    Term.(const (fun n sc sg v workload biggen sql -> with_env
-                    (fun env _k sel -> do_check env sel ~workload ~biggen sql)
-                    Orca n sc sg v)
-          $ no_selection_arg $ scale_arg $ segments_arg $ verbose_arg
-          $ workload_arg $ biggen_arg $ sql_opt_arg)
+    Term.(
+      const (fun workload biggen sql (env, _, sel) ->
+          do_check env sel ~workload ~biggen sql)
+      $ workload_arg $ biggen_arg $ sql_opt_arg
+      $ cluster_term ~optimizer:false ())
 
 let lint_cmd =
   let workload_arg =
@@ -955,9 +873,6 @@ let lint_cmd =
     Arg.(value & flag & info [ "biggen" ]
            ~doc:"Lint the generated big-join suite under both optimizers.")
   in
-  let sql_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -965,11 +880,11 @@ let lint_cmd =
           both optimizers produce: redundant conjuncts, contradictory \
           conjuncts and filters, statically dead Append branches. Exit 1 \
           on any finding.")
-    Term.(const (fun n sc sg v workload biggen sql -> with_env
-                    (fun env _k sel -> do_lint env sel ~workload ~biggen sql)
-                    Orca n sc sg v)
-          $ no_selection_arg $ scale_arg $ segments_arg $ verbose_arg
-          $ workload_arg $ biggen_arg $ sql_opt_arg)
+    Term.(
+      const (fun workload biggen sql (env, _, sel) ->
+          do_lint env sel ~workload ~biggen sql)
+      $ workload_arg $ biggen_arg $ sql_opt_arg
+      $ cluster_term ~optimizer:false ())
 
 let workers_arg =
   Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
@@ -990,43 +905,11 @@ let serve_cmd =
           through the cache; $(b,\\\\prepare)/$(b,\\\\execute) exercise \
           explicit binds and $(b,\\\\stats) prints cache and admission \
           counters.")
-    Term.(const (fun k n sc sg v stats_json workers capacity domains ->
-              with_env
-                (fun env k sel ->
-                  do_serve ?stats_json ~workers ~capacity ?domains env k sel)
-                k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ stats_json_arg $ workers_arg $ capacity_arg
-          $ parallel_arg)
-
-let bench_serve_cmd =
-  let sessions_arg =
-    Arg.(value & opt int 4 & info [ "sessions" ] ~docv:"N"
-           ~doc:"Concurrent sessions in the warm pass.")
-  in
-  let repeat_arg =
-    Arg.(value & opt int 2 & info [ "repeat" ] ~docv:"N"
-           ~doc:"Workload passes per session in the warm phase.")
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Quick QPS probe of the serving layer: one cold pass over the \
-          built-in workload (empty plan cache), then $(b,--repeat) warm \
-          passes over $(b,--sessions) concurrent sessions. Reports cold \
-          vs warm QPS, cache hit rate and mean optimizer time on hits, \
-          and asserts warm results are row-identical to cold. The full \
-          session sweep lives in $(b,bench serve).")
-    Term.(const (fun k n sc sg v stats_json sessions repeat workers capacity
-                     domains ->
-              with_env
-                (fun env k sel ->
-                  do_bench_serve ?stats_json ~sessions ~repeat ~workers
-                    ~capacity ?domains env k sel)
-                k n sc sg v)
-          $ optimizer_arg $ no_selection_arg $ scale_arg $ segments_arg
-          $ verbose_arg $ stats_json_arg $ sessions_arg $ repeat_arg
-          $ workers_arg $ capacity_arg $ parallel_arg)
+    Term.(
+      const (fun stats_json workers capacity domains (env, kind, _) ->
+          do_serve ?stats_json ~workers ~capacity ?domains env kind)
+      $ stats_json_arg $ workers_arg $ capacity_arg $ parallel_arg
+      $ cluster_term ~selection:false ())
 
 let schema_cmd =
   Cmd.v (Cmd.info "schema" ~doc:"List the demo schema's tables.")
@@ -1040,7 +923,7 @@ let main =
        ~doc:
          "Simulated MPP database with partitioned-table optimization \
           (SIGMOD 2014 reproduction).")
-    [ explain_cmd; run_cmd; profile_cmd; repl_cmd; serve_cmd; bench_serve_cmd;
-      check_cmd; lint_cmd; schema_cmd ]
+    [ explain_cmd; run_cmd; profile_cmd; repl_cmd; serve_cmd; check_cmd;
+      lint_cmd; schema_cmd ]
 
 let () = exit (Cmd.eval main)

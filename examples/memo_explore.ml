@@ -73,5 +73,6 @@ let () =
   | Some (plan, cost) ->
       Printf.printf "best plan (cost %.0f):\n%s\n" cost (Plan.to_string plan);
       Printf.printf "valid per the Motion/selector rule of Section 3.1: %b\n"
-        (Mpp_plan.Plan_valid.is_valid plan)
+        (Mpp_verify.Verify.check_pass ~catalog Mpp_verify.Diag.Structure plan
+         = [])
   | None -> print_endline "no plan found"

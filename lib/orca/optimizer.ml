@@ -14,7 +14,8 @@
        keeps every selector/scan pair within one process — the §3.1
        constraint by construction);
     3. the PartitionSelector placement pass of {!Placement} (paper §2.3);
-    4. a {!Mpp_plan.Plan_valid} check.
+    4. the plan verifier ({!Mpp_verify.Verify.check}, all six passes; its
+       structure pass holds the §3.1 rules).
 
     The full memo-based property-enforcement machinery of paper §3.1 is in
     {!Memo}; this pipeline is the production path used by the benchmarks. *)

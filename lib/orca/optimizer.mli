@@ -1,7 +1,8 @@
 (** The Orca-style optimizer pipeline: logical tree → cost-based physical
     skeleton (join orientation values dynamic partition elimination; Motions
     co-locate without ever separating a selector from its scan) → the
-    {!Placement} pass of paper §2.3 → a {!Mpp_plan.Plan_valid} check.
+    {!Placement} pass of paper §2.3 → the plan verifier
+    ({!Mpp_verify.Verify.check}, all six passes).
 
     The memo-based property-enforcement machinery of §3.1 lives in {!Memo};
     this pipeline is the production path used by the benchmarks. *)

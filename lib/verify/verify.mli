@@ -1,10 +1,10 @@
 (** Multi-pass static analysis of physical plans.
 
-    Subsumes and extends {!Mpp_plan.Plan_valid}: both optimizers run every
-    plan they emit through [check] before handing it to the executor, the
-    [mppsim check] front end pretty-prints the diagnostics, and the
-    mutation-kill harness asserts that each systematic plan corruption is
-    rejected with the right code.
+    The one home of the paper's §3.1 / Figure-12 plan invariants: both
+    optimizers run every plan they emit through [check] before handing it
+    to the executor, the [mppsim check] front end pretty-prints the
+    diagnostics, and the mutation-kill harness asserts that each
+    systematic plan corruption is rejected with the right code.
 
     Six passes, each emitting structured {!Diag.t} diagnostics:
 

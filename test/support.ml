@@ -187,3 +187,9 @@ let check_rows_equal what a b =
 (** Run a plan and return its sorted rows and metrics. *)
 let run_plan ~catalog ~storage ?params ?selection_enabled plan =
   Mpp_exec.Exec.run ?params ?selection_enabled ~catalog ~storage plan
+
+(* The paper's §3.1 / Figure-12 rules alone — the verifier's structure
+   pass — for plans that are not complete top-level plans (Memo and
+   placement output is not gathered at the root). *)
+let structure_ok ~catalog p =
+  Mpp_verify.Verify.check_pass ~catalog Mpp_verify.Diag.Structure p = []

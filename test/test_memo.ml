@@ -7,7 +7,6 @@ module Part = Mpp_catalog.Partition
 module Dist = Mpp_catalog.Distribution
 module Table = Mpp_catalog.Table
 module Plan = Mpp_plan.Plan
-module Valid = Mpp_plan.Plan_valid
 module Memo = Orca.Memo
 
 (* R(pk, x) partitioned and hash-distributed on pk; S(a, b) hashed on a. *)
@@ -52,7 +51,7 @@ let test_best_plan_exists_and_valid () =
   let catalog, lg = figure13_env () in
   match Memo.best_plan ~catalog lg with
   | Some (plan, cost) ->
-      Alcotest.(check bool) "valid" true (Valid.is_valid plan);
+      Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog plan);
       Alcotest.(check bool) "positive cost" true (cost > 0.0);
       Alcotest.(check bool) "contains both relations" true
         (Plan.fold
@@ -70,7 +69,7 @@ let test_every_alternative_valid () =
     (fun i plan ->
       Alcotest.(check bool)
         (Printf.sprintf "alternative %d valid" i)
-        true (Valid.is_valid plan))
+        true (Support.structure_ok ~catalog plan))
     alts
 
 let test_plan4_is_enumerated () =
@@ -112,7 +111,7 @@ let test_unsatisfiable_request () =
   match Memo.best_plan ~catalog r_only with
   | Some (plan, _) ->
       Alcotest.(check bool) "bare partitioned get valid" true
-        (Valid.is_valid plan)
+        (Support.structure_ok ~catalog plan)
   | None -> Alcotest.fail "bare get must plan"
 
 let test_memo_plan_executes () =
@@ -161,7 +160,7 @@ let test_three_way_join () =
   (match Memo.best_plan ~catalog lg with
   | Some (plan, _) ->
       Alcotest.(check bool) "three-way best plan valid" true
-        (Valid.is_valid plan);
+        (Support.structure_ok ~catalog plan);
       Alcotest.(check (list int)) "R's scan resolved" [ 0 ]
         (Plan.dynamic_scan_ids plan)
   | None -> Alcotest.fail "three-way join must plan");
@@ -170,7 +169,7 @@ let test_three_way_join () =
     (fun i p ->
       Alcotest.(check bool)
         (Printf.sprintf "three-way alternative %d valid" i)
-        true (Valid.is_valid p))
+        true (Support.structure_ok ~catalog p))
     alts
 
 let test_rejects_unsupported_shapes () =

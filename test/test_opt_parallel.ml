@@ -9,11 +9,11 @@
 
 module W = Mpp_workload
 module Plan = Mpp_plan.Plan
-module Valid = Mpp_plan.Plan_valid
 module Opt = Orca.Optimizer
 module Memo = Orca.Memo
 module Joinorder = Orca.Joinorder
 module Table = Mpp_catalog.Table
+module Verify = Mpp_verify.Verify
 
 let env = lazy (W.Runner.setup_env ~scale:2 ~nsegments:4 ())
 
@@ -45,7 +45,7 @@ let test_workload_equivalence () =
       let serial = optimize_domains env ~domains:1 qu in
       Alcotest.(check bool)
         (qu.W.Queries.name ^ " serial plan valid")
-        true (Valid.is_valid serial);
+        true (Verify.ok ~catalog:env.W.Runner.catalog serial);
       List.iter
         (fun d ->
           let par = optimize_domains env ~domains:d qu in
@@ -77,7 +77,8 @@ let test_memo_equivalence () =
       | Some (splan, scost) ->
           Alcotest.(check bool)
             (benv.W.Biggen.name ^ " serial memo plan valid")
-            true (Valid.is_valid splan);
+            true
+            (Support.structure_ok ~catalog:benv.W.Biggen.catalog splan);
           List.iter
             (fun d ->
               match best d with
@@ -139,7 +140,8 @@ let qcheck_biggen_equivalence =
           benv.W.Biggen.logical
       in
       Plan.to_string serial = Plan.to_string par
-      && Valid.is_valid serial && Valid.is_valid legacy)
+      && Verify.ok ~catalog:benv.W.Biggen.catalog serial
+      && Verify.ok ~catalog:benv.W.Biggen.catalog legacy)
 
 (* Same spec, fresh env each time: byte-identical plans (the generator and
    both optimizers are deterministic end to end). *)

@@ -6,7 +6,6 @@ open Mpp_expr
 module Cat = Mpp_catalog.Catalog
 module Storage = Mpp_storage.Storage
 module Plan = Mpp_plan.Plan
-module Valid = Mpp_plan.Plan_valid
 module Opt = Orca.Optimizer
 module Logical = Orca.Logical
 module Metrics = Mpp_exec.Metrics
@@ -38,7 +37,7 @@ let test_static_query () =
       (Logical.get ~rel:0 "orders")
   in
   let plan = optimize ~stats catalog lg in
-  Alcotest.(check bool) "valid" true (Valid.is_valid plan);
+  Alcotest.(check bool) "valid" true (Mpp_verify.Verify.ok ~catalog plan);
   let rows, m = run ~catalog ~storage plan in
   Alcotest.(check int) "3 partitions" 3 (parts m orders);
   (* same rows as the un-pruned run *)
@@ -65,7 +64,7 @@ let dpe_logical orders date_dim =
 let test_dpe_query () =
   let catalog, storage, stats, orders, date_dim = env () in
   let plan = optimize ~stats catalog (dpe_logical orders date_dim) in
-  Alcotest.(check bool) "valid" true (Valid.is_valid plan);
+  Alcotest.(check bool) "valid" true (Mpp_verify.Verify.ok ~catalog plan);
   (* a streaming selector with the join predicate must exist *)
   let streaming =
     Plan.fold
@@ -91,7 +90,7 @@ let test_selection_disabled_config () =
   let catalog, storage, stats, orders, date_dim = env () in
   let config = { Opt.default_config with enable_partition_selection = false } in
   let plan = optimize ~config ~stats catalog (dpe_logical orders date_dim) in
-  Alcotest.(check bool) "still valid" true (Valid.is_valid plan);
+  Alcotest.(check bool) "still valid" true (Mpp_verify.Verify.ok ~catalog plan);
   let _, m = run ~catalog ~storage plan in
   Alcotest.(check int) "scans every partition" 24 (parts m orders)
 
@@ -130,7 +129,7 @@ let test_update_pipeline () =
             (Logical.get ~rel:0 "orders") }
   in
   let plan = optimize ~stats catalog lg in
-  Alcotest.(check bool) "valid" true (Valid.is_valid plan);
+  Alcotest.(check bool) "valid" true (Mpp_verify.Verify.ok ~catalog plan);
   let before = Storage.count_table storage orders in
   let rows, m = run ~catalog ~storage plan in
   Alcotest.(check int) "only December touched" 1 (parts m orders);

@@ -4,7 +4,6 @@
 open Mpp_expr
 module Plan = Mpp_plan.Plan
 module Placement = Orca.Placement
-module Valid = Mpp_plan.Plan_valid
 
 (* Collect the selectors of a placed plan as (id, is_streaming, predicates). *)
 let selectors plan =
@@ -37,7 +36,7 @@ let test_full_scan_gets_phi_selector () =
       Alcotest.(check bool) "predicate is Φ" true
         (List.for_all Option.is_none predicates)
   | _ -> Alcotest.fail "expected Sequence [leaf selector; scan]");
-  Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
 
 let test_select_folds_predicate () =
   (* Figures 5(b)/5(c): the Filter's restriction reaches the selector *)
@@ -50,7 +49,7 @@ let test_select_folds_predicate () =
   | [ Some p ] ->
       Alcotest.(check bool) "selection predicate captured" true (Expr.equal p pred)
   | _ -> Alcotest.fail "expected one predicate");
-  Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
 
 let test_scan_inline_filter_harvested () =
   (* the same when the predicate was pushed into the scan's own qual *)
@@ -90,7 +89,7 @@ let test_join_pushes_to_opposite_side () =
   | Plan.Hash_join { left = Plan.Partition_selector { child = Some _; _ }; _ } ->
       ()
   | _ -> Alcotest.fail "selector expected on the build side");
-  Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
 
 let test_join_key_in_build_side_resolves_locally () =
   (* when the DynamicScan is on the build side, the spec stays there — the
@@ -113,7 +112,7 @@ let test_join_key_in_build_side_resolves_locally () =
   Alcotest.(check bool) "leaf selector on its own side" false streaming;
   Alcotest.(check bool) "no predicate harvested" true
     (List.for_all Option.is_none predicates);
-  Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
 
 let test_figure8_two_selectors () =
   (* Figure 8: Select(date_dim) ⋈ sales_fact, then ⋈ customer.
@@ -176,7 +175,8 @@ let test_figure8_two_selectors () =
       Alcotest.(check bool) "join predicate on the key" true
         (Expr.equal p (Expr.eq (Expr.col dd_id) (Expr.col sf_date)))
   | _ -> Alcotest.fail "selector 2 predicate");
-  Alcotest.(check bool) "placed plan valid" true (Valid.is_valid placed);
+  Alcotest.(check bool) "placed plan valid" true
+    (Support.structure_ok ~catalog placed);
   (* both selectors live inside the inner join's build side *)
   match placed with
   | Plan.Hash_join
@@ -201,7 +201,8 @@ let test_multilevel_placement () =
   in
   let _, _, predicates = find_selector placed 1 in
   match predicates with
-  | [ Some _; Some _ ] -> Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  | [ Some _; Some _ ] ->
+      Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
   | _ -> Alcotest.fail "expected predicates on both levels"
 
 let test_placement_through_agg () =
@@ -219,7 +220,7 @@ let test_placement_through_agg () =
   (match predicates with
   | [ Some _ ] -> ()
   | _ -> Alcotest.fail "predicate folded through agg");
-  Alcotest.(check bool) "valid" true (Valid.is_valid placed)
+  Alcotest.(check bool) "valid" true (Support.structure_ok ~catalog placed)
 
 let test_eliminate_false_places_phi () =
   let catalog, orders, o_date = orders_env () in

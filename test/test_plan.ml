@@ -1,16 +1,16 @@
-(** Plan-algebra tests: traversal helpers, the Motion/selector validity
-    rules of paper §3.1 (Figure 12), and the plan-size model of §4.4. *)
+(** Plan-algebra tests: traversal helpers and the plan-size model of §4.4.
+    The Motion/selector validity rules of paper §3.1 (Figure 12) are the
+    verifier's structure pass, tested in [test_verify]. *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
-module Valid = Mpp_plan.Plan_valid
 module Size = Mpp_plan.Plan_size
 
 let key = Colref.make ~rel:0 ~index:0 ~name:"pk" ~dtype:Value.Tint
 
-let selector ?child ?(pred = None) id =
+let selector ?child id =
   Plan.partition_selector ?child ~part_scan_id:id ~root_oid:999
-    ~keys:[ key ] ~predicates:[ pred ] ()
+    ~keys:[ key ] ~predicates:[ None ] ()
 
 let dynscan id = Plan.dynamic_scan ~rel:0 ~part_scan_id:id 999
 
@@ -39,9 +39,7 @@ let test_guarded_scan_is_consumer () =
                      Plan.table_scan ~guard:1 ~rel:0 101 ])
   in
   Alcotest.(check (list int)) "guards count as consumers" [ 1 ]
-    (Plan.dynamic_scan_ids p);
-  Alcotest.(check (list string)) "valid with many consumers" []
-    (List.map Valid.violation_to_string (Valid.check p))
+    (Plan.dynamic_scan_ids p)
 
 let test_with_children () =
   let p = join (dynscan 1) (dynscan 2) in
@@ -67,44 +65,6 @@ let test_output_rels () =
     (Plan.output_rels semi);
   Alcotest.(check (list int)) "agg hides rels" []
     (Plan.output_rels (Plan.agg ~group_by:[] ~aggs:[] p))
-
-(* ---- validity: the Figure-12 rules ---- *)
-
-let test_valid_pair () =
-  Alcotest.(check bool) "sequence pair valid" true (Valid.is_valid (seq_pair 1));
-  (* selector on the opposite side of a join *)
-  let p = join (selector ~child:(Plan.table_scan ~rel:1 5) 1) (dynscan 1) in
-  Alcotest.(check bool) "join DPE shape valid" true (Valid.is_valid p)
-
-let test_motion_above_pair_valid () =
-  let p = Plan.motion Plan.Gather (seq_pair 1) in
-  Alcotest.(check bool) "motion above the pair is fine" true (Valid.is_valid p)
-
-let test_motion_between_invalid () =
-  (* Figure 12, right side: Motion between selector and scan *)
-  let p =
-    Plan.Sequence [ selector 1; Plan.motion Plan.Broadcast (dynscan 1) ]
-  in
-  Alcotest.(check bool) "motion between pair flagged" true
-    (List.mem (Valid.Motion_between 1) (Valid.check p));
-  let p2 =
-    join
-      (selector ~child:(Plan.table_scan ~rel:1 5) 1)
-      (Plan.motion (Plan.Redistribute [ key ]) (dynscan 1))
-  in
-  Alcotest.(check bool) "motion under probe flagged" true
-    (List.mem (Valid.Motion_between 1) (Valid.check p2))
-
-let test_unmatched () =
-  Alcotest.(check bool) "scan without selector" true
-    (List.mem (Valid.Unmatched_scan 1) (Valid.check (dynscan 1)));
-  Alcotest.(check bool) "selector without scan" true
-    (List.mem (Valid.Unmatched_selector 1) (Valid.check (selector 1)))
-
-let test_consumer_before_producer () =
-  let p = Plan.Sequence [ dynscan 1; selector 1 ] in
-  Alcotest.(check bool) "scan before its selector flagged" true
-    (List.mem (Valid.Consumer_before_producer 1) (Valid.check p))
 
 (* ---- plan size ---- *)
 
@@ -174,15 +134,6 @@ let () =
            test_guarded_scan_is_consumer;
          Alcotest.test_case "with_children" `Quick test_with_children;
          Alcotest.test_case "output rels" `Quick test_output_rels ]);
-      ("validity (Figure 12)",
-       [ Alcotest.test_case "valid pairs" `Quick test_valid_pair;
-         Alcotest.test_case "motion above pair" `Quick
-           test_motion_above_pair_valid;
-         Alcotest.test_case "motion between pair" `Quick
-           test_motion_between_invalid;
-         Alcotest.test_case "unmatched endpoints" `Quick test_unmatched;
-         Alcotest.test_case "consumer before producer" `Quick
-           test_consumer_before_producer ]);
       ("size model",
        [ Alcotest.test_case "append grows linearly" `Quick
            test_size_append_linear;

@@ -5,7 +5,6 @@
 open Mpp_expr
 module Storage = Mpp_storage.Storage
 module Plan = Mpp_plan.Plan
-module Valid = Mpp_plan.Plan_valid
 module Planner = Mpp_planner.Planner
 module Logical = Orca.Logical
 module Metrics = Mpp_exec.Metrics
@@ -93,7 +92,7 @@ let test_rudimentary_dpe () =
   let _, m = Mpp_exec.Exec.run ~catalog ~storage p in
   Alcotest.(check int) "July 2013 only" 1
     (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid);
-  Alcotest.(check bool) "valid" true (Valid.is_valid p)
+  Alcotest.(check bool) "valid" true (Mpp_verify.Verify.ok ~catalog p)
 
 let test_dpe_disabled () =
   let catalog, storage, orders, _ = env () in

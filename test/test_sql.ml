@@ -210,7 +210,7 @@ let test_workload_queries_all_bind () =
           lg
       in
       Alcotest.(check bool) (qu.name ^ " valid") true
-        (Mpp_plan.Plan_valid.is_valid plan))
+        (Mpp_verify.Verify.ok ~catalog:env.Mpp_workload.Runner.catalog plan))
     Mpp_workload.Queries.all
 
 let () =

@@ -32,6 +32,10 @@ let adhoc kind sql =
 
 let oid_of name = (Cat.find (catalog ()) name).Mpp_catalog.Table.oid
 
+let ss_part_key rel =
+  let t = Cat.find (catalog ()) "store_sales" in
+  List.hd (Mpp_catalog.Table.part_key_colrefs t ~rel)
+
 (* ------------------------------------------------------------------ *)
 (* Rewriting combinators                                               *)
 (* ------------------------------------------------------------------ *)
@@ -154,6 +158,15 @@ let mutations :
                 Some (Plan.motion Plan.Broadcast ds)
             | _ -> None)
           (static_orca ()) );
+    ( "motion inserted under the DPE probe-side scan",
+      "structure/motion-between-pair",
+      fun () ->
+        once
+          (function
+            | Plan.Dynamic_scan { rel; _ } as ds ->
+                Some (Plan.motion (Plan.Redistribute [ ss_part_key rel ]) ds)
+            | _ -> None)
+          (dpe_orca ()) );
     ( "duplicated selector",
       "structure/duplicate-selector",
       fun () ->
@@ -564,10 +577,6 @@ let has_warning code diags =
     (fun (d : Diag.t) -> d.code = code && d.severity = Diag.Warning)
     diags
 
-let ss_part_key rel =
-  let t = Cat.find (catalog ()) "store_sales" in
-  List.hd (Mpp_catalog.Table.part_key_colrefs t ~rel)
-
 let test_pruning_warnings () =
   let dead_child =
     once
@@ -678,6 +687,64 @@ let test_pp_report_clean () =
   Alcotest.(check bool) "mentions code" true
     (contains report "structure/unmatched-scan");
   Alcotest.(check bool) "counts errors" true (contains report "1 error(s)")
+
+(* Figure-12 shapes the structure pass must accept, each pinned to a real
+   plan that has it so the acceptance is not vacuous. *)
+let selector_pairs p =
+  List.filter (Plan.has_part_scan_id p) (Plan.selector_ids p)
+
+let guarded_scans id p =
+  Plan.fold
+    (fun n q ->
+      match q with
+      | Plan.Table_scan { guard = Some g; _ } when g = id -> n + 1
+      | _ -> n)
+    0 p
+
+let accepted_shapes : (string * (Plan.t -> bool) * (unit -> Plan.t)) list =
+  [ ( "selector and scan in one Sequence",
+      Plan.fold
+        (fun acc q ->
+          acc
+          ||
+          match q with Plan.Sequence _ -> selector_pairs q <> [] | _ -> false)
+        false,
+      static_orca );
+    ( "selector on the build side, scan on the probe side",
+      Plan.fold
+        (fun acc q ->
+          acc
+          ||
+          match q with
+          | Plan.Hash_join { left; right; _ } ->
+              List.exists (Plan.has_part_scan_id right) (Plan.selector_ids left)
+          | _ -> false)
+        false,
+      dpe_orca );
+    ( "Motion above a whole selector/scan pair",
+      Plan.fold
+        (fun acc q ->
+          acc
+          ||
+          match q with
+          | Plan.Motion { child; _ } -> selector_pairs child <> []
+          | _ -> false)
+        false,
+      static_orca );
+    ( "several guarded scans consuming one selector",
+      (fun p ->
+        List.exists (fun id -> guarded_scans id p >= 2) (Plan.selector_ids p)),
+      dpe_planner ) ]
+
+let test_accepted_shapes () =
+  List.iter
+    (fun (name, has_shape, build) ->
+      let plan = build () in
+      Alcotest.(check bool) (name ^ ": present in the base plan") true
+        (has_shape plan);
+      Alcotest.(check (list string)) (name ^ ": verifies clean") []
+        (List.map Diag.to_string (Verify.check ~catalog:(catalog ()) plan)))
+    accepted_shapes
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: random queries over the demo schema, both optimizers          *)
@@ -795,6 +862,8 @@ let () =
       ("soundness",
        [ Alcotest.test_case "all workload plans clean" `Slow
            test_workload_plans_clean;
+         Alcotest.test_case "Figure-12 shapes accepted" `Quick
+           test_accepted_shapes;
          Alcotest.test_case "nparts stamped" `Quick
            test_stamped_nparts_present;
          Alcotest.test_case "pp_report clean" `Quick test_pp_report_clean ]);
