@@ -1667,7 +1667,11 @@ let bench_profile ?(smoke = false) () =
    contract the test suite also pins).  Records a [cores] field — on a
    single-core host the parallel path degenerates to the serial loop and
    speedup ~1.0 by construction; the numbers are honest either way.
-   [~smoke] runs tiny graphs and checks the schema + the equality
+   Each point also records [joinorder_states], the join-order search's
+   kept states summed over its levels: a count that moves only when the
+   beam or the search space changes, which check-regression pins for the
+   smoke graphs (14 relations is past the point where the beam binds).
+   [~smoke] runs small graphs and checks the schema + the equality
    invariant only. *)
 let opt_scaling ?(smoke = false) () =
   header
@@ -1677,7 +1681,7 @@ let opt_scaling ?(smoke = false) () =
     [ (W.Biggen.Star, "star"); (W.Biggen.Chain, "chain");
       (W.Biggen.Clique, "clique") ]
   in
-  let sizes = if smoke then [ 5; 8 ] else [ 5; 10; 20; 30 ] in
+  let sizes = if smoke then [ 5; 8; 14 ] else [ 5; 10; 20; 30 ] in
   let scale_rels = if smoke then 8 else 20 in
   let reps = if smoke then 1 else 5 in
   let optimize_once benv ~domains =
@@ -1694,7 +1698,15 @@ let opt_scaling ?(smoke = false) () =
   let timed benv ~domains =
     median (samples reps (fun () -> optimize_once benv ~domains)) *. 1000.0
   in
-  Printf.printf "%-10s %8s %14s\n" "shape" "#rels" "optimize (ms)";
+  let states benv =
+    let sink = Obs.create () in
+    Obs.install sink;
+    Fun.protect ~finally:Obs.uninstall (fun () ->
+        ignore (optimize_once benv ~domains:1));
+    Obs.counter sink "joinorder.states"
+  in
+  Printf.printf "%-10s %8s %14s %8s\n" "shape" "#rels" "optimize (ms)"
+    "states";
   let points =
     List.concat_map
       (fun (shape, sname) ->
@@ -1702,11 +1714,13 @@ let opt_scaling ?(smoke = false) () =
           (fun nrels ->
             let benv = W.Biggen.generate { W.Biggen.shape; nrels; seed = 1 } in
             let ms = timed benv ~domains:1 in
-            Printf.printf "%-10s %8d %14.2f\n" sname nrels ms;
+            let st = states benv in
+            Printf.printf "%-10s %8d %14.2f %8d\n" sname nrels ms st;
             Json.Obj
               [ ("shape", Json.String sname);
                 ("nrels", Json.Int nrels);
-                ("optimize_ms", Json.Float ms) ])
+                ("optimize_ms", Json.Float ms);
+                ("joinorder_states", Json.Int st) ])
           sizes)
       shapes
   in

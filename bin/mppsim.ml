@@ -780,14 +780,38 @@ let cluster_term ?(optimizer = true) ?(selection = true) () =
     $ (if selection then no_selection_arg else const false)
     $ scale_arg $ segments_arg $ verbose_arg)
 
+(* SQL that does not lex, parse or bind is the caller's error, not the
+   program's: report it as [mppsim: error: <message>] on stderr and exit
+   with [bad_sql_exit], a code nothing else in mppsim uses (0 success, 1
+   verification or lint findings, 2 missing input, 124 usage, 125
+   internal error). *)
+let bad_sql_exit = 3
+
+let exits =
+  Cmd.Exit.info bad_sql_exit
+    ~doc:"on SQL that does not lex, parse or bind."
+  :: Cmd.Exit.defaults
+
+let findings_exits =
+  Cmd.Exit.info 1 ~doc:"on any error-severity diagnostic or lint finding."
+  :: exits
+
+let on_bad_sql f =
+  try f ()
+  with Mpp_sql.Sql.Error msg ->
+    Printf.eprintf "mppsim: error: %s\n%!" msg;
+    exit bad_sql_exit
+
 let explain_cmd =
-  Cmd.v (Cmd.info "explain" ~doc:"Show the plan for a SQL statement.")
+  Cmd.v
+    (Cmd.info "explain" ~exits ~doc:"Show the plan for a SQL statement.")
     Term.(
       const
         (fun analyze trace domains opt_domains runtime_filters sql
              (env, kind, sel) ->
-          do_explain ~analyze ?trace ?domains ?opt_domains ~runtime_filters
-            env kind sel sql)
+          on_bad_sql (fun () ->
+              do_explain ~analyze ?trace ?domains ?opt_domains
+                ~runtime_filters env kind sel sql))
       $ analyze_arg $ trace_arg $ parallel_arg $ opt_domains_arg
       $ runtime_filters_arg $ sql_arg $ cluster_term ())
 
@@ -799,13 +823,16 @@ let stats_json_arg =
                $(docv).")
 
 let run_cmd =
-  Cmd.v (Cmd.info "run" ~doc:"Execute a SQL statement on the demo cluster.")
+  Cmd.v
+    (Cmd.info "run" ~exits
+       ~doc:"Execute a SQL statement on the demo cluster.")
     Term.(
       const
         (fun trace stats_json domains opt_domains runtime_filters sql
              (env, kind, sel) ->
-          do_run ?trace ?stats_json ?domains ?opt_domains ~runtime_filters env
-            kind sel sql)
+          on_bad_sql (fun () ->
+              do_run ?trace ?stats_json ?domains ?opt_domains
+                ~runtime_filters env kind sel sql))
       $ trace_arg $ stats_json_arg $ parallel_arg $ opt_domains_arg
       $ runtime_filters_arg $ sql_arg $ cluster_term ())
 
@@ -816,7 +843,7 @@ let profile_cmd =
                  it in ui.perfetto.dev or chrome://tracing.")
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits
        ~doc:
          "Execute a SQL statement with the full profiler on: EXPLAIN \
           ANALYZE with plan-time estimates and per-segment skew, per-domain \
@@ -825,7 +852,8 @@ let profile_cmd =
           tracks.")
     Term.(
       const (fun out domains runtime_filters sql (env, kind, sel) ->
-          do_profile ?domains ~runtime_filters ~out env kind sel sql)
+          on_bad_sql (fun () ->
+              do_profile ?domains ~runtime_filters ~out env kind sel sql))
       $ out_arg $ parallel_arg $ runtime_filters_arg $ sql_arg
       $ cluster_term ())
 
@@ -850,7 +878,7 @@ let check_cmd =
                  plans.")
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits:findings_exits
        ~doc:
          "Statically verify the plans both optimizers produce (structure, \
           schema, distribution, partition accounting, runtime filters, \
@@ -859,7 +887,7 @@ let check_cmd =
           finding.")
     Term.(
       const (fun workload biggen sql (env, _, sel) ->
-          do_check env sel ~workload ~biggen sql)
+          on_bad_sql (fun () -> do_check env sel ~workload ~biggen sql))
       $ workload_arg $ biggen_arg $ sql_opt_arg
       $ cluster_term ~optimizer:false ())
 
@@ -875,6 +903,10 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:"when given no SQL, $(b,--workload) or $(b,--biggen)."
+         :: findings_exits)
        ~doc:
          "Run the predicate-analysis linter over the unsimplified plans \
           both optimizers produce: redundant conjuncts, contradictory \
@@ -882,7 +914,7 @@ let lint_cmd =
           on any finding.")
     Term.(
       const (fun workload biggen sql (env, _, sel) ->
-          do_lint env sel ~workload ~biggen sql)
+          on_bad_sql (fun () -> do_lint env sel ~workload ~biggen sql))
       $ workload_arg $ biggen_arg $ sql_opt_arg
       $ cluster_term ~optimizer:false ())
 

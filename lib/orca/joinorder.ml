@@ -1,24 +1,45 @@
 (** Parallel left-deep join-order search over relation bitsets.
 
-    The production optimizer takes join order as written (it only flips
-    hash-join orientation), which is fine for the 42-query workload's
-    handful of joins but hopeless for 10–30-relation star/chain/clique
-    graphs.  This module runs a level-synchronous dynamic program over
-    connected subsets: level [k] holds the best left-deep prefix for every
-    reachable [k]-relation subset, and each level's extensions are
-    partitioned across the {!Mpp_exec.Dpool} domains — Trummer & Koch's
-    search-space allocation (arXiv 1511.01768): workers own disjoint slices
-    of the subset frontier, keep private candidate tables, and merge at a
-    per-level barrier.
+    {!Optimizer} flattens every inner-join region of at least
+    [join_reorder_min_rels] relations into a join graph and asks this
+    module for a left-deep order; the physical optimizer then costs and
+    orients the joins of the rebuilt tree.  The search is a
+    level-synchronous dynamic program over connected subsets: level [k]
+    holds the best left-deep prefix for every reachable [k+1]-relation
+    subset, and each level's extensions are partitioned across the
+    {!Mpp_exec.Dpool} domains — Trummer & Koch's search-space allocation
+    (arXiv 1511.01768): workers own disjoint slices of the subset
+    frontier, fill private candidate tables, and merge at a per-level
+    barrier.
+
+    Data layout.  Nothing is allocated per candidate:
+    - each leaf carries its incident edges as two arrays (masks and
+      selectivities, ascending edge index) plus a neighbour bitmask, so
+      without cross products an extension that cannot connect is rejected
+      with one [land] before any edge is looked at;
+    - each level's candidates live in an open-addressing table from subset
+      mask to [rows]/[cost]/[last]/[prev], kept as parallel unboxed [int]
+      and [float] arrays, sized up front from (states x remaining leaves)
+      and reused from level to level; a serial search writes straight into
+      the merged table;
+    - the beam is chosen by partial selection (quickselect) and the
+      survivors are compacted into per-level arrays, which also serve the
+      final walk back along the [prev] chain.
 
     Determinism is load-bearing (the serial-vs-parallel equivalence suite
     pins plans bit-identical across domain counts), so every merge is a
     pure minimum under a total order: candidates for the same subset are
     compared by [(cost, predecessor mask, last relation)], which never
-    ties — the merged frontier is independent of how states were sliced
-    across domains and of hash-table iteration order.  Selectivity
-    products are computed in fixed edge-index order so float rounding is
-    identical everywhere.
+    ties, and the beam keeps the least states under [(cost, mask)], which
+    never ties either (a mask occurs once per level).  The kept set and the
+    per-subset winners therefore do not depend on how states were sliced
+    across domains, on table layout, or on the order the selection leaves
+    them in.  Selectivity products multiply in ascending edge-index order,
+    rows are clamped with [Float.max 1.0] and the cost is
+    [(prefix cost + leaf rows) + rows], so float rounding is identical
+    everywhere.  [test/joinorder_ref.ml] keeps the earlier
+    [Hashtbl]-and-full-sort search as a frozen reference, and the test
+    suite checks both return the same order.
 
     The frontier is beam-bounded (default 1024 states per level — full DP
     on a 30-clique would need 2^30 subsets); when a level produces no
@@ -52,73 +73,247 @@ let make ~leaf_rows ~edges =
     incident = Array.map List.rev incident;
   }
 
-(* One DP state: the best left-deep prefix found for [s_mask].  [s_prev]
-   and [s_last] identify the extension that produced it — they double as
-   the deterministic tie-break and as the reconstruction chain. *)
-type state = {
-  s_mask : int;
-  s_rows : float;
-  s_cost : float;
-  s_last : int;  (** leaf joined last *)
-  s_prev : int;  (** predecessor mask (0 for singletons) *)
+(* Per-leaf flat view of [g.incident], built once per search.  [nbr.(j)]
+   is every other leaf that an edge incident to [j] mentions: a prefix
+   disjoint from it covers none of [j]'s edges.  An edge on [j] alone is
+   covered by every extension by [j], so such a leaf gets [nbr = -1]. *)
+type leaves = {
+  rows : float array;
+  inc_mask : int array array;  (** leaf -> incident edge masks *)
+  inc_sel : float array array;  (** leaf -> their selectivities *)
+  nbr : int array;
 }
 
-(* Total order on candidates for one subset: no two candidates share
-   (s_prev, s_last), so this never ties — merges are order-independent. *)
-let better a b =
-  a.s_cost < b.s_cost
-  || (a.s_cost = b.s_cost
-     && (a.s_prev < b.s_prev || (a.s_prev = b.s_prev && a.s_last < b.s_last)))
+let leaves_of g =
+  let inc_mask =
+    Array.map
+      (fun l -> Array.of_list (List.map (fun ei -> fst g.edges.(ei)) l))
+      g.incident
+  in
+  let inc_sel =
+    Array.map
+      (fun l -> Array.of_list (List.map (fun ei -> snd g.edges.(ei)) l))
+      g.incident
+  in
+  let nbr =
+    Array.mapi
+      (fun j masks ->
+        Array.fold_left
+          (fun acc m ->
+            let others = m land lnot (1 lsl j) in
+            if others = 0 then -1 else acc lor others)
+          0 masks)
+      inc_mask
+  in
+  { rows = g.leaf_rows; inc_mask; inc_sel; nbr }
 
-(* Extend [s] by leaf [j] into [out], keeping the per-subset minimum.
-   Newly covered edges are exactly the incident edges of [j] whose mask is
-   a subset of the extended mask; their selectivities multiply in edge
-   index order (fixed — float determinism). *)
-let extend g ~cross out s j =
-  let nm = s.s_mask lor (1 lsl j) in
-  let sel = ref 1.0 and connected = ref false in
-  List.iter
-    (fun ei ->
-      let mask, es = g.edges.(ei) in
-      if mask land lnot nm = 0 then begin
-        sel := !sel *. es;
-        connected := true
-      end)
-    g.incident.(j);
-  if !connected || cross then begin
-    let jr = g.leaf_rows.(j) in
-    let rows = Float.max 1.0 (s.s_rows *. jr *. !sel) in
-    (* C_out-style: pay each leaf's scan once plus every intermediate
-       result; the real cost model re-costs the chosen order downstream *)
-    let cand =
-      {
-        s_mask = nm;
-        s_rows = rows;
-        s_cost = s.s_cost +. jr +. rows;
-        s_last = j;
-        s_prev = s.s_mask;
-      }
-    in
-    match Hashtbl.find_opt out nm with
-    | Some cur when not (better cand cur) -> ()
-    | _ -> Hashtbl.replace out nm cand
+(* One level's candidates: open addressing (linear probing) from subset
+   mask to the best prefix found for it.  Mask 0 marks an empty slot —
+   every subset is non-empty.  [slots] lists the occupied slots, so a
+   level is walked, selected and cleared without scanning the capacity. *)
+type table = {
+  mutable bits : int;  (** capacity = 2^bits *)
+  mutable keys : int array;
+  mutable rows : float array;
+  mutable cost : float array;
+  mutable last : int array;  (** leaf joined last *)
+  mutable prev : int array;  (** predecessor mask (0 for singletons) *)
+  mutable slots : int array;
+  mutable count : int;
+}
+
+let table () =
+  { bits = 0;
+    keys = [||];
+    rows = [||];
+    cost = [||];
+    last = [||];
+    prev = [||];
+    slots = [||];
+    count = 0;
+  }
+
+(* Room for [need] distinct masks at load factor at most 1/2.  Called on
+   an empty table only: growing drops the (absent) contents. *)
+let reserve t need =
+  if 2 * need > Array.length t.keys then begin
+    let bits = ref 4 in
+    while 1 lsl !bits < 2 * need do
+      incr bits
+    done;
+    let cap = 1 lsl !bits in
+    t.bits <- !bits;
+    t.keys <- Array.make cap 0;
+    t.rows <- Array.make cap 0.0;
+    t.cost <- Array.make cap 0.0;
+    t.last <- Array.make cap 0;
+    t.prev <- Array.make cap 0;
+    t.slots <- Array.make (cap / 2) 0
   end
 
-(* The beam: keep the best [beam] states of a level under the total order
-   (cost, mask, prev, last) — again tie-free, so the kept set is the same
-   for every domain count. *)
-let prune ~beam states =
-  if Array.length states <= beam then states
+let clear t =
+  for r = 0 to t.count - 1 do
+    t.keys.(t.slots.(r)) <- 0
+  done;
+  t.count <- 0
+
+(* The slot holding [m]; or, when [m] is absent, [lnot] of the empty slot
+   now claimed for it (negative: the caller's candidate is the first).
+   Fibonacci hashing takes the top [bits] bits of the 63-bit product. *)
+let probe t m =
+  let keys = t.keys in
+  let wrap = Array.length keys - 1 in
+  let i = ref ((m * 0x9E3779B97F4A7C1) lsr (63 - t.bits)) in
+  while
+    let k = keys.(!i) in
+    k <> m && k <> 0
+  do
+    i := (!i + 1) land wrap
+  done;
+  if keys.(!i) = m then !i
   else begin
-    let arr = Array.copy states in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare a.s_cost b.s_cost in
-        if c <> 0 then c
-        else compare (a.s_mask, a.s_prev, a.s_last) (b.s_mask, b.s_prev, b.s_last))
-      arr;
-    Array.sub arr 0 beam
+    keys.(!i) <- m;
+    t.slots.(t.count) <- !i;
+    t.count <- t.count + 1;
+    lnot !i
   end
+
+(* Keep the candidate for [m] if it is the first or beats the incumbent
+   under the tie-free total order (cost, prev, last).  Inlined so the
+   floats stay unboxed. *)
+let[@inline] offer t m rows cost last prev =
+  let i = probe t m in
+  if i < 0 then begin
+    let i = lnot i in
+    t.rows.(i) <- rows;
+    t.cost.(i) <- cost;
+    t.last.(i) <- last;
+    t.prev.(i) <- prev
+  end
+  else begin
+    let c = t.cost.(i) in
+    let p = t.prev.(i) in
+    if cost < c || (cost = c && (prev < p || (prev = p && last < t.last.(i))))
+    then begin
+      t.rows.(i) <- rows;
+      t.cost.(i) <- cost;
+      t.last.(i) <- last;
+      t.prev.(i) <- prev
+    end
+  end
+
+(* A level's states that survived the beam, compacted out of its table. *)
+type level = {
+  masks : int array;
+  lrows : float array;
+  lcost : float array;
+  lasts : int array;
+  prevs : int array;
+}
+
+(* Offer every one-leaf extension of state [si] of [lv] to [t].  Newly
+   covered edges are exactly the incident edges of [j] whose mask is a
+   subset of the extended mask; their selectivities multiply in edge-index
+   order (fixed — float determinism). *)
+let extend lf ~n ~cross t lv si =
+  let sm = lv.masks.(si) in
+  for j = 0 to n - 1 do
+    if sm land (1 lsl j) = 0 && (cross || sm land lf.nbr.(j) <> 0) then begin
+      let nm = sm lor (1 lsl j) in
+      let em = lf.inc_mask.(j) and es = lf.inc_sel.(j) in
+      let sel = ref 1.0 and connected = ref false in
+      for e = 0 to Array.length em - 1 do
+        if em.(e) land lnot nm = 0 then begin
+          sel := !sel *. es.(e);
+          connected := true
+        end
+      done;
+      if !connected || cross then begin
+        let jr = lf.rows.(j) in
+        let rows = Float.max 1.0 (lv.lrows.(si) *. jr *. !sel) in
+        (* C_out-style: pay each leaf's scan once plus every intermediate
+           result; the real cost model re-costs the chosen order downstream *)
+        offer t nm rows (lv.lcost.(si) +. jr +. rows) j sm
+      end
+    end
+  done
+
+(* Fold a chunk's private table into the merged one. *)
+let merge_into dst src =
+  for r = 0 to src.count - 1 do
+    let s = src.slots.(r) in
+    offer dst src.keys.(s) src.rows.(s) src.cost.(s) src.last.(s)
+      src.prev.(s)
+  done
+
+(* Quickselect (Hoare partition): reorder [t.slots.(0 .. count-1)] so the
+   [k] least occupied slots under (cost, mask) come first.  Masks are
+   unique within a level, so the order is total and the first [k] are
+   exactly the first [k] of a full sort. *)
+let select_least t k =
+  let a = t.slots and cost = t.cost and keys = t.keys in
+  let lt x y =
+    let c = Float.compare cost.(x) cost.(y) in
+    c < 0 || (c = 0 && keys.(x) < keys.(y))
+  in
+  let target = k - 1 in
+  let lo = ref 0 and hi = ref (t.count - 1) in
+  while !lo < !hi do
+    let p = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while lt a.(!i) p do
+        incr i
+      done;
+      while lt p a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if target <= !j then hi := !j
+    else if target >= !i then lo := !i
+    else lo := !hi
+  done
+
+(* The beam: the best [beam] states of the level in [t], compacted into a
+   [level]; [t] is left empty for the next level's candidates. *)
+let take_beam t ~beam =
+  let keep = min t.count beam in
+  if keep < t.count then select_least t keep;
+  let lv =
+    { masks = Array.make keep 0;
+      lrows = Array.make keep 0.0;
+      lcost = Array.make keep 0.0;
+      lasts = Array.make keep 0;
+      prevs = Array.make keep 0;
+    }
+  in
+  for r = 0 to keep - 1 do
+    let s = t.slots.(r) in
+    lv.masks.(r) <- t.keys.(s);
+    lv.lrows.(r) <- t.rows.(s);
+    lv.lcost.(r) <- t.cost.(s);
+    lv.lasts.(r) <- t.last.(s);
+    lv.prevs.(r) <- t.prev.(s)
+  done;
+  clear t;
+  lv
+
+let no_level =
+  { masks = [||]; lrows = [||]; lcost = [||]; lasts = [||]; prevs = [||] }
+
+let index_of masks m =
+  let r = ref 0 in
+  while masks.(!r) <> m do
+    incr r
+  done;
+  !r
 
 (** Best left-deep join order over [g]: leaf indices, first-joined first.
     The result is identical for every pool size. *)
@@ -131,70 +326,53 @@ let order ?(pool = Dpool.get ~domains:1) ?(beam = 1024) (g : graph) : int list
     let beam = max 1 beam in
     let obs = Obs.current () in
     Obs.incr obs "joinorder.searches";
-    let levels = Array.init n (fun _ -> Hashtbl.create 64) in
+    let lf = leaves_of g in
+    let merged = table () in
+    reserve merged n;
     for i = 0 to n - 1 do
-      Hashtbl.replace levels.(0) (1 lsl i)
-        {
-          s_mask = 1 lsl i;
-          s_rows = g.leaf_rows.(i);
-          s_cost = g.leaf_rows.(i);
-          s_last = i;
-          s_prev = 0;
-        }
+      offer merged (1 lsl i) g.leaf_rows.(i) g.leaf_rows.(i) i 0
     done;
+    let locals = Array.init (Dpool.size pool) (fun _ -> table ()) in
+    let levels = Array.make (n - 1) no_level in
     for k = 0 to n - 2 do
-      let states =
-        Hashtbl.fold (fun _ s acc -> s :: acc) levels.(k) []
-        |> List.sort (fun a b -> compare a.s_mask b.s_mask)
-        |> Array.of_list
-      in
-      let states = prune ~beam states in
-      Obs.add obs "joinorder.states" (Array.length states);
-      let ns = Array.length states in
-      let nchunks = min (Dpool.size pool) ns in
-      let locals = Array.init nchunks (fun _ -> Hashtbl.create 64) in
-      Dpool.parallel_chunks pool ~n:ns (fun ci lo hi ->
-          let out = locals.(ci) in
-          for si = lo to hi - 1 do
-            let s = states.(si) in
-            for j = 0 to n - 1 do
-              if s.s_mask land (1 lsl j) = 0 then extend g ~cross:false out s j
-            done
-          done);
-      let merged = levels.(k + 1) in
-      Array.iter
-        (fun local ->
-          Hashtbl.iter
-            (fun m cand ->
-              match Hashtbl.find_opt merged m with
-              | Some cur when not (better cand cur) -> ()
-              | _ -> Hashtbl.replace merged m cand)
-            local)
-        locals;
-      if Hashtbl.length merged = 0 then
+      let lv = take_beam merged ~beam in
+      levels.(k) <- lv;
+      let ns = Array.length lv.masks in
+      Obs.add obs "joinorder.states" ns;
+      let remaining = n - k - 1 in
+      reserve merged (ns * remaining);
+      if min (Dpool.size pool) ns <= 1 then
+        for si = 0 to ns - 1 do
+          extend lf ~n ~cross:false merged lv si
+        done
+      else begin
+        Dpool.parallel_chunks pool ~n:ns (fun ci lo hi ->
+            let out = locals.(ci) in
+            reserve out ((hi - lo) * remaining);
+            for si = lo to hi - 1 do
+              extend lf ~n ~cross:false out lv si
+            done);
+        Array.iter
+          (fun local ->
+            merge_into merged local;
+            clear local)
+          locals
+      end;
+      if merged.count = 0 then
         (* disconnected graph at this level: no connected extension exists
            anywhere, so redo it (serially — rare) allowing cross products *)
-        Array.iter
-          (fun s ->
-            for j = 0 to n - 1 do
-              if s.s_mask land (1 lsl j) = 0 then extend g ~cross:true merged s j
-            done)
-          states
+        for si = 0 to ns - 1 do
+          extend lf ~n ~cross:true merged lv si
+        done
     done;
-    let full = (1 lsl n) - 1 in
-    let final =
-      match Hashtbl.find_opt levels.(n - 1) full with
-      | Some s -> s
-      | None ->
-          (* unreachable: each level extends every surviving state *)
-          assert false
-    in
-    let rec walk acc mask k =
-      if k < 0 then acc
-      else
-        match Hashtbl.find_opt levels.(k) mask with
-        | Some s -> walk (s.s_last :: acc) s.s_prev (k - 1)
-        | None -> assert false
-    in
-    walk [] final.s_mask (n - 1)
+    (* the last level holds the full set alone; walk its prev chain back *)
+    let s = merged.slots.(0) in
+    let acc = ref [ merged.last.(s) ] and pm = ref merged.prev.(s) in
+    for k = n - 2 downto 0 do
+      let lv = levels.(k) in
+      let r = index_of lv.masks !pm in
+      acc := lv.lasts.(r) :: !acc;
+      pm := lv.prevs.(r)
+    done;
+    !acc
   end

@@ -5,7 +5,8 @@
     that promise: the full 43-query workload and a qcheck sweep of generated
     big-join queries must produce the same plan tree and cost under domain
     counts 1/2/4, every plan verifier-clean, and the join-order DP must
-    match brute force on small graphs. *)
+    match brute force on small graphs and return the same order as the
+    frozen reference search in [Joinorder_ref] on generated graphs. *)
 
 module W = Mpp_workload
 module Plan = Mpp_plan.Plan
@@ -230,6 +231,122 @@ let test_joinorder_pool_independent () =
         (Joinorder.order ~pool:(Mpp_exec.Dpool.get ~domains:d) g))
     [ 2; 4 ]
 
+(* Differential check against the frozen reference search: generated
+   graphs of 2-18 leaves with 1-, 2- and 3-leaf edges, duplicate edges,
+   up to three disconnected components (the cross-product redo), integer
+   rows and power-of-two selectivities (cost ties, so the beam's mask and
+   the merge's prev tie-breaks decide), rows below 1 (the
+   [Float.max 1.0] clamp), and beams of 1, 3, 64 and 1024; the
+   production order must equal the reference order at pool sizes 1, 2
+   and 4. *)
+type jo_case = { rows : float array; edges : (int * float) array; beam : int }
+
+let jo_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 18 in
+  let* ncomp = frequency [ (3, return 1); (1, int_range 2 3) ] in
+  let* comp = array_size (return n) (int_range 0 (ncomp - 1)) in
+  let* row =
+    oneofl
+      [ map float_of_int (int_range 1 4);
+        float_range 0.01 2.0;
+        map float_of_int (int_range 1 1_000_000) ]
+  in
+  let* rows = array_size (return n) row in
+  let sel =
+    frequency
+      [ (2, oneofl [ 1.0; 0.5; 0.25; 0.125 ]); (1, float_range 1e-4 1.0) ]
+  in
+  (* one edge: leaf [a] plus 0-2 distinct partners from [a]'s component *)
+  let edge =
+    let* a = int_range 0 (n - 1) in
+    let mates =
+      List.filter
+        (fun b -> b <> a && comp.(b) = comp.(a))
+        (List.init n Fun.id)
+    in
+    let* k = frequency [ (1, return 0); (6, return 1); (3, return 2) ] in
+    let* mates = shuffle_l mates in
+    let mask =
+      List.fold_left
+        (fun m b -> m lor (1 lsl b))
+        (1 lsl a)
+        (List.filteri (fun i _ -> i < k) mates)
+    in
+    let* s = sel in
+    return (mask, s)
+  in
+  let* edges = list_size (int_range 0 (2 * n)) edge in
+  (* duplicates: an existing edge's mask again, with its own selectivity *)
+  let* dups =
+    if edges = [] then return [] else list_size (int_range 0 3) (oneofl edges)
+  in
+  let* dups =
+    flatten_l (List.map (fun (m, _) -> map (fun s -> (m, s)) sel) dups)
+  in
+  let* edges = shuffle_l (edges @ dups) in
+  let* beam = oneofl [ 1; 3; 64; 1024 ] in
+  return { rows; edges = Array.of_list edges; beam }
+
+let jo_case_print c =
+  Printf.sprintf "beam=%d rows=[%s] edges=[%s]" c.beam
+    (String.concat "; "
+       (Array.to_list (Array.map (Printf.sprintf "%h") c.rows)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (m, s) -> Printf.sprintf "(0x%x, %h)" m s) c.edges)))
+
+let qcheck_joinorder_reference =
+  QCheck.Test.make ~count:300 ~name:"joinorder: equals frozen reference"
+    (QCheck.make ~print:jo_case_print jo_case_gen) (fun c ->
+      let g = Joinorder.make ~leaf_rows:c.rows ~edges:c.edges in
+      let expected = Joinorder_ref.order ~beam:c.beam g in
+      List.for_all
+        (fun d ->
+          Joinorder.order ~pool:(Mpp_exec.Dpool.get ~domains:d) ~beam:c.beam g
+          = expected)
+        [ 1; 2; 4 ])
+
+(* The same check on the sizes the optimizer meets in big joins: 20-30
+   leaves, star/chain/clique, default beam. *)
+let test_joinorder_reference_large () =
+  let rng = ref 12345 in
+  let next () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    !rng
+  in
+  List.iter
+    (fun (shape, n) ->
+      let rows =
+        Array.init n (fun _ -> float_of_int (1 + (next () mod 100_000)))
+      in
+      let sel () = 1.0 /. float_of_int (1 + (next () mod 1000)) in
+      let pairs =
+        match shape with
+        | "star" -> List.init (n - 1) (fun i -> (0, i + 1))
+        | "chain" -> List.init (n - 1) (fun i -> (i, i + 1))
+        | _ ->
+            List.concat_map
+              (fun i -> List.init (n - i - 1) (fun d -> (i, i + d + 1)))
+              (List.init n Fun.id)
+      in
+      let edges =
+        Array.of_list
+          (List.map (fun (a, b) -> ((1 lsl a) lor (1 lsl b), sel ())) pairs)
+      in
+      let g = Joinorder.make ~leaf_rows:rows ~edges in
+      let expected = Joinorder_ref.order g in
+      List.iter
+        (fun d ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s %d: reference order at %d domains" shape n d)
+            expected
+            (Joinorder.order ~pool:(Mpp_exec.Dpool.get ~domains:d) g))
+        [ 1; 2; 4 ])
+    (List.concat_map
+       (fun shape -> List.map (fun n -> (shape, n)) [ 20; 25; 30 ])
+       [ "star"; "chain"; "clique" ])
+
 let () =
   Alcotest.run "opt_parallel"
     [
@@ -239,6 +356,9 @@ let () =
             test_joinorder_matches_brute_force;
           Alcotest.test_case "pool independent" `Quick
             test_joinorder_pool_independent;
+          QCheck_alcotest.to_alcotest qcheck_joinorder_reference;
+          Alcotest.test_case "reference order, 20-30 leaves" `Slow
+            test_joinorder_reference_large;
         ] );
       ( "memo",
         [ Alcotest.test_case "domains 1/2/4 identical" `Quick
