@@ -24,34 +24,11 @@ type opt_kind = Orca | Planner
 let env_of ~scale ~segments =
   W.Runner.setup_env ~scale ~nsegments:segments ()
 
-(* When tracing, also explore the §3.1 memo on the query's relational core
-   (the shapes {!Orca.Memo} supports), so the trace carries the [memo.*]
-   exploration counters — groups, group expressions, requests, candidates —
-   for this query; unsupported shapes are silently skipped. *)
-let trace_memo_exploration env logical =
-  if Obs.enabled (Obs.current ()) then begin
-    let rec core = function
-      | Orca.Logical.Aggregate { child; _ }
-      | Orca.Logical.Project { child; _ }
-      | Orca.Logical.Sort { child; _ }
-      | Orca.Logical.Limit { child; _ } ->
-          core child
-      | l -> l
-    in
-    try
-      ignore
-        (Orca.Memo.best_plan ~stats:env.W.Runner.stats
-           ~catalog:env.W.Runner.catalog (core logical))
-    with Invalid_argument _ -> ()
-  end
-
 (* Plan plus the optimizer's per-node plan-time row estimates (stamped
    against the same stats the costing saw); the legacy planner has no
    cardinality model, so its estimate array is empty. *)
-let plan_est_of ?(opt_domains = Orca.Optimizer.default_opt_domains ()) env
-    kind ~selection sql =
+let plan_est_of env kind ~selection sql =
   let logical = Mpp_sql.Sql.to_logical env.W.Runner.catalog sql in
-  trace_memo_exploration env logical;
   match kind with
   | Planner ->
       ( Mpp_planner.Planner.plan
@@ -61,8 +38,7 @@ let plan_est_of ?(opt_domains = Orca.Optimizer.default_opt_domains ()) env
   | Orca ->
       let config =
         { Orca.Optimizer.default_config with
-          enable_partition_selection = selection;
-          opt_domains }
+          enable_partition_selection = selection }
       in
       let opt =
         Orca.Optimizer.create ~config ~stats:env.W.Runner.stats
@@ -132,11 +108,11 @@ let write_trace trace sink extras =
       Json.to_file file json;
       Printf.eprintf "trace written to %s\n%!" file
 
-let do_explain ?(analyze = false) ?trace ?domains ?opt_domains
-    ?(runtime_filters = true) env kind selection sql =
+let do_explain ?(analyze = false) ?trace ?domains ?(runtime_filters = true)
+    env kind selection sql =
   let sink = sink_for trace in
   if Obs.enabled sink then Obs.install sink;
-  let plan, est = plan_est_of ?opt_domains env kind ~selection sql in
+  let plan, est = plan_est_of env kind ~selection sql in
   let extras =
     if analyze then begin
       let _rows, metrics, stats =
@@ -191,11 +167,11 @@ let print_rows rows dt =
     rows;
   Printf.printf "(%d rows in %.2f ms)\n" (List.length rows) (dt *. 1000.0)
 
-let do_run ?trace ?stats_json ?domains ?opt_domains ?(runtime_filters = true)
-    env kind selection sql =
+let do_run ?trace ?stats_json ?domains ?(runtime_filters = true) env kind
+    selection sql =
   let sink = sink_for trace in
   if Obs.enabled sink then Obs.install sink;
-  let plan, est = plan_est_of ?opt_domains env kind ~selection sql in
+  let plan, est = plan_est_of env kind ~selection sql in
   match stats_json with
   | None ->
       let t0 = Unix.gettimeofday () in
@@ -438,46 +414,28 @@ let do_check env selection ~workload ~biggen sql_opt =
           [ ("orca", W.Runner.Orca); ("planner", W.Runner.Legacy_planner) ])
       W.Queries.all;
   (* generated big-join suite: every plan verifier-clean under both
-     optimizers, and the parallel optimizer (4 domains) must reproduce the
-     serial plan exactly *)
+     optimizers *)
   if biggen then
     List.iter
       (fun spec ->
         let benv = W.Biggen.generate spec in
         let catalog = benv.W.Biggen.catalog in
-        let orca d () =
-          let config =
-            { Orca.Optimizer.default_config with
-              enable_partition_selection = selection;
-              opt_domains = d }
-          in
-          Orca.Optimizer.optimize
-            (Orca.Optimizer.create ~config ~stats:benv.W.Biggen.stats
-               ~catalog ())
-            benv.W.Biggen.logical
-        in
         let name = benv.W.Biggen.name in
-        let serial = guard (orca 1) in
-        report ~catalog name "orca" serial;
+        report ~catalog name "orca"
+          (guard (fun () ->
+               let config =
+                 { Orca.Optimizer.default_config with
+                   enable_partition_selection = selection }
+               in
+               Orca.Optimizer.optimize
+                 (Orca.Optimizer.create ~config ~stats:benv.W.Biggen.stats
+                    ~catalog ())
+                 benv.W.Biggen.logical));
         report ~catalog name "planner"
           (guard (fun () ->
                Mpp_planner.Planner.plan
                  (Mpp_planner.Planner.create ~catalog ())
-                 benv.W.Biggen.logical));
-        match (serial, guard (orca 4)) with
-        | Ok a, Ok b ->
-            if Plan.to_string a <> Plan.to_string b then begin
-              incr nfail;
-              Printf.printf "%-28s %-8s serial and 4-domain plans differ\n"
-                name "orca"
-            end
-            else
-              Printf.printf "%-28s %-8s serial = 4-domain plan\n" name "orca"
-        | _, Error msg ->
-            incr nfail;
-            Printf.printf "%-28s %-8s rejected at 4 domains: %s\n" name "orca"
-              msg
-        | Error _, Ok _ -> () (* serial failure already reported *))
+                 benv.W.Biggen.logical)))
       (W.Biggen.default_suite ());
   (if not (workload || biggen) then
      match sql_opt with
@@ -747,13 +705,6 @@ let parallel_arg =
                Defaults to $(b,MPP_DOMAINS), else 1 (serial). Results are \
                identical at any setting.")
 
-let opt_domains_arg =
-  Arg.(value & opt (some int) None & info [ "opt-domains" ] ~docv:"N"
-         ~doc:"Optimize with $(docv) OCaml domains (parallel memo \
-               exploration and join-order search). Defaults to \
-               $(b,MPP_OPT_DOMAINS), else 1 (serial). The chosen plan is \
-               identical at any setting.")
-
 let runtime_filters_arg =
   Term.(
     const not
@@ -780,40 +731,50 @@ let cluster_term ?(optimizer = true) ?(selection = true) () =
     $ (if selection then no_selection_arg else const false)
     $ scale_arg $ segments_arg $ verbose_arg)
 
-(* SQL that does not lex, parse or bind is the caller's error, not the
-   program's: report it as [mppsim: error: <message>] on stderr and exit
-   with [bad_sql_exit], a code nothing else in mppsim uses (0 success, 1
+(* SQL that does not lex, parse or bind, and an output file that cannot
+   be written, are the caller's errors, not the program's: report them as
+   [mppsim: error: <message>] on stderr and exit with [bad_sql_exit] or
+   [bad_output_exit], codes nothing else in mppsim uses (0 success, 1
    verification or lint findings, 2 missing input, 124 usage, 125
    internal error). *)
 let bad_sql_exit = 3
+let bad_output_exit = 4
 
 let exits =
   Cmd.Exit.info bad_sql_exit
     ~doc:"on SQL that does not lex, parse or bind."
   :: Cmd.Exit.defaults
 
+let output_exit =
+  Cmd.Exit.info bad_output_exit
+    ~doc:"on an output file ($(b,--trace), $(b,--stats-json), $(b,--out)) \
+          that cannot be written."
+
 let findings_exits =
   Cmd.Exit.info 1 ~doc:"on any error-severity diagnostic or lint finding."
   :: exits
 
-let on_bad_sql f =
-  try f ()
-  with Mpp_sql.Sql.Error msg ->
+let on_user_error f =
+  let fail code msg =
     Printf.eprintf "mppsim: error: %s\n%!" msg;
-    exit bad_sql_exit
+    exit code
+  in
+  try f () with
+  | Mpp_sql.Sql.Error msg -> fail bad_sql_exit msg
+  | Sys_error msg -> fail bad_output_exit msg
 
 let explain_cmd =
   Cmd.v
-    (Cmd.info "explain" ~exits ~doc:"Show the plan for a SQL statement.")
+    (Cmd.info "explain" ~exits:(output_exit :: exits)
+       ~doc:"Show the plan for a SQL statement.")
     Term.(
       const
-        (fun analyze trace domains opt_domains runtime_filters sql
-             (env, kind, sel) ->
-          on_bad_sql (fun () ->
-              do_explain ~analyze ?trace ?domains ?opt_domains
-                ~runtime_filters env kind sel sql))
-      $ analyze_arg $ trace_arg $ parallel_arg $ opt_domains_arg
-      $ runtime_filters_arg $ sql_arg $ cluster_term ())
+        (fun analyze trace domains runtime_filters sql (env, kind, sel) ->
+          on_user_error (fun () ->
+              do_explain ~analyze ?trace ?domains ~runtime_filters env kind
+                sel sql))
+      $ analyze_arg $ trace_arg $ parallel_arg $ runtime_filters_arg
+      $ sql_arg $ cluster_term ())
 
 let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
@@ -824,17 +785,16 @@ let stats_json_arg =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run" ~exits
+    (Cmd.info "run" ~exits:(output_exit :: exits)
        ~doc:"Execute a SQL statement on the demo cluster.")
     Term.(
       const
-        (fun trace stats_json domains opt_domains runtime_filters sql
-             (env, kind, sel) ->
-          on_bad_sql (fun () ->
-              do_run ?trace ?stats_json ?domains ?opt_domains
-                ~runtime_filters env kind sel sql))
-      $ trace_arg $ stats_json_arg $ parallel_arg $ opt_domains_arg
-      $ runtime_filters_arg $ sql_arg $ cluster_term ())
+        (fun trace stats_json domains runtime_filters sql (env, kind, sel) ->
+          on_user_error (fun () ->
+              do_run ?trace ?stats_json ?domains ~runtime_filters env kind
+                sel sql))
+      $ trace_arg $ stats_json_arg $ parallel_arg $ runtime_filters_arg
+      $ sql_arg $ cluster_term ())
 
 let profile_cmd =
   let out_arg =
@@ -843,7 +803,7 @@ let profile_cmd =
                  it in ui.perfetto.dev or chrome://tracing.")
   in
   Cmd.v
-    (Cmd.info "profile" ~exits
+    (Cmd.info "profile" ~exits:(output_exit :: exits)
        ~doc:
          "Execute a SQL statement with the full profiler on: EXPLAIN \
           ANALYZE with plan-time estimates and per-segment skew, per-domain \
@@ -852,7 +812,7 @@ let profile_cmd =
           tracks.")
     Term.(
       const (fun out domains runtime_filters sql (env, kind, sel) ->
-          on_bad_sql (fun () ->
+          on_user_error (fun () ->
               do_profile ?domains ~runtime_filters ~out env kind sel sql))
       $ out_arg $ parallel_arg $ runtime_filters_arg $ sql_arg
       $ cluster_term ())
@@ -873,9 +833,7 @@ let check_cmd =
   let biggen_arg =
     Arg.(value & flag & info [ "biggen" ]
            ~doc:"Check the generated big-join suite (star/chain/clique at \
-                 10/16/24 relations): both optimizers must verify clean and \
-                 the serial and 4-domain optimizations must pick identical \
-                 plans.")
+                 10/16/24 relations): both optimizers must verify clean.")
   in
   Cmd.v
     (Cmd.info "check" ~exits:findings_exits
@@ -887,7 +845,7 @@ let check_cmd =
           finding.")
     Term.(
       const (fun workload biggen sql (env, _, sel) ->
-          on_bad_sql (fun () -> do_check env sel ~workload ~biggen sql))
+          on_user_error (fun () -> do_check env sel ~workload ~biggen sql))
       $ workload_arg $ biggen_arg $ sql_opt_arg
       $ cluster_term ~optimizer:false ())
 
@@ -914,7 +872,7 @@ let lint_cmd =
           on any finding.")
     Term.(
       const (fun workload biggen sql (env, _, sel) ->
-          on_bad_sql (fun () -> do_lint env sel ~workload ~biggen sql))
+          on_user_error (fun () -> do_lint env sel ~workload ~biggen sql))
       $ workload_arg $ biggen_arg $ sql_opt_arg
       $ cluster_term ~optimizer:false ())
 
@@ -928,7 +886,7 @@ let capacity_arg =
 
 let serve_cmd =
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits:(output_exit :: Cmd.Exit.defaults)
        ~doc:
          "Interactive serving front end on the demo cluster: prepared \
           statements with bind parameters, a normalized plan cache \
@@ -939,7 +897,8 @@ let serve_cmd =
           counters.")
     Term.(
       const (fun stats_json workers capacity domains (env, kind, _) ->
-          do_serve ?stats_json ~workers ~capacity ?domains env kind)
+          on_user_error (fun () ->
+              do_serve ?stats_json ~workers ~capacity ?domains env kind))
       $ stats_json_arg $ workers_arg $ capacity_arg $ parallel_arg
       $ cluster_term ~selection:false ())
 

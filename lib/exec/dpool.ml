@@ -16,12 +16,14 @@
     re-raised in the submitting domain after the job drains.
 
     Profiler accounting: every pool carries per-domain counters — tasks
-    run, busy seconds inside task bodies, wait (idle) seconds parked on
-    the work condition — plus job-level counters (jobs submitted, largest
-    task fan-out).  Task-body timing costs two clock reads per task and is
-    gated behind {!set_accounting} (off by default) so the disabled
-    profiler adds only a branch; the cheap integer counters are always
-    on.  Each worker knows its {e index} (submitter = 0, spawned workers
+    run, busy time inside task bodies, wait (idle) time parked on the work
+    condition — plus job-level counters (jobs submitted, largest task
+    fan-out).  Task-body timing is gated behind {!set_accounting} (off by
+    default) so the disabled profiler adds only a branch; the cheap integer
+    counters are always on.  Every timing goes through the pool's clock,
+    which returns integer nanoseconds, so reading it and accumulating into
+    the counters allocates nothing; tests inject a clock that counts its
+    reads.  Each worker knows its {e index} (submitter = 0, spawned workers
     1..size-1), exposed through {!worker_index} so profiling code running
     inside a task can attribute work to the executing domain. *)
 
@@ -38,8 +40,8 @@ type job = {
    need no locks.  Reads happen between jobs. *)
 type domain_counters = {
   mutable d_tasks : int;  (** tasks this domain ran *)
-  mutable d_busy_s : float;  (** seconds inside task bodies (gated) *)
-  mutable d_wait_s : float;  (** seconds parked waiting for work *)
+  mutable d_busy_ns : int;  (** nanoseconds inside task bodies (gated) *)
+  mutable d_wait_ns : int;  (** nanoseconds parked waiting for work *)
 }
 
 type t = {
@@ -52,6 +54,7 @@ type t = {
   mutable stop : bool;
   mutable domains : unit Domain.t list;
   mutable accounting : bool;  (** time task bodies into [counters] *)
+  clock : unit -> int;  (** nanoseconds; every timing reads it *)
   counters : domain_counters array;  (** slot per worker index *)
   mutable jobs_submitted : int;
   mutable max_tasks : int;  (** largest single-job fan-out seen *)
@@ -71,9 +74,13 @@ let accounting t = t.accounting
 
 type domain_stats = { tasks : int; busy_s : float; wait_s : float }
 
+let seconds ns = float_of_int ns *. 1e-9
+
 let stats t =
   Array.map
-    (fun c -> { tasks = c.d_tasks; busy_s = c.d_busy_s; wait_s = c.d_wait_s })
+    (fun c ->
+      { tasks = c.d_tasks; busy_s = seconds c.d_busy_ns;
+        wait_s = seconds c.d_wait_ns })
     t.counters
 
 let jobs_submitted t = t.jobs_submitted
@@ -83,8 +90,8 @@ let reset_stats t =
   Array.iter
     (fun c ->
       c.d_tasks <- 0;
-      c.d_busy_s <- 0.0;
-      c.d_wait_s <- 0.0)
+      c.d_busy_ns <- 0;
+      c.d_wait_ns <- 0)
     t.counters;
   t.jobs_submitted <- 0;
   t.max_tasks <- 0
@@ -97,15 +104,14 @@ let drain t ~ix (job : job) =
   let rec loop () =
     let i = Atomic.fetch_and_add job.next 1 in
     if i < job.n then begin
-      let t0 = if t.accounting then Unix.gettimeofday () else 0.0 in
+      let t0 = if t.accounting then t.clock () else 0 in
       (try job.f i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.mutex;
          if job.error = None then job.error <- Some (e, bt);
          Mutex.unlock t.mutex);
-      if t.accounting then
-        c.d_busy_s <- c.d_busy_s +. (Unix.gettimeofday () -. t0);
+      if t.accounting then c.d_busy_ns <- c.d_busy_ns + (t.clock () - t0);
       c.d_tasks <- c.d_tasks + 1;
       let done_ = 1 + Atomic.fetch_and_add job.completed 1 in
       if done_ = job.n then begin
@@ -125,11 +131,11 @@ let worker t ix () =
   let last_gen = ref 0 in
   let rec loop () =
     Mutex.lock t.mutex;
-    let w0 = Unix.gettimeofday () in
+    let w0 = t.clock () in
     while (not t.stop) && t.generation = !last_gen do
       Condition.wait t.work_cv t.mutex
     done;
-    c.d_wait_s <- c.d_wait_s +. (Unix.gettimeofday () -. w0);
+    c.d_wait_ns <- c.d_wait_ns + (t.clock () - w0);
     if t.stop then Mutex.unlock t.mutex
     else begin
       last_gen := t.generation;
@@ -141,7 +147,9 @@ let worker t ix () =
   in
   loop ()
 
-let create size =
+let wall_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+let create ?(clock = wall_clock) size =
   let size = max 1 size in
   let t =
     {
@@ -154,9 +162,9 @@ let create size =
       stop = false;
       domains = [];
       accounting = false;
+      clock;
       counters =
-        Array.init size (fun _ ->
-            { d_tasks = 0; d_busy_s = 0.0; d_wait_s = 0.0 });
+        Array.init size (fun _ -> { d_tasks = 0; d_busy_ns = 0; d_wait_ns = 0 });
       jobs_submitted = 0;
       max_tasks = 0;
     }
@@ -175,11 +183,11 @@ let parallel_for t n f =
     if t.size = 1 || n = 1 then begin
       let c = t.counters.(0) in
       if t.accounting then begin
-        let t0 = Unix.gettimeofday () in
+        let t0 = t.clock () in
         for i = 0 to n - 1 do
           f i
         done;
-        c.d_busy_s <- c.d_busy_s +. (Unix.gettimeofday () -. t0)
+        c.d_busy_ns <- c.d_busy_ns + (t.clock () - t0)
       end
       else
         for i = 0 to n - 1 do
@@ -199,33 +207,17 @@ let parallel_for t n f =
       (* the submitter pulls tasks like any worker *)
       drain t ~ix:0 job;
       Mutex.lock t.mutex;
-      let w0 = Unix.gettimeofday () in
+      let w0 = t.clock () in
       while Atomic.get job.completed < n do
         Condition.wait t.done_cv t.mutex
       done;
-      t.counters.(0).d_wait_s <-
-        t.counters.(0).d_wait_s +. (Unix.gettimeofday () -. w0);
+      t.counters.(0).d_wait_ns <- t.counters.(0).d_wait_ns + (t.clock () - w0);
       t.job <- None;
       Mutex.unlock t.mutex;
       match job.error with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
     end
-  end
-
-(** [parallel_chunks t ~n f] splits the index range [0, n) into one
-    contiguous chunk per participating domain and runs [f chunk lo hi]
-    (half-open [lo, hi)) across the pool.  Where {!parallel_for} hands out
-    indices one at a time — right for coarse per-segment tasks — this is the
-    shape for fine-grained work (memo candidates, join-order subsets per
-    Trummer & Koch's allocation scheme): each domain claims a whole slice
-    and can keep per-chunk state without any sharing.  Chunk count is
-    [min (size t) n]; chunk boundaries depend only on [n] and the pool
-    size, so the partition is deterministic for a given pool. *)
-let parallel_chunks t ~n f =
-  if n > 0 then begin
-    let k = min t.size n in
-    parallel_for t k (fun ci -> f ci (ci * n / k) ((ci + 1) * n / k))
   end
 
 (** [map_init t n f] is [Array.init n f] with the [f i] computed across the
@@ -310,8 +302,8 @@ let stats_to_json t =
                     [
                       ("index", Int i);
                       ("tasks", Int c.d_tasks);
-                      ("busy_ms", Float (c.d_busy_s *. 1000.0));
-                      ("wait_ms", Float (c.d_wait_s *. 1000.0));
+                      ("busy_ms", Float (seconds c.d_busy_ns *. 1000.0));
+                      ("wait_ms", Float (seconds c.d_wait_ns *. 1000.0));
                     ])
                 t.counters)) );
     ]

@@ -9,8 +9,14 @@
 
 type t
 
-val create : int -> t
-(** [create n] — a pool of [n] total domains (clamped to at least 1). *)
+val create : ?clock:(unit -> int) -> int -> t
+(** [create n] — a pool of [n] total domains (clamped to at least 1).
+    [clock] (default {!wall_clock}) is read for every timing the pool
+    takes, on whichever of its domains takes it; tests inject one that
+    counts its reads. *)
+
+val wall_clock : unit -> int
+(** Wall-clock time in integer nanoseconds; allocation-free. *)
 
 val size : t -> int
 (** Total domains participating, caller included. *)
@@ -25,13 +31,6 @@ val parallel_for : t -> int -> (int -> unit) -> unit
 (** [parallel_for t n f] runs [f 0 .. f (n - 1)] across the pool and waits
     for completion.  An exception raised by any task is re-raised in the
     caller after the job drains. *)
-
-val parallel_chunks : t -> n:int -> (int -> int -> int -> unit) -> unit
-(** [parallel_chunks t ~n f] splits [0, n) into [min (size t) n] contiguous
-    chunks and runs [f chunk lo hi] (half-open) across the pool.  The
-    chunking is deterministic for a given [n] and pool size — callers fan
-    out fine-grained work (memo candidates, join-order subsets) with one
-    private accumulator per chunk and merge at the barrier. *)
 
 val map_init : t -> int -> (int -> 'a) -> 'a array
 (** [Array.init] with the elements computed across the pool. *)
@@ -50,10 +49,12 @@ val get : domains:int -> t
 
     Per-domain counters (tasks run, busy seconds, wait seconds) plus
     job-level counters.  Integer counters are always on; task-body timing
-    (two clock reads per task) is gated behind {!set_accounting}, off by
-    default, so the disabled profiler costs one branch per task.  Each
-    worker is the only writer of its own slot — reads are exact between
-    jobs. *)
+    is gated behind {!set_accounting}, off by default, so the disabled
+    profiler costs one branch per task and reads no clock.  With
+    accounting on, a job run on the submitting domain alone (a one-domain
+    pool, or a one-task job) reads the clock twice, and a job spread over
+    several domains twice per task; neither allocates.  Each worker is the
+    only writer of its own slot — reads are exact between jobs. *)
 
 val set_accounting : t -> bool -> unit
 (** Enable / disable busy-time measurement of task bodies. *)

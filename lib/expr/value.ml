@@ -31,6 +31,11 @@ let datatype_to_string = function
   | Tstring -> "text"
   | Tdate -> "date"
 
+let comparable a b =
+  match (a, b) with
+  | (Tint | Tfloat), (Tint | Tfloat) -> true
+  | _ -> a = b
+
 let date_of_string s = Date (Date.of_string s)
 
 (** Structural total order, used for sorting and data structures.  [Null]

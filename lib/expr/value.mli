@@ -18,6 +18,10 @@ val datatype_of : t -> datatype option
 
 val datatype_to_string : datatype -> string
 
+val comparable : datatype -> datatype -> bool
+(** Whether SQL comparisons between the two types are well-typed: both
+    numeric ([Tint]/[Tfloat]), or the same type. *)
+
 val date_of_string : string -> t
 (** [Date] value from ["YYYY-MM-DD"]. *)
 

@@ -1,16 +1,11 @@
-(** Parallel left-deep join-order search over relation bitsets.
+(** Left-deep join-order search over relation bitsets.
 
-    {!Optimizer} flattens every inner-join region of at least
-    [join_reorder_min_rels] relations into a join graph and asks this
-    module for a left-deep order; the physical optimizer then costs and
-    orients the joins of the rebuilt tree.  The search is a
-    level-synchronous dynamic program over connected subsets: level [k]
-    holds the best left-deep prefix for every reachable [k+1]-relation
-    subset, and each level's extensions are partitioned across the
-    {!Mpp_exec.Dpool} domains — Trummer & Koch's search-space allocation
-    (arXiv 1511.01768): workers own disjoint slices of the subset
-    frontier, fill private candidate tables, and merge at a per-level
-    barrier.
+    {!Optimizer} flattens every inner-join region of at least five
+    relations into a join graph and asks this module for a left-deep
+    order; the physical optimizer then costs and orients the joins of the
+    rebuilt tree.  The search is a level-synchronous dynamic program over
+    connected subsets: level [k] holds the best left-deep prefix for every
+    reachable [k+1]-relation subset.
 
     Data layout.  Nothing is allocated per candidate:
     - each leaf carries its incident edges as two arrays (masks and
@@ -20,24 +15,20 @@
     - each level's candidates live in an open-addressing table from subset
       mask to [rows]/[cost]/[last]/[prev], kept as parallel unboxed [int]
       and [float] arrays, sized up front from (states x remaining leaves)
-      and reused from level to level; a serial search writes straight into
-      the merged table;
+      and reused from level to level;
     - the beam is chosen by partial selection (quickselect) and the
       survivors are compacted into per-level arrays, which also serve the
       final walk back along the [prev] chain.
 
-    Determinism is load-bearing (the serial-vs-parallel equivalence suite
-    pins plans bit-identical across domain counts), so every merge is a
-    pure minimum under a total order: candidates for the same subset are
-    compared by [(cost, predecessor mask, last relation)], which never
-    ties, and the beam keeps the least states under [(cost, mask)], which
-    never ties either (a mask occurs once per level).  The kept set and the
-    per-subset winners therefore do not depend on how states were sliced
-    across domains, on table layout, or on the order the selection leaves
-    them in.  Selectivity products multiply in ascending edge-index order,
-    rows are clamped with [Float.max 1.0] and the cost is
-    [(prefix cost + leaf rows) + rows], so float rounding is identical
-    everywhere.  [test/joinorder_ref.ml] keeps the earlier
+    Determinism: candidates for the same subset are compared by
+    [(cost, predecessor mask, last relation)], which never ties, and the
+    beam keeps the least states under [(cost, mask)], which never ties
+    either (a mask occurs once per level).  The kept set and the
+    per-subset winners therefore depend neither on table layout nor on the
+    order the selection leaves them in.  Selectivity products multiply in
+    ascending edge-index order, rows are clamped with [Float.max 1.0] and
+    the cost is [(prefix cost + leaf rows) + rows], so float rounding is
+    fixed.  [test/joinorder_ref.ml] keeps the earlier
     [Hashtbl]-and-full-sort search as a frozen reference, and the test
     suite checks both return the same order.
 
@@ -47,7 +38,6 @@
     allowing cross products, so search always reaches [n] relations. *)
 
 module Obs = Mpp_obs.Obs
-module Dpool = Mpp_exec.Dpool
 
 type graph = {
   nleaves : int;
@@ -238,14 +228,6 @@ let extend lf ~n ~cross t lv si =
     end
   done
 
-(* Fold a chunk's private table into the merged one. *)
-let merge_into dst src =
-  for r = 0 to src.count - 1 do
-    let s = src.slots.(r) in
-    offer dst src.keys.(s) src.rows.(s) src.cost.(s) src.last.(s)
-      src.prev.(s)
-  done
-
 (* Quickselect (Hoare partition): reorder [t.slots.(0 .. count-1)] so the
    [k] least occupied slots under (cost, mask) come first.  Masks are
    unique within a level, so the order is total and the first [k] are
@@ -315,10 +297,8 @@ let index_of masks m =
   done;
   !r
 
-(** Best left-deep join order over [g]: leaf indices, first-joined first.
-    The result is identical for every pool size. *)
-let order ?(pool = Dpool.get ~domains:1) ?(beam = 1024) (g : graph) : int list
-    =
+(** Best left-deep join order over [g]: leaf indices, first-joined first. *)
+let order ?(beam = 1024) (g : graph) : int list =
   let n = g.nleaves in
   if n = 0 then []
   else if n = 1 then [ 0 ]
@@ -327,47 +307,31 @@ let order ?(pool = Dpool.get ~domains:1) ?(beam = 1024) (g : graph) : int list
     let obs = Obs.current () in
     Obs.incr obs "joinorder.searches";
     let lf = leaves_of g in
-    let merged = table () in
-    reserve merged n;
+    let t = table () in
+    reserve t n;
     for i = 0 to n - 1 do
-      offer merged (1 lsl i) g.leaf_rows.(i) g.leaf_rows.(i) i 0
+      offer t (1 lsl i) g.leaf_rows.(i) g.leaf_rows.(i) i 0
     done;
-    let locals = Array.init (Dpool.size pool) (fun _ -> table ()) in
     let levels = Array.make (n - 1) no_level in
     for k = 0 to n - 2 do
-      let lv = take_beam merged ~beam in
+      let lv = take_beam t ~beam in
       levels.(k) <- lv;
       let ns = Array.length lv.masks in
       Obs.add obs "joinorder.states" ns;
-      let remaining = n - k - 1 in
-      reserve merged (ns * remaining);
-      if min (Dpool.size pool) ns <= 1 then
-        for si = 0 to ns - 1 do
-          extend lf ~n ~cross:false merged lv si
-        done
-      else begin
-        Dpool.parallel_chunks pool ~n:ns (fun ci lo hi ->
-            let out = locals.(ci) in
-            reserve out ((hi - lo) * remaining);
-            for si = lo to hi - 1 do
-              extend lf ~n ~cross:false out lv si
-            done);
-        Array.iter
-          (fun local ->
-            merge_into merged local;
-            clear local)
-          locals
-      end;
-      if merged.count = 0 then
+      reserve t (ns * (n - k - 1));
+      for si = 0 to ns - 1 do
+        extend lf ~n ~cross:false t lv si
+      done;
+      if t.count = 0 then
         (* disconnected graph at this level: no connected extension exists
-           anywhere, so redo it (serially — rare) allowing cross products *)
+           anywhere, so redo it allowing cross products *)
         for si = 0 to ns - 1 do
-          extend lf ~n ~cross:true merged lv si
+          extend lf ~n ~cross:true t lv si
         done
     done;
     (* the last level holds the full set alone; walk its prev chain back *)
-    let s = merged.slots.(0) in
-    let acc = ref [ merged.last.(s) ] and pm = ref merged.prev.(s) in
+    let s = t.slots.(0) in
+    let acc = ref [ t.last.(s) ] and pm = ref t.prev.(s) in
     for k = n - 2 downto 0 do
       let lv = levels.(k) in
       let r = index_of lv.masks !pm in

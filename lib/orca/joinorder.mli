@@ -1,11 +1,9 @@
-(** Parallel left-deep join-order search over relation bitsets.
+(** Left-deep join-order search over relation bitsets.
 
     Level-synchronous dynamic programming over connected subsets of the
-    join graph, with each level's extensions partitioned across the
-    {!Mpp_exec.Dpool} domains (Trummer & Koch's search-space allocation,
-    arXiv 1511.01768) and merged at a per-level barrier under a tie-free
-    total order — the chosen order is identical for every pool size.
-    Beam-bounded; cross products only when the graph is disconnected. *)
+    join graph, keeping the best prefix per subset under a tie-free total
+    order.  Beam-bounded; cross products only when the graph is
+    disconnected. *)
 
 type graph = {
   nleaves : int;
@@ -19,8 +17,7 @@ val make : leaf_rows:float array -> edges:(int * float) array -> graph
 (** Build the join graph.  Raises [Invalid_argument] beyond 60 leaves
     (subsets are int bitmasks). *)
 
-val order : ?pool:Mpp_exec.Dpool.t -> ?beam:int -> graph -> int list
-(** Best left-deep join order: leaf indices, first-joined first.
-    [pool] (default serial) parallelizes each level's extensions; [beam]
+val order : ?beam:int -> graph -> int list
+(** Best left-deep join order: leaf indices, first-joined first.  [beam]
     (default 1024) bounds the per-level frontier.  Deterministic: the
-    result depends only on the graph and the beam, never on the pool. *)
+    result depends only on the graph and the beam. *)

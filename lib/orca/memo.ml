@@ -21,27 +21,11 @@
     {1 Shape}
 
     Groups live in an array-backed arena indexed by gid (group lookup is
-    O(1) and the group store is immutable once built, so worker domains can
-    share it freely).  Memoized results live in a per-exploration {!ctx}:
-    requests are interned to dense integer ids through a structural
-    hash/equality table — no string building on the memoized-lookup hot
-    path — and the best table is keyed by one packed int per (group,
-    request) pair.
-
-    {1 Parallel exploration}
-
-    [best_plan ~domains] splits the root request's candidate list into one
-    contiguous chunk per domain (Trummer & Koch's search-space allocation,
-    arXiv 1511.01768, applied at the top of the memo lattice), evaluates
-    each chunk in a private {!ctx}, and merges the per-domain best tables
-    at the barrier.  This is sound because the request lattice is a DAG:
-    join children go to strictly smaller groups, a selector child drops one
-    spec, and a Motion child requests [Any] (from which no non-[Any]
-    same-group request is reachable) — so every (group, request) pair has a
-    unique order-independent value and merged entries are identical to what
-    a serial run computes.  The winner fold and plan extraction then run
-    serially with the serial tie-break, keeping the emitted plan
-    bit-identical across domain counts.
+    O(1)).  Memoized results live in a per-exploration {!ctx}: requests
+    are interned to dense integer ids through a structural hash/equality
+    table — no string building on the memoized-lookup hot path — and the
+    best table is keyed by one packed int per (group, request) pair.  Among
+    equally cheap candidates the first in candidate order wins.
 
     Scope: [Get]/[Select]/[Join] trees (the shapes of the paper's §3.1);
     the production path for full queries is {!Optimizer}. *)
@@ -50,7 +34,6 @@ open Mpp_expr
 module Plan = Mpp_plan.Plan
 module Table = Mpp_catalog.Table
 module Obs = Mpp_obs.Obs
-module Dpool = Mpp_exec.Dpool
 
 (* ------------------------------------------------------------------ *)
 (* Requests (physical properties)                                      *)
@@ -173,7 +156,6 @@ type pexpr =
   | P_selector of Part_spec.t  (** enforcer; child in the same group *)
   | P_motion of Plan.motion_kind  (** enforcer; child in the same group *)
 
-(* Immutable once built: worker domains read groups without coordination. *)
 type group = {
   gid : int;
   lexprs : lexpr list;
@@ -264,20 +246,6 @@ let rec group_rows t gid =
       Float.max 1.0 (group_rows t left *. group_rows t right /. 100.0)
   | [] -> 1.0
 
-(* Stats_source caches ANALYZE results per table in a hash table on first
-   touch.  Warm it for every base table serially so the parallel region
-   below only ever reads the cache. *)
-let prewarm_stats t =
-  if t.stats <> None then
-    for gid = 0 to t.ngroups - 1 do
-      List.iter
-        (fun le ->
-          match le with
-          | L_get { table; _ } -> ignore (table_rows t table)
-          | L_join _ -> ())
-        t.groups.(gid).lexprs
-    done
-
 (* ------------------------------------------------------------------ *)
 (* Property satisfaction                                               *)
 (* ------------------------------------------------------------------ *)
@@ -318,10 +286,7 @@ let motion_allowed g req =
 (* Exploration contexts                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* All memoized state for one exploration.  The arena [memo] is shared
-   (read-only during optimization); everything here is private to one
-   domain, so the parallel driver hands each worker its own [ctx] and
-   merges the tables at the barrier. *)
+(* All memoized state for one exploration over the arena [memo]. *)
 type ctx = {
   memo : t;
   stride : int;
@@ -329,8 +294,6 @@ type ctx = {
           int key: [rid * stride + gid].  No groups are created during
           optimization, so the packing is stable. *)
   ids : int Req_tbl.t;  (** request -> dense id (structural interning) *)
-  mutable reqs : request array;  (** id -> request, for cross-ctx merging *)
-  mutable nreqs : int;
   best : (int, best option) Hashtbl.t;
 }
 
@@ -339,8 +302,6 @@ let ctx_create t =
     memo = t;
     stride = max 1 t.ngroups;
     ids = Req_tbl.create 64;
-    reqs = [||];
-    nreqs = 0;
     best = Hashtbl.create 256;
   }
 
@@ -348,16 +309,8 @@ let intern ctx req =
   match Req_tbl.find_opt ctx.ids req with
   | Some id -> id
   | None ->
-      let id = ctx.nreqs in
+      let id = Req_tbl.length ctx.ids in
       Req_tbl.add ctx.ids req id;
-      let cap = Array.length ctx.reqs in
-      if id = cap then begin
-        let bigger = Array.make (max 16 (2 * cap)) req in
-        Array.blit ctx.reqs 0 bigger 0 cap;
-        ctx.reqs <- bigger
-      end;
-      ctx.reqs.(id) <- req;
-      ctx.nreqs <- id + 1;
       id
 
 let bkey ctx gid rid = (rid * ctx.stride) + gid
@@ -458,19 +411,11 @@ and join_candidates t g req ~pred ~left ~right : candidate list =
     if List.mem spec.Part_spec.part_scan_id gl.rels then
       (lparts @ [ spec ], rparts, rpinned)
     else if List.mem spec.Part_spec.part_scan_id gr.rels then
-      match Expr.find_preds_on_keys spec.Part_spec.keys pred with
-      | Some found
-        when List.exists Option.is_some found
-             && List.for_all
-                  (function
-                    | None -> true
-                    | Some p ->
-                        List.for_all
-                          (fun (c : Colref.t) ->
-                            List.exists (Colref.equal c) spec.Part_spec.keys
-                            || List.mem c.Colref.rel gl.rels)
-                          (Expr.free_cols p))
-                  found ->
+      match
+        Placement.join_dpe ~part_scan_id:spec.Part_spec.part_scan_id
+          ~keys:spec.Part_spec.keys ~build_rels:gl.rels pred
+      with
+      | Some found ->
           (* dynamic partition elimination: resolve on the build side; the
              probe-side scan is now pinned (it must not cross a Motion) *)
           ( lparts @ [ Part_spec.add_predicates spec found ],
@@ -598,75 +543,6 @@ and enforcer_candidates t g req : candidate list =
             } ]
   in
   selector_alts @ motion_alts
-
-(* ------------------------------------------------------------------ *)
-(* Parallel exploration                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Adopt every (group, request) result a worker domain memoized.  Values
-   are order-independent (the request lattice is a DAG — see the module
-   header), so when two domains computed the same key the entries are
-   identical and first-wins is fine.  The root request is skipped: each
-   worker pre-marks it in-progress (mirroring the serial recursion), so
-   its entry is the marker, not a result. *)
-let merge_ctx ctx dctx ~root ~root_req =
-  Hashtbl.iter
-    (fun key v ->
-      let gid = key mod ctx.stride and rid = key / ctx.stride in
-      let r = dctx.reqs.(rid) in
-      if not (gid = root && Req_key.equal r root_req) then begin
-        let mkey = bkey ctx gid (intern ctx r) in
-        if not (Hashtbl.mem ctx.best mkey) then Hashtbl.replace ctx.best mkey v
-      end)
-    dctx.best
-
-(* Parallel root evaluation: partition the root candidate list into one
-   contiguous chunk per domain, evaluate each chunk in a private ctx, merge
-   tables at the barrier, then re-run the winner fold serially in candidate
-   order (the serial tie-break: first minimal candidate wins). *)
-let optimize_root ctx ~pool root (req : request) : best option =
-  let t = ctx.memo in
-  if Dpool.size pool <= 1 then optimize_req ctx root req
-  else begin
-    let g = group t root in
-    let impls = implementation_candidates t g req in
-    let enfs = enforcer_candidates t g req in
-    let obs = Obs.current () in
-    Obs.incr obs "memo.requests";
-    Obs.add obs "memo.impl_candidates" (List.length impls);
-    Obs.add obs "memo.enforcer_candidates" (List.length enfs);
-    let candidates = Array.of_list (impls @ enfs) in
-    let n = Array.length candidates in
-    let root_key ctx = bkey ctx root (intern ctx req) in
-    if n = 0 then begin
-      Hashtbl.replace ctx.best (root_key ctx) None;
-      None
-    end
-    else begin
-      let nchunks = min (Dpool.size pool) n in
-      let dctxs = Array.init nchunks (fun _ -> ctx_create t) in
-      let costs = Array.make n None in
-      Obs.add obs "memo.parallel_chunks" nchunks;
-      Dpool.parallel_chunks pool ~n (fun ci lo hi ->
-          let dctx = dctxs.(ci) in
-          Hashtbl.replace dctx.best (root_key dctx) None;
-          for i = lo to hi - 1 do
-            costs.(i) <- total_cost dctx root candidates.(i)
-          done);
-      Array.iter (fun dctx -> merge_ctx ctx dctx ~root ~root_req:req) dctxs;
-      let best = ref None in
-      for i = 0 to n - 1 do
-        match costs.(i) with
-        | None -> ()
-        | Some cost -> (
-            match !best with
-            | Some b when b.total_cost <= cost -> ()
-            | _ -> best := Some { total_cost = cost; chosen = candidates.(i) })
-      done;
-      Hashtbl.replace ctx.best (root_key ctx) !best;
-      !best
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Plan extraction                                                     *)
@@ -800,24 +676,15 @@ let initial_request t ~root_gid : request =
   in
   { dist = Any; parts = List.filter_map find_partitioned g.rels; pinned = [] }
 
-(** Optimize [lg] through the memo; returns the best plan and its cost.
-    [domains > 1] explores the root candidates across that many pool
-    domains; the plan and cost are bit-identical to the serial result. *)
-let best_plan ?stats ?(nsegments = 4) ?(domains = 1) ~catalog (lg : Logical.t)
-    : (Plan.t * float) option =
+(** Optimize [lg] through the memo; returns the best plan and its cost. *)
+let best_plan ?stats ?(nsegments = 4) ~catalog (lg : Logical.t) :
+    (Plan.t * float) option =
   Obs.span (Obs.current ()) "memo.optimize" (fun () ->
       let t = create ?stats ~nsegments ~catalog () in
       let root = insert t lg in
       let req = initial_request t ~root_gid:root in
       let ctx = ctx_create t in
-      let best =
-        if domains <= 1 then optimize_req ctx root req
-        else begin
-          prewarm_stats t;
-          optimize_root ctx ~pool:(Dpool.get ~domains) root req
-        end
-      in
-      match best with
+      match optimize_req ctx root req with
       | None -> None
       | Some best -> (
           match extract ctx root req with

@@ -34,16 +34,12 @@ val request_to_string : request -> string
 val best_plan :
   ?stats:Mpp_stats.Stats_source.t ->
   ?nsegments:int ->
-  ?domains:int ->
   catalog:Mpp_catalog.Catalog.t ->
   Logical.t ->
   (Plan.t * float) option
 (** Cheapest valid plan and its cost for the initial request
     ({Any, one spec per partitioned base table} — the paper's req. #1);
-    [None] when no plan satisfies it.  [domains] (default 1) explores the
-    root request's candidates across that many pool domains, each with a
-    private memo table merged at the barrier; the returned plan and cost
-    are bit-identical to the serial result for every domain count. *)
+    [None] when no plan satisfies it. *)
 
 val plan_space :
   ?stats:Mpp_stats.Stats_source.t ->

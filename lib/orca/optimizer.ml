@@ -36,8 +36,6 @@ type config = {
   enable_partition_selection : bool;
       (** master switch for the Figure-17 ablation: when off, only Φ
           selectors are placed and every partition is scanned *)
-  cost_based_joins : bool;
-      (** when off, join orientation is taken as written (left = build) *)
   enable_two_phase_agg : bool;
       (** aggregate locally on each segment before moving rows (the MPP
           norm); off = gather everything and aggregate once *)
@@ -48,15 +46,9 @@ type config = {
           joins.  Often faster per pair, but re-couples plan size to the
           partition count — exactly the drawback the paper's DynamicScan
           representation avoids. *)
-  join_reorder : bool;
-      (** search for a left-deep join order over inner-join regions with at
-          least [join_reorder_min_rels] relations ({!Joinorder}); smaller
-          regions keep the order as written, so the classic workload's
-          plans are untouched *)
-  join_reorder_min_rels : int;
   opt_domains : int;
-      (** domains the join-order search fans out over (1 = serial; the
-          chosen plan is identical for every value) *)
+      (** ignored: the optimizer's search is serial.  Kept only because the
+          frozen serving benchmark (perfbench) still sets it *)
   simplify : bool;
       (** abstract-interpretation pass over the placed plan: drop
           always-true conjuncts, collapse always-false filters, and (when
@@ -68,26 +60,12 @@ type config = {
 let default_config =
   {
     enable_partition_selection = true;
-    cost_based_joins = true;
     enable_two_phase_agg = true;
     enable_partition_wise_join = false;
-    join_reorder = true;
-    join_reorder_min_rels = 5;
     opt_domains = 1;
     simplify = true;
     nsegments = 4;
   }
-
-(** The [MPP_OPT_DOMAINS] environment variable; 1 (serial) when
-    unset/invalid.  The optimizer-side sibling of
-    {!Mpp_exec.Dpool.default_domains}. *)
-let default_opt_domains () =
-  match Sys.getenv_opt "MPP_OPT_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
 
 type t = {
   catalog : Mpp_catalog.Catalog.t;
@@ -129,7 +107,7 @@ let cost_agg_tuple = 1.5
 
 (* A DynamicScan visible in a subtree, for DPE costing. *)
 type dyn_scan_info = {
-  ds_rel : int;
+  ds_part_scan_id : int;
   ds_root_oid : int;
   ds_keys : Colref.t list;
   ds_nparts : int;
@@ -221,7 +199,7 @@ let plan_get t ~rel name : annotated =
         dyn_scans =
           [
             {
-              ds_rel = rel;
+              ds_part_scan_id = part_scan_id;
               ds_root_oid = table.Table.oid;
               ds_keys = Table.part_key_colrefs table ~rel;
               ds_nparts = nparts;
@@ -323,42 +301,16 @@ let hashed_on_keys dist keys =
            cols
   | _ -> false
 
-(* Is the DynamicScan for [rel]/[root_oid] reachable in [plan] without
-   crossing a Motion?  Placement refuses the DPE push otherwise (the
-   selector's bitmap is segment-local), so costing must not discount a
-   scan that cannot actually be selected. *)
-let rec motion_free_scan (plan : Plan.t) ~rel ~root_oid =
-  match plan with
-  | Plan.Dynamic_scan d -> d.rel = rel && d.root_oid = root_oid
-  | Plan.Motion _ -> false
-  | _ ->
-      List.exists
-        (fun c -> motion_free_scan c ~rel ~root_oid)
-        (Plan.children plan)
-
-(* DPE opportunity: DynamicScans in the probe subtree whose keys the join
-   predicate constrains with expressions the build side can evaluate —
-   and that no Motion inside the probe subtree hides from the selector. *)
+(* DPE opportunity: DynamicScans in the probe subtree that the join can
+   select through {!Placement.join_dpe} — the placement pass pushes
+   exactly these, so costing discounts no scan that cannot be selected. *)
 let dpe_opportunities ~pred ~build ~probe =
   let build_rels = Plan.output_rels build.plan in
   List.filter
     (fun ds ->
-      motion_free_scan probe.plan ~rel:ds.ds_rel ~root_oid:ds.ds_root_oid
-      &&
-      match Expr.find_preds_on_keys ds.ds_keys pred with
-      | None -> false
-      | Some found ->
-          List.exists Option.is_some found
-          && List.for_all
-               (function
-                 | None -> true
-                 | Some p ->
-                     List.for_all
-                       (fun (c : Colref.t) ->
-                         List.exists (Colref.equal c) ds.ds_keys
-                         || List.mem c.Colref.rel build_rels)
-                       (Expr.free_cols p))
-               found)
+      Placement.join_dpe ~probe:probe.plan ~part_scan_id:ds.ds_part_scan_id
+        ~keys:ds.ds_keys ~build_rels pred
+      <> None)
     probe.dyn_scans
 
 type join_candidate = {
@@ -582,10 +534,7 @@ let plan_join t ~rel_tables ~pinned_rel ~kind ~pred (left : annotated)
         (match kind with
         | Plan.Semi -> [ (right, left) ]
         | _ -> [ (left, right) ])
-    | Plan.Inner ->
-        if t.config.cost_based_joins then
-          [ (left, right); (right, left) ]
-        else [ (left, right) ]
+    | Plan.Inner -> [ (left, right); (right, left) ]
   in
   let allowed (build, probe) =
     match pinned_rel with
@@ -708,7 +657,7 @@ let rebuild_region leaves (edges : (int * Expr.t) array) order residual :
 (* Reorder one flattened region; [None] when a conjunct references a
    relation outside the region's leaves (bail out, keep the written order —
    the safety valve for shapes the binder never produces today). *)
-let try_reorder t ~rel_tables ~pool leaves conjs : Logical.t option =
+let try_reorder t ~rel_tables leaves conjs : Logical.t option =
   let leaves = Array.of_list leaves in
   let n = Array.length leaves in
   let rel_leaf = Hashtbl.create 16 in
@@ -766,7 +715,7 @@ let try_reorder t ~rel_tables ~pool leaves conjs : Logical.t option =
       Joinorder.make ~leaf_rows
         ~edges:(Array.map (fun (m, c) -> (m, edge_sel t ~rel_tables c)) edges)
     in
-    let order = Joinorder.order ~pool graph in
+    let order = Joinorder.order graph in
     Obs.incr (Obs.current ()) "optimizer.join_reorders";
     Log.debug (fun m ->
         m "join reorder: %d relations, %d edges, order=%s" n
@@ -775,21 +724,24 @@ let try_reorder t ~rel_tables ~pool leaves conjs : Logical.t option =
     Some (rebuild_region leaves edges order residual)
   end
 
+(* Inner-join regions with fewer leaves keep the order as written, so the
+   classic workload's plans are untouched by the join-order search. *)
+let join_reorder_min_rels = 5
+
 (* Walk the logical tree; every maximal inner-join region of at least
-   [join_reorder_min_rels] leaves is re-ordered by {!Joinorder} (fanned out
-   over [opt_domains] pool domains).  DML subtrees are left as written —
-   the target relation's plan position is semantic there. *)
+   [join_reorder_min_rels] leaves is re-ordered by {!Joinorder}.  DML
+   subtrees are left as written — the target relation's plan position is
+   semantic there. *)
 let reorder_joins t ~rel_tables (lg : Logical.t) : Logical.t =
-  let pool = Mpp_exec.Dpool.get ~domains:t.config.opt_domains in
   let rec go lg =
     match lg with
     | Logical.Join { kind = Plan.Inner; _ } -> (
         let leaves, conjs = flatten_region lg in
         let n = List.length leaves in
-        if n < t.config.join_reorder_min_rels || n > 60 then descend lg
+        if n < join_reorder_min_rels || n > 60 then descend lg
         else
           let leaves = List.map go leaves in
-          match try_reorder t ~rel_tables ~pool leaves conjs with
+          match try_reorder t ~rel_tables leaves conjs with
           | Some lg' -> lg'
           | None -> descend lg)
     | _ -> descend lg
@@ -1113,10 +1065,8 @@ let optimize t (lg : Logical.t) : Plan.t =
           (Logical.base_tables lg)
       in
       let lg =
-        if t.config.join_reorder then
-          Obs.span obs "optimize.join_reorder" (fun () ->
-              reorder_joins t ~rel_tables lg)
-        else lg
+        Obs.span obs "optimize.join_reorder" (fun () ->
+            reorder_joins t ~rel_tables lg)
       in
       let ann =
         Obs.span obs "optimize.physical" (fun () ->
@@ -1196,7 +1146,5 @@ let estimate t (lg : Logical.t) : float =
   let rel_tables =
     List.map (fun (rel, name) -> (rel, table_of t name)) (Logical.base_tables lg)
   in
-  let lg =
-    if t.config.join_reorder then reorder_joins t ~rel_tables lg else lg
-  in
+  let lg = reorder_joins t ~rel_tables lg in
   (build_physical t ~rel_tables ~pinned_rel:None lg).cost

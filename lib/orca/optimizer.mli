@@ -13,8 +13,6 @@ type config = {
   enable_partition_selection : bool;
       (** master switch for the Figure-17 ablation: when off, only Φ
           selectors are placed and every partition is scanned *)
-  cost_based_joins : bool;
-      (** when off, join orientation is taken as written (left = build) *)
   enable_two_phase_agg : bool;
       (** aggregate locally per segment before moving rows (the MPP norm);
           off = gather everything and aggregate once *)
@@ -23,14 +21,10 @@ type config = {
           key-to-key join of identically partitioned, co-located tables into
           an Append of per-partition joins — re-coupling plan size to the
           partition count *)
-  join_reorder : bool;
-      (** search for a left-deep join order over inner-join regions with at
-          least [join_reorder_min_rels] relations ({!Joinorder}); smaller
-          regions keep the order as written *)
-  join_reorder_min_rels : int;
   opt_domains : int;
-      (** domains the join-order search fans out over (1 = serial; the
-          chosen plan is identical for every value) *)
+      (** ignored: the optimizer's search is serial.  Kept only because the
+          frozen serving benchmark (perfbench) still sets it; to be deleted
+          with the next change to that benchmark *)
   simplify : bool;
       (** abstract-interpretation pass over the placed plan
           ({!Mpp_analysis.Analysis.simplify_plan}): drop always-true
@@ -42,10 +36,6 @@ type config = {
 }
 
 val default_config : config
-
-val default_opt_domains : unit -> int
-(** The [MPP_OPT_DOMAINS] environment variable; 1 (serial) when
-    unset/invalid. *)
 
 type t
 

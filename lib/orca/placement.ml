@@ -44,20 +44,6 @@ let push_to routed ~index spec =
         routed.child_specs;
   }
 
-(* Are all non-key columns of the (per-level) predicates computable from the
-   relations in [rels]?  The key columns themselves belong to the scan being
-   selected and are symbolic at selection time. *)
-let predicates_evaluable ~keys ~rels preds =
-  List.for_all
-    (function
-      | None -> true
-      | Some p ->
-          List.for_all
-            (fun (c : Colref.t) ->
-              List.exists (Colref.equal c) keys || List.mem c.Colref.rel rels)
-            (Expr.free_cols p))
-    preds
-
 (* The paper's FindPredOnKey, multi-level form: one optional predicate per
    partitioning key. *)
 let find_preds_on_keys keys pred = Expr.find_preds_on_keys keys pred
@@ -73,10 +59,28 @@ let rec motion_free_to_scan (expr : Plan.t) id =
   match expr with
   | Plan.Dynamic_scan { part_scan_id; _ } -> part_scan_id = id
   | Plan.Motion _ -> false
-  | _ ->
-      List.exists
-        (fun c -> Plan.has_part_scan_id c id && motion_free_to_scan c id)
-        (Plan.children expr)
+  | _ -> List.exists (fun c -> motion_free_to_scan c id) (Plan.children expr)
+
+(* The join-DPE rule (Algorithm 4's test), shared with the optimizer's
+   DPE costing and the memo's spec routing.  The key columns of the found
+   predicates belong to the scan being selected and are symbolic at
+   selection time; every other column must come from the build side. *)
+let join_dpe ?probe ~part_scan_id ~keys ~build_rels pred =
+  let evaluable (c : Colref.t) =
+    List.exists (Colref.equal c) keys || List.mem c.Colref.rel build_rels
+  in
+  match probe with
+  | Some p when not (motion_free_to_scan p part_scan_id) -> None
+  | _ -> (
+      match find_preds_on_keys keys pred with
+      | Some found
+        when List.for_all
+               (function
+                 | None -> true
+                 | Some p -> List.for_all evaluable (Expr.free_cols p))
+               found ->
+          Some found
+      | _ -> None)
 
 (* ComputePartSelectors — dispatch on the operator (Algorithms 2, 3, 4).
    With [eliminate = false] the Filter/Join refinements are disabled and all
@@ -126,7 +130,8 @@ let compute_part_selectors ~eliminate (expr : Plan.t)
                 push_to acc ~index:0
                   (Part_spec.add_predicates spec found)
             | None -> push_to acc ~index:0 spec)
-        | (Plan.Hash_join { pred; left; _ } | Plan.Nl_join { pred; left; _ })
+        | ( Plan.Hash_join { pred; left; right; _ }
+          | Plan.Nl_join { pred; left; right; _ } )
           when eliminate -> (
             (* Algorithm 4. *)
             let defined_in_outer =
@@ -134,22 +139,15 @@ let compute_part_selectors ~eliminate (expr : Plan.t)
             in
             if defined_in_outer then push_to acc ~index:0 spec
             else
-              (* the streaming selector would sit above the outer child;
-                 it can only drive the scan if no Motion intervenes on the
-                 inner side *)
-              let reachable =
-                match defining_child_index spec with
-                | Some i ->
-                    motion_free_to_scan
-                      (List.nth (Plan.children expr) i)
-                      spec.Part_spec.part_scan_id
-                | None -> false
-              in
-              match find_preds_on_keys spec.Part_spec.keys pred with
-              | Some found
-                when reachable
-                     && predicates_evaluable ~keys:spec.Part_spec.keys
-                          ~rels:(Plan.output_rels left) found ->
+              (* in scope and not in the outer child: the scan is in the
+                 inner child; the streaming selector would sit above the
+                 outer one *)
+              match
+                join_dpe ~probe:right ~part_scan_id:spec.Part_spec.part_scan_id
+                  ~keys:spec.Part_spec.keys
+                  ~build_rels:(Plan.output_rels left) pred
+              with
+              | Some found ->
                   (* the join predicate constrains the partitioning key and
                      the outer child can evaluate it: dynamic partition
                      elimination — push the spec to the opposite side *)

@@ -16,6 +16,24 @@
 
 module Plan = Mpp_plan.Plan
 
+val join_dpe :
+  ?probe:Plan.t ->
+  part_scan_id:int ->
+  keys:Mpp_expr.Colref.t list ->
+  build_rels:int list ->
+  Mpp_expr.Expr.t ->
+  Mpp_expr.Expr.t option list option
+(** The one home of the join-DPE rule: can join predicate [pred] drive
+    dynamic partition elimination of the probe-side DynamicScan
+    [part_scan_id] (partitioning keys [keys]) from a selector above a build
+    side that outputs [build_rels]?  [Some found] — the per-level
+    predicates of {!Mpp_expr.Expr.find_preds_on_keys} — when [pred]
+    constrains some key, every other column those predicates read comes
+    from [build_rels], and no Motion lies between [probe] (the join's
+    probe child) and the scan.  Without [probe] the path is taken as
+    Motion-free, as in the memo, where a pinned scan never crosses a
+    Motion.  [None] otherwise. *)
+
 val place_part_selectors :
   ?eliminate:bool -> Part_spec.t list -> Plan.t -> Plan.t
 (** Algorithm 1 ([PlacePartSelectors]) over explicit input specs. *)

@@ -71,6 +71,25 @@ let coerce_pair a b =
   in
   (coerce (dtype_of b) a, coerce (dtype_of a) b)
 
+(* The static type of a bound operand, where the binder knows it: a column
+   or a literal ([Null] and anything computed are left to run time). *)
+let operand_type = function
+  | Expr.Col (c : Colref.t) -> Some c.Colref.dtype
+  | Expr.Const v -> Value.datatype_of v
+  | _ -> None
+
+(* Reject a comparison whose operands can never compare — [ss_item = 'x']
+   on an int column — as a bind error, not a plan the verifier refuses.
+   [what] names the comparison; it is only rendered on error. *)
+let check_comparable what a b =
+  match (operand_type a, operand_type b) with
+  | Some ta, Some tb when not (Value.comparable ta tb) ->
+      raise
+        (Bind_error
+           (Printf.sprintf "%s mixes %s and %s" (what ())
+              (Value.datatype_to_string ta) (Value.datatype_to_string tb)))
+  | _ -> ()
+
 type bound = {
   expr : Expr.t;
   semis : (Expr.t * Logical.t) list;
@@ -93,7 +112,9 @@ let rec bind_expr catalog (scope : scope) ~next_rel (e : Ast.expr) : bound =
   | Ast.E_cmp (op, a, b) ->
       let ba = recurse a and bb = recurse b in
       let ea, eb = coerce_pair ba.expr bb.expr in
-      { expr = Expr.Cmp (op, ea, eb); semis = ba.semis @ bb.semis }
+      let e = Expr.Cmp (op, ea, eb) in
+      check_comparable (fun () -> "comparison " ^ Expr.to_string e) ea eb;
+      { expr = e; semis = ba.semis @ bb.semis }
   | Ast.E_and (a, b) ->
       let ba = recurse a and bb = recurse b in
       { expr = Expr.conj [ ba.expr; bb.expr ]; semis = ba.semis @ bb.semis }
@@ -110,6 +131,8 @@ let rec bind_expr catalog (scope : scope) ~next_rel (e : Ast.expr) : bound =
       let be = recurse e and blo = recurse lo and bhi = recurse hi in
       let lo1, _ = coerce_pair blo.expr be.expr in
       let hi1, _ = coerce_pair bhi.expr be.expr in
+      check_comparable (fun () -> "BETWEEN") be.expr lo1;
+      check_comparable (fun () -> "BETWEEN") be.expr hi1;
       {
         expr = Expr.between be.expr lo1 hi1;
         semis = be.semis @ blo.semis @ bhi.semis;
@@ -129,6 +152,9 @@ let rec bind_expr catalog (scope : scope) ~next_rel (e : Ast.expr) : bound =
             | _ -> raise (Bind_error "IN list must contain literals"))
           items
       in
+      List.iter
+        (fun v -> check_comparable (fun () -> "IN list") be.expr (Expr.Const v))
+        values;
       { be with expr = Expr.In_list (be.expr, values) }
   | Ast.E_is_null e ->
       let be = recurse e in
@@ -137,6 +163,7 @@ let rec bind_expr catalog (scope : scope) ~next_rel (e : Ast.expr) : bound =
       let be = recurse e in
       let sub_tree, sub_col = bind_in_subquery catalog ~next_rel sub in
       let lhs, rhs = coerce_pair be.expr (Expr.col sub_col) in
+      check_comparable (fun () -> "IN subquery") lhs rhs;
       {
         expr = Expr.true_;
         semis = be.semis @ [ (Expr.eq lhs rhs, sub_tree) ];

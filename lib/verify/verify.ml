@@ -224,15 +224,7 @@ let structure_pass ~catalog (plan : Plan.t) : Diag.t list =
    lookups into it are silently skipped to avoid cascades. *)
 type layout = (int * Value.datatype option array) list
 
-let cls (dt : Value.datatype) =
-  match dt with
-  | Value.Tint | Value.Tfloat -> `Num
-  | Value.Tstring -> `String
-  | Value.Tdate -> `Date
-  | Value.Tbool -> `Bool
-
-let same_class a b = cls a = cls b
-let is_numeric dt = cls dt = `Num
+let is_numeric dt = Value.comparable dt Value.Tint
 
 let table_layout_types (tbl : Table.t) : Value.datatype option array =
   Array.map (fun (_, dt) -> Some dt) tbl.Table.columns
@@ -276,7 +268,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
             else cols.(c.Colref.index))
     | Expr.Cmp (_, a, b) ->
         (match (typ path layout a, typ path layout b) with
-        | Some ta, Some tb when not (same_class ta tb) ->
+        | Some ta, Some tb when not (Value.comparable ta tb) ->
             emit "schema/cmp-incompatible" path
               (Printf.sprintf "comparison %s mixes %s and %s"
                  (Expr.to_string e)
@@ -311,7 +303,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
             List.iter
               (fun v ->
                 match Value.datatype_of v with
-                | Some tv when not (same_class t tv) ->
+                | Some tv when not (Value.comparable t tv) ->
                     emit "schema/cmp-incompatible" path
                       (Printf.sprintf "IN list mixes %s and %s"
                          (Value.datatype_to_string t)
@@ -535,7 +527,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
                       (* VALUES expressions are compiled against the empty
                          layout: stray columns are unresolvable. *)
                       match (typ path [] e, snd tbl.Table.columns.(j)) with
-                      | Some t, want when not (same_class t want) ->
+                      | Some t, want when not (Value.comparable t want) ->
                           emit "schema/insert-type" path
                             (Printf.sprintf
                                "INSERT row %d column %s expects %s, got %s" i
@@ -576,7 +568,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
                           tbl.Table.name ncols)
                    else
                      match (typ path layout e, snd tbl.Table.columns.(idx)) with
-                     | Some t, want when not (same_class t want) ->
+                     | Some t, want when not (Value.comparable t want) ->
                          emit "schema/dml-set-type" path
                            (Printf.sprintf "SET %s = %s assigns %s to %s"
                               (fst tbl.Table.columns.(idx))

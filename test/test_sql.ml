@@ -140,6 +140,37 @@ let test_bind_qualified_and_ambiguous () =
     (try ignore (Sql.to_logical cat "SELECT z.id FROM orders o"); false
      with Sql.Error _ -> true)
 
+(* Comparisons whose operand types can never compare are bind errors;
+   int against float still compares, and a date literal in a string still
+   coerces to a date. *)
+let test_bind_type_errors () =
+  let cat = catalog () in
+  let rejects sql =
+    match Sql.to_logical cat sql with
+    | _ -> false
+    | exception Sql.Error m ->
+        let k = String.length " mixes " in
+        List.exists
+          (fun i -> String.sub m i k = " mixes ")
+          (List.init (max 0 (String.length m - k + 1)) Fun.id)
+  in
+  List.iter
+    (fun sql -> Alcotest.(check bool) sql true (rejects sql))
+    [ "SELECT count(*) FROM orders WHERE id = 'x'";
+      "SELECT count(*) FROM orders WHERE date = 'not a date'";
+      "SELECT count(*) FROM orders WHERE amount BETWEEN 1 AND 'x'";
+      "SELECT count(*) FROM orders WHERE id IN (1, 'x')";
+      "SELECT count(*) FROM orders WHERE date IN (SELECT d_year FROM date_dim)" ];
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) sql true
+        (match Sql.to_logical cat sql with
+        | _ -> true
+        | exception Sql.Error _ -> false))
+    [ "SELECT count(*) FROM orders WHERE amount = 3";
+      "SELECT count(*) FROM orders WHERE date >= '2012-06-01'";
+      "SELECT count(*) FROM orders WHERE id = NULL" ]
+
 let test_bind_join_tree () =
   let lg =
     Sql.to_logical (catalog ())
@@ -231,6 +262,7 @@ let () =
        [ Alcotest.test_case "simple select" `Quick test_bind_simple_select;
          Alcotest.test_case "date coercion" `Quick test_bind_date_coercion;
          Alcotest.test_case "name errors" `Quick test_bind_qualified_and_ambiguous;
+         Alcotest.test_case "type errors" `Quick test_bind_type_errors;
          Alcotest.test_case "join tree" `Quick test_bind_join_tree;
          Alcotest.test_case "IN subquery" `Quick test_bind_in_subquery_semi_join;
          Alcotest.test_case "update" `Quick test_bind_update;
