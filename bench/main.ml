@@ -198,69 +198,54 @@ let ns_per_op ~min_time f =
 let table2 () =
   header
     "Table 2: overhead of partitioning (full scan of lineitem, 7 years)";
-  Printf.printf "%-22s %-10s %-12s %-10s\n" "#parts" "scan (ms)" "vs unpart"
-    "paper";
-  let rows = 500_000 in
-  let scenarios =
-    [ (W.Tpch.Unpartitioned, "-");
-      (W.Tpch.Parts_42, "3%");
-      (W.Tpch.Parts_84, "3%");
-      (W.Tpch.Parts_169, "1%");
-      (W.Tpch.Parts_361, "2%") ]
+  Printf.printf "%-18s %-21s %-10s %-21s %-6s\n" "#parts"
+    "unpart / part (ms)" "vs unpart" "empty: unpart / part" "paper";
+  let rows = 500_000 and runs = 15 in
+  let load scenario rows =
+    let catalog = Cat.create () in
+    let storage = Storage.create ~nsegments:4 in
+    let _ = W.Tpch.setup ~catalog ~storage ~scenario ~rows in
+    let lg = Mpp_sql.Sql.to_logical catalog "SELECT count(*) FROM lineitem" in
+    let plan = Orca.Optimizer.optimize (Orca.Optimizer.create ~catalog ()) lg in
+    fun () -> Mpp_exec.Exec.run ~catalog ~storage plan
   in
-  (* One scenario at a time (so each dataset is alone on the heap), warmed
-     up and compacted; report the median of [runs] timed runs — a robust
-     location estimate that, unlike the previous best-of, is also stable
-     when the machine is *uniformly* slow rather than intermittently noisy.
-     The per-partition bookkeeping cost is what is under test, not GC
-     scheduling. *)
-  let runs = 11 in
+  (* Each partitioned scenario runs paired against the unpartitioned copy
+     ([paired]: alternating order, a major collection before every timed
+     run), so both sides see the same heap and the same machine drift; the
+     two datasets are the only ones alive.  The same pair over empty
+     tables times what partitioning adds besides reading rows — selector
+     pushes, channel reads, one heap lookup per partition and segment —
+     which is what a gap at many partitions is made of. *)
+  let unpart = load W.Tpch.Unpartitioned rows
+  and unpart_empty = load W.Tpch.Unpartitioned 0 in
   let timings =
     List.map
       (fun (scenario, paper) ->
-        (* collect the previous scenario's dataset BEFORE allocating this
-           one: otherwise the first post-predecessor scenario is measured on
-           a transiently doubled major heap and reads 2-3x slow — a purely
-           positional artifact (it follows list order, not the scenario) *)
         Gc.compact ();
-        let catalog = Cat.create () in
-        let storage = Storage.create ~nsegments:4 in
-        let _ = W.Tpch.setup ~catalog ~storage ~scenario ~rows in
-        let lg = Mpp_sql.Sql.to_logical catalog "SELECT count(*) FROM lineitem" in
-        let plan =
-          Orca.Optimizer.optimize (Orca.Optimizer.create ~catalog ()) lg
-        in
-        for _ = 1 to 3 do
-          ignore (Mpp_exec.Exec.run ~catalog ~storage plan)
-        done;
-        Gc.compact ();
-        let ts =
-          samples ~warmup:0 runs (fun () ->
-              Mpp_exec.Exec.run ~catalog ~storage plan)
-        in
-        (scenario, paper, median ts))
-      scenarios
+        let part = load scenario rows and part_empty = load scenario 0 in
+        let base, t = paired_median_ms runs unpart part in
+        let ebase, et = paired_median_ms runs unpart_empty part_empty in
+        (scenario, paper, base, t, ebase, et))
+      [ (W.Tpch.Parts_42, "3%"); (W.Tpch.Parts_84, "3%");
+        (W.Tpch.Parts_169, "1%"); (W.Tpch.Parts_361, "2%") ]
   in
-  let base =
-    match timings with (_, _, t) :: _ -> t | [] -> 1.0
-  in
+  let pct t base = 100.0 *. (t -. base) /. base in
   List.iter
-    (fun (scenario, paper, t) ->
-      let overhead = 100.0 *. (t -. base) /. base in
-      Printf.printf "%-22s %-10.1f %-12s %-10s\n"
-        (W.Tpch.scenario_name scenario) (t *. 1000.0)
-        (if scenario = W.Tpch.Unpartitioned then "-"
-         else Printf.sprintf "%+.1f%%" overhead)
-        paper)
+    (fun (scenario, paper, base, t, ebase, et) ->
+      Printf.printf "%-18s %8.2f / %-10.2f %+8.1f%%  %8.3f / %-10.3f %-6s\n"
+        (W.Tpch.scenario_name scenario) base t (pct t base) ebase et paper)
     timings;
   record "table2"
     (Json.List
        (List.map
-          (fun (scenario, _, t) ->
+          (fun (scenario, _, base, t, ebase, et) ->
             Json.Obj
               [ ("scenario", Json.String (W.Tpch.scenario_name scenario));
-                ("scan_ms", Json.Float (t *. 1000.0));
-                ("overhead_pct", Json.Float (100.0 *. (t -. base) /. base));
+                ("unpart_ms", Json.Float base);
+                ("scan_ms", Json.Float t);
+                ("overhead_pct", Json.Float (pct t base));
+                ("empty_unpart_ms", Json.Float ebase);
+                ("empty_scan_ms", Json.Float et);
                 ("runs", Json.Int runs) ])
           timings))
 

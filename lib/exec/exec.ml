@@ -1,15 +1,16 @@
 (** The query executor: interprets a physical {!Mpp_plan.Plan.t} on the
     simulated MPP cluster.
 
-    Execution is segment-synchronous: every operator produces, for each
-    segment, the batch of rows that operator would emit on that segment;
-    [Motion] nodes re-shuffle the per-segment batches.  Side-effect ordering
-    follows the paper's conventions — [Sequence] children run left to right
-    and a join's left child runs before its right child — so a
-    PartitionSelector always executes (and pushes its OIDs into the
-    per-segment {!Channel}) before the DynamicScan that consumes them.
+    Execution is segment-synchronous between pipeline breakers: each
+    breaker produces, for each segment, the batch of rows that operator
+    would emit on that segment; [Motion] nodes re-shuffle the per-segment
+    batches.  Side-effect ordering follows the paper's conventions —
+    [Sequence] children run left to right and a join's left child runs
+    before its right child — so a PartitionSelector always executes (and
+    pushes its OIDs into the per-segment {!Channel}) before the DynamicScan
+    that consumes them.
 
-    Four hot-path design decisions (the Figure 15 argument, applied to the
+    Five hot-path design decisions (the Figure 15 argument, applied to the
     whole executor, plus the paper's MPP premise):
 
     - {b Compiled expressions.}  Every operator compiles its expressions
@@ -17,11 +18,25 @@
       resolve to fixed tuple offsets at compile time, parameters are bound,
       and evaluation is a closure over the flat row — no per-row environment
       records, no per-row layout search.
-    - {b Batch rows.}  Per-segment row sets are {!Mpp_storage.Vec.t}
-      batches, not lists: appends are amortized array stores, sizes are O(1)
-      (hash-join builds size their tables exactly), and unfiltered scans
-      alias the live storage heap zero-copy.  Operators treat input batches
-      as immutable.
+    - {b Per-segment pipelines.}  Scans, Filter, Project, RuntimeFilter,
+      Sequence, Append and the probe side of hash and nested-loop joins
+      stream: each hands its rows, one at a time, to the operator above
+      through a [row -> unit] consumer (the produce/consume model, Neumann,
+      VLDB 2011).  Batches ({!Mpp_storage.Vec.t}) are built only at a
+      pipeline breaker: a join's build side, Motion, Sort, Limit, the DML
+      source, Agg output and the query result.  A pipeline's per-row work
+      runs inside its breaker's fan-out and is timed there.  An unfiltered
+      scan hands on the heaps it reads as they are: a DynamicScan's
+      partition heaps are walked in turn, or concatenated once by a
+      breaker that keeps them, and a single heap that feeds a breaker is
+      aliased, not copied.
+    - {b Transient rows.}  A join emits each output row into one
+      per-segment scratch tuple, and Project does the same: such a row is
+      valid only until the consumer returns.  A pipeline says so
+      ([transient]); the one batch builder ([collect]) copies a transient
+      row when it keeps it, and every other consumer reads values out of
+      the row without keeping it.  Rows from a heap or a batch are never
+      written and pass through unchanged.
     - {b Monomorphic key tables.}  Hash joins, grouped aggregation, the
       streaming selector's memo and DML's deleted-tuple multiset key
       [Hashtbl.Make] tables on a single [Value.t] ([Key1]) or a
@@ -30,9 +45,8 @@
       constructor — no polymorphic hash or compare call per probe.  Probe
       and group keys go through a per-segment scratch tuple, copied only
       when a new key is stored; a join's equal-key build rows form an
-      index chain, so a probe allocates nothing but its output rows.
-      Aggregates pick their per-row feeder at compile time.
-    - {b Segment parallelism.}  Each operator's per-segment work fans out
+      index chain.  Aggregates pick their per-row feeder at compile time.
+    - {b Segment parallelism.}  Each breaker's per-segment work fans out
       across a {!Dpool} domain pool (knob: [MPP_DOMAINS] / [?domains]).  The
       plan walk itself stays on the coordinating domain; {!Channel} and
       {!Metrics} are sharded per segment so the parallel sections share no
@@ -52,20 +66,6 @@ type row = Value.t array
 let coordinator_tid = 0
 let optimizer_tid = 1
 let domain_tid i = 2 + i
-
-(* A runtime join filter handed from a [Runtime_filter] node to the scan
-   directly beneath it, so the Bloom test runs inside the scan's row loop
-   (a compiled pre-predicate) instead of over a materialized batch:
-   - [rf_make segment] is called once per segment inside the scan's
-     parallel section; the returned closure owns per-segment scratch and
-     counts dropped rows into that segment's metrics shard;
-   - [rf_allowed] is the min-max summary intersected with the partition
-     index: the leaf OIDs that can possibly hold matching join keys.
-     A DynamicScan drops channel OIDs outside it without opening them. *)
-type fused_rf = {
-  rf_make : int -> row -> bool;
-  rf_allowed : (int, unit) Hashtbl.t option;
-}
 
 type ctx = {
   catalog : Mpp_catalog.Catalog.t;
@@ -103,11 +103,6 @@ type ctx = {
           pure pass-throughs — the "runtime filters off" half of the
           on/off comparison; plans are identical either way, only the
           executor behaviour changes *)
-  mutable fused_rf : fused_rf option;
-      (** one-shot handoff slot between a [Runtime_filter] node and the
-          scan directly beneath it; set and consumed on the coordinating
-          domain within a single parent→child call, never across a
-          parallel section *)
   mutable rf_motion_claimed : int;
       (** pre-Motion drops already credited to [motion_rows_saved] by some
           Motion: each Motion claims only the drops below it that no inner
@@ -119,10 +114,12 @@ type ctx = {
           per-segment task events on the executing domain's track;
           {!Trace.null} (one flag test per node) when not profiling *)
   mutable cur_node : int;
-      (** pre-order index of the node currently interpreted, so the
-          per-segment fan-out can attribute task time to it; -1 outside
-          {!exec_at}.  Coordinating domain only (saved/restored around
-          child execution). *)
+      (** pre-order index of the node whose coordinator-side work is
+          running (a breaker's execution, a streamed node's opening), so
+          a per-segment fan-out can attribute task time to it — a
+          pipeline's rows are charged to its breaker; -1 outside any
+          node.  Coordinating domain only (saved/restored around child
+          execution). *)
   mutable cur_label : string;
       (** the current node's one-line operator description, for trace
           events; maintained only while the trace is enabled *)
@@ -179,7 +176,6 @@ let create_ctx ?(params = [||]) ?(selection_enabled = true) ?(verify = false)
     pindex;
     verify;
     runtime_filters;
-    fused_rf = None;
     rf_motion_claimed = 0;
     trace;
     cur_node = -1;
@@ -266,6 +262,69 @@ module KeyN = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
+(* Pipelines                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One segment's output of a streamed operator: rows that already exist, as
+   a sequence of batches (a breaker's output, or the heaps an unfiltered
+   scan reads), or a producer that hands each row to a consumer. *)
+type feed = Batches of row Vec.t list | Push of ((row -> unit) -> unit)
+
+(* A streamed operator, opened: every breaker below it has run and its
+   expressions are compiled.  [feed s] is segment [s]'s producer, called
+   once inside the sink's task for [s]; [close] runs after that fan-out
+   (it flushes the per-node row counts).  [transient]: [Push] hands out a
+   per-segment scratch row that the producer overwrites once the consumer
+   returns, so a consumer that keeps a row must copy it. *)
+type pipe = {
+  layout : (int * int) list;
+  transient : bool;
+  feed : int -> feed;
+  close : unit -> unit;
+}
+
+let iter_feed k = function
+  | Batches vs -> List.iter (Vec.iter k) vs
+  | Push f -> f k
+
+let of_result (r : result) =
+  {
+    layout = r.layout;
+    transient = false;
+    feed = (fun s -> Batches [ r.rows.(s) ]);
+    close = ignore;
+  }
+
+(* A stage that drops the rows [test s] rejects on segment [s]. *)
+let filter_stage (p : pipe) (test : int -> row -> bool) =
+  {
+    p with
+    feed =
+      (fun s ->
+        let t = test s and src = p.feed s in
+        Push (fun k -> iter_feed (fun r -> if t r then k r) src));
+  }
+
+(* Segment [s]'s rows as a batch — the one place a kept row is copied.  A
+   single batch passes through as it is (a heap stays aliased); several are
+   concatenated into one exactly-sized batch. *)
+let collect (p : pipe) s =
+  match p.feed s with
+  | Batches [ v ] -> v
+  | Batches vs -> Vec.concat vs
+  | Push f ->
+      let out = Vec.create () in
+      if p.transient then f (fun r -> Vec.push out (Array.copy r))
+      else f (Vec.push out);
+      out
+
+(* The pipeline's sink that keeps every row: one batch per segment. *)
+let materialize ctx (p : pipe) : result =
+  let rows = par_init ctx (collect p) in
+  p.close ();
+  { layout = p.layout; rows }
+
+(* ------------------------------------------------------------------ *)
 (* Layout plumbing and expression compilation                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,63 +370,70 @@ let root_oid_of ctx oid =
   | Some root -> root
   | None -> oid
 
-(* Zero-copy: the live heap batch.  Callers must not mutate it. *)
-let scan_physical ctx ~segment ~oid =
+(* Zero-copy: the live heap batch of leaf (or table) [oid], whose root the
+   caller knows.  Callers must not mutate it. *)
+let scan_physical ctx ~segment ~root ~oid =
   let rows = Mpp_storage.Storage.scan_vec ctx.storage ~segment ~oid in
-  Metrics.record_scan ctx.metrics.(segment) ~root_oid:(root_oid_of ctx oid)
-    ~part_oid:oid ~rows:(Vec.length rows);
+  Metrics.record_scan ctx.metrics.(segment) ~root_oid:root ~part_oid:oid
+    ~rows:(Vec.length rows);
   rows
 
 let table_width ctx oid =
   Mpp_catalog.Table.ncols (Mpp_catalog.Catalog.find_oid ctx.catalog oid)
 
-(* Take (and clear) the runtime-filter handoff slot; called at scan entry
-   on the coordinating domain, before any fan-out. *)
-let take_fused_rf ctx =
-  let rf = ctx.fused_rf in
-  ctx.fused_rf <- None;
-  rf
+(* A runtime join filter a [Runtime_filter] stage hands to the scan
+   directly beneath it, so the Bloom test runs inside the scan's row loop:
+   - [rf_make segment] is called once per segment inside the sink's task;
+     the returned closure owns per-segment scratch and counts dropped rows
+     into that segment's metrics shard;
+   - [rf_allowed] is the min-max summary intersected with the partition
+     index: the leaf OIDs that can possibly hold matching join keys.
+     A DynamicScan drops channel OIDs outside it without opening them. *)
+type scan_rf = {
+  rf_make : int -> row -> bool;
+  rf_allowed : (int, unit) Hashtbl.t option;
+}
 
-(* The scan-side composition of its own compiled filter with a fused
-   runtime-filter test: the Bloom test is the pre-predicate (it runs
-   first — a hash and a handful of bit probes, cheaper than most compiled
-   predicates and selective by construction). *)
-let compose_pred ~rf_test ~pred =
-  match (rf_test, pred) with
+(* The scan's row test: the runtime filter's Bloom test first (a hash and a
+   handful of bit probes, cheaper than most compiled predicates and
+   selective by construction), then the scan's own filter. *)
+let scan_pred ?rf ~segment pred =
+  match (rf, pred) with
   | None, p -> p
-  | Some t, None -> Some t
-  | Some t, Some p -> Some (fun row -> t row && p row)
+  | Some f, None -> Some (f.rf_make segment)
+  | Some f, Some p ->
+      let t = f.rf_make segment in
+      Some (fun row -> t row && p row)
 
-let exec_table_scan ctx ~rel ~table_oid ~filter ~guard =
-  let rf = take_fused_rf ctx in
+(* One segment's scan output over the heaps it read: without a test they
+   pass on as they are (aliased, never concatenated here). *)
+let heaps_feed test heaps =
+  match test with
+  | None -> Batches heaps
+  | Some p ->
+      Push (fun k -> List.iter (Vec.iter (fun r -> if p r then k r)) heaps)
+
+let stream_table_scan ctx ?rf ~rel ~table_oid ~filter ~guard () =
   let root = root_oid_of ctx table_oid in
-  let width = table_width ctx root in
-  let layout = [ (rel, width) ] in
+  let layout = [ (rel, table_width ctx root) ] in
   let pred = Option.map (compile_filter ctx layout) filter in
-  let rows =
-    par_init ctx (fun segment ->
-        let skipped =
-          match guard with
-          | None -> false
-          | Some part_scan_id ->
-              not (Channel.mem ctx.channel ~segment ~part_scan_id table_oid)
-        in
-        if skipped then Vec.create ()
-        else
-          let rf_test =
-            match rf with None -> None | Some f -> Some (f.rf_make segment)
-          in
-          let heap = scan_physical ctx ~segment ~oid:table_oid in
-          match compose_pred ~rf_test ~pred with
-          | None -> heap
-          | Some p -> Vec.filter p heap)
+  let feed segment =
+    let skipped =
+      match guard with
+      | None -> false
+      | Some part_scan_id ->
+          not (Channel.mem ctx.channel ~segment ~part_scan_id table_oid)
+    in
+    if skipped then Batches []
+    else
+      let test = scan_pred ?rf ~segment pred in
+      heaps_feed test [ scan_physical ctx ~segment ~root ~oid:table_oid ]
   in
-  { layout; rows }
+  { layout; transient = false; feed; close = ignore }
 
-let exec_dynamic_scan ctx ~rel ~part_scan_id ~root_oid ~filter =
-  let rf = take_fused_rf ctx in
-  let width = table_width ctx root_oid in
-  let layout = [ (rel, width) ] in
+(* The selected partition heaps, read one after another. *)
+let stream_dynamic_scan ctx ?rf ~rel ~part_scan_id ~root_oid ~filter () =
+  let layout = [ (rel, table_width ctx root_oid) ] in
   let pred = Option.map (compile_filter ctx layout) filter in
   (* the min-max ∩ partition-index elimination: channel OIDs outside the
      filter's possible key range are dropped without opening their heap —
@@ -378,32 +444,15 @@ let exec_dynamic_scan ctx ~rel ~part_scan_id ~root_oid ~filter =
         List.filter (Hashtbl.mem allowed) oids
     | _ -> oids
   in
-  let rows =
-    par_init ctx (fun segment ->
-        let oids =
-          restrict (Channel.consume ctx.channel ~segment ~part_scan_id)
-        in
-        let rf_test =
-          match rf with None -> None | Some f -> Some (f.rf_make segment)
-        in
-        match (oids, compose_pred ~rf_test ~pred) with
-        | [ oid ], None ->
-            (* single selected partition, no filter: alias its heap *)
-            scan_physical ctx ~segment ~oid
-        | oids, None ->
-            (* no filter: exactly-sized concatenation of the partition
-               heaps, one allocation *)
-            Vec.concat
-              (List.map (fun oid -> scan_physical ctx ~segment ~oid) oids)
-        | oids, Some p ->
-            let out = Vec.create () in
-            List.iter
-              (fun oid ->
-                Vec.filter_into ~dst:out p (scan_physical ctx ~segment ~oid))
-              oids;
-            out)
+  let feed segment =
+    let oids = restrict (Channel.consume ctx.channel ~segment ~part_scan_id) in
+    let test = scan_pred ?rf ~segment pred in
+    heaps_feed test
+      (List.map
+         (fun oid -> scan_physical ctx ~segment ~root:root_oid ~oid)
+         oids)
   in
-  { layout; rows }
+  { layout; transient = false; feed; close = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Partition selection                                                 *)
@@ -731,36 +780,36 @@ let rf_allowed_oids ctx ~root_oid ~rel keys mf =
 (* ------------------------------------------------------------------ *)
 
 (* Split an equi-join predicate into hashable key pairs (left expr, right
-   expr) plus a residual predicate. *)
-let equi_keys ~left_rels ~right_rels pred =
-  let refs_only rels e =
-    List.for_all (fun r -> List.mem r rels) (Expr.rels e)
+   expr) plus a residual predicate.  A key side references only the left
+   (build) relations, its partner none of them: the probe side's relations
+   are not needed, so the build runs before the probe side is opened. *)
+let equi_keys ~left_rels pred =
+  let left_only e = List.for_all (fun r -> List.mem r left_rels) (Expr.rels e)
+  and no_left e =
+    not (List.exists (fun r -> List.mem r left_rels) (Expr.rels e))
   in
   let keys, residual =
     List.fold_left
       (fun (keys, residual) c ->
         match c with
-        | Expr.Cmp (Expr.Eq, a, b)
-          when refs_only left_rels a && refs_only right_rels b ->
+        | Expr.Cmp (Expr.Eq, a, b) when left_only a && no_left b ->
             ((a, b) :: keys, residual)
-        | Expr.Cmp (Expr.Eq, a, b)
-          when refs_only right_rels a && refs_only left_rels b ->
+        | Expr.Cmp (Expr.Eq, a, b) when no_left a && left_only b ->
             ((b, a) :: keys, residual)
         | c -> (keys, c :: residual))
       ([], []) (Expr.conjuncts pred)
   in
   (List.rev keys, List.rev residual)
 
-let null_row width = Array.make width Value.Null
-
 let has_null keys = Array.exists Value.is_null keys
 
 (* A join's per-segment build-side index.  Build rows with equal keys form
    a chain through [next] (-1 ends it), headed by the table entry; rows are
-   linked back to front, so a chain walks ascending build order.  [first]
-   is the head of the probe row's chain (-1: no match, including a NULL
-   key); [mem] is the semi-join witness test. *)
-type join_index = { next : int array; first : row -> int; mem : row -> bool }
+   linked back to front, so a chain walks ascending build order.  Without
+   an equi-key (nested loop) one chain runs through every build row. *)
+type join_table = Chain_all | Tbl1 of int Key1.t | TblN of int KeyN.t
+
+type join_index = { build : row Vec.t; next : int array; table : join_table }
 
 (* Insert build row [bi] (visited back to front) at the head of its key's
    chain.  Shared by the one-key and the many-key table. *)
@@ -771,146 +820,163 @@ let chain_insert ~find ~replace ~add next key bi =
       replace key bi
   | exception Not_found -> add key bi
 
-let build_index (lkeys : (row -> Value.t) array)
-    (rkeys : (row -> Value.t) array) (build : row Vec.t) : join_index =
+let build_index (lkeys : (row -> Value.t) array) (build : row Vec.t) :
+    join_index =
   let n = Vec.length build in
   let next = Array.make n (-1) in
-  match (lkeys, rkeys) with
-  | [||], _ ->
-      (* no equi-key (nested loop): one chain through every build row *)
-      for bi = 0 to n - 2 do
-        next.(bi) <- bi + 1
-      done;
-      let first _ = if n > 0 then 0 else -1 in
-      { next; first; mem = (fun _ -> n > 0) }
-  | [| lk |], [| rk |] ->
-      let tbl = Key1.create (max 16 n) in
-      let insert =
-        chain_insert ~find:(Key1.find tbl) ~replace:(Key1.replace tbl)
-          ~add:(Key1.add tbl) next
-      in
-      for bi = n - 1 downto 0 do
-        match lk (Vec.unsafe_get build bi) with
-        | Value.Null -> ()
-        | k -> insert k bi
-      done;
-      let first prow =
+  let table =
+    match lkeys with
+    | [||] ->
+        for bi = 0 to n - 2 do
+          next.(bi) <- bi + 1
+        done;
+        Chain_all
+    | [| lk |] ->
+        let tbl = Key1.create (max 16 n) in
+        let insert =
+          chain_insert ~find:(Key1.find tbl) ~replace:(Key1.replace tbl)
+            ~add:(Key1.add tbl) next
+        in
+        for bi = n - 1 downto 0 do
+          match lk (Vec.unsafe_get build bi) with
+          | Value.Null -> ()
+          | k -> insert k bi
+        done;
+        Tbl1 tbl
+    | _ ->
+        let tbl = KeyN.create (max 16 n) in
+        let insert =
+          chain_insert ~find:(KeyN.find tbl) ~replace:(KeyN.replace tbl)
+            ~add:(KeyN.add tbl) next
+        in
+        for bi = n - 1 downto 0 do
+          let brow = Vec.unsafe_get build bi in
+          let k = Array.map (fun f -> f brow) lkeys in
+          if not (has_null k) then insert k bi
+        done;
+        TblN tbl
+  in
+  { build; next; table }
+
+(* One segment's probe: the head of the probe row's chain, -1 when no build
+   row matches (a NULL key included).  Many-key probes go through one
+   scratch tuple that lookups never retain. *)
+let probe_first ix (rkeys : (row -> Value.t) array) : row -> int =
+  match ix.table with
+  | Chain_all ->
+      let head = if Vec.length ix.build > 0 then 0 else -1 in
+      fun _ -> head
+  | Tbl1 tbl -> (
+      let rk = rkeys.(0) in
+      fun prow ->
         match rk prow with
         | Value.Null -> -1
-        | k -> ( try Key1.find tbl k with Not_found -> -1)
-      in
-      let mem prow =
-        match rk prow with Value.Null -> false | k -> Key1.mem tbl k
-      in
-      { next; first; mem }
-  | _ ->
-      let nkeys = Array.length lkeys in
-      let tbl = KeyN.create (max 16 n) in
-      let insert =
-        chain_insert ~find:(KeyN.find tbl) ~replace:(KeyN.replace tbl)
-          ~add:(KeyN.add tbl) next
-      in
-      for bi = n - 1 downto 0 do
-        let brow = Vec.unsafe_get build bi in
-        let k = Array.map (fun f -> f brow) lkeys in
-        if not (has_null k) then insert k bi
-      done;
-      (* probe keys go through one scratch tuple: lookups never retain it *)
+        | k -> ( try Key1.find tbl k with Not_found -> -1))
+  | TblN tbl ->
+      let nkeys = Array.length rkeys in
       let scratch = Array.make nkeys Value.Null in
-      let probe_key prow =
+      fun prow ->
         for i = 0 to nkeys - 1 do
           scratch.(i) <- rkeys.(i) prow
         done;
-        not (has_null scratch)
-      in
-      let first prow =
-        if probe_key prow then try KeyN.find tbl scratch with Not_found -> -1
-        else -1
-      in
-      let mem prow = probe_key prow && KeyN.mem tbl scratch in
-      { next; first; mem }
+        if has_null scratch then -1
+        else try KeyN.find tbl scratch with Not_found -> -1
 
-let exec_join ctx ~kind ~pred ~(left : result) ~(right : result) ~hash =
-  let layout =
-    match kind with
-    | Plan.Semi -> right.layout
-    | Plan.Inner | Plan.Left_outer -> left.layout @ right.layout
-  in
-  let joined_layout = left.layout @ right.layout in
-  let left_rels = List.map fst left.layout
-  and right_rels = List.map fst right.layout in
-  let keys, residual =
-    if hash then equi_keys ~left_rels ~right_rels pred else ([], [ pred ])
-  in
-  let residual_pred = Expr.conj residual in
-  (* compiled once per join: key extractors over each side's layout, the
-     residual over the concatenated layout *)
-  let lkey_fns =
+(* The build side, run to completion in the join's own fan-out: every
+   segment's build rows and index. *)
+let join_build ctx ~keys (left : pipe) =
+  let lkeys =
     Array.of_list (List.map (fun (a, _) -> compile_expr ctx left.layout a) keys)
-  and rkey_fns =
+  in
+  let ix = par_init ctx (fun s -> build_index lkeys (collect left s)) in
+  left.close ();
+  ix
+
+(* The probe side streams through the segment's index.  Inner and left-outer
+   output goes into one per-segment scratch row ([transient]): the probe
+   row is copied in once, each matching build row beside it.  A semi join
+   passes its probe rows on (its residual, if any, is tested on the
+   scratch row). *)
+let stream_join ctx ~kind ~keys ~residual ~(left_layout : (int * int) list)
+    (ixs : join_index array) (right : pipe) : pipe =
+  let joined = left_layout @ right.layout in
+  let rkeys =
     Array.of_list
       (List.map (fun (_, b) -> compile_expr ctx right.layout b) keys)
   in
+  let residual_pred = Expr.conj residual in
   let residual_fn =
     if Expr.equal residual_pred Expr.true_ then None
-    else Some (compile_filter ctx joined_layout residual_pred)
+    else Some (compile_filter ctx joined residual_pred)
   in
-  let rwidth = layout_width right.layout in
-  let rows =
-    par_init ctx (fun seg ->
-        let build = left.rows.(seg) and probe = right.rows.(seg) in
-        let nbuild = Vec.length build in
-        let ix = build_index lkey_fns rkey_fns build in
-        let next = ix.next in
-        let out = Vec.create () in
-        match (kind, residual_fn) with
-        | Plan.Semi, None ->
-            (* probe-row emission only needs a match witness — no
-               concatenated row is ever materialized *)
-            Vec.iter (fun prow -> if ix.mem prow then Vec.push out prow) probe;
-            out
-        | Plan.Semi, Some f ->
-            Vec.iter
+  let lw = layout_width left_layout and rw = layout_width right.layout in
+  let feed s =
+    let ix = ixs.(s) in
+    let first = probe_first ix rkeys and src = right.feed s in
+    let build = ix.build and next = ix.next in
+    let out = Array.make (lw + rw) Value.Null in
+    match (kind, residual_fn) with
+    | Plan.Semi, None ->
+        Push
+          (fun k -> iter_feed (fun prow -> if first prow >= 0 then k prow) src)
+    | Plan.Semi, Some f ->
+        Push
+          (fun k ->
+            iter_feed
               (fun prow ->
-                let rec witness bi =
-                  bi >= 0
-                  && (f (Array.append (Vec.unsafe_get build bi) prow)
-                     || witness next.(bi))
-                in
-                if witness (ix.first prow) then Vec.push out prow)
-              probe;
-            out
-        | (Plan.Inner | Plan.Left_outer), _ ->
-            (* matched-build tracking by INDEX, not by row value: duplicate
-               identical build rows each keep their own outer-join status *)
-            let outer = kind = Plan.Left_outer in
-            let matched =
-              if outer then Bytes.make nbuild '\000' else Bytes.empty
-            in
-            Vec.iter
+                let bi = ref (first prow) in
+                if !bi >= 0 then Array.blit prow 0 out lw rw;
+                while
+                  !bi >= 0
+                  &&
+                  (Array.blit (Vec.unsafe_get build !bi) 0 out 0 lw;
+                   not (f out))
+                do
+                  bi := next.(!bi)
+                done;
+                if !bi >= 0 then k prow)
+              src)
+    | (Plan.Inner | Plan.Left_outer), _ ->
+        (* matched-build tracking by INDEX, not by row value: duplicate
+           identical build rows each keep their own outer-join status *)
+        let outer = kind = Plan.Left_outer in
+        let matched =
+          if outer then Bytes.make (Vec.length build) '\000' else Bytes.empty
+        in
+        Push
+          (fun k ->
+            iter_feed
               (fun prow ->
-                let bi = ref (ix.first prow) in
+                let bi = ref (first prow) in
+                if !bi >= 0 then Array.blit prow 0 out lw rw;
                 while !bi >= 0 do
-                  let jrow = Array.append (Vec.unsafe_get build !bi) prow in
-                  if match residual_fn with None -> true | Some f -> f jrow
+                  Array.blit (Vec.unsafe_get build !bi) 0 out 0 lw;
+                  if match residual_fn with None -> true | Some f -> f out
                   then begin
-                    Vec.push out jrow;
-                    if outer then Bytes.set matched !bi '\001'
+                    if outer then Bytes.set matched !bi '\001';
+                    k out
                   end;
                   bi := next.(!bi)
                 done)
-              probe;
-            (* Left_outer with left = preserved side: emit unmatched build
-               rows padded with NULLs. *)
-            if outer then
-              for bi = 0 to nbuild - 1 do
-                if Bytes.get matched bi = '\000' then
-                  Vec.push out
-                    (Array.append (Vec.unsafe_get build bi) (null_row rwidth))
-              done;
-            out)
+              src;
+            (* Left_outer with left = preserved side: the unmatched build
+               rows, padded with NULLs *)
+            if outer then begin
+              Array.fill out lw rw Value.Null;
+              for bi = 0 to Vec.length build - 1 do
+                if Bytes.get matched bi = '\000' then begin
+                  Array.blit (Vec.unsafe_get build bi) 0 out 0 lw;
+                  k out
+                end
+              done
+            end)
   in
-  { layout; rows }
+  match kind with
+  | Plan.Semi ->
+      { layout = right.layout; transient = right.transient; feed;
+        close = right.close }
+  | Plan.Inner | Plan.Left_outer ->
+      { layout = joined; transient = true; feed; close = right.close }
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
@@ -987,7 +1053,7 @@ let agg_result i (f : Plan.agg_fun) (g : group) : Value.t =
       else Value.Float (g.fsum.(i) /. float_of_int g.cnt.(i))
   | Plan.Min _ | Plan.Max _ -> g.ext.(i)
 
-let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
+let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : pipe) =
   let ngroup = List.length group_by in
   let out_width = ngroup + List.length aggs in
   let layout = [ (output_rel, out_width) ] in
@@ -1019,7 +1085,7 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
       ext = Array.make ext_slots Value.Null;
     }
   in
-  let feed g r =
+  let add_row g r =
     g.nrows <- g.nrows + 1;
     for i = 0 to nfeeders - 1 do
       (Array.unsafe_get feeders i) g r
@@ -1035,7 +1101,7 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
   in
   let rows =
     par_init ctx (fun segment ->
-        let seg_rows = child.rows.(segment) in
+        let src = child.feed segment in
         let out = Vec.create () in
         (match key_fns with
         | [||] ->
@@ -1044,13 +1110,13 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
                segment only — the final aggregate runs above a Gather, so
                this is the master's row. *)
             let g = new_group () in
-            Vec.iter (feed g) seg_rows;
+            iter_feed (add_row g) src;
             if g.nrows > 0 || segment = 0 then emit out [||] g
         | [| kf |] ->
             let groups = Key1.create 64 in
             (* groups in first-seen order *)
             let order = Vec.create () in
-            Vec.iter
+            iter_feed
               (fun r ->
                 let k = kf r in
                 let g =
@@ -1061,14 +1127,14 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
                     Vec.push order ([| k |], g);
                     g
                 in
-                feed g r)
-              seg_rows;
+                add_row g r)
+              src;
             Vec.iter (fun (k, g) -> emit out k g) order
         | _ ->
             let groups = KeyN.create 64 in
             let order = Vec.create () in
             let scratch = Array.make ngroup Value.Null in
-            Vec.iter
+            iter_feed
               (fun r ->
                 for i = 0 to ngroup - 1 do
                   scratch.(i) <- key_fns.(i) r
@@ -1081,11 +1147,12 @@ let exec_agg ctx ~group_by ~aggs ~output_rel ~(child : result) =
                     Vec.push order (k, g);
                     g
                 in
-                feed g r)
-              seg_rows;
+                add_row g r)
+              src;
             Vec.iter (fun (k, g) -> emit out k g) order);
         out)
   in
+  child.close ();
   { layout; rows }
 
 (* ------------------------------------------------------------------ *)
@@ -1265,114 +1332,286 @@ let channel_oid_count ctx ~part_scan_id =
 let nparts_of_root ctx root_oid =
   Mpp_catalog.Table.nparts (Mpp_catalog.Catalog.find_oid ctx.catalog root_oid)
 
-let rec exec_at ctx id (plan : Plan.t) : result =
-  match ctx.stats with
-  | None ->
-      if not (Trace.enabled ctx.trace) then exec_node ctx id plan
-      else begin
-        (* trace without stats: per-node and per-segment events only *)
-        let prev_node = ctx.cur_node and prev_label = ctx.cur_label in
-        ctx.cur_node <- id;
-        ctx.cur_label <- Plan.describe plan;
-        let t0 = Trace.now ctx.trace in
-        let finally () =
-          ctx.cur_node <- prev_node;
-          ctx.cur_label <- prev_label
-        in
-        let r = Fun.protect ~finally (fun () -> exec_node ctx id plan) in
-        Trace.emit ctx.trace ~tid:coordinator_tid ~cat:"node"
-          ~name:(Plan.describe plan)
-          ~args:[ ("node", Mpp_obs.Json.Int id) ]
-          ~start:t0 ~stop:(Trace.now ctx.trace) ();
-        r
-      end
-  | Some st ->
-      let n = Node_stats.node st id in
-      let prev_node = ctx.cur_node and prev_label = ctx.cur_label in
-      let traced = Trace.enabled ctx.trace in
-      ctx.cur_node <- id;
-      if traced then ctx.cur_label <- Plan.describe plan;
-      let tr0 = if traced then Trace.now ctx.trace else 0.0 in
-      let t0 = Node_stats.time st in
-      let r =
-        Fun.protect
-          ~finally:(fun () ->
-            ctx.cur_node <- prev_node;
-            ctx.cur_label <- prev_label)
-          (fun () -> exec_node ctx id plan)
-      in
-      n.Node_stats.time_s <-
-        n.Node_stats.time_s +. (Node_stats.time st -. t0);
-      n.Node_stats.invocations <- n.Node_stats.invocations + 1;
-      let emitted =
-        Array.fold_left (fun acc v -> acc + Vec.length v) 0 r.rows
-      in
-      n.Node_stats.rows <- n.Node_stats.rows + emitted;
-      (* per-segment rows, recorded here on the coordinating domain from
-         the per-segment output batches: deterministic, so serial and
-         parallel runs agree — the skew ratio's raw signal *)
-      let nseg_arr = Array.length n.Node_stats.seg_rows in
-      Array.iteri
-        (fun s v ->
-          if s < nseg_arr then
-            n.Node_stats.seg_rows.(s) <-
-              n.Node_stats.seg_rows.(s) + Vec.length v)
-        r.rows;
-      if traced then
-        Trace.emit ctx.trace ~tid:coordinator_tid ~cat:"node"
-          ~name:(Plan.describe plan)
-          ~args:
-            [
-              ("node", Mpp_obs.Json.Int id);
-              ("rows", Mpp_obs.Json.Int emitted);
-            ]
-          ~start:tr0 ~stop:(Trace.now ctx.trace) ();
-      (match plan with
-      | Plan.Dynamic_scan { part_scan_id; root_oid; _ } ->
-          n.Node_stats.parts_scanned <- channel_oid_count ctx ~part_scan_id;
-          n.Node_stats.parts_total <- nparts_of_root ctx root_oid
-      | Plan.Partition_selector { part_scan_id; root_oid; _ } ->
-          n.Node_stats.parts_selected <- channel_oid_count ctx ~part_scan_id;
-          n.Node_stats.parts_total <- nparts_of_root ctx root_oid
-      | Plan.Table_scan { table_oid; guard; _ } ->
-          (* a per-leaf scan (Planner expansion) reads its one partition; a
-             guarded one only when its OID was pushed on some segment *)
-          let root = root_oid_of ctx table_oid in
-          if guard <> None || root <> table_oid then begin
-            let scanned =
-              match guard with
-              | None -> true
-              | Some gid ->
-                  let hit = ref false in
-                  for segment = 0 to nsegments ctx - 1 do
-                    if
-                      Channel.mem ctx.channel ~segment ~part_scan_id:gid
-                        table_oid
-                    then hit := true
-                  done;
-                  !hit
-            in
-            n.Node_stats.parts_scanned <- (if scanned then 1 else 0);
-            n.Node_stats.parts_total <- nparts_of_root ctx root
-          end
-      | Plan.Motion _ ->
-          (* every motion kind emits exactly the rows it moved: Gather and
-             Redistribute forward each row once, Broadcast emits one copy
-             per segment, Gather_one reads a single replica *)
-          n.Node_stats.tuples_moved <- n.Node_stats.tuples_moved + emitted
-      | _ -> ());
-      r
+(* Operators that stream: each opens as a {!pipe} and runs inside the
+   fan-out of the breaker above it.  Every other operator is a pipeline
+   breaker and builds its per-segment batches. *)
+let streams = function
+  | Plan.Table_scan _ | Plan.Dynamic_scan _ | Plan.Filter _ | Plan.Project _
+  | Plan.Sequence _ | Plan.Append _ | Plan.Hash_join _ | Plan.Nl_join _
+  | Plan.Runtime_filter _ ->
+      true
+  | Plan.Partition_selector _ | Plan.Agg _ | Plan.Sort _ | Plan.Limit _
+  | Plan.Motion _ | Plan.Update _ | Plan.Delete _ | Plan.Insert _
+  | Plan.Runtime_filter_build _ ->
+      false
 
-and exec_node ctx id (plan : Plan.t) : result =
-  let kid =
-    let ids = child_ids id plan in
-    fun i c -> exec_at ctx (List.nth ids i) c
+(* One execution of node [n]: the rows it emitted on each segment, and its
+   partition and Motion counts.  Returns the rows emitted in total. *)
+let record_node ctx (n : Node_stats.node) (plan : Plan.t) seg_rows =
+  let emitted = Array.fold_left ( + ) 0 seg_rows in
+  n.Node_stats.rows <- n.Node_stats.rows + emitted;
+  let nseg_arr = Array.length n.Node_stats.seg_rows in
+  Array.iteri
+    (fun s v ->
+      if s < nseg_arr then
+        n.Node_stats.seg_rows.(s) <- n.Node_stats.seg_rows.(s) + v)
+    seg_rows;
+  (match plan with
+  | Plan.Dynamic_scan { part_scan_id; root_oid; _ } ->
+      n.Node_stats.parts_scanned <- channel_oid_count ctx ~part_scan_id;
+      n.Node_stats.parts_total <- nparts_of_root ctx root_oid
+  | Plan.Partition_selector { part_scan_id; root_oid; _ } ->
+      n.Node_stats.parts_selected <- channel_oid_count ctx ~part_scan_id;
+      n.Node_stats.parts_total <- nparts_of_root ctx root_oid
+  | Plan.Table_scan { table_oid; guard; _ } ->
+      (* a per-leaf scan (Planner expansion) reads its one partition; a
+         guarded one only when its OID was pushed on some segment *)
+      let root = root_oid_of ctx table_oid in
+      if guard <> None || root <> table_oid then begin
+        let scanned =
+          match guard with
+          | None -> true
+          | Some gid ->
+              let hit = ref false in
+              for segment = 0 to nsegments ctx - 1 do
+                if
+                  Channel.mem ctx.channel ~segment ~part_scan_id:gid table_oid
+                then hit := true
+              done;
+              !hit
+        in
+        n.Node_stats.parts_scanned <- (if scanned then 1 else 0);
+        n.Node_stats.parts_total <- nparts_of_root ctx root
+      end
+  | Plan.Motion _ ->
+      (* every motion kind emits exactly the rows it moved: Gather and
+         Redistribute forward each row once, Broadcast emits one copy
+         per segment, Gather_one reads a single replica *)
+      n.Node_stats.tuples_moved <- n.Node_stats.tuples_moved + emitted
+  | _ -> ());
+  emitted
+
+(* Node [id]'s coordinator-side work [f], profiled: per-segment fan-outs
+   inside [f] are charged to [id], its inclusive time and one invocation go
+   to its record, and [finish rows] emits its trace event over the same
+   span ([rows]: [None] without statistics). *)
+let profiled ctx id plan f =
+  let traced = Trace.enabled ctx.trace in
+  let n = Option.map (fun st -> Node_stats.node st id) ctx.stats in
+  let prev_node = ctx.cur_node and prev_label = ctx.cur_label in
+  ctx.cur_node <- id;
+  if traced then ctx.cur_label <- Plan.describe plan;
+  let tr0 = if traced then Trace.now ctx.trace else 0.0 in
+  let t0 = match ctx.stats with Some st -> Node_stats.time st | None -> 0.0 in
+  let x =
+    Fun.protect
+      ~finally:(fun () ->
+        ctx.cur_node <- prev_node;
+        ctx.cur_label <- prev_label)
+      f
+  in
+  (match (ctx.stats, n) with
+  | Some st, Some n ->
+      n.Node_stats.time_s <- n.Node_stats.time_s +. (Node_stats.time st -. t0);
+      n.Node_stats.invocations <- n.Node_stats.invocations + 1
+  | _ -> ());
+  let tr1 = if traced then Trace.now ctx.trace else 0.0 in
+  let finish rows =
+    if traced then
+      Trace.emit ctx.trace ~tid:coordinator_tid ~cat:"node"
+        ~name:(Plan.describe plan)
+        ~args:
+          (("node", Mpp_obs.Json.Int id)
+          ::
+          (match rows with
+          | Some r -> [ ("rows", Mpp_obs.Json.Int r) ]
+          | None -> []))
+        ~start:tr0 ~stop:tr1 ()
+  in
+  (x, n, finish)
+
+let unprofiled ctx =
+  Option.is_none ctx.stats && not (Trace.enabled ctx.trace)
+
+(* A pipeline breaker's per-segment batches. *)
+let rec exec_at ctx id (plan : Plan.t) : result =
+  if unprofiled ctx then exec_node ctx id plan
+  else begin
+    let r, n, finish = profiled ctx id plan (fun () -> exec_node ctx id plan) in
+    finish
+      (Option.map
+         (fun n -> record_node ctx n plan (Array.map Vec.length r.rows))
+         n);
+    r
+  end
+
+(* Open node [id] as a pipeline stage; a breaker's batches stream on.  A
+   streamed node's time is its opening (a join's includes its build); the
+   time its rows take is its sink's.  Its rows are counted as they pass,
+   per segment (slot [s] is written only by segment [s]'s task), and
+   recorded once the sink's fan-out is over. *)
+and stream ?rf ctx id (plan : Plan.t) : pipe =
+  if not (streams plan) then of_result (exec_at ctx id plan)
+  else if unprofiled ctx then stream_node ?rf ctx id plan
+  else
+    let p, n, finish =
+      profiled ctx id plan (fun () -> stream_node ?rf ctx id plan)
+    in
+    match n with
+    | None ->
+        finish None;
+        p
+    | Some n ->
+        let counts = Array.make (nsegments ctx) 0 in
+        {
+          p with
+          feed =
+            (fun s ->
+              match p.feed s with
+              | Batches vs as b ->
+                  List.iter
+                    (fun v -> counts.(s) <- counts.(s) + Vec.length v)
+                    vs;
+                  b
+              | Push f ->
+                  Push
+                    (fun k ->
+                      f (fun r ->
+                          counts.(s) <- counts.(s) + 1;
+                          k r)));
+          close =
+            (fun () ->
+              p.close ();
+              finish (Some (record_node ctx n plan counts)));
+        }
+
+(* Node [id]'s per-segment batches, whether it streams or not. *)
+and input ctx id (plan : Plan.t) : result =
+  if streams plan then materialize ctx (stream ctx id plan)
+  else exec_at ctx id plan
+
+and stream_node ?rf ctx id (plan : Plan.t) : pipe =
+  let ids = child_ids id plan in
+  let kid ?rf i c = stream ?rf ctx (List.nth ids i) c in
+  let join ~hash ~kind ~pred left right =
+    let l = kid 0 left in
+    let keys, residual =
+      if hash then equi_keys ~left_rels:(List.map fst l.layout) pred
+      else ([], [ pred ])
+    in
+    let ixs = join_build ctx ~keys l in
+    let r = kid 1 right in
+    stream_join ctx ~kind ~keys ~residual ~left_layout:l.layout ixs r
   in
   match plan with
   | Plan.Table_scan { rel; table_oid; filter; guard } ->
-      exec_table_scan ctx ~rel ~table_oid ~filter ~guard
+      stream_table_scan ctx ?rf ~rel ~table_oid ~filter ~guard ()
   | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } ->
-      exec_dynamic_scan ctx ~rel ~part_scan_id ~root_oid ~filter
+      stream_dynamic_scan ctx ?rf ~rel ~part_scan_id ~root_oid ~filter ()
+  | Plan.Sequence children ->
+      (* every child but the last runs to completion first, for its side
+         effects (a selector's pushes) *)
+      let rec go i = function
+        | [] -> of_result { layout = []; rows = empty_rows ctx }
+        | [ last ] -> kid i last
+        | c :: rest ->
+            ignore (input ctx (List.nth ids i) c);
+            go (i + 1) rest
+      in
+      go 0 children
+  | Plan.Filter { pred; child } ->
+      let c = kid 0 child in
+      let p = compile_filter ctx c.layout pred in
+      filter_stage c (fun _ -> p)
+  | Plan.Project { exprs; child } ->
+      let c = kid 0 child in
+      let fns =
+        Array.of_list
+          (List.map (fun (_, e) -> compile_expr ctx c.layout e) exprs)
+      in
+      let n = Array.length fns in
+      {
+        layout = [ (-1, n) ];
+        transient = true;
+        close = c.close;
+        feed =
+          (fun s ->
+            let src = c.feed s and out = Array.make n Value.Null in
+            Push
+              (fun k ->
+                iter_feed
+                  (fun r ->
+                    for i = 0 to n - 1 do
+                      out.(i) <- fns.(i) r
+                    done;
+                    k out)
+                  src));
+      }
+  | Plan.Hash_join { kind; pred; left; right } ->
+      join ~hash:true ~kind ~pred left right
+  | Plan.Nl_join { kind; pred; left; right } ->
+      join ~hash:false ~kind ~pred left right
+  | Plan.Runtime_filter { rf_id; keys; at_motion; child } -> (
+      (* resolved on the coordinating domain, after the build subtree's
+         parallel sections completed (the consumer sits on the probe
+         side, which opens strictly after the build side ran) *)
+      let merged =
+        if ctx.runtime_filters then Channel.merged_filter ctx.channel ~rf_id
+        else None
+      in
+      match merged with
+      | None -> kid 0 child
+      | Some mf -> (
+          let scan_rf layout rf_allowed =
+            { rf_make = rf_make_test ctx ~at_motion mf layout keys; rf_allowed }
+          in
+          match child with
+          | Plan.Table_scan { rel; table_oid; _ } ->
+              (* the scan runs the test in its row loop *)
+              let width = table_width ctx (root_oid_of ctx table_oid) in
+              kid ~rf:(scan_rf [ (rel, width) ] None) 0 child
+          | Plan.Dynamic_scan { rel; root_oid; _ } ->
+              (* and intersects the filter's min-max summary with the
+                 partition index to drop whole leaves — partition-level
+                 elimination, so it honors the selection-disabled ablation
+                 like the selectors do *)
+              let allowed =
+                if ctx.selection_enabled then
+                  rf_allowed_oids ctx ~root_oid ~rel keys mf
+                else None
+              in
+              kid ~rf:(scan_rf [ (rel, table_width ctx root_oid) ] allowed) 0
+                child
+          | _ ->
+              let c = kid 0 child in
+              filter_stage c (rf_make_test ctx ~at_motion mf c.layout keys)))
+  | Plan.Append children -> (
+      match List.mapi kid children with
+      | [] -> of_result { layout = []; rows = empty_rows ctx }
+      | first :: _ as cs ->
+          {
+            layout = first.layout;
+            transient = List.exists (fun c -> c.transient) cs;
+            feed =
+              (fun s ->
+                (* children's batches stay batches: a breaker above
+                   concatenates the partitions of a Planner expansion once *)
+                let fs = List.map (fun c -> c.feed s) cs in
+                let batches = function Batches vs -> vs | Push _ -> [] in
+                if List.for_all (function Batches _ -> true | _ -> false) fs
+                then Batches (List.concat_map batches fs)
+                else Push (fun k -> List.iter (iter_feed k) fs));
+            close = (fun () -> List.iter (fun c -> c.close ()) cs);
+          })
+  | Plan.Partition_selector _ | Plan.Agg _ | Plan.Sort _ | Plan.Limit _
+  | Plan.Motion _ | Plan.Update _ | Plan.Delete _ | Plan.Insert _
+  | Plan.Runtime_filter_build _ ->
+      invalid_arg "Exec.stream_node: a pipeline breaker"
+
+and exec_node ctx id (plan : Plan.t) : result =
+  let ids = child_ids id plan in
+  let kid i c = input ctx (List.nth ids i) c in
+  match plan with
   | Plan.Partition_selector
       { part_scan_id; root_oid; keys; predicates; child = None } ->
       let selectors = compile_selector ctx ~keys ~predicates in
@@ -1384,43 +1623,10 @@ and exec_node ctx id (plan : Plan.t) : result =
       let selectors = compile_selector ctx ~keys ~predicates in
       run_streaming_selection ctx ~part_scan_id ~root_oid ~keys selectors child;
       child
-  | Plan.Sequence children ->
-      let rec go i last = function
-        | [] -> (
-            match last with
-            | Some r -> r
-            | None -> { layout = []; rows = empty_rows ctx })
-        | c :: rest -> go (i + 1) (Some (kid i c)) rest
-      in
-      go 0 None children
-  | Plan.Filter { pred; child } ->
-      let r = kid 0 child in
-      let p = compile_filter ctx r.layout pred in
-      { r with rows = par_init ctx (fun seg -> Vec.filter p r.rows.(seg)) }
-  | Plan.Project { exprs; child } ->
-      let r = kid 0 child in
-      let layout = [ (-1, List.length exprs) ] in
-      let fns =
-        Array.of_list
-          (List.map (fun (_, e) -> compile_expr ctx r.layout e) exprs)
-      in
-      {
-        layout;
-        rows =
-          par_init ctx (fun seg ->
-              Vec.map (fun row -> Array.map (fun f -> f row) fns) r.rows.(seg));
-      }
-  | Plan.Hash_join { kind; pred; left; right } ->
-      let l = kid 0 left in
-      let r = kid 1 right in
-      exec_join ctx ~kind ~pred ~left:l ~right:r ~hash:true
-  | Plan.Nl_join { kind; pred; left; right } ->
-      let l = kid 0 left in
-      let r = kid 1 right in
-      exec_join ctx ~kind ~pred ~left:l ~right:r ~hash:false
   | Plan.Agg { group_by; aggs; child; output_rel } ->
-      let r = kid 0 child in
-      exec_agg ctx ~group_by ~aggs ~output_rel ~child:r
+      (* consumes its input as it streams: no batch below an aggregate *)
+      exec_agg ctx ~group_by ~aggs ~output_rel
+        ~child:(stream ctx (List.hd ids) child)
   | Plan.Sort { keys; child } ->
       let r = kid 0 child in
       let fns = List.map (compile_expr ctx r.layout) keys in
@@ -1471,65 +1677,6 @@ and exec_node ctx id (plan : Plan.t) : result =
         let check_against = if ctx.verify then Some child else None in
         exec_rf_build ctx ~rf_id ~keys ~rows_est ?check_against r
       else r
-  | Plan.Runtime_filter { rf_id; keys; at_motion; child } -> (
-      if not ctx.runtime_filters then kid 0 child
-      else
-        (* resolved on the coordinating domain, after the build subtree's
-           parallel sections completed (the consumer sits on the probe
-           side, which executes strictly after the build side) *)
-        match Channel.merged_filter ctx.channel ~rf_id with
-        | None -> kid 0 child
-        | Some mf -> (
-            match child with
-            | Plan.Table_scan { rel; table_oid; _ } ->
-                (* fuse into the scan's row loop as a pre-predicate *)
-                let width = table_width ctx (root_oid_of ctx table_oid) in
-                ctx.fused_rf <-
-                  Some
-                    {
-                      rf_make =
-                        rf_make_test ctx ~at_motion mf [ (rel, width) ] keys;
-                      rf_allowed = None;
-                    };
-                kid 0 child
-            | Plan.Dynamic_scan { rel; root_oid; _ } ->
-                (* fuse the row test, and intersect the filter's min-max
-                   summary with the partition index to drop whole leaves —
-                   partition-level elimination, so it honors the
-                   selection-disabled ablation like the selectors do *)
-                let width = table_width ctx root_oid in
-                ctx.fused_rf <-
-                  Some
-                    {
-                      rf_make =
-                        rf_make_test ctx ~at_motion mf [ (rel, width) ] keys;
-                      rf_allowed =
-                        (if ctx.selection_enabled then
-                           rf_allowed_oids ctx ~root_oid ~rel keys mf
-                         else None);
-                    };
-                kid 0 child
-            | _ ->
-                (* standalone: filter the child's batches in place *)
-                let r = kid 0 child in
-                let test = rf_make_test ctx ~at_motion mf r.layout keys in
-                {
-                  r with
-                  rows =
-                    par_init ctx (fun seg ->
-                        Vec.filter (test seg) r.rows.(seg));
-                }))
-  | Plan.Append children ->
-      let results = List.mapi kid children in
-      (match results with
-      | [] -> { layout = []; rows = empty_rows ctx }
-      | first :: _ ->
-          {
-            layout = first.layout;
-            rows =
-              par_init ctx (fun seg ->
-                  Vec.concat (List.map (fun r -> r.rows.(seg)) results));
-          })
   | Plan.Update { rel; table_oid; set_exprs; child } ->
       let r = kid 0 child in
       exec_update ctx ~rel ~table_oid ~set_exprs ~child:r
@@ -1548,13 +1695,18 @@ and exec_node ctx id (plan : Plan.t) : result =
           Mpp_storage.Storage.insert ctx.storage table tuple)
         rows;
       dml_count ctx (List.length rows)
+  | Plan.Table_scan _ | Plan.Dynamic_scan _ | Plan.Filter _ | Plan.Project _
+  | Plan.Sequence _ | Plan.Append _ | Plan.Hash_join _ | Plan.Nl_join _
+  | Plan.Runtime_filter _ ->
+      invalid_arg "Exec.exec_node: a streamed operator"
 
-(** Evaluate a plan with this context; the root gets pre-order index 0. *)
+(** Evaluate a plan with this context; the root gets pre-order index 0.
+    The root's rows are the query result, one batch per segment. *)
 let exec ctx (plan : Plan.t) : result =
   if ctx.verify then
     Mpp_verify.Verify.assert_valid ~catalog:ctx.catalog ~what:"executor input"
       plan;
-  exec_at ctx 0 plan
+  input ctx 0 plan
 
 (** Execute [plan] and gather all segments' output rows on the master. *)
 let run ?(params = [||]) ?(selection_enabled = true) ?(verify = false)

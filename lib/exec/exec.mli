@@ -1,19 +1,22 @@
 (** The query executor: interprets a physical plan on the simulated MPP
     cluster.
 
-    Execution is segment-synchronous — each operator produces, per segment,
-    the batch of rows it would emit there; Motions re-shuffle the
-    per-segment batches.  Side-effect ordering follows the paper: Sequence
-    children and a join's left child run first, so a PartitionSelector
-    always pushes its OIDs into the per-segment {!Channel} before the
-    DynamicScan consumes them.
+    Execution is segment-synchronous between pipeline breakers: each
+    breaker builds, per segment, the batch of rows it would emit there, and
+    Motions re-shuffle the per-segment batches.  Side-effect ordering
+    follows the paper: Sequence children and a join's left child run
+    first, so a PartitionSelector always pushes its OIDs into the
+    per-segment {!Channel} before the DynamicScan consumes them.
 
     Hot path (the paper's Figure 15 argument applied to the whole
     executor): expressions are compiled once per operator via
     {!Expr.compile} (column refs become fixed tuple offsets, parameters are
-    bound at compile time); per-segment row sets are {!Mpp_storage.Vec.t}
-    batches (unfiltered scans alias the live heap zero-copy); each
-    operator's per-segment work fans out across a {!Dpool} domain pool
+    bound at compile time).  Scans, Filter, Project, RuntimeFilter,
+    Sequence, Append and join probes stream each row into the operator
+    above; {!Mpp_storage.Vec.t} batches are built only at a join's build
+    side, Motion, Sort, Limit, the DML source, Agg output and the result
+    (an unfiltered single-heap scan aliases the live heap zero-copy).
+    Each breaker's per-segment work fans out across a {!Dpool} domain pool
     ([MPP_DOMAINS] / [?domains]), with {!Channel} and {!Metrics} sharded
     per segment so parallel sections share no mutable state. *)
 
@@ -22,21 +25,6 @@ module Plan = Mpp_plan.Plan
 module Vec = Mpp_storage.Vec
 
 type row = Value.t array
-
-type fused_rf = {
-  rf_make : int -> row -> bool;
-      (** per-segment row-test factory: [rf_make segment] is invoked once
-          per segment inside the scan's parallel section and owns that
-          segment's scratch state and metrics shard *)
-  rf_allowed : (int, unit) Hashtbl.t option;
-      (** partition OIDs the filter's min-max summary cannot rule out
-          ([None]: no partitioning level is covered by the filter keys);
-          a DynamicScan intersects its channel OIDs with this set *)
-}
-(** A runtime join filter fused into the scan below it: the
-    [Runtime_filter] node compiles the merged filter against the scan's
-    layout and hands it to the scan through {!ctx.fused_rf} so the Bloom
-    test runs inside the scan's row loop as a pre-predicate. *)
 
 type ctx = {
   catalog : Mpp_catalog.Catalog.t;
@@ -69,10 +57,6 @@ type ctx = {
       (** [false]: [Runtime_filter_build] / [Runtime_filter] nodes become
           pass-throughs — no filter is built, published, or applied (the
           [--no-runtime-filters] configuration); plans are unchanged *)
-  mutable fused_rf : fused_rf option;
-      (** one-shot handoff slot from a [Runtime_filter] node to the scan
-          directly below it; set and consumed on the coordinating domain
-          within a single parent→child call *)
   mutable rf_motion_claimed : int;
       (** pre-Motion drops already credited to
           [Metrics.motion_rows_saved]: each Motion claims the drops below

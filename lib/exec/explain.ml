@@ -11,7 +11,10 @@
     where [rows] is the node's emitted rows summed over segments, [parts]
     is partitions actually scanned vs. the table's total leaves (scans and
     selectors only), [moved] is tuples crossing a Motion, and [time] is
-    inclusive wall time.
+    inclusive wall time.  A streamed operator (scan, filter, join probe, …)
+    hands its rows to the pipeline breaker above it, so its per-row time
+    shows in that breaker's [time]; its own is its opening, and a join's
+    includes building its hash index.
 
     With a plan-time estimate array ([?est], see {!Mpp_plan.Est}) each
     node additionally reads [est=N act=M (xK off)] — the optimizer's

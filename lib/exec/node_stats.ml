@@ -11,8 +11,9 @@
 
     Each record additionally shards its rows and time {e per segment}:
     [seg_rows.(s)] is filled deterministically on the coordinating domain
-    (from the per-segment output batches, so serial and parallel runs
-    agree bit for bit), while [seg_time_s.(s)] is accumulated inside the
+    (from a breaker's per-segment batches, or from a streamed operator's
+    per-segment counts once its pipeline has run, so serial and parallel
+    runs agree bit for bit), while [seg_time_s.(s)] is accumulated inside the
     per-segment tasks themselves — distinct array slots per segment, so
     the parallel sections write without synchronization.  The per-segment
     rows feed the {!skew} ratio surfaced in [EXPLAIN ANALYZE]: a perfectly

@@ -100,13 +100,19 @@ let to_int = function
   | Float f -> int_of_float f
   | _ -> invalid_arg "Value.to_int"
 
-(* The placement hash: which segment a hash-distributed tuple lives on.
-   Stored data is laid out by it, so it never changes. *)
+(* The placement hash: which segment a hash-distributed tuple lives on,
+   and where a Redistribute Motion sends a row.  Stored data is laid out
+   by it, so it changes only where it must agree with {!equal}: an
+   integral float (either zero included) hashes as the int it equals, the
+   way {!key_hash} does, so [Int 1] and [Float 1.0] land on one segment. *)
 let hash = function
   | Null -> 0
   | Bool b -> Hashtbl.hash b
   | Int i -> Hashtbl.hash i
-  | Float f -> Hashtbl.hash f
+  | Float f ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+        Hashtbl.hash (int_of_float f)
+      else Hashtbl.hash f
   | String s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d : Date.t :> int)
 

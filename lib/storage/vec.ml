@@ -1,11 +1,12 @@
 (** A minimal growable array (OCaml 5.1 predates [Dynarray]).
 
-    [Vec.t] is also the executor's batch representation: operators carry one
-    row vector per segment instead of a cons cell per row, so appends are
-    amortized O(1) array stores and iteration is a tight [for] loop over a
-    flat array.  The executor treats input vectors as immutable — operators
-    build fresh vectors ([map] / [filter] / [append]) rather than mutating
-    what a child (or a live storage heap) handed them. *)
+    [Vec.t] is also the executor's batch representation: a pipeline
+    breaker keeps one row vector per segment instead of a cons cell per
+    row, so appends are amortized O(1) array stores and iteration is a
+    tight [for] loop over a flat array.  The executor treats vectors it is
+    handed as immutable — it builds fresh ones ([concat] / [take] /
+    [sorted]) rather than mutating what a child (or a live storage heap)
+    handed it. *)
 
 type 'a t = { mutable data : 'a array; mutable len : int }
 
@@ -52,26 +53,6 @@ let fold f acc v =
 let exists p v =
   let rec go i = i < v.len && (p (Array.unsafe_get v.data i) || go (i + 1)) in
   go 0
-
-let map f v =
-  let out = create () in
-  for i = 0 to v.len - 1 do
-    push out (f (Array.unsafe_get v.data i))
-  done;
-  out
-
-(** Append every element of [src] satisfying [p] to [dst] — the filter-into
-    primitive scans and Filter nodes are built on. *)
-let filter_into ~dst p src =
-  for i = 0 to src.len - 1 do
-    let x = Array.unsafe_get src.data i in
-    if p x then push dst x
-  done
-
-let filter p v =
-  let out = create () in
-  filter_into ~dst:out p v;
-  out
 
 (* Ensure capacity for [extra] more elements; [seed] initializes any fresh
    slots (never observed — [len] never exceeds the blitted range). *)

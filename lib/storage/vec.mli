@@ -1,6 +1,7 @@
 (** A minimal growable array (OCaml 5.1 predates [Dynarray]) — also the
-    executor's per-segment row-batch representation.  Operators treat input
-    vectors as immutable and build fresh ones. *)
+    executor's per-segment row-batch representation at pipeline breakers.
+    The executor treats vectors it is handed as immutable and builds fresh
+    ones. *)
 
 type 'a t
 
@@ -19,12 +20,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val filter_into : dst:'a t -> ('a -> bool) -> 'a t -> unit
-(** Append every element of the source satisfying the predicate to [dst]. *)
-
-val filter : ('a -> bool) -> 'a t -> 'a t
 
 val append : dst:'a t -> 'a t -> unit
 (** Append the source's contents to [dst] (one capacity check + blit); the

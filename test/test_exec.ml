@@ -653,6 +653,378 @@ let test_mixed_int_float_keys () =
       ("hash join", Plan.hash_join ~kind:Plan.Inner ~pred scan_t scan_u);
       ("hash join + runtime filter", with_rf) ]
 
+(* Regression: a Redistribute Motion must send SQL-equal keys to one
+   segment.  20 int keys and the 20 equal float keys, each side
+   redistributed on its key over 4 segments, must all meet in the join. *)
+let test_redistribute_int_float_keys () =
+  let catalog = Cat.create () in
+  let t =
+    Cat.add_table catalog ~name:"t"
+      ~columns:[ ("id", Value.Tint); ("a", Value.Tint) ]
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let u =
+    Cat.add_table catalog ~name:"u"
+      ~columns:[ ("id", Value.Tint); ("x", Value.Tfloat) ]
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let storage = Storage.create ~nsegments:4 in
+  for i = 0 to 19 do
+    Storage.insert storage t [| Value.Int i; Value.Int i |];
+    Storage.insert storage u
+      [| Value.Int (i + 7); Value.Float (float_of_int i) |]
+  done;
+  let t_a = col ~rel:0 ~index:1 ~name:"a" in
+  let u_x = Colref.make ~rel:1 ~index:1 ~name:"x" ~dtype:Value.Tfloat in
+  let plan =
+    gather
+      (Plan.hash_join ~kind:Plan.Inner
+         ~pred:(Expr.eq (Expr.col t_a) (Expr.col u_x))
+         (Plan.motion (Plan.Redistribute [ t_a ])
+            (Plan.table_scan ~rel:0 t.Mpp_catalog.Table.oid))
+         (Plan.motion (Plan.Redistribute [ u_x ])
+            (Plan.table_scan ~rel:1 u.Mpp_catalog.Table.oid)))
+  in
+  let rows, _ = run ~catalog ~storage plan in
+  Alcotest.(check int) "every int key meets its float twin" 20
+    (List.length rows)
+
+(* ---- transient rows: every operator that keeps a row copies it ---- *)
+
+(* A join or Project emits into one per-segment scratch row.  Each row
+   producer below runs under each operator that keeps rows, serially and on
+   4 domains, against a list oracle: a keeper that stored the scratch row
+   itself would hold many references to one array, all reading as the last
+   row written. *)
+
+type tfix = {
+  tcat : Cat.t;
+  tsto : Storage.t;
+  l : Mpp_catalog.Table.t;  (** rel 0: (k, v), hashed on k *)
+  r : Mpp_catalog.Table.t;  (** rel 1: (k, w), hashed on k *)
+  orders : Mpp_catalog.Table.t;  (** rel 2: 730 orders, 24 monthly parts *)
+  one : Mpp_catalog.Table.t;  (** rel 3: one replicated row (z = 7) *)
+  dim : Mpp_catalog.Table.t;  (** rel 4: a few replicated dates *)
+}
+
+let int_pairs n a b =
+  List.init n (fun i -> [| Value.Int (i mod a); Value.Int (i mod b) |])
+
+let l_rows = int_pairs 30 6 7
+let r_rows = int_pairs 25 5 4
+
+let orders_rows =
+  let start = Date.of_ymd 2012 1 1 in
+  List.init 730 (fun i ->
+      [| Value.Int i; Value.Float (float_of_int (i mod 100));
+         Value.Date (Date.add_days start i) |])
+
+let dim_rows =
+  List.map
+    (fun d -> [| Value.date_of_string d |])
+    [ "2012-01-15"; "2012-02-03"; "2012-06-30"; "2012-07-01"; "2013-03-10";
+      "2013-03-11"; "2013-12-31"; "2014-05-05" ]
+
+let transient_fixture () =
+  let tcat, orders = Support.orders_schema () in
+  let tsto = Storage.create ~nsegments:4 in
+  let table name cols dist rows =
+    let t =
+      Cat.add_table tcat ~name
+        ~columns:(List.map (fun c -> (c, Value.Tint)) cols)
+        ~distribution:dist ()
+    in
+    List.iter (Storage.insert tsto t) rows;
+    t
+  in
+  let l = table "l" [ "k"; "v" ] (Dist.Hashed [ 0 ]) l_rows
+  and r = table "r" [ "k"; "w" ] (Dist.Hashed [ 0 ]) r_rows
+  and one = table "one" [ "z" ] Dist.Replicated [ [| Value.Int 7 |] ] in
+  let dim =
+    Cat.add_table tcat ~name:"dim" ~columns:[ ("d", Value.Tdate) ]
+      ~distribution:Dist.Replicated ()
+  in
+  List.iter (Storage.insert tsto dim) dim_rows;
+  List.iter (Storage.insert tsto orders) orders_rows;
+  { tcat; tsto; l; r; orders; one; dim }
+
+let oid (t : Mpp_catalog.Table.t) = t.Mpp_catalog.Table.oid
+let cr ~rel ~index ?(dtype = Value.Tint) name =
+  Colref.make ~rel ~index ~name ~dtype
+
+let lk = cr ~rel:0 ~index:0 "k" and lv = cr ~rel:0 ~index:1 "v"
+let rk = cr ~rel:1 ~index:0 "k" and rw = cr ~rel:1 ~index:1 "w"
+let oid_col = cr ~rel:2 ~index:0 "id"
+let odate = cr ~rel:2 ~index:2 ~dtype:Value.Tdate "date"
+let dd = cr ~rel:4 ~index:0 ~dtype:Value.Tdate "d"
+
+(* A row producer: its plan, the rows it yields, a column to key on, and
+   the table (with its rel and row offset) its rows carry whole. *)
+type tprod = {
+  pname : string;
+  plan : tfix -> Plan.t;
+  rows : Value.t array list;
+  key : Colref.t;
+  target : tfix -> Mpp_catalog.Table.t * int * int;
+}
+
+let join_pred res =
+  Expr.conj
+    ((Expr.eq (Expr.col lk) (Expr.col rk))
+    :: (if res then [ Expr.le (Expr.col lv) (Expr.col rw) ] else []))
+
+let matches res (a : Value.t array) (b : Value.t array) =
+  a.(0) = b.(0) && ((not res) || Value.compare a.(1) b.(1) <= 0)
+
+let inner_rows res =
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b -> if matches res a b then Some (Array.append a b) else None)
+        r_rows)
+    l_rows
+
+(* every partition of [orders], pushed to scan [ps] *)
+let all_parts f ps =
+  Plan.partition_selector ~part_scan_id:ps ~root_oid:(oid f.orders)
+    ~keys:[ odate ] ~predicates:[ None ] ()
+
+let dyn_scan ?filter ps f =
+  Plan.Sequence
+    [ all_parts f ps;
+      Plan.dynamic_scan ?filter ~rel:2 ~part_scan_id:ps (oid f.orders) ]
+
+let scans_l_r ctor kind res f =
+  ctor ~kind ~pred:(join_pred res)
+    (Plan.table_scan ~rel:0 (oid f.l))
+    (Plan.table_scan ~rel:1 (oid f.r))
+
+let target_l f = (f.l, 0, 0)
+let target_orders off f = (f.orders, 2, off)
+
+let producers =
+  let join name ctor kind res rows =
+    { pname = name; plan = scans_l_r ctor kind res; rows; key = lk;
+      target = target_l }
+  in
+  let left_outer res =
+    inner_rows res
+    @ List.filter_map
+        (fun a ->
+          if List.exists (matches res a) r_rows then None
+          else Some (Array.append a [| Value.Null; Value.Null |]))
+        l_rows
+  in
+  (* semi over a transient probe: r crossed with [one] *)
+  let semi res =
+    {
+      pname = (if res then "semi + residual" else "semi");
+      plan =
+        (fun f ->
+          Plan.hash_join ~kind:Plan.Semi ~pred:(join_pred res)
+            (Plan.table_scan ~rel:0 (oid f.l))
+            (Plan.nl_join ~kind:Plan.Inner ~pred:Expr.true_
+               (Plan.table_scan ~rel:3 (oid f.one))
+               (Plan.table_scan ~rel:1 (oid f.r))));
+      rows =
+        List.filter_map
+          (fun b ->
+            if List.exists (fun a -> matches res a b) l_rows then
+              Some (Array.append [| Value.Int 7 |] b)
+            else None)
+          r_rows;
+      key = rk;
+      target = (fun f -> (f.r, 1, 1));
+    }
+  in
+  let dyn name filter keep =
+    {
+      pname = name;
+      plan = dyn_scan ?filter 1;
+      rows = List.filter keep orders_rows;
+      key = oid_col;
+      target = target_orders 0;
+    }
+  in
+  let cheap =
+    Expr.lt
+      (Expr.col (cr ~rel:2 ~index:1 ~dtype:Value.Tfloat "amount"))
+      (Expr.Const (Value.Float 50.0))
+  in
+  [ join "inner" Plan.hash_join Plan.Inner false (inner_rows false);
+    join "inner + residual" Plan.hash_join Plan.Inner true (inner_rows true);
+    join "nl inner + residual" Plan.nl_join Plan.Inner true (inner_rows true);
+    join "left outer" Plan.hash_join Plan.Left_outer false (left_outer false);
+    join "left outer + residual" Plan.hash_join Plan.Left_outer true
+      (left_outer true);
+    semi false;
+    semi true;
+    {
+      pname = "project over a join";
+      plan =
+        (fun f ->
+          Plan.Project
+            { exprs = [ ("k", Expr.col lk); ("v", Expr.col lv) ];
+              child = scans_l_r Plan.hash_join Plan.Inner false f });
+      rows = List.map (fun r -> Array.sub r 0 2) (inner_rows false);
+      key = cr ~rel:(-1) ~index:0 "k";
+      target = (fun f -> (f.l, -1, 0));
+    };
+    dyn "dynamic scan, 24 parts" None (fun _ -> true);
+    dyn "dynamic scan + filter" (Some cheap) (fun o ->
+        Value.compare o.(1) (Value.Float 50.0) < 0);
+    {
+      pname = "join over a runtime-filtered dynamic scan";
+      plan =
+        (fun f ->
+          Plan.hash_join ~kind:Plan.Inner
+            ~pred:(Expr.eq (Expr.col dd) (Expr.col odate))
+            (Plan.runtime_filter_build ~rf_id:5 ~keys:[ dd ] ~rows_est:8
+               (Plan.table_scan ~rel:4 (oid f.dim)))
+            (Plan.Sequence
+               [ all_parts f 1;
+                 Plan.runtime_filter ~rf_id:5 ~keys:[ odate ]
+                   (Plan.dynamic_scan ~rel:2 ~part_scan_id:1
+                      (oid f.orders)) ]));
+      rows =
+        List.concat_map
+          (fun d ->
+            List.filter_map
+              (fun o -> if o.(2) = d.(0) then Some (Array.append d o) else None)
+              orders_rows)
+          dim_rows;
+      key = oid_col;
+      target = target_orders 1;
+    } ]
+
+let table_rows f (t : Mpp_catalog.Table.t) =
+  let plan =
+    if t == f.orders then dyn_scan 50 f else Plan.table_scan ~rel:0 (oid t)
+  in
+  fst (Exec.run ~catalog:f.tcat ~storage:f.tsto (gather plan))
+
+(* [stored] less one occurrence of each image, as DML removes them *)
+let remove_images stored images =
+  let rec drop x = function
+    | [] -> []
+    | y :: ys -> if y = x then ys else y :: drop x ys
+  in
+  List.fold_left (fun acc img -> drop img acc) stored images
+
+let check_multiset what expected actual =
+  Alcotest.(check bool) what true
+    (List.sort compare expected = List.sort compare actual)
+
+(* A row keeper: the plan around the producer's, and the check of its
+   result (and of the table it wrote). *)
+type keeper = tfix -> tprod -> Plan.t * (string -> Value.t array list -> unit)
+
+let keepers : (string * keeper) list =
+  let same p what rows = check_multiset what p.rows rows in
+  let with_one p what rows =
+    check_multiset what
+      (List.map (fun r -> Array.append r [| Value.Int 7 |]) p.rows)
+      rows
+  in
+  let images f p =
+    let t, _, off = p.target f in
+    (t, List.map (fun r -> Array.sub r off (Mpp_catalog.Table.ncols t)) p.rows)
+  in
+  let initial f (t : Mpp_catalog.Table.t) =
+    if t == f.l then l_rows
+    else if t == f.r then r_rows
+    else orders_rows
+  in
+  [ ("result", fun f p -> (p.plan f, same p));
+    ("gather", fun f p -> (gather (p.plan f), same p));
+    ( "broadcast",
+      fun f p ->
+        ( Plan.motion Plan.Gather_one (Plan.motion Plan.Broadcast (p.plan f)),
+          same p ) );
+    ( "redistribute",
+      fun f p ->
+        (gather (Plan.motion (Plan.Redistribute [ p.key ]) (p.plan f)), same p)
+    );
+    ( "sort",
+      fun f p ->
+        ( gather (Plan.Sort { keys = [ Expr.col p.key ]; child = p.plan f }),
+          same p ) );
+    ( "limit",
+      fun f p ->
+        (gather (Plan.Limit { rows = 100_000; child = p.plan f }), same p) );
+    ( "append",
+      fun f p ->
+        ( gather (Plan.Append [ p.plan f; p.plan f ]),
+          fun what rows -> check_multiset what (p.rows @ p.rows) rows ) );
+    ( "join build side",
+      fun f p ->
+        ( gather
+            (Plan.nl_join ~kind:Plan.Inner ~pred:Expr.true_ (p.plan f)
+               (Plan.table_scan ~rel:3 (oid f.one))),
+          with_one p ) );
+    ( "runtime filter build",
+      fun f p ->
+        ( gather
+            (Plan.nl_join ~kind:Plan.Inner ~pred:Expr.true_
+               (Plan.runtime_filter_build ~rf_id:77 ~keys:[ p.key ] ~rows_est:64
+                  (p.plan f))
+               (Plan.table_scan ~rel:3 (oid f.one))),
+          with_one p ) );
+    ( "streaming selector",
+      fun f p ->
+        ( gather
+            (Plan.partition_selector ~child:(p.plan f) ~part_scan_id:99
+               ~root_oid:(oid f.orders) ~keys:[ odate ] ~predicates:[ None ]
+               ()),
+          same p ) );
+    ( "delete source",
+      fun f p ->
+        let t, rel, _ = p.target f in
+        ( Plan.Delete { rel; table_oid = oid t; child = p.plan f },
+          fun what _ ->
+            let t, imgs = images f p in
+            check_multiset (what ^ ": table after")
+              (remove_images (initial f t) imgs)
+              (table_rows f t) ) );
+    ( "update source",
+      fun f p ->
+        (* every target's column 1 is a non-key one *)
+        let t, rel, _ = p.target f in
+        let v = if t == f.orders then Value.Float 1.0 else Value.Int 99 in
+        ( Plan.Update
+            { rel; table_oid = oid t; set_exprs = [ (1, Expr.Const v) ];
+              child = p.plan f },
+          fun what _ ->
+            let t, imgs = images f p in
+            let set img =
+              let n = Array.copy img in
+              n.(1) <- v;
+              n
+            in
+            check_multiset (what ^ ": table after")
+              (remove_images (initial f t) imgs @ List.map set imgs)
+              (table_rows f t) ) ) ]
+
+let test_transient_rows () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (kname, keeper) ->
+          List.iter
+            (fun domains ->
+              let f = transient_fixture () in
+              let plan, check = keeper f p in
+              let rows, _ =
+                Exec.run ~domains ~catalog:f.tcat ~storage:f.tsto plan
+              in
+              check
+                (Printf.sprintf "%s under %s, %d domain(s)" p.pname kname
+                   domains)
+                rows)
+            [ 1; 4 ])
+        keepers)
+    producers
+
 (* ---- differential kernel tests against a list-based oracle ---- *)
 
 (* Random tables with few distinct values per column (duplicate keys) and
@@ -919,7 +1291,11 @@ let () =
          Alcotest.test_case "scalar agg over empty" `Quick test_agg_scalar_empty;
          Alcotest.test_case "sort + limit" `Quick test_sort_limit;
          Alcotest.test_case "int = float join keys" `Quick
-           test_mixed_int_float_keys ]);
+           test_mixed_int_float_keys;
+         Alcotest.test_case "int = float redistributed keys" `Quick
+           test_redistribute_int_float_keys;
+         Alcotest.test_case "transient rows are copied when kept" `Quick
+           test_transient_rows ]);
       ("differential kernels",
        [ Alcotest.test_case "joins vs oracle" `Quick test_differential_join;
          Alcotest.test_case "aggregation vs oracle" `Quick

@@ -62,19 +62,21 @@ let prop_compare_transitive =
       | [ x; y; z ] -> Value.compare x y <= 0 && Value.compare y z <= 0
       | _ -> false)
 
-let prop_equal_consistent_hash =
-  QCheck2.Test.make ~count:1000 ~name:"equal values hash equally"
-    QCheck2.Gen.(pair Support.value_gen Support.value_gen)
-    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
-
-(* Int 1 and Float 1.0 are SQL-equal: the table and Bloom hash must agree,
-   and [equal] must be exactly [compare = 0] on every pair. *)
+(* Int 1 and Float 1.0 are SQL-equal: the placement, table and Bloom
+   hashes must agree, and [equal] must be exactly [compare = 0] on every
+   pair. *)
 let numeric_twins_gen =
   QCheck2.Gen.(
     oneof
       [ Support.value_gen;
         map (fun i -> Value.Int i) (int_range (-8) 8);
-        map (fun i -> Value.Float (float_of_int i /. 2.0)) (int_range (-16) 16) ])
+        map (fun i -> Value.Float (float_of_int i /. 2.0)) (int_range (-16) 16);
+        return (Value.Float (-0.0)) ])
+
+let prop_equal_consistent_hash =
+  QCheck2.Test.make ~count:2000 ~name:"equal values hash equally"
+    QCheck2.Gen.(pair numeric_twins_gen numeric_twins_gen)
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
 let prop_equal_is_compare =
   QCheck2.Test.make ~count:2000 ~name:"equal is compare = 0"
