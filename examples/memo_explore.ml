@@ -1,11 +1,12 @@
 (** Memo exploration — the paper's §3.1, Figures 13 and 14.
 
     For [SELECT * FROM R, S WHERE R.pk = S.a] (R partitioned and hash
-    distributed, S hash distributed) the Cascades-style memo enumerates the
-    plan space under distribution and partition-propagation properties and
-    picks the cheapest valid plan.  Only the alternative that replicates S
-    beneath a PartitionSelector can perform partition selection — the
-    paper's Plan 4.
+    distributed, S hash distributed) the Cascades-style memo — the same one
+    that plans every join in production — enumerates the plan space under
+    its distribution and partition-propagation properties and picks the
+    cheapest valid plan; {!Orca.Placement} writes the selectors.  Only the
+    alternatives with S on the build side, beneath a PartitionSelector,
+    perform partition selection — the paper's Plan 4.
 
     Run with: [dune exec examples/memo_explore.exe] *)
 

@@ -1,709 +1,514 @@
-(** A compact Cascades-style Memo with the property-enforcement framework of
-    paper §3.1.
+(** A compact Cascades-style Memo: the production join planner, with the
+    partition property of paper §3.1 in its cost model.
 
-    Partition propagation is modelled as a {e physical property} requested
-    alongside data distribution: an optimization request is a pair
-    [{dist; parts}] where [parts] lists the {!Part_spec}s the subtree must
-    resolve.  [PartitionSelector] is the enforcer of the partition property,
-    [Motion] the enforcer of distribution, and the enforcement-order rule of
-    the paper — "operator-specific logic guarantees enforcers are plugged in
-    the right order" — appears as one guard: a Motion enforcer may only be
-    applied when every pending spec's DynamicScan lives {e inside} this
-    group's subtree (then selector and scan stay in the same process below
-    the Motion); a spec for a scan {e elsewhere} must be resolved by a
-    PartitionSelector {e above} any Motion, never below one.
+    {!Optimizer} hands every tree of [Logical.Join]s to {!plan}.  Each
+    non-join child arrives as a leaf group holding its finished physical
+    subplan; each join becomes a group carrying its kind and predicate.  A
+    group is optimized under a request — the distribution its parent needs,
+    and the DML target that must stay on an unmoved probe side — and the
+    best plan per (group, request) is memoized.
 
-    The memo reproduces the paper's Figure 13/14 example exactly: for
-    [SELECT * FROM R, S WHERE R.pk = S.a] with R partitioned, four plan
-    shapes are enumerated and only the [HashJoin(Selector(Replicate(S)), R)]
-    alternative performs partition selection.
+    {1 Alternatives}
 
-    {1 Shape}
+    Inner joins try both orientations; semi and left-outer joins only the
+    one their semantics fix; no orientation may put the DML target on the
+    build side.  The probe side is requested as [Dany], so it never moves.
+    The build side stays where it is when {!Mpp_plan.Dist.colocated} says
+    the pair is co-located, is redistributed on the build partners of the
+    probe's hash columns, or is broadcast; Motion is the enforcer that
+    delivers a requested distribution.  The cheapest alternative wins;
+    among equals, one that drives DPE (below), then the first in order.
 
-    Groups live in an array-backed arena indexed by gid (group lookup is
-    O(1)).  Memoized results live in a per-exploration {!ctx}: requests
-    are interned to dense integer ids through a structural hash/equality
-    table — no string building on the memoized-lookup hot path — and the
-    best table is keyed by one packed int per (group, request) pair.  Among
-    equally cheap candidates the first in candidate order wins.
+    {1 The partition property}
 
-    Scope: [Get]/[Select]/[Join] trees (the shapes of the paper's §3.1);
-    the production path for full queries is {!Optimizer}. *)
+    A join drives dynamic partition elimination of each DynamicScan on its
+    probe side that {!Placement.join_dpe} accepts: the predicate constrains
+    the scan's partitioning keys from the build side, and no Motion lies
+    between the probe child and the scan.  Such a scan is pinned to a
+    selector above the build side, so no Motion may ever separate it from
+    its probe — which the probe never moving guarantees.  The alternative's
+    cost discounts the scan's partition opens and reads by the fraction of
+    its (statically surviving) partitions the build side's distinct keys
+    can reach.  {!Placement} then writes the PartitionSelectors with the
+    same rule (its Algorithm 4), so the DPE the memo costs is the DPE that
+    runs.
+
+    For the paper's Figure 13/14 example ([R ⋈ S], R partitioned),
+    {!plan_space} lists the alternatives and {!best_plan} picks one that
+    selects R's partitions from S's join keys. *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
 module Table = Mpp_catalog.Table
+module Dist = Mpp_plan.Dist
 module Obs = Mpp_obs.Obs
 
-(* ------------------------------------------------------------------ *)
-(* Requests (physical properties)                                      *)
-(* ------------------------------------------------------------------ *)
+let log_src = Logs.Src.create "orca.memo" ~doc:"Memo join planner"
 
-type dist_req =
-  | Any
-  | Req_hashed of Colref.t list
-  | Req_replicated
-  | Req_singleton
-
-type request = {
-  dist : dist_req;
-  parts : Part_spec.t list;
-  pinned : int list;
-      (** part-scan ids whose PartitionSelector is being resolved *above*
-          this subtree: the scan below must not cross a Motion, so Motion
-          enforcers are prohibited while any pinned scan is in scope *)
-}
-
-let dist_req_to_string = function
-  | Any -> "Any"
-  | Req_hashed cols ->
-      "Hashed(" ^ String.concat "," (List.map Colref.to_string cols) ^ ")"
-  | Req_replicated -> "Replicated"
-  | Req_singleton -> "Singleton"
-
-let request_to_string r =
-  Printf.sprintf "{%s, <%s>%s}" (dist_req_to_string r.dist)
-    (String.concat "; " (List.map Part_spec.to_string r.parts))
-    (match r.pinned with
-    | [] -> ""
-    | ids ->
-        ", pinned:" ^ String.concat "," (List.map string_of_int ids))
-
-(* Structural hashing/equality for requests — the intern-table key.  The
-   old key was [request_to_string], which allocated and hashed a fresh
-   string on every memoized lookup; this compares the fields directly.
-   The hash folds over cheap integer features (predicate *presence* rather
-   than structure); [equal] is exact, including [Expr.equal] on per-level
-   selector predicates. *)
-module Req_key = struct
-  type t = request
-
-  let dist_equal a b =
-    match (a, b) with
-    | Any, Any | Req_replicated, Req_replicated | Req_singleton, Req_singleton
-      ->
-        true
-    | Req_hashed xs, Req_hashed ys ->
-        List.length xs = List.length ys && List.for_all2 Colref.equal xs ys
-    | _ -> false
-
-  let spec_equal (a : Part_spec.t) (b : Part_spec.t) =
-    a.part_scan_id = b.part_scan_id
-    && a.root_oid = b.root_oid
-    && List.length a.keys = List.length b.keys
-    && List.for_all2 Colref.equal a.keys b.keys
-    && List.length a.predicates = List.length b.predicates
-    && List.for_all2
-         (fun x y ->
-           match (x, y) with
-           | None, None -> true
-           | Some p, Some q -> Expr.equal p q
-           | _ -> false)
-         a.predicates b.predicates
-
-  let equal a b =
-    dist_equal a.dist b.dist
-    && List.length a.parts = List.length b.parts
-    && List.for_all2 spec_equal a.parts b.parts
-    && a.pinned = b.pinned
-
-  let hash r =
-    let mix h x = ((h * 131) + x) land max_int in
-    let h =
-      match r.dist with
-      | Any -> 3
-      | Req_replicated -> 5
-      | Req_singleton -> 7
-      | Req_hashed cols ->
-          List.fold_left
-            (fun h (c : Colref.t) -> mix h ((c.rel * 97) + c.index))
-            11 cols
-    in
-    let h =
-      List.fold_left
-        (fun h (s : Part_spec.t) ->
-          let p =
-            List.fold_left
-              (fun a p -> (2 * a) + (match p with None -> 0 | Some _ -> 1))
-              0 s.predicates
-          in
-          mix h ((s.part_scan_id * 193) + s.root_oid + p))
-        h r.parts
-    in
-    List.fold_left (fun h id -> mix h (id + 17)) h r.pinned
-end
-
-module Req_tbl = Hashtbl.Make (Req_key)
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* ------------------------------------------------------------------ *)
-(* Groups and expressions                                              *)
+(* Cost model                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type lexpr =
-  | L_get of { rel : int; table : Table.t; pred : Expr.t option }
-  | L_join of { pred : Expr.t; left : int; right : int }
+let cost_tuple_scan = 1.0
+let cost_partition_open = 40.0
+let cost_hash_build = 1.5
+let cost_probe = 1.0
+let cost_motion_tuple = 2.0
+let cost_filter_tuple = 0.1
 
-type pexpr =
-  | P_scan of { rel : int; table : Table.t; pred : Expr.t option }
-  | P_dynamic_scan of {
-      rel : int;
-      table : Table.t;
-      part_scan_id : int;
-      pred : Expr.t option;
-    }
-  | P_hash_join of { pred : Expr.t; left : int; right : int }
-      (** left = build side, executed first *)
-  | P_selector of Part_spec.t  (** enforcer; child in the same group *)
-  | P_motion of Plan.motion_kind  (** enforcer; child in the same group *)
-
-type group = {
-  gid : int;
-  lexprs : lexpr list;
-  rels : int list;  (** range-table indices reachable in this group *)
-}
-
-type candidate = {
-  cand_pexpr : pexpr;
-  cand_children : (int * request) list;
-      (** (group, request) per child; enforcers have their child in the same
-          group *)
-  cand_local_cost : float;
-}
-
-type best = { total_cost : float; chosen : candidate }
-
-type t = {
+type env = {
   catalog : Mpp_catalog.Catalog.t;
   stats : Mpp_stats.Stats_source.t option;
-  mutable groups : group array;  (** arena: index = gid; grows on insert *)
-  mutable ngroups : int;
   nsegments : int;
+  rel_tables : (int * Table.t) list;
 }
 
-let group t gid = t.groups.(gid)
+let stats_of env (table : Table.t) : Mpp_stats.Stats.table_stats =
+  match env.stats with
+  | Some src -> Mpp_stats.Stats_source.table_stats src table
+  | None -> Mpp_stats.Stats.defaults table
 
-(* ------------------------------------------------------------------ *)
-(* Construction from a logical tree                                    *)
-(* ------------------------------------------------------------------ *)
+let key_ndv env e =
+  match e with
+  | Expr.Col c -> (
+      match List.assoc_opt c.Colref.rel env.rel_tables with
+      | Some table ->
+          let stats = stats_of env table in
+          if c.Colref.index < Array.length stats.columns then
+            stats.columns.(c.Colref.index).Mpp_stats.Stats.ndv
+          else 100
+      | None -> 1000)
+  | _ -> 1000
 
-let add_group t lexprs rels =
-  let gid = t.ngroups in
-  let g = { gid; lexprs; rels } in
-  let cap = Array.length t.groups in
-  if gid = cap then begin
-    let bigger = Array.make (max 8 (2 * cap)) g in
-    Array.blit t.groups 0 bigger 0 cap;
-    t.groups <- bigger
-  end;
-  t.groups.(gid) <- g;
-  t.ngroups <- gid + 1;
-  let obs = Obs.current () in
-  Obs.incr obs "memo.groups";
-  Obs.add obs "memo.group_exprs" (List.length lexprs);
-  gid
-
-let rec insert t (lg : Logical.t) : int =
-  match lg with
-  | Logical.Get { rel; table_name } ->
-      let table = Mpp_catalog.Catalog.find t.catalog table_name in
-      add_group t [ L_get { rel; table; pred = None } ] [ rel ]
-  | Logical.Select { pred; child = Logical.Get { rel; table_name } } ->
-      let table = Mpp_catalog.Catalog.find t.catalog table_name in
-      add_group t [ L_get { rel; table; pred = Some pred } ] [ rel ]
-  | Logical.Join { kind = Plan.Inner; pred; left; right } ->
-      let l = insert t left and r = insert t right in
-      let rels = (group t l).rels @ (group t r).rels in
-      (* join commutativity: both orders are group expressions, as in the
-         paper's Figure 13 (HashJoin[1,2] and HashJoin[2,1]) *)
-      add_group t
-        [ L_join { pred; left = l; right = r };
-          L_join { pred; left = r; right = l } ]
-        rels
-  | _ ->
-      invalid_arg
-        "Memo.insert: only Get/Select(Get)/inner-Join trees are supported"
-
-let create ?stats ?(nsegments = 4) ~catalog () =
-  { catalog; stats; groups = [||]; ngroups = 0; nsegments }
-
-(* ------------------------------------------------------------------ *)
-(* Statistics helpers                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let table_rows t (table : Table.t) =
-  match t.stats with
-  | Some src ->
-      float_of_int (Mpp_stats.Stats_source.table_stats src table).rowcount
-  | None -> float_of_int (Mpp_stats.Stats.defaults table).rowcount
-
-let rec group_rows t gid =
-  let g = group t gid in
-  match g.lexprs with
-  | L_get { table; pred; _ } :: _ ->
-      let rows = table_rows t table in
-      (match pred with None -> rows | Some _ -> Float.max 1.0 (rows *. 0.1))
-  | L_join { left; right; _ } :: _ ->
-      Float.max 1.0 (group_rows t left *. group_rows t right /. 100.0)
+(* Selectivity of [pred] against the single-relation stats reachable in the
+   subtree; multi-relation predicates use defaults. *)
+let selectivity_for env pred =
+  let per_rel rel =
+    match List.assoc_opt rel env.rel_tables with
+    | None -> 0.5
+    | Some table ->
+        Mpp_stats.Selectivity.estimate ~stats:(stats_of env table) ~rel pred
+  in
+  match Expr.rels pred with
   | [] -> 1.0
+  | [ rel ] -> per_rel rel
+  | rels ->
+      (* keep only the per-relation conjuncts; join conjuncts are handled by
+         the join cardinality model *)
+      List.fold_left (fun acc rel -> acc *. per_rel rel) 1.0 rels
 
 (* ------------------------------------------------------------------ *)
-(* Property satisfaction                                               *)
+(* Annotated subplans                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let natural_dist (table : Table.t) ~rel =
-  match table.Table.distribution with
-  | Mpp_catalog.Distribution.Hashed cols ->
-      Req_hashed
-        (List.map
-           (fun i ->
-             let name, dtype = table.Table.columns.(i) in
-             Colref.make ~rel ~index:i ~name ~dtype)
-           cols)
-  | Mpp_catalog.Distribution.Replicated -> Req_replicated
-  | Mpp_catalog.Distribution.Random | Mpp_catalog.Distribution.Singleton -> Any
-
-let dist_satisfied ~delivered ~required =
-  match (required, delivered) with
-  | Any, _ -> true
-  | Req_replicated, Req_replicated -> true
-  | Req_singleton, Req_singleton -> true
-  | Req_hashed want, Req_hashed have ->
-      List.length want = List.length have
-      && List.for_all2 Colref.equal want have
-  | _ -> false
-
-(* A Motion enforcer may only be placed when (a) every pending spec's scan
-   is inside this subtree — the selector can then live below the Motion,
-   next to its scan — and (b) no scan in scope is pinned to a remote
-   selector above.  This is the §3.1 enforcement-order rule. *)
-let motion_allowed g req =
-  List.for_all
-    (fun (s : Part_spec.t) -> List.mem s.Part_spec.part_scan_id g.rels)
-    req.parts
-  && List.for_all (fun id -> not (List.mem id g.rels)) req.pinned
-
-(* ------------------------------------------------------------------ *)
-(* Exploration contexts                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* All memoized state for one exploration over the arena [memo]. *)
-type ctx = {
-  memo : t;
-  stride : int;
-      (** [memo.ngroups] at creation — packs (gid, request id) into one
-          int key: [rid * stride + gid].  No groups are created during
-          optimization, so the packing is stable. *)
-  ids : int Req_tbl.t;  (** request -> dense id (structural interning) *)
-  best : (int, best option) Hashtbl.t;
+type dyn_scan_info = {
+  ds_part_scan_id : int;
+  ds_root_oid : int;
+  ds_keys : Colref.t list;
+  ds_nparts : int;
+  ds_rows : float;
 }
 
-let ctx_create t =
+type annotated = {
+  plan : Plan.t;
+  rows : float;
+  dist : Dist.t;
+  cost : float;
+  dyn_scans : dyn_scan_info list;
+}
+
+let plan_get env ~scan_id ~rel name : annotated =
+  let table = Mpp_catalog.Catalog.find env.catalog name in
+  let rows = float_of_int (stats_of env table).rowcount in
+  let dist = Dist.of_table table ~rel in
+  match table.Table.partitioning with
+  | None ->
+      {
+        plan = Plan.table_scan ~rel table.Table.oid;
+        rows;
+        dist;
+        cost = rows *. cost_tuple_scan;
+        dyn_scans = [];
+      }
+  | Some p ->
+      let part_scan_id = scan_id () in
+      let nparts = Mpp_catalog.Partition.nparts p in
+      {
+        plan = Plan.dynamic_scan ~rel ~part_scan_id table.Table.oid;
+        rows;
+        dist;
+        cost =
+          (rows *. cost_tuple_scan)
+          +. (float_of_int nparts *. cost_partition_open);
+        dyn_scans =
+          [
+            {
+              ds_part_scan_id = part_scan_id;
+              ds_root_oid = table.Table.oid;
+              ds_keys = Table.part_key_colrefs table ~rel;
+              ds_nparts = nparts;
+              ds_rows = rows;
+            };
+          ];
+      }
+
+(* Statically-surviving partition count of the scan rooted at [root_oid]
+   under [pred], via the selection index: per-level [Expr.restriction] →
+   {!Mpp_catalog.Partition.Index.count_selected} (one bitset cardinality, no
+   leaf materialization).  [None] when the predicate restricts no
+   partitioning level — the count would just be the leaf total. *)
+let indexed_nparts env ~root_oid ~keys pred =
+  match (Mpp_catalog.Catalog.find_oid env.catalog root_oid).Table.partitioning with
+  | None -> None
+  | Some p ->
+      let restrictions =
+        Array.of_list (List.map (fun k -> Expr.restriction k pred) keys)
+      in
+      if Array.for_all Option.is_none restrictions then None
+      else begin
+        Obs.incr (Obs.current ()) "optimizer.indexed_part_counts";
+        let ix = Mpp_catalog.Partition.Index.of_partitioning p in
+        Some (Mpp_catalog.Partition.Index.count_selected ix restrictions)
+      end
+
+let plan_select env pred (child : annotated) : annotated =
+  let sel = selectivity_for env pred in
+  let rows = Float.max 1.0 (child.rows *. sel) in
+  let plan =
+    (* push the filter into a bare scan; otherwise keep a Filter node *)
+    match child.plan with
+    | Plan.Table_scan ({ filter = None; _ } as s) ->
+        Plan.Table_scan { s with filter = Some pred }
+    | Plan.Dynamic_scan ({ filter = None; _ } as s) ->
+        Plan.Dynamic_scan { s with filter = Some pred }
+    | p -> Plan.filter pred p
+  in
+  (* Refine each visible DynamicScan with the statically-surviving
+     partition count under [pred] (the index makes this one bitset
+     cardinality per scan): DPE costing then discounts against the
+     partitions that static selection already eliminated, and the
+     statically pruned partition opens come off this subplan's cost. *)
+  let pruned_opens = ref 0.0 in
+  let dyn_scans =
+    List.map
+      (fun ds ->
+        let ds = { ds with ds_rows = ds.ds_rows *. sel } in
+        match
+          indexed_nparts env ~root_oid:ds.ds_root_oid ~keys:ds.ds_keys pred
+        with
+        | Some n when n < ds.ds_nparts ->
+            pruned_opens :=
+              !pruned_opens
+              +. (float_of_int (ds.ds_nparts - n) *. cost_partition_open);
+            { ds with ds_nparts = n }
+        | _ -> ds)
+      child.dyn_scans
+  in
   {
-    memo = t;
-    stride = max 1 t.ngroups;
-    ids = Req_tbl.create 64;
-    best = Hashtbl.create 256;
+    child with
+    plan;
+    rows;
+    cost = child.cost +. (child.rows *. cost_filter_tuple) -. !pruned_opens;
+    dyn_scans;
   }
 
-let intern ctx req =
-  match Req_tbl.find_opt ctx.ids req with
-  | Some id -> id
-  | None ->
-      let id = Req_tbl.length ctx.ids in
-      Req_tbl.add ctx.ids req id;
-      id
-
-let bkey ctx gid rid = (rid * ctx.stride) + gid
-
 (* ------------------------------------------------------------------ *)
-(* Optimization                                                        *)
+(* Join alternatives                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let remove_spec parts spec =
-  List.filter (fun s -> not (s == spec)) parts
+(* The distribution enforcer: [a] as delivered when it meets [required],
+   else under the Motion that delivers it. *)
+let deliver env required (a : annotated) : annotated =
+  if Dist.satisfies ~required a.dist then a
+  else
+    let kind, moved =
+      match required with
+      | Dist.Dhashed cols -> (Plan.Redistribute cols, a.rows)
+      | Dist.Dreplicated -> (Plan.Broadcast, a.rows *. float_of_int env.nsegments)
+      | Dist.Dsingleton | Dist.Dany -> (Plan.Gather, a.rows)
+    in
+    {
+      a with
+      plan = Plan.motion kind a.plan;
+      dist = required;
+      cost = a.cost +. (moved *. cost_motion_tuple);
+    }
 
-
-let rec optimize_req ctx gid (req : request) : best option =
-  let key = bkey ctx gid (intern ctx req) in
-  match Hashtbl.find_opt ctx.best key with
-  | Some b -> b
-  | None ->
-      (* in-progress marker: a request re-entering itself is unsatisfiable
-         along that path *)
-      Hashtbl.replace ctx.best key None;
-      let t = ctx.memo in
-      let g = group t gid in
-      let impls = implementation_candidates t g req in
-      let enfs = enforcer_candidates t g req in
+(* The alternatives of one orientation, build side stayed, redistributed
+   to the probe's hash, then broadcast, each paired with whether the join
+   drives DPE.  [build d] is the build side delivering distribution [d]
+   ([Dany]: as it is). *)
+let alternatives env ~kind ~pred ~(build : Dist.t -> annotated option)
+    ~(probe : annotated) : (annotated * bool) list =
+  match build Dist.Dany with
+  | None -> []
+  | Some b ->
       let obs = Obs.current () in
-      Obs.incr obs "memo.requests";
-      Obs.add obs "memo.impl_candidates" (List.length impls);
-      Obs.add obs "memo.enforcer_candidates" (List.length enfs);
-      let candidates = impls @ enfs in
-      let best =
-        List.fold_left
-          (fun acc cand ->
-            match total_cost ctx gid cand with
-            | None -> acc
-            | Some cost -> (
-                match acc with
-                | Some b when b.total_cost <= cost -> acc
-                | _ -> Some { total_cost = cost; chosen = cand }))
-          None candidates
+      Obs.incr obs "optimizer.plans_costed";
+      let build_rels = Plan.output_rels b.plan in
+      let pairs =
+        Dist.equi_pairs ~build_rels ~probe_rels:(Plan.output_rels probe.plan)
+          pred
       in
-      Hashtbl.replace ctx.best key best;
-      best
+      let placed =
+        (if Dist.colocated pairs ~build:b.dist ~probe:probe.dist then [ b ]
+         else [])
+        @ List.filter_map build
+            ((match Dist.redistribute_keys pairs ~probe:probe.dist with
+             | Some cols -> [ Dist.Dhashed cols ]
+             | None -> [])
+            @ [ Dist.Dreplicated ])
+      in
+      (* the partition property: probe-side scans this join can select *)
+      let dpe =
+        List.filter
+          (fun ds ->
+            Placement.join_dpe ~probe:probe.plan ~part_scan_id:ds.ds_part_scan_id
+              ~keys:ds.ds_keys ~build_rels pred
+            <> None)
+          probe.dyn_scans
+      in
+      Obs.add obs "optimizer.dpe_opportunities" (List.length dpe);
+      let build_keys = List.map fst pairs in
+      let probe_cost =
+        (* fraction of partitions surviving selection, per DPE'd scan *)
+        List.fold_left
+          (fun cost ds ->
+            let build_ndv =
+              match build_keys with
+              | [ k ] -> float_of_int (key_ndv env k)
+              | _ -> b.rows
+            in
+            let distinct = Float.min b.rows build_ndv in
+            let frac =
+              Float.min 1.0 (distinct /. float_of_int (max 1 ds.ds_nparts))
+            in
+            (* discount the partition opens and tuple reads of this scan *)
+            let scan_cost =
+              (ds.ds_rows *. cost_tuple_scan)
+              +. (float_of_int ds.ds_nparts *. cost_partition_open)
+            in
+            cost -. (scan_cost *. (1.0 -. frac)))
+          probe.cost dpe
+      in
+      let rows =
+        match (kind, pairs) with
+        | Plan.Semi, _ -> Float.max 1.0 (probe.rows *. 0.5)
+        | _, [] -> Float.max 1.0 (b.rows *. probe.rows *. 0.1)
+        | _, (bk, pk) :: _ ->
+            Mpp_stats.Selectivity.join_rows ~left_rows:b.rows
+              ~right_rows:probe.rows ~left_ndv:(key_ndv env bk)
+              ~right_ndv:(key_ndv env pk)
+      in
+      List.map
+        (fun (bm : annotated) ->
+          ( {
+              plan = Plan.hash_join ~kind ~pred bm.plan probe.plan;
+              rows;
+              dist = Dist.join ~build:bm.dist ~probe:probe.dist;
+              cost =
+                bm.cost +. probe_cost
+                +. (b.rows *. cost_hash_build)
+                +. (probe.rows *. cost_probe);
+              dyn_scans = bm.dyn_scans @ probe.dyn_scans;
+            },
+            dpe <> [] ))
+        placed
 
-and total_cost ctx gid cand =
-  ignore gid;
-  List.fold_left
-    (fun acc (cg, creq) ->
-      match acc with
-      | None -> None
-      | Some c -> (
-          match optimize_req ctx cg creq with
-          | Some b -> Some (c +. b.total_cost)
-          | None -> None))
-    (Some cand.cand_local_cost) cand.cand_children
+(* (build, probe) orientations: semantics fix the roles of semi joins
+   (build = subquery side) and left-outer joins. *)
+let orientations kind left right =
+  match kind with
+  | Plan.Inner -> [ (left, right); (right, left) ]
+  | Plan.Semi -> [ (right, left) ]
+  | Plan.Left_outer -> [ (left, right) ]
 
-(* Implementation alternatives for the group's logical expressions. *)
-and implementation_candidates t g req : candidate list =
-  List.concat_map
-    (fun le ->
-      match le with
-      | L_get { rel; table; pred } -> (
-          match table.Table.partitioning with
-          | None ->
-              if
-                req.parts = []
-                && dist_satisfied ~delivered:(natural_dist table ~rel)
-                     ~required:req.dist
-              then
-                [ { cand_pexpr = P_scan { rel; table; pred };
-                    cand_children = [];
-                    cand_local_cost = table_rows t table; } ]
-              else []
-          | Some p ->
-              if
-                req.parts = []
-                && dist_satisfied ~delivered:(natural_dist table ~rel)
-                     ~required:req.dist
-              then
-                [ { cand_pexpr =
-                      P_dynamic_scan { rel; table; part_scan_id = rel; pred };
-                    cand_children = [];
-                    cand_local_cost =
-                      table_rows t table
-                      +. (40.0 *. float_of_int (Mpp_catalog.Partition.nparts p));
-                  } ]
-              else [])
-      | L_join { pred; left; right } ->
-          if req.dist <> Any then []
-          else join_candidates t g req ~pred ~left ~right)
-    g.lexprs
-
-and join_candidates t g req ~pred ~left ~right : candidate list =
-  ignore g;
-  let gl = group t left and gr = group t right in
-  (* Route the pending partition specs (and create new ones for DynamicScans
-     of the probe side that the join predicate can constrain). *)
-  let route spec (lparts, rparts, rpinned) =
-    if List.mem spec.Part_spec.part_scan_id gl.rels then
-      (lparts @ [ spec ], rparts, rpinned)
-    else if List.mem spec.Part_spec.part_scan_id gr.rels then
-      match
-        Placement.join_dpe ~part_scan_id:spec.Part_spec.part_scan_id
-          ~keys:spec.Part_spec.keys ~build_rels:gl.rels pred
-      with
-      | Some found ->
-          (* dynamic partition elimination: resolve on the build side; the
-             probe-side scan is now pinned (it must not cross a Motion) *)
-          ( lparts @ [ Part_spec.add_predicates spec found ],
-            rparts,
-            rpinned @ [ spec.Part_spec.part_scan_id ] )
-      | _ -> (lparts, rparts @ [ spec ], rpinned)
-    else (lparts, rparts, rpinned)
-  in
-  let handled =
-    List.filter
-      (fun (s : Part_spec.t) ->
-        List.mem s.Part_spec.part_scan_id gl.rels
-        || List.mem s.Part_spec.part_scan_id gr.rels)
-      req.parts
-  in
-  if List.length handled <> List.length req.parts then []
-  else begin
-    let lparts, rparts, rpinned = List.fold_right route req.parts ([], [], []) in
-    let lpinned = List.filter (fun id -> List.mem id gl.rels) req.pinned in
-    let rpinned =
-      rpinned @ List.filter (fun id -> List.mem id gr.rels) req.pinned
-    in
-    let lrows = group_rows t left and rrows = group_rows t right in
-    let local =
-      (lrows *. 1.5) +. (rrows *. 1.0)
-    in
-    (* distribution alternatives: replicate the build side, or co-locate by
-       hashing both sides on the join keys *)
-    let bkeys, pkeys =
-      List.fold_left
-        (fun (bs, ps) c ->
-          match c with
-          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)
-            when List.mem a.Colref.rel gl.rels && List.mem b.Colref.rel gr.rels
-            ->
-              (bs @ [ a ], ps @ [ b ])
-          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)
-            when List.mem b.Colref.rel gl.rels && List.mem a.Colref.rel gr.rels
-            ->
-              (bs @ [ b ], ps @ [ a ])
-          | _ -> (bs, ps))
-        ([], []) (Expr.conjuncts pred)
-    in
-    let replicate_alt =
-      {
-        cand_pexpr = P_hash_join { pred; left; right };
-        cand_children =
-          [ (left, { dist = Req_replicated; parts = lparts; pinned = lpinned });
-            (right, { dist = Any; parts = rparts; pinned = rpinned }) ];
-        cand_local_cost = local;
-      }
-    in
-    let hashed_alt =
-      if bkeys = [] then []
-      else
-        [ {
-            cand_pexpr = P_hash_join { pred; left; right };
-            cand_children =
-              [ (left,
-                 { dist = Req_hashed bkeys; parts = lparts; pinned = lpinned });
-                (right,
-                 { dist = Req_hashed pkeys; parts = rparts; pinned = rpinned })
-              ];
-            cand_local_cost = local;
-          } ]
-    in
-    replicate_alt :: hashed_alt
-  end
-
-(* Enforcer alternatives: PartitionSelector resolves one pending spec;
-   Motion delivers a required distribution. *)
-and enforcer_candidates t g req : candidate list =
-  (* Enforcement-order rule: a selector for a scan *inside* this subtree
-     must stay below any Motion (apply Motion first, i.e. only enforce the
-     selector here when no distribution is pending); a selector for a
-     *remote* scan must go above any Motion (enforce it here regardless of
-     the pending distribution — the Motion will be applied below it). *)
-  let selector_alts =
-    List.filter_map
-      (fun (spec : Part_spec.t) ->
-        let scan_inside = List.mem spec.Part_spec.part_scan_id g.rels in
-        if scan_inside && req.dist <> Any then None
-        else
-          Some
-            {
-              cand_pexpr = P_selector spec;
-              cand_children =
-                [ (g.gid,
-                   {
-                     req with
-                     parts = remove_spec req.parts spec;
-                     pinned =
-                       (if scan_inside then
-                          spec.Part_spec.part_scan_id :: req.pinned
-                        else req.pinned);
-                   }) ];
-              cand_local_cost = 1.0;
-            })
-      req.parts
-  in
-  let rows = group_rows t g.gid in
-  let motion_alts =
-    if not (motion_allowed g req) then []
-    else
-      match req.dist with
-      | Any -> []
-      | Req_replicated ->
-          [ {
-              cand_pexpr = P_motion Plan.Broadcast;
-              cand_children =
-                [ (g.gid, { req with dist = Any }) ];
-              cand_local_cost = rows *. float_of_int t.nsegments *. 2.0;
-            } ]
-      | Req_hashed cols ->
-          [ {
-              cand_pexpr = P_motion (Plan.Redistribute cols);
-              cand_children = [ (g.gid, { req with dist = Any }) ];
-              cand_local_cost = rows *. 2.0;
-            } ]
-      | Req_singleton ->
-          [ {
-              cand_pexpr = P_motion Plan.Gather;
-              cand_children = [ (g.gid, { req with dist = Any }) ];
-              cand_local_cost = rows *. 2.0;
-            } ]
-  in
-  selector_alts @ motion_alts
+(* Cheaper wins.  Among equals, one that drives DPE beats one that does
+   not — its discount is an estimate, and at run time it can only prune
+   more — and otherwise the first in order. *)
+let cheapest acc ((a : annotated), dpe) =
+  match acc with
+  | Some ((b : annotated), b_dpe)
+    when b.cost < a.cost || (b.cost = a.cost && (b_dpe || not dpe)) ->
+      acc
+  | _ -> Some (a, dpe)
 
 (* ------------------------------------------------------------------ *)
-(* Plan extraction                                                     *)
+(* Groups and requests                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec extract ctx gid (req : request) : Plan.t option =
-  match optimize_req ctx gid req with
-  | None -> None
-  | Some best -> extract_candidate ctx gid best.chosen
+type tree =
+  | Leaf of annotated
+  | Join of { kind : Plan.join_kind; pred : Expr.t; left : tree; right : tree }
 
-and extract_candidate ctx _gid (cand : candidate) : Plan.t option =
-  let children =
-    List.map (fun (cg, creq) -> extract ctx cg creq) cand.cand_children
+type group =
+  | G_leaf of annotated
+  | G_join of { kind : Plan.join_kind; pred : Expr.t; left : int; right : int }
+
+type request = {
+  dist : Dist.t;  (** required distribution; [Dany]: none *)
+  pinned_rel : int option;
+      (** DML target: must stay on an unmoved probe side *)
+}
+
+type t = {
+  env : env;
+  groups : group array;  (** index = gid, children before parents *)
+  best : (request * annotated option) list array;
+      (** memoized best plan per group, for each request seen *)
+}
+
+let create env tree =
+  let acc = ref [] and n = ref 0 in
+  let add g =
+    acc := g :: !acc;
+    incr n;
+    !n - 1
   in
-  if List.exists Option.is_none children then None
-  else
-    let children = List.map Option.get children in
-    match (cand.cand_pexpr, children) with
-    | P_scan { rel; table; pred }, [] ->
-        Some (Plan.table_scan ?filter:pred ~rel table.Table.oid)
-    | P_dynamic_scan { rel; table; part_scan_id; pred }, [] ->
-        Some (Plan.dynamic_scan ?filter:pred ~rel ~part_scan_id table.Table.oid)
-    | P_selector spec, [ child ] ->
-        if Plan.has_part_scan_id child spec.Part_spec.part_scan_id then
-          (* the scan is below: a leaf selector ordered by a Sequence *)
-          Some
-            (Plan.Sequence
-               [ Plan.partition_selector ~part_scan_id:spec.part_scan_id
-                   ~root_oid:spec.root_oid ~keys:spec.keys
-                   ~predicates:spec.predicates ();
-                 child ])
-        else
-          (* streaming selector: OIDs flow to a scan elsewhere *)
-          Some
-            (Plan.partition_selector ~child ~part_scan_id:spec.part_scan_id
-               ~root_oid:spec.root_oid ~keys:spec.keys
-               ~predicates:spec.predicates ())
-    | P_motion kind, [ child ] -> Some (Plan.motion kind child)
-    | P_hash_join { pred; _ }, [ l; r ] ->
-        Some (Plan.hash_join ~kind:Plan.Inner ~pred l r)
-    | _ -> None
-  [@@warning "-8"]
-
-(* ------------------------------------------------------------------ *)
-(* Exhaustive enumeration (for the Figure-14 plan-space display)        *)
-(* ------------------------------------------------------------------ *)
-
-let rec enumerate t gid (req : request) ~limit : Plan.t list =
-  if limit <= 0 then []
-  else
-    let g = group t gid in
-    let candidates =
-      implementation_candidates t g req @ enforcer_candidates t g req
-    in
-    List.concat_map
-      (fun cand ->
-        let rec combine children =
-          match children with
-          | [] -> [ [] ]
-          | (cg, creq) :: rest ->
-              let subs =
-                if cg = gid && Req_key.equal creq req then []
-                else enumerate t cg creq ~limit:(min limit 4)
-              in
-              List.concat_map
-                (fun sub -> List.map (fun tail -> sub :: tail) (combine rest))
-                subs
-        in
-        combine cand.cand_children
-        |> List.filter_map (fun children ->
-               match (cand.cand_pexpr, children) with
-               | P_scan { rel; table; pred }, [] ->
-                   Some (Plan.table_scan ?filter:pred ~rel table.Table.oid)
-               | P_dynamic_scan { rel; table; part_scan_id; pred }, [] ->
-                   Some
-                     (Plan.dynamic_scan ?filter:pred ~rel ~part_scan_id
-                        table.Table.oid)
-               | P_selector spec, [ child ] ->
-                   if Plan.has_part_scan_id child spec.Part_spec.part_scan_id
-                   then
-                     Some
-                       (Plan.Sequence
-                          [ Plan.partition_selector
-                              ~part_scan_id:spec.part_scan_id
-                              ~root_oid:spec.root_oid ~keys:spec.keys
-                              ~predicates:spec.predicates ();
-                            child ])
-                   else
-                     Some
-                       (Plan.partition_selector ~child
-                          ~part_scan_id:spec.part_scan_id
-                          ~root_oid:spec.root_oid ~keys:spec.keys
-                          ~predicates:spec.predicates ())
-               | P_motion kind, [ child ] -> Some (Plan.motion kind child)
-               | P_hash_join { pred; _ }, [ l; r ] ->
-                   Some (Plan.hash_join ~kind:Plan.Inner ~pred l r)
-               | _ -> None))
-      candidates
-    |> List.filteri (fun i _ -> i < limit)
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Initial optimization request for the root group: any distribution, and
-    one partition-propagation spec per partitioned base table, as in the
-    paper's req. #1. *)
-let initial_request t ~root_gid : request =
-  let g = group t root_gid in
-  let find_partitioned rel =
-    let rec scan i =
-      if i >= t.ngroups then None
-      else
-        match
-          List.find_map
-            (fun le ->
-              match le with
-              | L_get { rel = r; table; _ }
-                when r = rel && Table.is_partitioned table ->
-                  Some
-                    (Part_spec.initial ~part_scan_id:rel
-                       ~root_oid:table.Table.oid
-                       ~keys:(Table.part_key_colrefs table ~rel))
-              | _ -> None)
-            t.groups.(i).lexprs
-        with
-        | Some _ as s -> s
-        | None -> scan (i + 1)
-    in
-    scan 0
+  let rec insert = function
+    | Leaf a -> add (G_leaf a)
+    | Join { kind; pred; left; right } ->
+        let left = insert left in
+        let right = insert right in
+        add (G_join { kind; pred; left; right })
   in
-  { dist = Any; parts = List.filter_map find_partitioned g.rels; pinned = [] }
+  let root = insert tree in
+  Obs.add (Obs.current ()) "memo.groups" !n;
+  let groups = Array.of_list (List.rev !acc) in
+  ({ env; groups; best = Array.make !n [] }, root)
 
-(** Optimize [lg] through the memo; returns the best plan and its cost. *)
+let same_request a b =
+  a.pinned_rel = b.pinned_rel
+  && Dist.satisfies ~required:a.dist b.dist
+  && Dist.satisfies ~required:b.dist a.dist
+
+let rec optimize m gid req : annotated option =
+  match List.find_opt (fun (r, _) -> same_request r req) m.best.(gid) with
+  | Some (_, b) -> b
+  | None ->
+      Obs.incr (Obs.current ()) "memo.requests";
+      let b =
+        match (req.dist, m.groups.(gid)) with
+        | Dist.Dany, G_leaf a -> Some a
+        | Dist.Dany, G_join { kind; pred; left; right } ->
+            optimize_join m req ~kind ~pred left right
+        | required, _ ->
+            Option.map (deliver m.env required)
+              (optimize m gid { req with dist = Dist.Dany })
+      in
+      m.best.(gid) <- (req, b) :: m.best.(gid);
+      b
+
+and optimize_join m req ~kind ~pred left right =
+  let any = { req with dist = Dist.Dany } in
+  let best =
+    List.fold_left
+      (fun acc (bg, pg) ->
+        match (optimize m bg any, optimize m pg any) with
+        | Some build, Some probe
+          when match req.pinned_rel with
+               | None -> true
+               | Some rel ->
+                   (not (List.mem rel (Plan.output_rels build.plan)))
+                   || List.mem rel (Plan.output_rels probe.plan) ->
+            List.fold_left cheapest acc
+              (alternatives m.env ~kind ~pred
+                 ~build:(fun dist -> optimize m bg { req with dist })
+                 ~probe)
+        | _ -> acc)
+      None
+      (orientations kind left right)
+    |> Option.map fst
+  in
+  Option.iter
+    (fun (b : annotated) ->
+      Obs.incr (Obs.current ()) "optimizer.joins_planned";
+      Log.debug (fun m ->
+          m "join planned: cost=%.0f, pred=%s" b.cost (Expr.to_string pred)))
+    best;
+  best
+
+(** Plan a join tree: the cheapest alternative with the DML target
+    [pinned_rel] (if any) on an unmoved probe side; [None] when no
+    orientation allows that. *)
+let plan env ~pinned_rel tree : annotated option =
+  let m, root = create env tree in
+  optimize m root { dist = Dist.Dany; pinned_rel }
+
+(* ------------------------------------------------------------------ *)
+(* Figure 13/14: best plan and plan space of a Get/Select/Join tree    *)
+(* ------------------------------------------------------------------ *)
+
+(* The memo over [lg]'s join tree, with Get and Select(Get) leaves whose
+   DynamicScans are numbered by their range-table index. *)
+let of_logical ?stats ~nsegments ~catalog (lg : Logical.t) =
+  let rel_tables =
+    List.map
+      (fun (rel, name) -> (rel, Mpp_catalog.Catalog.find catalog name))
+      (Logical.base_tables lg)
+  in
+  let env = { catalog; stats; nsegments; rel_tables } in
+  let get rel name = plan_get env ~scan_id:(fun () -> rel) ~rel name in
+  let rec tree (lg : Logical.t) =
+    match lg with
+    | Logical.Get { rel; table_name } -> Leaf (get rel table_name)
+    | Logical.Select { pred; child = Logical.Get { rel; table_name } } ->
+        Leaf (plan_select env pred (get rel table_name))
+    | Logical.Join { kind; pred; left; right } ->
+        let left = tree left in
+        Join { kind; pred; left; right = tree right }
+    | _ ->
+        invalid_arg
+          "Memo.of_logical: only Get/Select(Get)/Join trees are supported"
+  in
+  create env (tree lg)
+
+(** Optimize [lg] through the memo and place its PartitionSelectors; the
+    best plan and its cost. *)
 let best_plan ?stats ?(nsegments = 4) ~catalog (lg : Logical.t) :
     (Plan.t * float) option =
-  Obs.span (Obs.current ()) "memo.optimize" (fun () ->
-      let t = create ?stats ~nsegments ~catalog () in
-      let root = insert t lg in
-      let req = initial_request t ~root_gid:root in
-      let ctx = ctx_create t in
-      match optimize_req ctx root req with
-      | None -> None
-      | Some best -> (
-          match extract ctx root req with
-          | Some plan -> Some (plan, best.total_cost)
-          | None -> None))
+  let m, root = of_logical ?stats ~nsegments ~catalog lg in
+  Option.map
+    (fun (b : annotated) -> (Placement.place ~catalog b.plan, b.cost))
+    (optimize m root { dist = Dist.Dany; pinned_rel = None })
 
-(** Enumerate up to [limit] alternative plans for [lg] (paper Figure 14). *)
+(* Every alternative of group [gid] over every combination of its
+   children's, at most [limit] per group. *)
+let rec enumerate m gid ~limit : annotated list =
+  match m.groups.(gid) with
+  | G_leaf a -> [ a ]
+  | G_join { kind; pred; left; right } ->
+      List.concat_map
+        (fun (bg, pg) ->
+          let builds = enumerate m bg ~limit in
+          List.concat_map
+            (fun probe ->
+              List.concat_map
+                (fun b ->
+                  List.map fst
+                    (alternatives m.env ~kind ~pred
+                       ~build:(fun d -> Some (deliver m.env d b))
+                       ~probe))
+                builds)
+            (enumerate m pg ~limit))
+        (orientations kind left right)
+      |> List.filteri (fun i _ -> i < limit)
+
+(** Up to [limit] distinct alternatives for [lg], selectors placed (paper
+    Figure 14). *)
 let plan_space ?stats ?(nsegments = 4) ?(limit = 16) ~catalog (lg : Logical.t)
     : Plan.t list =
-  let t = create ?stats ~nsegments ~catalog () in
-  let root = insert t lg in
-  let req = initial_request t ~root_gid:root in
+  let m, root = of_logical ?stats ~nsegments ~catalog lg in
   let seen = Hashtbl.create 16 in
-  enumerate t root req ~limit:(limit * 4)
-  |> List.filter (fun p ->
+  enumerate m root ~limit:(limit * 4)
+  |> List.filter_map (fun (a : annotated) ->
+         let p = Placement.place ~catalog a.plan in
          let k = Plan.to_string p in
-         if Hashtbl.mem seen k then false
+         if Hashtbl.mem seen k then None
          else begin
            Hashtbl.replace seen k ();
-           true
+           Some p
          end)
   |> List.filteri (fun i _ -> i < limit)

@@ -2,35 +2,28 @@
 
     [optimize] turns a {!Logical.t} into an executable {!Mpp_plan.Plan.t}:
 
-    1. bottom-up translation to a physical skeleton, choosing hash-join
-       orientation by cost.  The cost model values join-induced dynamic
-       partition elimination: a candidate whose probe side contains a
-       DynamicScan constrained by the join predicate is charged only for the
-       estimated fraction of partitions it will scan, so plans that enable
-       DPE win whenever the statistics say they should — and lose when
-       injected misestimates say otherwise (the paper's Table-3 outliers);
-    2. Motion insertion for co-location (broadcast or redistribute the build
-       side; the probe side never moves when it contains a DynamicScan, which
-       keeps every selector/scan pair within one process — the §3.1
-       constraint by construction);
+    1. join-order search over large inner-join regions ({!Joinorder});
+    2. bottom-up translation to a physical skeleton.  Scans, filters,
+       aggregates, projections, sorts, limits and DML are planned here;
+       every tree of joins goes to the {!Memo}, the one join planner, which
+       picks orientations and the Motions that co-locate each join, and
+       values join-induced dynamic partition elimination in its costs — so
+       plans that enable DPE win whenever the statistics say they should,
+       and lose when injected misestimates say otherwise (the paper's
+       Table-3 outliers);
     3. the PartitionSelector placement pass of {!Placement} (paper §2.3);
     4. the plan verifier ({!Mpp_verify.Verify.check}, all six passes; its
-       structure pass holds the §3.1 rules).
-
-    The full memo-based property-enforcement machinery of paper §3.1 is in
-    {!Memo}; this pipeline is the production path used by the benchmarks. *)
+       structure pass holds the §3.1 rules). *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
 module Table = Mpp_catalog.Table
-module Distribution = Mpp_catalog.Distribution
+module Dist = Mpp_plan.Dist
 
 let log_src = Logs.Src.create "orca.optimizer" ~doc:"Orca optimizer pipeline"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Obs = Mpp_obs.Obs
-
-type dist = Hashed_on of Colref.t list | Replicated_d | Random_d | Singleton_d
 
 type config = {
   enable_partition_selection : bool;
@@ -89,352 +82,33 @@ let fresh_synth_rel t =
   t.next_synth_rel <- r + 1;
   r
 
-(* ------------------------------------------------------------------ *)
-(* Cost model parameters                                               *)
-(* ------------------------------------------------------------------ *)
-
-let cost_tuple_scan = 1.0
-let cost_partition_open = 40.0
-let cost_hash_build = 1.5
-let cost_probe = 1.0
-let cost_motion_tuple = 2.0
-let cost_filter_tuple = 0.1
 let cost_agg_tuple = 1.5
 
-(* ------------------------------------------------------------------ *)
-(* Annotated subplans                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A DynamicScan visible in a subtree, for DPE costing. *)
-type dyn_scan_info = {
-  ds_part_scan_id : int;
-  ds_root_oid : int;
-  ds_keys : Colref.t list;
-  ds_nparts : int;
-  ds_rows : float;  (** estimated rows this scan feeds upward *)
-}
-
-type annotated = {
+type annotated = Memo.annotated = {
   plan : Plan.t;
   rows : float;
-  dist : dist;
+  dist : Dist.t;
   cost : float;
-  dyn_scans : dyn_scan_info list;
+  dyn_scans : Memo.dyn_scan_info list;
 }
 
 let table_of t name = Mpp_catalog.Catalog.find t.catalog name
 
-let stats_of t (table : Table.t) : Mpp_stats.Stats.table_stats =
-  match t.stats with
-  | Some src -> Mpp_stats.Stats_source.table_stats src table
-  | None -> Mpp_stats.Stats.defaults table
-
-let dist_of_table t (table : Table.t) ~rel =
-  ignore t;
-  match table.Table.distribution with
-  | Distribution.Hashed cols ->
-      Hashed_on
-        (List.map
-           (fun i ->
-             let name, dtype = table.Table.columns.(i) in
-             Colref.make ~rel ~index:i ~name ~dtype)
-           cols)
-  | Distribution.Replicated -> Replicated_d
-  | Distribution.Random -> Random_d
-  | Distribution.Singleton -> Singleton_d
-
-let col_ndv t (table : Table.t) ~col_index =
-  let stats = stats_of t table in
-  if col_index < Array.length stats.columns then
-    stats.columns.(col_index).Mpp_stats.Stats.ndv
-  else 100
-
-(* Statically-surviving partition count of the scan rooted at [root_oid]
-   under [pred], via the selection index: per-level [Expr.restriction] →
-   {!Mpp_catalog.Partition.Index.count_selected} (one bitset cardinality, no
-   leaf materialization).  [None] when the predicate restricts no
-   partitioning level — the count would just be the leaf total. *)
-let indexed_nparts t ~root_oid ~keys pred =
-  match (Mpp_catalog.Catalog.find_oid t.catalog root_oid).Table.partitioning with
-  | None -> None
-  | Some p ->
-      let restrictions =
-        Array.of_list (List.map (fun k -> Expr.restriction k pred) keys)
-      in
-      if Array.for_all Option.is_none restrictions then None
-      else begin
-        Obs.incr (Obs.current ()) "optimizer.indexed_part_counts";
-        let ix = Mpp_catalog.Partition.Index.of_partitioning p in
-        Some (Mpp_catalog.Partition.Index.count_selected ix restrictions)
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Scans and filters                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let plan_get t ~rel name : annotated =
-  let table = table_of t name in
-  let stats = stats_of t table in
-  let rows = float_of_int stats.rowcount in
-  let dist = dist_of_table t table ~rel in
-  match table.Table.partitioning with
-  | None ->
-      {
-        plan = Plan.table_scan ~rel table.Table.oid;
-        rows;
-        dist;
-        cost = rows *. cost_tuple_scan;
-        dyn_scans = [];
-      }
-  | Some p ->
-      let part_scan_id = fresh_scan_id t in
-      let nparts = Mpp_catalog.Partition.nparts p in
-      {
-        plan = Plan.dynamic_scan ~rel ~part_scan_id table.Table.oid;
-        rows;
-        dist;
-        cost =
-          (rows *. cost_tuple_scan)
-          +. (float_of_int nparts *. cost_partition_open);
-        dyn_scans =
-          [
-            {
-              ds_part_scan_id = part_scan_id;
-              ds_root_oid = table.Table.oid;
-              ds_keys = Table.part_key_colrefs table ~rel;
-              ds_nparts = nparts;
-              ds_rows = rows;
-            };
-          ];
-      }
-
-(* Selectivity of [pred] against the single-relation stats reachable in the
-   subtree; multi-relation predicates use defaults. *)
-let selectivity_for t ~rel_tables pred =
-  let per_rel rel =
-    match List.assoc_opt rel rel_tables with
-    | None -> 0.5
-    | Some table ->
-        Mpp_stats.Selectivity.estimate ~stats:(stats_of t table) ~rel pred
-  in
-  match Expr.rels pred with
-  | [] -> 1.0
-  | [ rel ] -> per_rel rel
-  | rels ->
-      (* keep only the per-relation conjuncts; join conjuncts are handled by
-         the join cardinality model *)
-      List.fold_left (fun acc rel -> acc *. per_rel rel) 1.0 rels
-
-let plan_select t ~rel_tables pred (child : annotated) : annotated =
-  let sel = selectivity_for t ~rel_tables pred in
-  let rows = Float.max 1.0 (child.rows *. sel) in
-  let plan =
-    (* push the filter into a bare scan; otherwise keep a Filter node *)
-    match child.plan with
-    | Plan.Table_scan ({ filter = None; _ } as s) ->
-        Plan.Table_scan { s with filter = Some pred }
-    | Plan.Dynamic_scan ({ filter = None; _ } as s) ->
-        Plan.Dynamic_scan { s with filter = Some pred }
-    | p -> Plan.filter pred p
-  in
-  (* Refine each visible DynamicScan with the statically-surviving
-     partition count under [pred] (the index makes this one bitset
-     cardinality per scan): downstream DPE costing then discounts against
-     the partitions that static selection already eliminated, and the
-     statically pruned partition opens come off this subplan's cost. *)
-  let pruned_opens = ref 0.0 in
-  let dyn_scans =
-    List.map
-      (fun ds ->
-        let ds = { ds with ds_rows = ds.ds_rows *. sel } in
-        match
-          indexed_nparts t ~root_oid:ds.ds_root_oid ~keys:ds.ds_keys pred
-        with
-        | Some n when n < ds.ds_nparts ->
-            pruned_opens :=
-              !pruned_opens
-              +. (float_of_int (ds.ds_nparts - n) *. cost_partition_open);
-            { ds with ds_nparts = n }
-        | _ -> ds)
-      child.dyn_scans
-  in
+(* The memo's view of one query: its base tables by range-table index. *)
+let env_of t (lg : Logical.t) : Memo.env =
   {
-    child with
-    plan;
-    rows;
-    cost = child.cost +. (child.rows *. cost_filter_tuple) -. !pruned_opens;
-    dyn_scans;
+    catalog = t.catalog;
+    stats = t.stats;
+    nsegments = t.config.nsegments;
+    rel_tables =
+      List.map
+        (fun (rel, name) -> (rel, table_of t name))
+        (Logical.base_tables lg);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Joins                                                               *)
+(* Partition-wise join                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Equi-join column pairs (build expr, probe expr) of [pred]. *)
-let equi_pairs ~build_rels ~probe_rels pred =
-  let refs_only rels e =
-    Expr.rels e <> [] && List.for_all (fun r -> List.mem r rels) (Expr.rels e)
-  in
-  List.filter_map
-    (function
-      | Expr.Cmp (Expr.Eq, a, b)
-        when refs_only build_rels a && refs_only probe_rels b ->
-          Some (a, b)
-      | Expr.Cmp (Expr.Eq, a, b)
-        when refs_only probe_rels a && refs_only build_rels b ->
-          Some (b, a)
-      | _ -> None)
-    (Expr.conjuncts pred)
-
-
-(* Is [side] already distributed on its join keys?  (So the other side can be
-   redistributed to match, or no motion is needed if both match.) *)
-let hashed_on_keys dist keys =
-  match dist with
-  | Hashed_on cols ->
-      List.length cols <= List.length keys
-      && List.for_all
-           (fun c ->
-             List.exists
-               (function Expr.Col k -> Colref.equal k c | _ -> false)
-               keys)
-           cols
-  | _ -> false
-
-(* DPE opportunity: DynamicScans in the probe subtree that the join can
-   select through {!Placement.join_dpe} — the placement pass pushes
-   exactly these, so costing discounts no scan that cannot be selected. *)
-let dpe_opportunities ~pred ~build ~probe =
-  let build_rels = Plan.output_rels build.plan in
-  List.filter
-    (fun ds ->
-      Placement.join_dpe ~probe:probe.plan ~part_scan_id:ds.ds_part_scan_id
-        ~keys:ds.ds_keys ~build_rels pred
-      <> None)
-    probe.dyn_scans
-
-type join_candidate = {
-  jc_plan : Plan.t;
-  jc_rows : float;
-  jc_dist : dist;
-  jc_cost : float;
-  jc_dyn_scans : dyn_scan_info list;
-}
-
-let key_ndv t ~rel_tables e =
-  match e with
-  | Expr.Col c -> (
-      match List.assoc_opt c.Colref.rel rel_tables with
-      | Some table -> col_ndv t table ~col_index:c.Colref.index
-      | None -> 1000)
-  | _ -> 1000
-
-let candidate t ~rel_tables ~kind ~pred ~(build : annotated)
-    ~(probe : annotated) : join_candidate option =
-  Obs.incr (Obs.current ()) "optimizer.plans_costed";
-  let nseg = float_of_int t.config.nsegments in
-  let build_rels = Plan.output_rels build.plan
-  and probe_rels = Plan.output_rels probe.plan in
-  let pairs = equi_pairs ~build_rels ~probe_rels pred in
-  let build_keys = List.map fst pairs and probe_keys = List.map snd pairs in
-  (* Motion choice for the build side; the probe side never moves (keeps
-     selector/scan co-located when the probe holds a DynamicScan). *)
-  let colocated =
-    pairs <> []
-    && hashed_on_keys build.dist build_keys
-    && hashed_on_keys probe.dist probe_keys
-  in
-  let build_plan, build_motion_cost, build_dist =
-    if build.dist = Replicated_d || build.dist = Singleton_d then
-      (build.plan, 0.0, build.dist)
-    else if colocated then (build.plan, 0.0, build.dist)
-    else if probe.dist = Replicated_d then
-      (* the probe side already lives everywhere: joining the distributed
-         build side locally produces each pair exactly once *)
-      (build.plan, 0.0, build.dist)
-    else if pairs <> [] && hashed_on_keys probe.dist probe_keys then
-      (* redistribute build to match the probe's hashing *)
-      let cols =
-        List.filter_map
-          (function Expr.Col c -> Some c | _ -> None)
-          build_keys
-      in
-      if List.length cols = List.length build_keys then
-        ( Plan.motion (Plan.Redistribute cols) build.plan,
-          build.rows *. cost_motion_tuple,
-          Hashed_on cols )
-      else
-        ( Plan.motion Plan.Broadcast build.plan,
-          build.rows *. nseg *. cost_motion_tuple,
-          Replicated_d )
-    else
-      ( Plan.motion Plan.Broadcast build.plan,
-        build.rows *. nseg *. cost_motion_tuple,
-        Replicated_d )
-  in
-
-  (* When the build side is not replicated everywhere, a streaming selector
-     above it sees only a slice of the rows on each segment, which still
-     yields correct (per-segment-conservative) selection. *)
-  let dpe = dpe_opportunities ~pred ~build ~probe in
-  Obs.add (Obs.current ()) "optimizer.dpe_opportunities" (List.length dpe);
-  let probe_cost_effective =
-    match dpe with
-    | [] -> probe.cost
-    | _ ->
-        (* fraction of partitions surviving selection, per DPE'd scan *)
-        List.fold_left
-          (fun cost ds ->
-            let build_ndv =
-              match build_keys with
-              | [ k ] -> float_of_int (key_ndv t ~rel_tables k)
-              | _ -> build.rows
-            in
-            let distinct = Float.min build.rows build_ndv in
-            let frac =
-              Float.min 1.0 (distinct /. float_of_int (max 1 ds.ds_nparts))
-            in
-            (* discount the partition opens and tuple reads of this scan *)
-            let scan_cost =
-              (ds.ds_rows *. cost_tuple_scan)
-              +. (float_of_int ds.ds_nparts *. cost_partition_open)
-            in
-            cost -. (scan_cost *. (1.0 -. frac)))
-          probe.cost dpe
-  in
-  let rows =
-    match kind with
-    | Plan.Semi ->
-        Float.max 1.0 (probe.rows *. 0.5)
-    | Plan.Inner | Plan.Left_outer -> (
-        match pairs with
-        | [] -> Float.max 1.0 (build.rows *. probe.rows *. 0.1)
-        | (bk, pk) :: _ ->
-            Mpp_stats.Selectivity.join_rows ~left_rows:build.rows
-              ~right_rows:probe.rows
-              ~left_ndv:(key_ndv t ~rel_tables bk)
-              ~right_ndv:(key_ndv t ~rel_tables pk))
-  in
-  let cost =
-    build.cost +. build_motion_cost +. probe_cost_effective
-    +. (build.rows *. cost_hash_build)
-    +. (probe.rows *. cost_probe)
-  in
-  Some
-    {
-      jc_plan = Plan.hash_join ~kind ~pred build_plan probe.plan;
-      jc_rows = rows;
-      jc_dist =
-        (* a join's rows live where its distributed side lives *)
-        (if probe.dist = Replicated_d && build_dist <> Replicated_d then
-           build_dist
-         else probe.dist);
-      jc_cost = cost;
-      jc_dyn_scans =
-        (* scans already consumed below stay visible for upper joins only if
-           their columns are still in the output *)
-        build.dyn_scans @ probe.dyn_scans;
-    }
 
 (* Partition-wise join (ablation, paper §5): both sides are bare
    DynamicScans of tables partitioned with *identical* level-0 constraints,
@@ -482,13 +156,12 @@ let try_partition_wise_join t ~kind ~pred (left : annotated)
                 (Array.to_list lp.Mpp_catalog.Partition.leaves)
                 (Array.to_list rp.Mpp_catalog.Partition.leaves)
             in
-            (* per-pair local joins are only correct when both sides are
-               hash-distributed on the joined keys (co-located) *)
+            (* per-pair local joins are only correct when the two sides
+               are co-located on the partitioning keys *)
             let colocated =
-              match (left.dist, right.dist) with
-              | Hashed_on [ a ], Hashed_on [ b ] ->
-                  Colref.equal a lkey && Colref.equal b rkey
-              | _ -> false
+              Dist.colocated
+                [ (Expr.Col lkey, Expr.Col rkey) ]
+                ~build:left.dist ~probe:right.dist
             in
             if not (keys_joined && constraints_match && colocated) then None
             else begin
@@ -511,60 +184,14 @@ let try_partition_wise_join t ~kind ~pred (left : annotated)
                     Mpp_stats.Selectivity.join_rows ~left_rows:left.rows
                       ~right_rows:right.rows ~left_ndv:1000 ~right_ndv:1000;
                   dist = right.dist;
-                  cost = left.cost +. right.cost +. (left.rows *. cost_hash_build);
+                  cost =
+                    left.cost +. right.cost
+                    +. (left.rows *. Memo.cost_hash_build);
                   dyn_scans = [];
                 }
             end
         | _ -> None)
     | _ -> None
-
-(* Plan a join, trying both orientations when allowed.  [pinned_rel] (DML
-   target) must stay on the probe side, unmoved. *)
-let plan_join t ~rel_tables ~pinned_rel ~kind ~pred (left : annotated)
-    (right : annotated) : annotated =
-  match try_partition_wise_join t ~kind ~pred left right with
-  | Some ann -> ann
-  | None ->
-  (* fall through to the DynamicScan-based join below *)
-  let orientations =
-    match kind with
-    | Plan.Semi | Plan.Left_outer ->
-        (* semantics fix the roles: logical left is the preserved/probe side
-           for semi joins (build = subquery side) *)
-        (match kind with
-        | Plan.Semi -> [ (right, left) ]
-        | _ -> [ (left, right) ])
-    | Plan.Inner -> [ (left, right); (right, left) ]
-  in
-  let allowed (build, probe) =
-    match pinned_rel with
-    | None -> true
-    | Some rel ->
-        (* the DML target must be on the (unmoved) probe side if present *)
-        (not (List.mem rel (Plan.output_rels build.plan)))
-        || List.mem rel (Plan.output_rels probe.plan)
-  in
-  let candidates =
-    List.filter allowed orientations
-    |> List.filter_map (fun (build, probe) ->
-           candidate t ~rel_tables ~kind ~pred ~build ~probe)
-  in
-  match
-    List.sort (fun a b -> Float.compare a.jc_cost b.jc_cost) candidates
-  with
-  | [] -> invalid_arg "Optimizer.plan_join: no valid join orientation"
-  | best :: _ ->
-      Obs.incr (Obs.current ()) "optimizer.joins_planned";
-      Log.debug (fun m ->
-          m "join orientation chosen: cost=%.0f of %d candidate(s), pred=%s"
-            best.jc_cost (List.length candidates) (Expr.to_string pred));
-      {
-        plan = best.jc_plan;
-        rows = best.jc_rows;
-        dist = best.jc_dist;
-        cost = best.jc_cost;
-        dyn_scans = best.jc_dyn_scans;
-      }
 
 (* ------------------------------------------------------------------ *)
 (* Join-order search (big inner-join regions)                          *)
@@ -573,38 +200,38 @@ let plan_join t ~rel_tables ~pinned_rel ~kind ~pred (left : annotated)
 (* Row estimate of a logical subtree, for seeding the join-order search.
    Deliberately the same crude shapes as [est_rows]: the search only ranks
    orders; the chosen order is then re-costed by the full model. *)
-let rec logical_rows t ~rel_tables (lg : Logical.t) : float =
+let rec logical_rows t ~env (lg : Logical.t) : float =
   match lg with
   | Logical.Get { table_name; _ } ->
-      float_of_int (stats_of t (table_of t table_name)).rowcount
+      float_of_int (Memo.stats_of env (table_of t table_name)).rowcount
   | Logical.Select { pred; child } ->
       Float.max 1.0
-        (logical_rows t ~rel_tables child *. selectivity_for t ~rel_tables pred)
+        (logical_rows t ~env child *. Memo.selectivity_for env pred)
   | Logical.Join { kind = Plan.Semi; left; _ } ->
-      Float.max 1.0 (logical_rows t ~rel_tables left *. 0.5)
+      Float.max 1.0 (logical_rows t ~env left *. 0.5)
   | Logical.Join { left; right; _ } ->
       Float.max 1.0
-        (logical_rows t ~rel_tables left
-        *. logical_rows t ~rel_tables right
+        (logical_rows t ~env left
+        *. logical_rows t ~env right
         /. 100.0)
   | Logical.Aggregate { group_by = []; _ } -> 1.0
   | Logical.Aggregate { child; _ } ->
-      Float.max 1.0 (logical_rows t ~rel_tables child /. 10.0)
+      Float.max 1.0 (logical_rows t ~env child /. 10.0)
   | Logical.Project { child; _ } | Logical.Sort { child; _ } ->
-      logical_rows t ~rel_tables child
+      logical_rows t ~env child
   | Logical.Limit { rows; child } ->
-      Float.min (float_of_int rows) (logical_rows t ~rel_tables child)
+      Float.min (float_of_int rows) (logical_rows t ~env child)
   | Logical.Update _ | Logical.Delete _ | Logical.Insert _ -> 1.0
 
 (* Selectivity of one join conjunct: the textbook 1/max(ndv) for an
    equi-pair, a flat guess otherwise. *)
-let edge_sel t ~rel_tables c =
+let edge_sel env c =
   match c with
   | Expr.Cmp (Expr.Eq, (Expr.Col _ as a), (Expr.Col _ as b)) ->
       let n =
         Float.max
-          (float_of_int (key_ndv t ~rel_tables a))
-          (float_of_int (key_ndv t ~rel_tables b))
+          (float_of_int (Memo.key_ndv env a))
+          (float_of_int (Memo.key_ndv env b))
       in
       1.0 /. Float.max 1.0 n
   | _ -> 0.25
@@ -657,7 +284,7 @@ let rebuild_region leaves (edges : (int * Expr.t) array) order residual :
 (* Reorder one flattened region; [None] when a conjunct references a
    relation outside the region's leaves (bail out, keep the written order —
    the safety valve for shapes the binder never produces today). *)
-let try_reorder t ~rel_tables leaves conjs : Logical.t option =
+let try_reorder t ~env leaves conjs : Logical.t option =
   let leaves = Array.of_list leaves in
   let n = Array.length leaves in
   let rel_leaf = Hashtbl.create 16 in
@@ -709,11 +336,11 @@ let try_reorder t ~rel_tables leaves conjs : Logical.t option =
         leaves
     in
     let leaf_rows =
-      Array.map (fun leaf -> logical_rows t ~rel_tables leaf) leaves
+      Array.map (fun leaf -> logical_rows t ~env leaf) leaves
     in
     let graph =
       Joinorder.make ~leaf_rows
-        ~edges:(Array.map (fun (m, c) -> (m, edge_sel t ~rel_tables c)) edges)
+        ~edges:(Array.map (fun (m, c) -> (m, edge_sel env c)) edges)
     in
     let order = Joinorder.order graph in
     Obs.incr (Obs.current ()) "optimizer.join_reorders";
@@ -732,7 +359,7 @@ let join_reorder_min_rels = 5
    [join_reorder_min_rels] leaves is re-ordered by {!Joinorder}.  DML
    subtrees are left as written — the target relation's plan position is
    semantic there. *)
-let reorder_joins t ~rel_tables (lg : Logical.t) : Logical.t =
+let reorder_joins t ~env (lg : Logical.t) : Logical.t =
   let rec go lg =
     match lg with
     | Logical.Join { kind = Plan.Inner; _ } -> (
@@ -741,7 +368,7 @@ let reorder_joins t ~rel_tables (lg : Logical.t) : Logical.t =
         if n < join_reorder_min_rels || n > 60 then descend lg
         else
           let leaves = List.map go leaves in
-          match try_reorder t ~rel_tables leaves conjs with
+          match try_reorder t ~env leaves conjs with
           | Some lg' -> lg'
           | None -> descend lg)
     | _ -> descend lg
@@ -765,20 +392,20 @@ let reorder_joins t ~rel_tables (lg : Logical.t) : Logical.t =
 
 let gather (ann : annotated) : annotated =
   match ann.dist with
-  | Singleton_d -> ann
-  | Replicated_d ->
+  | Dist.Dsingleton -> ann
+  | Dist.Dreplicated ->
       (* replicated data: read one copy, do not concatenate all copies *)
       {
         ann with
         plan = Plan.motion Plan.Gather_one ann.plan;
-        dist = Singleton_d;
+        dist = Dist.Dsingleton;
       }
-  | Hashed_on _ | Random_d ->
+  | Dist.Dhashed _ | Dist.Dany ->
       {
         ann with
         plan = Plan.motion Plan.Gather ann.plan;
-        dist = Singleton_d;
-        cost = ann.cost +. (ann.rows *. cost_motion_tuple);
+        dist = Dist.Dsingleton;
+        cost = ann.cost +. (ann.rows *. Memo.cost_motion_tuple);
       }
 
 (* Two-phase aggregation (the MPP norm): a partial aggregate runs on each
@@ -786,16 +413,16 @@ let gather (ann : annotated) : annotated =
    and a final aggregate combines them — count combines by summing partial
    counts, avg is decomposed into sum and count recombined by a projection.
    Falls back to gather-then-aggregate when disabled or already local. *)
-let rec plan_aggregate t ~rel_tables ~pinned_rel ~group_by ~aggs child :
+let rec plan_aggregate t ~env ~pinned_rel ~group_by ~aggs child :
     annotated =
-  let c = build_physical t ~rel_tables ~pinned_rel child in
+  let c = build_physical t ~env ~pinned_rel child in
   let rows = if group_by = [] then 1.0 else Float.max 1.0 (c.rows /. 10.0) in
-  if (not t.config.enable_two_phase_agg) || c.dist = Singleton_d then begin
+  if (not t.config.enable_two_phase_agg) || c.dist = Dist.Dsingleton then begin
     let c = gather c in
     {
       plan = Plan.agg ~group_by ~aggs c.plan;
       rows;
-      dist = Singleton_d;
+      dist = Dist.Dsingleton;
       cost = c.cost +. (c.rows *. cost_agg_tuple);
       dyn_scans = [];
     }
@@ -878,8 +505,7 @@ let rec plan_aggregate t ~rel_tables ~pinned_rel ~group_by ~aggs child :
         moved
     in
     let plan =
-      if (not !needs_project) && k = 0 then final
-      else if not !needs_project then final
+      if not !needs_project then final
       else
         Plan.Project
           { exprs =
@@ -890,34 +516,51 @@ let rec plan_aggregate t ~rel_tables ~pinned_rel ~group_by ~aggs child :
     {
       plan;
       rows;
-      dist = Singleton_d;
+      dist = Dist.Dsingleton;
       cost =
         c.cost +. (c.rows *. cost_agg_tuple)
-        +. (rows *. float_of_int t.config.nsegments *. cost_motion_tuple);
+        +. (rows *. float_of_int t.config.nsegments *. Memo.cost_motion_tuple);
       dyn_scans = [];
     }
   end
 
-and build_physical t ~rel_tables ~pinned_rel (lg : Logical.t) : annotated =
+(* A tree of joins for the memo, its non-join children planned here as
+   leaves (in tree order, so scan ids are numbered left to right).  The
+   partition-wise-join ablation replaces a join of two leaves when it
+   applies. *)
+and join_tree t ~env ~pinned_rel (lg : Logical.t) : Memo.tree =
   match lg with
-  | Logical.Get { rel; table_name } -> plan_get t ~rel table_name
+  | Logical.Join { kind; pred; left; right } -> (
+      let left = join_tree t ~env ~pinned_rel left in
+      let right = join_tree t ~env ~pinned_rel right in
+      match (left, right) with
+      | Memo.Leaf l, Memo.Leaf r -> (
+          match try_partition_wise_join t ~kind ~pred l r with
+          | Some ann -> Memo.Leaf ann
+          | None -> Memo.Join { kind; pred; left; right })
+      | _ -> Memo.Join { kind; pred; left; right })
+  | _ -> Memo.Leaf (build_physical t ~env ~pinned_rel lg)
+
+and build_physical t ~env ~pinned_rel (lg : Logical.t) : annotated =
+  match lg with
+  | Logical.Get { rel; table_name } ->
+      Memo.plan_get env ~scan_id:(fun () -> fresh_scan_id t) ~rel table_name
   | Logical.Select { pred; child } ->
-      plan_select t ~rel_tables pred
-        (build_physical t ~rel_tables ~pinned_rel child)
-  | Logical.Join { kind; pred; left; right } ->
-      let l = build_physical t ~rel_tables ~pinned_rel left in
-      let r = build_physical t ~rel_tables ~pinned_rel right in
-      plan_join t ~rel_tables ~pinned_rel ~kind ~pred l r
+      Memo.plan_select env pred (build_physical t ~env ~pinned_rel child)
+  | Logical.Join _ -> (
+      match Memo.plan env ~pinned_rel (join_tree t ~env ~pinned_rel lg) with
+      | Some ann -> ann
+      | None -> invalid_arg "Optimizer: no valid join orientation")
   | Logical.Aggregate { group_by; aggs; child } ->
-      plan_aggregate t ~rel_tables ~pinned_rel ~group_by ~aggs child
+      plan_aggregate t ~env ~pinned_rel ~group_by ~aggs child
   | Logical.Project { exprs; child } ->
-      let c = build_physical t ~rel_tables ~pinned_rel child in
+      let c = build_physical t ~env ~pinned_rel child in
       { c with plan = Plan.Project { exprs; child = c.plan }; dyn_scans = [] }
   | Logical.Sort { keys; child } ->
-      let c = gather (build_physical t ~rel_tables ~pinned_rel child) in
+      let c = gather (build_physical t ~env ~pinned_rel child) in
       { c with plan = Plan.Sort { keys; child = c.plan } }
   | Logical.Limit { rows; child } ->
-      let c = gather (build_physical t ~rel_tables ~pinned_rel child) in
+      let c = gather (build_physical t ~env ~pinned_rel child) in
       {
         c with
         plan = Plan.Limit { rows; child = c.plan };
@@ -925,7 +568,7 @@ and build_physical t ~rel_tables ~pinned_rel (lg : Logical.t) : annotated =
       }
   | Logical.Update { rel; table_name; set_cols; child } ->
       let table = table_of t table_name in
-      let c = build_physical t ~rel_tables ~pinned_rel:(Some rel) child in
+      let c = build_physical t ~env ~pinned_rel:(Some rel) child in
       let set_exprs =
         List.map (fun (col, e) -> (Table.col_index table col, e)) set_cols
       in
@@ -933,17 +576,17 @@ and build_physical t ~rel_tables ~pinned_rel (lg : Logical.t) : annotated =
         plan =
           Plan.Update { rel; table_oid = table.Table.oid; set_exprs; child = c.plan };
         rows = 1.0;
-        dist = Singleton_d;
+        dist = Dist.Dsingleton;
         cost = c.cost +. c.rows;
         dyn_scans = [];
       }
   | Logical.Delete { rel; table_name; child } ->
       let table = table_of t table_name in
-      let c = build_physical t ~rel_tables ~pinned_rel:(Some rel) child in
+      let c = build_physical t ~env ~pinned_rel:(Some rel) child in
       {
         plan = Plan.Delete { rel; table_oid = table.Table.oid; child = c.plan };
         rows = 1.0;
-        dist = Singleton_d;
+        dist = Dist.Dsingleton;
         cost = c.cost +. c.rows;
         dyn_scans = [];
       }
@@ -952,7 +595,7 @@ and build_physical t ~rel_tables ~pinned_rel (lg : Logical.t) : annotated =
       {
         plan = Plan.Insert { table_oid = table.Table.oid; rows };
         rows = 1.0;
-        dist = Singleton_d;
+        dist = Dist.Dsingleton;
         cost = float_of_int (List.length rows);
         dyn_scans = [];
       }
@@ -966,20 +609,20 @@ and build_physical t ~rel_tables ~pinned_rel (lg : Logical.t) : annotated =
    then).  Deliberately crude — scan rowcounts shaped by filter
    selectivity, the textbook join and aggregate discounts — but it only
    gates the filter-or-not decision and the Bloom's deterministic size. *)
-let rec est_rows t ~rel_tables (p : Plan.t) : float =
+let rec est_rows t ~env (p : Plan.t) : float =
   let scan_rows ~rel oid filter =
     let table =
-      match List.assoc_opt rel rel_tables with
+      match List.assoc_opt rel env.Memo.rel_tables with
       | Some tbl -> tbl
       | None -> Mpp_catalog.Catalog.find_oid t.catalog oid
     in
-    let rows = float_of_int (stats_of t table).Mpp_stats.Stats.rowcount in
+    let rows = float_of_int (Memo.stats_of env table).Mpp_stats.Stats.rowcount in
     match filter with
     | None -> rows
     | Some f ->
         Float.max 1.0
           (rows
-          *. Mpp_stats.Selectivity.estimate ~stats:(stats_of t table) ~rel f)
+          *. Mpp_stats.Selectivity.estimate ~stats:(Memo.stats_of env table) ~rel f)
   in
   match p with
   | Plan.Table_scan { rel; table_oid; filter; _ } ->
@@ -987,11 +630,11 @@ let rec est_rows t ~rel_tables (p : Plan.t) : float =
   | Plan.Dynamic_scan { rel; root_oid; filter; _ } ->
       scan_rows ~rel root_oid filter
   | Plan.Filter { pred = _; child } ->
-      Float.max 1.0 (est_rows t ~rel_tables child *. 0.5)
+      Float.max 1.0 (est_rows t ~env child *. 0.5)
   | Plan.Hash_join { kind; pred; left; right }
   | Plan.Nl_join { kind; pred; left; right } -> (
-      let lr = est_rows t ~rel_tables left
-      and rr = est_rows t ~rel_tables right in
+      let lr = est_rows t ~env left
+      and rr = est_rows t ~env right in
       match kind with
       | Plan.Semi -> Float.max 1.0 (rr *. 0.5)
       | Plan.Inner | Plan.Left_outer -> (
@@ -1002,19 +645,19 @@ let rec est_rows t ~rel_tables (p : Plan.t) : float =
           with
           | (bk, pk) :: _ ->
               Mpp_stats.Selectivity.join_rows ~left_rows:lr ~right_rows:rr
-                ~left_ndv:(key_ndv t ~rel_tables (Expr.Col bk))
-                ~right_ndv:(key_ndv t ~rel_tables (Expr.Col pk))
+                ~left_ndv:(Memo.key_ndv env (Expr.Col bk))
+                ~right_ndv:(Memo.key_ndv env (Expr.Col pk))
           | [] -> Float.max 1.0 (lr *. rr *. 0.1)))
   | Plan.Agg { group_by = []; _ } -> 1.0
   | Plan.Agg { child; _ } ->
-      Float.max 1.0 (est_rows t ~rel_tables child /. 10.0)
+      Float.max 1.0 (est_rows t ~env child /. 10.0)
   | Plan.Limit { rows; child } ->
-      Float.min (float_of_int rows) (est_rows t ~rel_tables child)
+      Float.min (float_of_int rows) (est_rows t ~env child)
   | Plan.Append cs ->
-      List.fold_left (fun acc c -> acc +. est_rows t ~rel_tables c) 0.0 cs
+      List.fold_left (fun acc c -> acc +. est_rows t ~env c) 0.0 cs
   | Plan.Sequence cs -> (
       match List.rev cs with
-      | last :: _ -> est_rows t ~rel_tables last
+      | last :: _ -> est_rows t ~env last
       | [] -> 0.0)
   | Plan.Partition_selector { child = Some c; _ }
   | Plan.Project { child = c; _ }
@@ -1022,7 +665,7 @@ let rec est_rows t ~rel_tables (p : Plan.t) : float =
   | Plan.Motion { child = c; _ }
   | Plan.Runtime_filter_build { child = c; _ }
   | Plan.Runtime_filter { child = c; _ } ->
-      est_rows t ~rel_tables c
+      est_rows t ~env c
   | Plan.Partition_selector { child = None; _ }
   | Plan.Update _ | Plan.Delete _ | Plan.Insert _ ->
       1.0
@@ -1033,12 +676,12 @@ let rec est_rows t ~rel_tables (p : Plan.t) : float =
    filter pays for itself when the probe stream is non-trivial and at
    least ~10% of it is expected to drop; the Bloom is sized from the
    build-side estimate (the executor caps the bit count). *)
-let rf_decide t ~rel_tables ~build ~probe ~build_keys ~probe_keys =
-  let build_rows = est_rows t ~rel_tables build in
-  let probe_rows = est_rows t ~rel_tables probe in
+let rf_decide t ~env ~build ~probe ~build_keys ~probe_keys =
+  let build_rows = est_rows t ~env build in
+  let probe_rows = est_rows t ~env probe in
   let bk = List.hd build_keys and pk = List.hd probe_keys in
-  let build_ndv = float_of_int (key_ndv t ~rel_tables (Expr.Col bk)) in
-  let probe_ndv = float_of_int (key_ndv t ~rel_tables (Expr.Col pk)) in
+  let build_ndv = float_of_int (Memo.key_ndv env (Expr.Col bk)) in
+  let probe_ndv = float_of_int (Memo.key_ndv env (Expr.Col pk)) in
   let distinct_build = Float.min build_rows build_ndv in
   let keep = Float.min 1.0 (distinct_build /. Float.max 1.0 probe_ndv) in
   let saved = probe_rows *. (1.0 -. keep) in
@@ -1059,18 +702,14 @@ let optimize t (lg : Logical.t) : Plan.t =
   Obs.span obs "optimize" (fun () ->
       Obs.incr obs "optimizer.queries";
       t.next_scan_id <- 1;
-      let rel_tables =
-        List.map
-          (fun (rel, name) -> (rel, table_of t name))
-          (Logical.base_tables lg)
-      in
+      let env = env_of t lg in
       let lg =
         Obs.span obs "optimize.join_reorder" (fun () ->
-            reorder_joins t ~rel_tables lg)
+            reorder_joins t ~env lg)
       in
       let ann =
         Obs.span obs "optimize.physical" (fun () ->
-            build_physical t ~rel_tables ~pinned_rel:None lg)
+            build_physical t ~env ~pinned_rel:None lg)
       in
       let ann =
         match lg with
@@ -1111,7 +750,7 @@ let optimize t (lg : Logical.t) : Plan.t =
         else
           Obs.span obs "optimize.runtime_filters" (fun () ->
               Mpp_plan.Rf_annotate.annotate ~catalog:t.catalog
-                ~decide:(rf_decide t ~rel_tables) placed)
+                ~decide:(rf_decide t ~env) placed)
       in
       (* Stamp each DynamicScan's statically-surviving partition count from
          its placed selector, then run the full static verifier: every plan
@@ -1134,17 +773,5 @@ let optimize t (lg : Logical.t) : Plan.t =
     so [EXPLAIN ANALYZE]'s est-vs-actual report shows the numbers the
     optimizer actually planned with. *)
 let row_estimator t (lg : Logical.t) : Plan.t -> float =
-  let rel_tables =
-    List.map (fun (rel, name) -> (rel, table_of t name)) (Logical.base_tables lg)
-  in
-  fun p -> est_rows t ~rel_tables p
-
-(** Estimated cost of the plan the optimizer would pick (for tests and the
-    memo comparison). *)
-let estimate t (lg : Logical.t) : float =
-  t.next_scan_id <- 1;
-  let rel_tables =
-    List.map (fun (rel, name) -> (rel, table_of t name)) (Logical.base_tables lg)
-  in
-  let lg = reorder_joins t ~rel_tables lg in
-  (build_physical t ~rel_tables ~pinned_rel:None lg).cost
+  let env = env_of t lg in
+  fun p -> est_rows t ~env p

@@ -1,11 +1,9 @@
-(** The Orca-style optimizer pipeline: logical tree → cost-based physical
-    skeleton (join orientation values dynamic partition elimination; Motions
-    co-locate without ever separating a selector from its scan) → the
-    {!Placement} pass of paper §2.3 → the plan verifier
-    ({!Mpp_verify.Verify.check}, all six passes).
-
-    The memo-based property-enforcement machinery of §3.1 lives in {!Memo};
-    this pipeline is the production path used by the benchmarks. *)
+(** The Orca-style optimizer pipeline: logical tree → join-order search →
+    physical skeleton (scans, filters, aggregates and DML planned here;
+    every tree of joins planned by the {!Memo}, whose costs value dynamic
+    partition elimination and whose Motions never separate a selector from
+    its scan) → the {!Placement} pass of paper §2.3 → the plan verifier
+    ({!Mpp_verify.Verify.check}, all six passes). *)
 
 module Plan = Mpp_plan.Plan
 
@@ -51,9 +49,6 @@ exception Invalid_plan of string
 val optimize : t -> Logical.t -> Plan.t
 (** Optimize into an executable physical plan; raises {!Invalid_plan} if the
     result violates the Motion/selector rules (a bug, not an input error). *)
-
-val estimate : t -> Logical.t -> float
-(** Estimated cost of the plan the optimizer would pick. *)
 
 val row_estimator : t -> Logical.t -> Plan.t -> float
 (** [row_estimator t lg] is the per-node row estimator over [lg]'s base

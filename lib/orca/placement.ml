@@ -61,26 +61,25 @@ let rec motion_free_to_scan (expr : Plan.t) id =
   | Plan.Motion _ -> false
   | _ -> List.exists (fun c -> motion_free_to_scan c id) (Plan.children expr)
 
-(* The join-DPE rule (Algorithm 4's test), shared with the optimizer's
-   DPE costing and the memo's spec routing.  The key columns of the found
-   predicates belong to the scan being selected and are symbolic at
-   selection time; every other column must come from the build side. *)
-let join_dpe ?probe ~part_scan_id ~keys ~build_rels pred =
+(* The join-DPE rule (Algorithm 4's test), shared with the memo's DPE
+   costing.  The key columns of the found predicates belong to the scan
+   being selected and are symbolic at selection time; every other column
+   must come from the build side. *)
+let join_dpe ~probe ~part_scan_id ~keys ~build_rels pred =
   let evaluable (c : Colref.t) =
     List.exists (Colref.equal c) keys || List.mem c.Colref.rel build_rels
   in
-  match probe with
-  | Some p when not (motion_free_to_scan p part_scan_id) -> None
-  | _ -> (
-      match find_preds_on_keys keys pred with
-      | Some found
-        when List.for_all
-               (function
-                 | None -> true
-                 | Some p -> List.for_all evaluable (Expr.free_cols p))
-               found ->
-          Some found
-      | _ -> None)
+  if not (motion_free_to_scan probe part_scan_id) then None
+  else
+    match find_preds_on_keys keys pred with
+    | Some found
+      when List.for_all
+             (function
+               | None -> true
+               | Some p -> List.for_all evaluable (Expr.free_cols p))
+             found ->
+        Some found
+    | _ -> None
 
 (* ComputePartSelectors — dispatch on the operator (Algorithms 2, 3, 4).
    With [eliminate = false] the Filter/Join refinements are disabled and all

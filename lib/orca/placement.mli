@@ -17,7 +17,7 @@
 module Plan = Mpp_plan.Plan
 
 val join_dpe :
-  ?probe:Plan.t ->
+  probe:Plan.t ->
   part_scan_id:int ->
   keys:Mpp_expr.Colref.t list ->
   build_rels:int list ->
@@ -30,9 +30,8 @@ val join_dpe :
     predicates of {!Mpp_expr.Expr.find_preds_on_keys} — when [pred]
     constrains some key, every other column those predicates read comes
     from [build_rels], and no Motion lies between [probe] (the join's
-    probe child) and the scan.  Without [probe] the path is taken as
-    Motion-free, as in the memo, where a pinned scan never crosses a
-    Motion.  [None] otherwise. *)
+    probe child) and the scan.  [None] otherwise.  Placement's Algorithm 4
+    and the memo's DPE costing both call it. *)
 
 val place_part_selectors :
   ?eliminate:bool -> Part_spec.t list -> Plan.t -> Plan.t

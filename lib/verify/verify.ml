@@ -587,11 +587,16 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
 (* Pass 3: distribution                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Abstract row placement: where an operator's output rows live.  [Dany]
-   is distributed-with-unknown-alignment (random tables, projected or
-   partially-aggregated streams) — conservative for co-location, but still
-   distributed for the gather checks. *)
-type dist = Dsingleton | Dreplicated | Dhashed of Colref.t list | Dany
+(* Abstract row placement: where an operator's output rows live, in the
+   distribution type the memo plans joins with ({!Mpp_plan.Dist}, also the
+   home of the co-location rule checked below).  [Dany] is
+   distributed-with-unknown-alignment — conservative for co-location, but
+   still distributed for the gather checks. *)
+type dist = Mpp_plan.Dist.t =
+  | Dsingleton
+  | Dreplicated
+  | Dhashed of Colref.t list
+  | Dany
 
 let dist_to_string = function
   | Dsingleton -> "singleton"
@@ -602,36 +607,6 @@ let dist_to_string = function
 let distributed = function
   | Dhashed _ | Dany -> true
   | Dsingleton | Dreplicated -> false
-
-(* Equi-join (build expr, probe expr) pairs of [pred] — mirrors the
-   optimizer's motion-decision analysis. *)
-let equi_pairs ~build_rels ~probe_rels p =
-  let refs_only rels e =
-    Expr.rels e <> [] && List.for_all (fun r -> List.mem r rels) (Expr.rels e)
-  in
-  List.filter_map
-    (function
-      | Expr.Cmp (Expr.Eq, a, b)
-        when refs_only build_rels a && refs_only probe_rels b ->
-          Some (a, b)
-      | Expr.Cmp (Expr.Eq, a, b)
-        when refs_only probe_rels a && refs_only build_rels b ->
-          Some (b, a)
-      | _ -> None)
-    (Expr.conjuncts p)
-
-let hashed_on_keys d keys =
-  match d with
-  | Dhashed cols ->
-      cols <> []
-      && List.length cols <= List.length keys
-      && List.for_all
-           (fun c ->
-             List.exists
-               (function Expr.Col k -> Colref.equal k c | _ -> false)
-               keys)
-           cols
-  | _ -> false
 
 let distribution_pass ~catalog (plan : Plan.t) : Diag.t list =
   let diags = ref [] in
@@ -655,18 +630,7 @@ let distribution_pass ~catalog (plan : Plan.t) : Diag.t list =
         let d =
           match table_opt catalog root with
           | None -> Dany
-          | Some tbl -> (
-              match tbl.Table.distribution with
-              | Mpp_catalog.Distribution.Hashed idxs ->
-                  Dhashed
-                    (List.map
-                       (fun i ->
-                         let name, dtype = tbl.Table.columns.(i) in
-                         Colref.make ~rel ~index:i ~name ~dtype)
-                       idxs)
-              | Mpp_catalog.Distribution.Replicated -> Dreplicated
-              | Mpp_catalog.Distribution.Random -> Dany
-              | Mpp_catalog.Distribution.Singleton -> Dsingleton)
+          | Some tbl -> Mpp_plan.Dist.of_table tbl ~rel
         in
         Hashtbl.add dist_cache key d;
         d
@@ -695,25 +659,17 @@ let distribution_pass ~catalog (plan : Plan.t) : Diag.t list =
     | Plan.Nl_join { kind = _; pred = jp; left; right } ->
         let dl = dist_of ~agg_above (seg 0 left :: path) left in
         let dr = dist_of ~agg_above (seg 1 right :: path) right in
-        let build_rels = Plan.output_rels left
-        and probe_rels = Plan.output_rels right in
-        let pairs = equi_pairs ~build_rels ~probe_rels jp in
-        let build_keys = List.map fst pairs
-        and probe_keys = List.map snd pairs in
-        let colocated =
-          dl = Dreplicated || dr = Dreplicated
-          || (dl = Dsingleton && dr = Dsingleton)
-          || (pairs <> []
-             && hashed_on_keys dl build_keys
-             && hashed_on_keys dr probe_keys)
+        let pairs =
+          Mpp_plan.Dist.equi_pairs ~build_rels:(Plan.output_rels left)
+            ~probe_rels:(Plan.output_rels right) jp
         in
-        if not colocated then
+        if not (Mpp_plan.Dist.colocated pairs ~build:dl ~probe:dr) then
           emit "distribution/join-not-colocated" path
             (Printf.sprintf
                "join inputs are %s (build) and %s (probe): neither \
                 co-located on the join keys, broadcast, nor gathered"
                (dist_to_string dl) (dist_to_string dr));
-        if dr = Dreplicated && dl <> Dreplicated then dl else dr
+        Mpp_plan.Dist.join ~build:dl ~probe:dr
     | Plan.Agg { child; _ } ->
         let d = dist_of ~agg_above:true (seg 0 child :: path) child in
         if distributed d && not agg_above then

@@ -172,17 +172,63 @@ let test_three_way_join () =
         true (Support.structure_ok ~catalog p))
     alts
 
-let test_rejects_unsupported_shapes () =
-  let catalog, _ = figure13_env () in
-  Alcotest.(check bool) "outer join unsupported in the memo" true
-    (try
-       ignore
-         (Memo.best_plan ~catalog
-            (Orca.Logical.join ~kind:Plan.Left_outer Expr.true_
-               (Orca.Logical.get ~rel:0 "r")
-               (Orca.Logical.get ~rel:1 "s")));
-       false
-     with Invalid_argument _ -> true)
+(* Semi and left-outer joins plan through the memo in the one orientation
+   their semantics fix: a semi join builds its subquery (logical right)
+   side, a left-outer join its logical left side. *)
+let test_fixed_orientations () =
+  let catalog, lg = figure13_env () in
+  let pred, r, s =
+    match lg with
+    | Orca.Logical.Join { pred; left; right; _ } -> (pred, left, right)
+    | _ -> assert false
+  in
+  List.iter
+    (fun (kind, build_rel, probe_rel) ->
+      let name = Plan.join_kind_to_string kind in
+      match Memo.best_plan ~catalog (Orca.Logical.join ~kind pred r s) with
+      | Some ((Plan.Hash_join { kind = k; left; right; _ } as plan), _) ->
+          Alcotest.(check bool) (name ^ " kind kept") true (k = kind);
+          Alcotest.(check bool) (name ^ " build side") true
+            (List.mem build_rel (Plan.output_rels left));
+          Alcotest.(check bool) (name ^ " probe side") true
+            (List.mem probe_rel (Plan.output_rels right));
+          Alcotest.(check bool) (name ^ " valid") true
+            (Support.structure_ok ~catalog plan)
+      | _ -> Alcotest.failf "%s: a hash join expected" name)
+    [ (Plan.Semi, 1, 0); (Plan.Left_outer, 0, 1) ]
+
+(* A DML target (the request's pinned relation) stays unmoved on the probe
+   side, even where the unpinned best plan builds from it. *)
+let test_dml_target_on_probe () =
+  let catalog, lg = figure13_env () in
+  let env : Memo.env =
+    { catalog;
+      stats = None;
+      nsegments = 4;
+      rel_tables = [ (0, Cat.find catalog "r"); (1, Cat.find catalog "s") ] }
+  in
+  let tree =
+    match lg with
+    | Orca.Logical.Join { kind; pred; _ } ->
+        let get rel name =
+          Memo.Leaf (Memo.plan_get env ~scan_id:(fun () -> rel) ~rel name)
+        in
+        Memo.Join { kind; pred; left = get 0 "r"; right = get 1 "s" }
+    | _ -> assert false
+  in
+  let build_of pinned_rel =
+    match Memo.plan env ~pinned_rel tree with
+    | Some { plan = Plan.Hash_join { left; right; _ }; _ } -> (left, right)
+    | _ -> Alcotest.fail "a hash join expected"
+  in
+  let left, _ = build_of None in
+  Alcotest.(check bool) "unpinned: s is the build side" true
+    (List.mem 1 (Plan.output_rels left));
+  let left, right = build_of (Some 1) in
+  Alcotest.(check bool) "pinned: s left the build side" false
+    (List.mem 1 (Plan.output_rels left));
+  Alcotest.(check bool) "pinned: s on the probe side, unmoved" true
+    (match right with Plan.Table_scan { rel = 1; _ } -> true | _ -> false)
 
 let () =
   Alcotest.run "memo"
@@ -198,5 +244,7 @@ let () =
            test_unsatisfiable_request;
          Alcotest.test_case "memo plan executes" `Quick test_memo_plan_executes;
          Alcotest.test_case "three-way join" `Quick test_three_way_join;
-         Alcotest.test_case "unsupported shapes rejected" `Quick
-           test_rejects_unsupported_shapes ]) ]
+         Alcotest.test_case "semi and left-outer orientations" `Quick
+           test_fixed_orientations;
+         Alcotest.test_case "DML target on the probe side" `Quick
+           test_dml_target_on_probe ]) ]

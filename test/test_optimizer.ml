@@ -250,6 +250,52 @@ let test_partition_wise_join () =
     (Mpp_plan.Plan_size.bytes ~catalog pwj
     > 2 * Mpp_plan.Plan_size.bytes ~catalog dyn)
 
+(* Multi-key co-location: t1(a,b) ⋈ t2(x,y) on [a = x AND b = y], 40
+   matching rows on 4 segments.  A join may skip moving its build side
+   only when each build hash column is paired with the probe hash column at
+   the same position, and a redistribution must hash the build side in the
+   probe's column order; otherwise equal keys land on different segments
+   and matches are lost.  The legacy Planner (which always moves) is the
+   reference row count. *)
+let test_multi_key_colocation () =
+  let shape name (d1, d2) =
+    let catalog = Cat.create () in
+    let t1 =
+      Cat.add_table catalog ~name:"t1"
+        ~columns:[ ("a", Value.Tint); ("b", Value.Tint) ]
+        ~distribution:d1 ()
+    in
+    let t2 =
+      Cat.add_table catalog ~name:"t2"
+        ~columns:[ ("x", Value.Tint); ("y", Value.Tint) ]
+        ~distribution:d2 ()
+    in
+    let storage = Storage.create ~nsegments:4 in
+    for i = 0 to 39 do
+      Storage.insert storage t1 [| Value.Int i; Value.Int (i * 7 mod 13) |];
+      Storage.insert storage t2 [| Value.Int i; Value.Int (i * 7 mod 13) |]
+    done;
+    let stats = Mpp_stats.Stats_source.create ~catalog ~storage in
+    let col t rel c = Expr.col (Mpp_catalog.Table.colref t ~rel c) in
+    let lg =
+      Logical.join
+        (Expr.conj
+           [ Expr.eq (col t1 0 "a") (col t2 1 "x");
+             Expr.eq (col t1 0 "b") (col t2 1 "y") ])
+        (Logical.get ~rel:0 "t1") (Logical.get ~rel:1 "t2")
+    in
+    let count plan = List.length (fst (run ~catalog ~storage plan)) in
+    let planner = Mpp_planner.Planner.(plan (create ~catalog ())) lg in
+    Alcotest.(check int) (name ^ ": planner") 40 (count planner);
+    Alcotest.(check int) (name ^ ": orca") 40
+      (count (optimize ~stats catalog lg))
+  in
+  let module D = Mpp_catalog.Distribution in
+  shape "a|x" (D.Hashed [ 0 ], D.Hashed [ 0 ]);
+  shape "a|y" (D.Hashed [ 0 ], D.Hashed [ 1 ]);
+  shape "random|(y,x)" (D.Random, D.Hashed [ 1; 0 ]);
+  shape "(a,b)|(y,x)" (D.Hashed [ 0; 1 ], D.Hashed [ 1; 0 ])
+
 let test_every_plan_is_checked () =
   (* the optimizer raises rather than returning an invalid plan *)
   let catalog, _, _, orders, date_dim = env () in
@@ -298,6 +344,8 @@ let () =
            test_two_phase_aggregation;
          Alcotest.test_case "partition-wise join ablation" `Quick
            test_partition_wise_join;
+         Alcotest.test_case "multi-key co-location" `Quick
+           test_multi_key_colocation;
          Alcotest.test_case "update pipeline" `Quick test_update_pipeline;
          Alcotest.test_case "project/sort/limit" `Quick test_project_and_limit;
          Alcotest.test_case "errors surface" `Quick test_every_plan_is_checked ]);

@@ -625,6 +625,32 @@ let test_pruning_warnings () =
   Alcotest.(check bool) "contradictory-filter is not an error" true
     (not (Diag.has_code "pruning/contradictory-filter" (Diag.errors d2)))
 
+(* A multi-key join is co-located only when the hash columns pair up
+   position by position: t1 hashed on [a] and t2 on [y] do not co-locate
+   [a = x AND b = y] even though each side is hashed on one of its keys. *)
+let test_mispaired_hash_keys () =
+  let catalog = Cat.create () in
+  let add name cols hashed =
+    Cat.add_table catalog ~name
+      ~columns:(List.map (fun c -> (c, Value.Tint)) cols)
+      ~distribution:(Mpp_catalog.Distribution.Hashed [ hashed ]) ()
+  in
+  let t1 = add "t1" [ "a"; "b" ] 0 and t2 = add "t2" [ "x"; "y" ] 1 in
+  let col t rel c = Expr.col (Mpp_catalog.Table.colref t ~rel c) in
+  let plan =
+    Plan.motion Plan.Gather
+      (Plan.hash_join ~kind:Plan.Inner
+         ~pred:
+           (Expr.conj
+              [ Expr.eq (col t1 0 "a") (col t2 1 "x");
+                Expr.eq (col t1 0 "b") (col t2 1 "y") ])
+         (Plan.table_scan ~rel:0 t1.Mpp_catalog.Table.oid)
+         (Plan.table_scan ~rel:1 t2.Mpp_catalog.Table.oid))
+  in
+  Alcotest.(check bool) "join-not-colocated" true
+    (Diag.has_code "distribution/join-not-colocated"
+       (Verify.check ~catalog plan))
+
 let test_assert_valid_raises () =
   let _, _, build = List.hd mutations in
   match Verify.assert_valid ~catalog:(catalog ()) ~what:"mutant" (build ()) with
@@ -857,6 +883,8 @@ let () =
        [ Alcotest.test_case "all corruptions rejected" `Quick
            test_mutations_killed;
          Alcotest.test_case "pruning warnings" `Quick test_pruning_warnings;
+         Alcotest.test_case "mis-paired hash keys" `Quick
+           test_mispaired_hash_keys;
          Alcotest.test_case "assert_valid raises" `Quick
            test_assert_valid_raises ]);
       ("soundness",
