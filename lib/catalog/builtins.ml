@@ -4,7 +4,7 @@
     the expansions in paper Figure 15) to enumerate child partitions, to map
     a key value to its partition, and to read partition range constraints.
     The fourth builtin, [partition_propagation], is the side-effecting push
-    of an OID into a DynamicScan's channel and lives in the executor
+    of a partition into a DynamicScan's channel and lives in the executor
     ({!Mpp_exec.Channel.propagate}); its signature is documented here for
     completeness. *)
 

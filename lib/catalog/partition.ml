@@ -90,7 +90,7 @@ type index = {
   ix_nleaves : int;
   ix_leaves : leaf array;
   ix_levels : level_index array;
-  ix_by_oid : (oid, leaf) Hashtbl.t;
+  ix_by_oid : (oid, int) Hashtbl.t;  (** leaf OID → leaf position *)
 }
 
 type t = {
@@ -338,7 +338,7 @@ module Index = struct
 
   let build (p : partitioning) : t =
     let by_oid = Hashtbl.create (2 * Array.length p.leaves) in
-    Array.iter (fun lf -> Hashtbl.replace by_oid lf.leaf_oid lf) p.leaves;
+    Array.iteri (fun j lf -> Hashtbl.replace by_oid lf.leaf_oid j) p.leaves;
     {
       ix_nleaves = Array.length p.leaves;
       ix_leaves = p.leaves;
@@ -358,7 +358,10 @@ module Index = struct
         p.cached_index <- Some ix;
         ix
 
-  let find_leaf (ix : t) oid = Hashtbl.find_opt ix.ix_by_oid oid
+  let position (ix : t) oid = Hashtbl.find_opt ix.ix_by_oid oid
+
+  let find_leaf (ix : t) oid =
+    Option.map (fun j -> ix.ix_leaves.(j)) (position ix oid)
 
   (* Survivors of one level under restriction [r], as a bitset. *)
   let level_bits (ix : t) (li : level_index) (r : Interval.Set.t) : Bitset.t =

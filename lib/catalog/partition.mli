@@ -99,14 +99,17 @@ module Index : sig
 
   val nparts : t -> int
   val find_leaf : t -> oid -> leaf option
+  val position : t -> oid -> int option
+  (** A leaf OID's index in [partitioning.leaves], as in {!select_bits}. *)
+
   val route : t -> Value.t array -> leaf option
   val select : t -> Interval.Set.t option array -> leaf list
   val select_oids : t -> Interval.Set.t option array -> oid list
 
   val select_bits : t -> Interval.Set.t option array -> Bitset.t
-  (** Survivors as a bitset over leaf indices (positions in
-      [partitioning.leaves]) — the executor's streaming-selection
-      currency. *)
+  (** Survivors as a bitset over leaf positions (indices into
+      [partitioning.leaves]) — the executor's one partition-set currency.
+      Leaf OIDs ascend with position in every layout built here. *)
 
   val count_selected : t -> Interval.Set.t option array -> int
   (** [cardinal (select_bits …)] without materializing leaves — the

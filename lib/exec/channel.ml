@@ -5,30 +5,32 @@
     the same process on each segment (the optimizer guarantees no Motion
     separates them), so each segment has a private channel per scan id.
     {!propagate} is the runtime realization of the [partition_propagation]
-    builtin of paper Table 1.
+    builtin of paper Table 1.  A slot is one bitset over the root's leaf
+    positions; beside it the channel keeps the set the scan consumed.
 
     Domain safety by sharding, not locking: the per-segment state lives in a
     per-segment array slot, and during segment-parallel execution segment
     [s]'s work runs on exactly one domain, which is the only toucher of
-    shard [s].  Cross-segment reads (EXPLAIN ANALYZE's distinct-OID counts)
-    happen on the coordinating domain between operators, never concurrently
-    with a parallel section. *)
+    shard [s].  Cross-segment reads (EXPLAIN ANALYZE's partition counts)
+    happen on the coordinating domain between operators, never
+    concurrently with a parallel section. *)
+
+module Bitset = Mpp_catalog.Bitset
 
 (* Per-segment occupancy counters (profiler accounting): plain integer
-   fields under the same sharding discipline as the OID slots — segment
-   [s]'s domain is the only writer of [counters.(s)], so no locks.
-   "Offered" counts every OID a selector pushed (including duplicates);
-   "admitted" counts the ones actually inserted, so [offered - admitted]
-   is the dedup hit count — how much repeated selector work the channel
-   absorbed. *)
+   fields under the same sharding discipline as the slots — segment [s]'s
+   domain is the only writer of [counters.(s)], so no locks.  "Offered"
+   counts every leaf a selector pushed (including duplicates).  Slots only
+   grow until {!reset}, so the leaves admitted are the ones held. *)
 type seg_counters = {
-  mutable oids_offered : int;
-  mutable oids_admitted : int;
+  mutable offered : int;
   mutable filters_published : int;
 }
 
 type t = {
-  shards : (int, (int, unit) Hashtbl.t) Hashtbl.t array;
+  shards : (int, Bitset.t) Hashtbl.t array;
+      (** [shards.(segment)] maps part_scan_id → the pushed leaf positions *)
+  consumed : (int, Bitset.t) Hashtbl.t array;  (** the leaves the scan read *)
   filters : (int, Bloom.t) Hashtbl.t array;
       (** [filters.(segment)] maps rf_id → the runtime join filter that
           segment built; same sharding discipline as [shards] *)
@@ -38,71 +40,69 @@ type t = {
           sections *)
   counters : seg_counters array;  (** occupancy accounting per segment *)
 }
-(** [shards.(segment)] maps part_scan_id → set of pushed OIDs. *)
 
 let create ~nsegments =
   if nsegments <= 0 then invalid_arg "Channel.create: nsegments must be > 0";
   {
     shards = Array.init nsegments (fun _ -> Hashtbl.create 8);
+    consumed = Array.init nsegments (fun _ -> Hashtbl.create 8);
     filters = Array.init nsegments (fun _ -> Hashtbl.create 4);
     merged = Hashtbl.create 4;
     counters =
-      Array.init nsegments (fun _ ->
-          { oids_offered = 0; oids_admitted = 0; filters_published = 0 });
+      Array.init nsegments (fun _ -> { offered = 0; filters_published = 0 });
   }
 
 let nsegments t = Array.length t.shards
 
-let slot t ~segment ~part_scan_id =
-  let shard = t.shards.(segment) in
-  match Hashtbl.find_opt shard part_scan_id with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 16 in
-      Hashtbl.replace shard part_scan_id s;
-      s
+(* [shard.(id) ∪= bits], copying [bits] into a new slot. *)
+let union_slot shard id bits =
+  match Hashtbl.find_opt shard id with
+  | Some slot -> Bitset.union_into ~into:slot bits
+  | None -> Hashtbl.replace shard id (Bitset.copy bits)
 
-(** Push a selected partition OID to the DynamicScan with the given id on
-    the given segment (idempotent). *)
-let propagate t ~segment ~part_scan_id oid =
-  let s = slot t ~segment ~part_scan_id in
+(** Push selected leaf positions to the DynamicScan with the given id on
+    the given segment: one word-wise union, so a leaf pushed twice (two
+    rows or memo keys routing to one leaf) is held once. *)
+let propagate t ~segment ~part_scan_id bits =
   let c = t.counters.(segment) in
-  c.oids_offered <- c.oids_offered + 1;
-  if not (Hashtbl.mem s oid) then begin
-    c.oids_admitted <- c.oids_admitted + 1;
-    Hashtbl.replace s oid ()
-  end
+  c.offered <- c.offered + Bitset.cardinal bits;
+  union_slot t.shards.(segment) part_scan_id bits
 
-(** Batched push: one slot lookup for the whole OID set.  Dedup happens
-    here at the channel — OIDs already present are left untouched, so a
-    selector pushing the same OID twice (two input rows routing to one
-    leaf, two memo keys resolving to overlapping leaf sets) neither grows
-    the slot nor double-counts downstream work: {!consume} and {!mem} see
-    each OID exactly once. *)
-let propagate_set t ~segment ~part_scan_id oids =
-  let s = slot t ~segment ~part_scan_id in
-  let c = t.counters.(segment) in
-  List.iter
-    (fun oid ->
-      c.oids_offered <- c.oids_offered + 1;
-      if not (Hashtbl.mem s oid) then begin
-        c.oids_admitted <- c.oids_admitted + 1;
-        Hashtbl.replace s oid ()
-      end)
-    oids
+let consume ?allowed t ~segment ~part_scan_id =
+  match Hashtbl.find_opt t.shards.(segment) part_scan_id with
+  | None -> None
+  | Some slot ->
+      let parts =
+        match allowed with
+        | None -> slot
+        | Some a ->
+            let p = Bitset.copy slot in
+            Bitset.inter_into ~into:p a;
+            p
+      in
+      union_slot t.consumed.(segment) part_scan_id parts;
+      Some parts
 
-(** All OIDs pushed so far for this (segment, scan id), sorted. *)
-let consume t ~segment ~part_scan_id =
-  Hashtbl.fold (fun oid () acc -> oid :: acc) (slot t ~segment ~part_scan_id) []
-  |> List.sort Int.compare
+(** Membership test — the guarded Table_scan's per-segment check. *)
+let mem t ~segment ~part_scan_id pos =
+  match Hashtbl.find_opt t.shards.(segment) part_scan_id with
+  | Some slot -> Bitset.mem slot pos
+  | None -> false
 
-(** Membership test without materializing the sorted list — the guarded
-    Table_scan's per-segment check. *)
-let mem t ~segment ~part_scan_id oid =
-  Hashtbl.mem (slot t ~segment ~part_scan_id) oid
+(* Distinct leaves of [part_scan_id] over every segment's table, unioned
+   in a one-slot scratch table. *)
+let distinct shards ~part_scan_id =
+  let u = Hashtbl.create 1 in
+  Array.iter
+    (fun s -> Option.iter (union_slot u 0) (Hashtbl.find_opt s part_scan_id))
+    shards;
+  Hashtbl.fold (fun _ s _ -> Bitset.cardinal s) u 0
+
+let counts t ~part_scan_id =
+  (distinct t.shards ~part_scan_id, distinct t.consumed ~part_scan_id)
 
 (** Publish a segment's runtime join filter on channel [rf_id] — the
-    filter sibling of {!propagate_set}, with the same dedup contract:
+    filter sibling of {!propagate}, with the same dedup contract:
     publishing the {e same} filter again is a no-op, and a genuinely new
     contribution (another operator instance on this segment) is unioned
     in, so repeated pushes can neither double-count entries nor lose
@@ -120,7 +120,7 @@ let publish_filter t ~segment ~rf_id bloom =
     until at least one segment has published.  Memoized per rf_id — must
     be called on the coordinating domain after the builders' parallel
     section has completed (the executor resolves it between operators,
-    mirroring how EXPLAIN ANALYZE reads the OID shards). *)
+    mirroring how EXPLAIN ANALYZE reads the partition slots). *)
 let merged_filter t ~rf_id =
   match Hashtbl.find_opt t.merged rf_id with
   | Some m -> m
@@ -139,12 +139,12 @@ let merged_filter t ~rf_id =
 
 let reset t =
   Array.iter Hashtbl.reset t.shards;
+  Array.iter Hashtbl.reset t.consumed;
   Array.iter Hashtbl.reset t.filters;
   Hashtbl.reset t.merged;
   Array.iter
     (fun c ->
-      c.oids_offered <- 0;
-      c.oids_admitted <- 0;
+      c.offered <- 0;
       c.filters_published <- 0)
     t.counters
 
@@ -153,10 +153,10 @@ let reset t =
 (* ------------------------------------------------------------------ *)
 
 type seg_stats = {
-  offered : int;  (** OIDs pushed, duplicates included *)
-  admitted : int;  (** OIDs actually inserted (post-dedup) *)
+  offered : int;  (** leaves pushed, duplicates included *)
+  admitted : int;  (** leaves new to their slot: slots only grow *)
   filters_published : int;  (** runtime-filter publications *)
-  occupancy : int;  (** distinct OIDs currently held, over all slots *)
+  occupancy : int;  (** distinct leaves currently held, over all slots *)
 }
 
 (** This segment's occupancy counters.  Reads happen on the coordinating
@@ -165,11 +165,11 @@ type seg_stats = {
 let seg_stats t ~segment =
   let c = t.counters.(segment) in
   let occupancy =
-    Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s) t.shards.(segment) 0
+    Hashtbl.fold (fun _ s acc -> acc + Bitset.cardinal s) t.shards.(segment) 0
   in
   {
-    offered = c.oids_offered;
-    admitted = c.oids_admitted;
+    offered = c.offered;
+    admitted = occupancy;
     filters_published = c.filters_published;
     occupancy;
   }

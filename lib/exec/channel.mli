@@ -4,33 +4,40 @@
     process on each segment.  {!propagate} is the runtime realization of the
     [partition_propagation] builtin of paper Table 1.
 
+    A slot is one {!Mpp_catalog.Bitset} over the root's leaf positions;
+    beside it the channel keeps the set the scan consumed.
+
     Domain-safe by per-segment sharding: during segment-parallel execution
     exactly one domain works on segment [s], and it is the only toucher of
     shard [s] — no locks on the hot path. *)
+
+open Mpp_catalog
 
 type t
 
 val create : nsegments:int -> t
 val nsegments : t -> int
 
-val propagate : t -> segment:int -> part_scan_id:int -> int -> unit
-(** Push a selected partition OID (idempotent). *)
+val propagate : t -> segment:int -> part_scan_id:int -> Bitset.t -> unit
+(** Push a set of selected leaf positions: the slot becomes its union with
+    the set, which is never aliased. *)
 
-val propagate_set : t -> segment:int -> part_scan_id:int -> int list -> unit
-(** Batched {!propagate}: push a whole OID set with one slot lookup,
-    deduplicating at the channel — repeated OIDs (within the list or
-    across calls) are recorded once and never double-count downstream
-    work or metrics. *)
-
-val consume : t -> segment:int -> part_scan_id:int -> int list
-(** All OIDs pushed so far for this (segment, scan id), sorted. *)
+val consume :
+  ?allowed:Bitset.t -> t -> segment:int -> part_scan_id:int -> Bitset.t option
+(** The leaf positions the scan reads on this segment, recorded as
+    consumed: those pushed so far, less any outside [allowed] (the min-max
+    survivors); [None] before the first push.  Read-only. *)
 
 val mem : t -> segment:int -> part_scan_id:int -> int -> bool
-(** Membership test without materializing the sorted list. *)
+(** Whether this leaf position was pushed. *)
+
+val counts : t -> part_scan_id:int -> int * int
+(** Distinct leaves pushed and consumed for this scan id, over all
+    segments. *)
 
 val publish_filter : t -> segment:int -> rf_id:int -> Bloom.t -> unit
 (** Publish a segment's runtime join filter — the filter sibling of
-    {!propagate_set}, with the same dedup contract: re-publishing the same
+    {!propagate}, with the same dedup contract: re-publishing the same
     filter is a no-op; a distinct contribution is unioned in. *)
 
 val merged_filter : t -> rf_id:int -> Bloom.t option
@@ -42,17 +49,17 @@ val reset : t -> unit
 
 (** {1 Occupancy accounting}
 
-    Per-segment counters under the same sharding discipline as the OID
-    slots (segment [s]'s domain is the only writer of its counters; reads
-    happen on the coordinating domain between parallel sections).
-    [offered - admitted] is the dedup hit count — repeated selector
-    pushes the channel absorbed. *)
+    Per-segment counters under the same sharding discipline as the slots
+    (segment [s]'s domain is the only writer of its counters; reads happen
+    on the coordinating domain between parallel sections), computed from
+    set cardinalities.  [offered - admitted] is the dedup hit count —
+    repeated selector pushes the channel absorbed. *)
 
 type seg_stats = {
-  offered : int;  (** OIDs pushed, duplicates included *)
-  admitted : int;  (** OIDs actually inserted (post-dedup) *)
+  offered : int;  (** leaves pushed, duplicates included *)
+  admitted : int;  (** leaves new to their slot: slots only grow *)
   filters_published : int;  (** runtime-filter publications *)
-  occupancy : int;  (** distinct OIDs currently held, over all slots *)
+  occupancy : int;  (** distinct leaves currently held, over all slots *)
 }
 
 val seg_stats : t -> segment:int -> seg_stats

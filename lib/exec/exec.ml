@@ -7,8 +7,8 @@
     batches.  Side-effect ordering follows the paper's conventions —
     [Sequence] children run left to right and a join's left child runs
     before its right child — so a PartitionSelector always executes (and
-    pushes its OIDs into the per-segment {!Channel}) before the DynamicScan
-    that consumes them.
+    pushes its partitions into the per-segment {!Channel}) before the
+    DynamicScan that consumes them.
 
     Five hot-path design decisions (the Figure 15 argument, applied to the
     whole executor, plus the paper's MPP premise):
@@ -57,6 +57,8 @@ open Mpp_expr
 module Plan = Mpp_plan.Plan
 module Vec = Mpp_storage.Vec
 module Trace = Mpp_obs.Trace
+module Bitset = Mpp_catalog.Bitset
+module Index = Mpp_catalog.Partition.Index
 
 type row = Value.t array
 
@@ -78,7 +80,7 @@ type ctx = {
   params : Value.t array;
   selection_enabled : bool;
       (** when [false], PartitionSelectors ignore their predicates and push
-          every leaf OID — the "partition selection disabled" configuration
+          every leaf — the "partition selection disabled" configuration
           of the paper's Figure 17 *)
   stats : Node_stats.t option;
       (** when set, the interpreter records per-plan-node actual rows,
@@ -140,8 +142,7 @@ let create_ctx ?(params = [||]) ?(selection_enabled = true) ?(verify = false)
     (fun (tbl : Mpp_catalog.Table.t) ->
       match tbl.partitioning with
       | Some p ->
-          Hashtbl.replace pindex tbl.oid
-            (Mpp_catalog.Partition.Index.of_partitioning p)
+          Hashtbl.replace pindex tbl.oid (Index.of_partitioning p)
       | None -> ())
     (Mpp_catalog.Catalog.tables catalog);
   (* A caller-supplied pool wins over the shared per-size pools: the
@@ -365,18 +366,41 @@ let partial_lookup layout (tuple : row) (c : Colref.t) =
 (* Scans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let root_oid_of ctx oid =
-  match Mpp_catalog.Catalog.root_of_leaf ctx.catalog oid with
-  | Some root -> root
-  | None -> oid
+let partitioning_of ctx root_oid =
+  match
+    (Mpp_catalog.Catalog.find_oid ctx.catalog root_oid).Mpp_catalog.Table
+      .partitioning
+  with
+  | Some p -> p
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Exec: PartitionSelector on non-partitioned oid %d"
+           root_oid)
 
-(* Zero-copy: the live heap batch of leaf (or table) [oid], whose root the
-   caller knows.  Callers must not mutate it. *)
-let scan_physical ctx ~segment ~root ~oid =
-  let rows = Mpp_storage.Storage.scan_vec ctx.storage ~segment ~oid in
-  Metrics.record_scan ctx.metrics.(segment) ~root_oid:root ~part_oid:oid
-    ~rows:(Vec.length rows);
-  rows
+(* The table's selection index, from the per-context cache built in
+   [create_ctx]; tables registered after context creation fall back to an
+   on-demand build (still on the coordinating domain — selectors resolve
+   their index before fanning out). *)
+let index_of ctx root_oid =
+  match Hashtbl.find_opt ctx.pindex root_oid with
+  | Some ix -> ix
+  | None ->
+      let ix = Index.of_partitioning (partitioning_of ctx root_oid) in
+      Hashtbl.replace ctx.pindex root_oid ix;
+      ix
+
+(* Table [oid] as the partition counters see it: its root, its leaf
+   position there and the set of just that position — position 0 of a
+   one-leaf root when unpartitioned. *)
+let leaf_position ctx oid =
+  match Mpp_catalog.Catalog.root_of_leaf ctx.catalog oid with
+  | None -> (oid, Bitset.full 1, 0)
+  | Some root ->
+      let ix = index_of ctx root in
+      let pos = Option.get (Index.position ix oid) in
+      let parts = Bitset.create (Index.nparts ix) in
+      Bitset.set parts pos;
+      (root, parts, pos)
 
 let table_width ctx oid =
   Mpp_catalog.Table.ncols (Mpp_catalog.Catalog.find_oid ctx.catalog oid)
@@ -387,11 +411,11 @@ let table_width ctx oid =
      the returned closure owns per-segment scratch and counts dropped rows
      into that segment's metrics shard;
    - [rf_allowed] is the min-max summary intersected with the partition
-     index: the leaf OIDs that can possibly hold matching join keys.
-     A DynamicScan drops channel OIDs outside it without opening them. *)
+     index: the leaf positions that can possibly hold matching join keys.
+     A DynamicScan drops channel leaves outside it without opening them. *)
 type scan_rf = {
   rf_make : int -> row -> bool;
-  rf_allowed : (int, unit) Hashtbl.t option;
+  rf_allowed : Bitset.t option;
 }
 
 (* The scan's row test: the runtime filter's Bloom test first (a hash and a
@@ -414,43 +438,52 @@ let heaps_feed test heaps =
       Push (fun k -> List.iter (Vec.iter (fun r -> if p r then k r)) heaps)
 
 let stream_table_scan ctx ?rf ~rel ~table_oid ~filter ~guard () =
-  let root = root_oid_of ctx table_oid in
+  let root, parts, pos = leaf_position ctx table_oid in
   let layout = [ (rel, table_width ctx root) ] in
   let pred = Option.map (compile_filter ctx layout) filter in
   let feed segment =
-    let skipped =
-      match guard with
-      | None -> false
-      | Some part_scan_id ->
-          not (Channel.mem ctx.channel ~segment ~part_scan_id table_oid)
-    in
-    if skipped then Batches []
-    else
-      let test = scan_pred ?rf ~segment pred in
-      heaps_feed test [ scan_physical ctx ~segment ~root ~oid:table_oid ]
+    match guard with
+    | Some part_scan_id
+      when not (Channel.mem ctx.channel ~segment ~part_scan_id pos) ->
+        Batches []
+    | _ ->
+        let heap =
+          Mpp_storage.Storage.scan_vec ctx.storage ~segment ~oid:table_oid
+        in
+        Metrics.record_scan ctx.metrics.(segment) ~root_oid:root parts
+          ~rows:(Vec.length heap);
+        heaps_feed (scan_pred ?rf ~segment pred) [ heap ]
   in
   { layout; transient = false; feed; close = ignore }
 
-(* The selected partition heaps, read one after another. *)
+(* The selected partition heaps, read one after another in ascending leaf
+   position (= ascending OID).  The min-max ∩ partition-index elimination
+   drops channel leaves outside the filter's possible key range without
+   opening their heap — pruning beyond what the (static or streaming)
+   selector already did. *)
 let stream_dynamic_scan ctx ?rf ~rel ~part_scan_id ~root_oid ~filter () =
   let layout = [ (rel, table_width ctx root_oid) ] in
   let pred = Option.map (compile_filter ctx layout) filter in
-  (* the min-max ∩ partition-index elimination: channel OIDs outside the
-     filter's possible key range are dropped without opening their heap —
-     pruning beyond what the (static or streaming) selector already did *)
-  let restrict oids =
-    match rf with
-    | Some { rf_allowed = Some allowed; _ } ->
-        List.filter (Hashtbl.mem allowed) oids
-    | _ -> oids
-  in
+  let leaves = (partitioning_of ctx root_oid).Mpp_catalog.Partition.leaves in
+  let allowed = Option.bind rf (fun f -> f.rf_allowed) in
   let feed segment =
-    let oids = restrict (Channel.consume ctx.channel ~segment ~part_scan_id) in
-    let test = scan_pred ?rf ~segment pred in
-    heaps_feed test
-      (List.map
-         (fun oid -> scan_physical ctx ~segment ~root:root_oid ~oid)
-         oids)
+    let heaps =
+      match Channel.consume ?allowed ctx.channel ~segment ~part_scan_id with
+      | None -> []
+      | Some parts ->
+          let heaps =
+            Bitset.fold_right_set
+              (fun pos acc ->
+                Mpp_storage.Storage.scan_vec ctx.storage ~segment
+                  ~oid:leaves.(pos).Mpp_catalog.Partition.leaf_oid
+                :: acc)
+              parts []
+          in
+          Metrics.record_scan ctx.metrics.(segment) ~root_oid parts
+            ~rows:(List.fold_left (fun n h -> n + Vec.length h) 0 heaps);
+          heaps
+    in
+    heaps_feed (scan_pred ?rf ~segment pred) heaps
   in
   { layout; transient = false; feed; close = ignore }
 
@@ -473,32 +506,6 @@ type level_selector =
   | Sel_static of Interval.Set.t
   | Sel_point of Expr.t
   | Sel_dynamic of Expr.t
-
-let partitioning_of ctx root_oid =
-  match
-    (Mpp_catalog.Catalog.find_oid ctx.catalog root_oid).Mpp_catalog.Table
-      .partitioning
-  with
-  | Some p -> p
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Exec: PartitionSelector on non-partitioned oid %d"
-           root_oid)
-
-(* The table's selection index, from the per-context cache built in
-   [create_ctx]; tables registered after context creation fall back to an
-   on-demand build (still on the coordinating domain — selectors resolve
-   their index before fanning out). *)
-let index_of ctx root_oid =
-  match Hashtbl.find_opt ctx.pindex root_oid with
-  | Some ix -> ix
-  | None ->
-      let ix =
-        Mpp_catalog.Partition.Index.of_partitioning
-          (partitioning_of ctx root_oid)
-      in
-      Hashtbl.replace ctx.pindex root_oid ix;
-      ix
 
 (* [key = e] where e does not mention the key itself. *)
 let point_equality (key : Colref.t) p =
@@ -536,7 +543,7 @@ let compile_selector ctx ~keys ~predicates : level_selector array =
   |> Array.of_list
 
 (* Row-independent selection (leaf selectors, Figure 5(a–c)): compute the
-   OID set once and push it on every segment. *)
+   leaf set once and push it on every segment. *)
 let run_static_selection ctx ~part_scan_id ~root_oid
     (selectors : level_selector array) =
   let index = index_of ctx root_oid in
@@ -550,9 +557,9 @@ let run_static_selection ctx ~part_scan_id ~root_oid
             None)
       selectors
   in
-  let oids = Mpp_catalog.Partition.Index.select_oids index restrictions in
+  let bits = Index.select_bits index restrictions in
   for segment = 0 to nsegments ctx - 1 do
-    Channel.propagate_set ctx.channel ~segment ~part_scan_id oids
+    Channel.propagate ctx.channel ~segment ~part_scan_id bits
   done
 
 (* Row-driven selection (the DPE case, Figure 5(d)): evaluate the compiled
@@ -564,9 +571,9 @@ let run_static_selection ctx ~part_scan_id ~root_oid
    Selection itself goes through the table's index (resolved here on the
    coordinating domain, then read-only inside the parallel section): each
    memo key costs one O(log P) bitset intersection instead of a scan of
-   every leaf, the resolved OID set is cached on the memo entry, and the
-   whole set is handed to the channel in one batched [propagate_set] — the
-   channel dedups, so overlapping per-row leaf sets never repeat work. *)
+   every leaf, and the resolved leaf set is unioned into the channel slot
+   in one word-wise [propagate] — overlapping per-row leaf sets are held
+   once. *)
 let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
     (selectors : level_selector array) (child : result) =
   let index = index_of ctx root_oid in
@@ -585,7 +592,7 @@ let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
   in
   ignore
     (par_init ctx (fun segment ->
-         let oids_for row =
+         let leaves_for row =
            let restrictions =
              Array.mapi
                (fun i sel ->
@@ -601,13 +608,13 @@ let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
                        (Expr.subst_cols (partial_lookup child.layout row) p))
                selectors
            in
-           Mpp_catalog.Partition.Index.select_oids index restrictions
+           Index.select_bits index restrictions
          in
-         let push oids =
-           Channel.propagate_set ctx.channel ~segment ~part_scan_id oids
+         let push bits =
+           Channel.propagate ctx.channel ~segment ~part_scan_id bits
          in
          let rows = child.rows.(segment) in
-         if general then Vec.iter (fun row -> push (oids_for row)) rows
+         if general then Vec.iter (fun row -> push (leaves_for row)) rows
          else begin
            (* cheap memo key: the per-level point values (Null for static /
               unrestricted levels, which contribute nothing row-specific —
@@ -625,7 +632,7 @@ let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
                  points;
                if not (KeyN.mem memo scratch) then begin
                  KeyN.add memo (Array.copy scratch) ();
-                 push (oids_for row)
+                 push (leaves_for row)
                end)
              rows
          end))
@@ -737,7 +744,7 @@ let rf_make_test ctx ~at_motion mf layout keys =
    set of leaves that can possibly hold matching keys.  An empty build
    side restricts every matched level to the empty set.  [None] when no
    level is covered (no pruning possible). *)
-let rf_allowed_oids ctx ~root_oid ~rel keys mf =
+let rf_allowed_leaves ctx ~root_oid ~rel keys mf =
   let part = partitioning_of ctx root_oid in
   let index = index_of ctx root_oid in
   let covered = ref false in
@@ -766,14 +773,7 @@ let rf_allowed_oids ctx ~root_oid ~rel keys mf =
                           (Interval.B (hi, true))))))
       part.Mpp_catalog.Partition.levels
   in
-  if not !covered then None
-  else begin
-    let allowed = Hashtbl.create 32 in
-    List.iter
-      (fun oid -> Hashtbl.replace allowed oid ())
-      (Mpp_catalog.Partition.Index.select_oids index restrictions);
-    Some allowed
-  end
+  if !covered then Some (Index.select_bits index restrictions) else None
 
 (* ------------------------------------------------------------------ *)
 (* Joins                                                               *)
@@ -1319,16 +1319,6 @@ let child_ids id plan =
       cid)
     (Plan.children plan)
 
-(* Distinct OIDs pushed to [part_scan_id]'s channel, over all segments. *)
-let channel_oid_count ctx ~part_scan_id =
-  let seen = Hashtbl.create 16 in
-  for segment = 0 to nsegments ctx - 1 do
-    List.iter
-      (fun oid -> Hashtbl.replace seen oid ())
-      (Channel.consume ctx.channel ~segment ~part_scan_id)
-  done;
-  Hashtbl.length seen
-
 let nparts_of_root ctx root_oid =
   Mpp_catalog.Table.nparts (Mpp_catalog.Catalog.find_oid ctx.catalog root_oid)
 
@@ -1358,30 +1348,26 @@ let record_node ctx (n : Node_stats.node) (plan : Plan.t) seg_rows =
     seg_rows;
   (match plan with
   | Plan.Dynamic_scan { part_scan_id; root_oid; _ } ->
-      n.Node_stats.parts_scanned <- channel_oid_count ctx ~part_scan_id;
+      n.Node_stats.parts_scanned <-
+        snd (Channel.counts ctx.channel ~part_scan_id);
       n.Node_stats.parts_total <- nparts_of_root ctx root_oid
   | Plan.Partition_selector { part_scan_id; root_oid; _ } ->
-      n.Node_stats.parts_selected <- channel_oid_count ctx ~part_scan_id;
+      n.Node_stats.parts_selected <-
+        fst (Channel.counts ctx.channel ~part_scan_id);
       n.Node_stats.parts_total <- nparts_of_root ctx root_oid
   | Plan.Table_scan { table_oid; guard; _ } ->
       (* a per-leaf scan (Planner expansion) reads its one partition; a
-         guarded one only when its OID was pushed on some segment *)
-      let root = root_oid_of ctx table_oid in
+         guarded one only when its leaf was pushed on some segment *)
+      let root, parts, pos = leaf_position ctx table_oid in
       if guard <> None || root <> table_oid then begin
-        let scanned =
-          match guard with
-          | None -> true
-          | Some gid ->
-              let hit = ref false in
-              for segment = 0 to nsegments ctx - 1 do
-                if
-                  Channel.mem ctx.channel ~segment ~part_scan_id:gid table_oid
-                then hit := true
-              done;
-              !hit
+        let pushed part_scan_id =
+          List.exists
+            (fun segment -> Channel.mem ctx.channel ~segment ~part_scan_id pos)
+            (List.init (nsegments ctx) Fun.id)
         in
-        n.Node_stats.parts_scanned <- (if scanned then 1 else 0);
-        n.Node_stats.parts_total <- nparts_of_root ctx root
+        n.Node_stats.parts_scanned <-
+          Bool.to_int (Option.fold ~none:true ~some:pushed guard);
+        n.Node_stats.parts_total <- Bitset.length parts
       end
   | Plan.Motion _ ->
       (* every motion kind emits exactly the rows it moved: Gather and
@@ -1568,7 +1554,8 @@ and stream_node ?rf ctx id (plan : Plan.t) : pipe =
           match child with
           | Plan.Table_scan { rel; table_oid; _ } ->
               (* the scan runs the test in its row loop *)
-              let width = table_width ctx (root_oid_of ctx table_oid) in
+              let root, _, _ = leaf_position ctx table_oid in
+              let width = table_width ctx root in
               kid ~rf:(scan_rf [ (rel, width) ] None) 0 child
           | Plan.Dynamic_scan { rel; root_oid; _ } ->
               (* and intersects the filter's min-max summary with the
@@ -1577,7 +1564,7 @@ and stream_node ?rf ctx id (plan : Plan.t) : pipe =
                  like the selectors do *)
               let allowed =
                 if ctx.selection_enabled then
-                  rf_allowed_oids ctx ~root_oid ~rel keys mf
+                  rf_allowed_leaves ctx ~root_oid ~rel keys mf
                 else None
               in
               kid ~rf:(scan_rf [ (rel, table_width ctx root_oid) ] allowed) 0

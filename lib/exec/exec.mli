@@ -5,8 +5,12 @@
     breaker builds, per segment, the batch of rows it would emit there, and
     Motions re-shuffle the per-segment batches.  Side-effect ordering
     follows the paper: Sequence children and a join's left child run
-    first, so a PartitionSelector always pushes its OIDs into the
+    first, so a PartitionSelector always pushes its partitions into the
     per-segment {!Channel} before the DynamicScan consumes them.
+
+    A set of partitions is one {!Mpp_catalog.Bitset} over the root's leaf
+    positions from the selection index to {!Metrics}; scans visit it in
+    ascending position, which is ascending OID.
 
     Hot path (the paper's Figure 15 argument applied to the whole
     executor): expressions are compiled once per operator via

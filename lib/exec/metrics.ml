@@ -2,12 +2,14 @@
     evaluation figures (partitions scanned per table for Figure 16; tuple
     and Motion volumes backing the runtimes of Figure 17 and Table 2). *)
 
+module Bitset = Mpp_catalog.Bitset
+
 type t = {
   mutable tuples_scanned : int;  (** rows read from heaps, summed over segments *)
   mutable tuples_moved : int;  (** rows crossing a Motion *)
   mutable partition_opens : int;  (** heap opens, summed over segments *)
-  parts_scanned : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** root table OID → set of distinct partition OIDs scanned *)
+  parts_scanned : (int, Bitset.t) Hashtbl.t;
+      (** root table OID → leaf positions scanned *)
   mutable rows_updated : int;
   mutable rows_deleted : int;
   mutable filter_built : int;
@@ -38,18 +40,19 @@ let create () =
     motion_rows_saved = 0;
   }
 
-let record_scan t ~root_oid ~part_oid ~rows =
-  t.tuples_scanned <- t.tuples_scanned + rows;
-  t.partition_opens <- t.partition_opens + 1;
-  let set =
-    match Hashtbl.find_opt t.parts_scanned root_oid with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.replace t.parts_scanned root_oid s;
-        s
-  in
-  Hashtbl.replace set part_oid ()
+(* [into.(root) ∪= parts], copying [parts] when [root] is new. *)
+let union_parts into root parts =
+  match Hashtbl.find_opt into root with
+  | Some s -> Bitset.union_into ~into:s parts
+  | None -> Hashtbl.replace into root (Bitset.copy parts)
+
+let record_scan t ~root_oid parts ~rows =
+  let opened = Bitset.cardinal parts in
+  if opened > 0 then begin
+    t.tuples_scanned <- t.tuples_scanned + rows;
+    t.partition_opens <- t.partition_opens + opened;
+    union_parts t.parts_scanned root_oid parts
+  end
 
 let record_motion t ~rows = t.tuples_moved <- t.tuples_moved + rows
 
@@ -57,10 +60,10 @@ let record_motion t ~rows = t.tuples_moved <- t.tuples_moved + rows
 let parts_scanned_of t ~root_oid =
   match Hashtbl.find_opt t.parts_scanned root_oid with
   | None -> 0
-  | Some s -> Hashtbl.length s
+  | Some s -> Bitset.cardinal s
 
 let total_parts_scanned t =
-  Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s) t.parts_scanned 0
+  Hashtbl.fold (fun _ s acc -> acc + Bitset.cardinal s) t.parts_scanned 0
 
 let pp fmt t =
   Format.fprintf fmt
@@ -71,50 +74,33 @@ let pp fmt t =
     t.rows_updated t.rows_deleted t.filter_built t.rows_filtered_scan
     t.rows_filtered_motion t.motion_rows_saved
 
-(** Combine two runs' counters into a fresh record: sums for the scalar
-    counters, per-root union of distinct partition OIDs for
-    [parts_scanned]. *)
-let merge a b =
+(** Fold an array of runs' counters into one fresh record: sums for the
+    scalar counters, per-root union of the scanned leaf positions — how the
+    executor folds its per-segment shards into the per-query total. *)
+let merge_all ts =
   let t = create () in
-  t.tuples_scanned <- a.tuples_scanned + b.tuples_scanned;
-  t.tuples_moved <- a.tuples_moved + b.tuples_moved;
-  t.partition_opens <- a.partition_opens + b.partition_opens;
-  t.rows_updated <- a.rows_updated + b.rows_updated;
-  t.rows_deleted <- a.rows_deleted + b.rows_deleted;
-  t.filter_built <- a.filter_built + b.filter_built;
-  t.rows_filtered_scan <- a.rows_filtered_scan + b.rows_filtered_scan;
-  t.rows_filtered_motion <- a.rows_filtered_motion + b.rows_filtered_motion;
-  t.motion_rows_saved <- a.motion_rows_saved + b.motion_rows_saved;
-  let union src =
-    Hashtbl.iter
-      (fun root set ->
-        let dst =
-          match Hashtbl.find_opt t.parts_scanned root with
-          | Some s -> s
-          | None ->
-              let s = Hashtbl.create (Hashtbl.length set) in
-              Hashtbl.replace t.parts_scanned root s;
-              s
-        in
-        Hashtbl.iter (fun oid () -> Hashtbl.replace dst oid ()) set)
-      src.parts_scanned
-  in
-  union a;
-  union b;
+  Array.iter
+    (fun m ->
+      t.tuples_scanned <- t.tuples_scanned + m.tuples_scanned;
+      t.tuples_moved <- t.tuples_moved + m.tuples_moved;
+      t.partition_opens <- t.partition_opens + m.partition_opens;
+      t.rows_updated <- t.rows_updated + m.rows_updated;
+      t.rows_deleted <- t.rows_deleted + m.rows_deleted;
+      t.filter_built <- t.filter_built + m.filter_built;
+      t.rows_filtered_scan <- t.rows_filtered_scan + m.rows_filtered_scan;
+      t.rows_filtered_motion <- t.rows_filtered_motion + m.rows_filtered_motion;
+      t.motion_rows_saved <- t.motion_rows_saved + m.motion_rows_saved;
+      Hashtbl.iter (union_parts t.parts_scanned) m.parts_scanned)
+    ts;
   t
 
-(** Merge an array of per-segment shards into one fresh record — how the
-    executor folds its sharded hot-path counters into the per-query total. *)
-let merge_all ts = Array.fold_left merge (create ()) ts
+let merge a b = merge_all [| a; b |]
 
-(** Distinct partition OIDs of table [root_oid] actually scanned,
-    ascending. *)
-let scanned_oids t ~root_oid =
+(** Leaf positions of table [root_oid] actually scanned, ascending. *)
+let scanned_leaves t ~root_oid =
   match Hashtbl.find_opt t.parts_scanned root_oid with
   | None -> []
-  | Some s ->
-      Hashtbl.fold (fun oid () acc -> oid :: acc) s []
-      |> List.sort Int.compare
+  | Some s -> Bitset.to_list s
 
 (** Root OIDs with at least one partition scanned, ascending. *)
 let roots_scanned t =

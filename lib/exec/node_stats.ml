@@ -27,7 +27,8 @@ type node = {
       (** DynamicScan: distinct leaf partitions actually read *)
   mutable parts_total : int;  (** leaves of the scanned root table *)
   mutable parts_selected : int;
-      (** PartitionSelector: distinct OIDs pushed to its channel *)
+      (** PartitionSelector: distinct leaves pushed to its channel, over
+          all segments *)
   mutable tuples_moved : int;  (** Motion: rows crossing the interconnect *)
   seg_rows : int array;
       (** rows emitted per segment; recorded on the coordinating domain *)

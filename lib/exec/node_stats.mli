@@ -17,7 +17,8 @@ type node = {
       (** DynamicScan: distinct leaf partitions actually read *)
   mutable parts_total : int;
   mutable parts_selected : int;
-      (** PartitionSelector: distinct OIDs pushed to its channel *)
+      (** PartitionSelector: distinct leaves pushed to its channel, over
+          all segments *)
   mutable tuples_moved : int;  (** Motion: rows crossing the interconnect *)
   seg_rows : int array;  (** rows emitted per segment *)
   seg_time_s : float array;  (** per-segment task wall time, seconds *)

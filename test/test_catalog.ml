@@ -254,6 +254,77 @@ let prop_route_deterministic =
           | Some lf' -> lf == lf'
           | None -> false))
 
+(* The executor's partition sets are bitsets over leaf positions, and a
+   DynamicScan visits them in ascending position.  That is the ascending-OID
+   order scans used before only if every layout allocates its leaf OIDs in
+   position order — pinned here for every partitioned table the workloads
+   build, along with [Index.position] inverting the numbering. *)
+let test_leaf_oids_ascend () =
+  let check_table what (tbl : Table.t) =
+    match tbl.Table.partitioning with
+    | None -> ()
+    | Some p ->
+        let ix = Part.Index.of_partitioning p in
+        Array.iteri
+          (fun j (lf : Part.leaf) ->
+            if j > 0 && p.Part.leaves.(j - 1).Part.leaf_oid >= lf.Part.leaf_oid
+            then
+              Alcotest.failf "%s.%s: leaf %d's OID does not ascend" what
+                tbl.Table.name j;
+            if Part.Index.position ix lf.Part.leaf_oid <> Some j then
+              Alcotest.failf "%s.%s: position of leaf %d" what tbl.Table.name j)
+          p.Part.leaves
+  in
+  let check_catalog what catalog =
+    List.iter (check_table what) (Cat.tables catalog)
+  in
+  let tpcds = Mpp_workload.Runner.setup_env ~scale:1 () in
+  check_catalog "tpcds" tpcds.Mpp_workload.Runner.catalog;
+  List.iter
+    (fun scenario ->
+      let catalog = Cat.create () in
+      let storage = Mpp_storage.Storage.create ~nsegments:4 in
+      let tbl = Mpp_workload.Tpch.setup ~catalog ~storage ~scenario ~rows:0 in
+      Alcotest.(check int)
+        (Mpp_workload.Tpch.scenario_name scenario ^ " partitions")
+        (Mpp_workload.Tpch.scenario_parts scenario)
+        (Table.nparts tbl);
+      check_catalog (Mpp_workload.Tpch.scenario_name scenario) catalog)
+    Mpp_workload.Tpch.[ Parts_42; Parts_84; Parts_169; Parts_361 ];
+  List.iter
+    (fun spec ->
+      let env = Mpp_workload.Biggen.generate spec in
+      check_catalog env.Mpp_workload.Biggen.name
+        env.Mpp_workload.Biggen.catalog)
+    (Mpp_workload.Biggen.default_suite ());
+  let multilevel, _ = Support.multilevel_schema () in
+  check_catalog "multi-level" multilevel;
+  let catalog = Cat.create () in
+  let three =
+    Cat.add_table catalog ~name:"t3"
+      ~columns:
+        [ ("date", Value.Tdate); ("region", Value.Tstring);
+          ("channel", Value.Tstring) ]
+      ~distribution:(Dist.Hashed [ 0 ])
+      ~partitioning:
+        (Part.multi_level
+           ~alloc_oid:(fun () -> Cat.alloc_oid catalog)
+           ~table_name:"t3"
+           [ ({ Part.key_index = 0; key_name = "date"; scheme = Part.Range },
+              Part.monthly_ranges ~start_year:2012 ~start_month:1 ~months:4);
+             ({ Part.key_index = 1; key_name = "region";
+                scheme = Part.Categorical },
+              Part.categorical
+                [ [ Value.String "east" ]; [ Value.String "west" ] ]);
+             ({ Part.key_index = 2; key_name = "channel";
+                scheme = Part.Categorical },
+              Part.categorical
+                [ [ Value.String "web" ]; [ Value.String "store" ] ]) ])
+      ()
+  in
+  Alcotest.(check int) "three-level leaves" 16 (Table.nparts three);
+  check_table "three-level" three
+
 let () =
   Alcotest.run "catalog"
     [ ("partitioning",
@@ -266,7 +337,9 @@ let () =
            test_multilevel_figure10;
          Alcotest.test_case "multi-level route" `Quick test_multilevel_route;
          Alcotest.test_case "three-level hierarchy" `Quick
-           test_three_level_partitioning ]);
+           test_three_level_partitioning;
+         Alcotest.test_case "leaf OIDs ascend with position" `Quick
+           test_leaf_oids_ascend ]);
       ("catalog",
        [ Alcotest.test_case "registry" `Quick test_catalog_registry;
          Alcotest.test_case "table helpers" `Quick test_table_helpers;

@@ -384,16 +384,45 @@ let test_guarded_scan_skips () =
 
 let test_channel () =
   let ch = Channel.create ~nsegments:4 in
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 42;
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 42;
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 7;
-  Channel.propagate ch ~segment:1 ~part_scan_id:1 99;
-  Alcotest.(check (list int)) "dedup + sort" [ 7; 42 ]
-    (Channel.consume ch ~segment:0 ~part_scan_id:1);
-  Alcotest.(check (list int)) "per-segment isolation" [ 99 ]
-    (Channel.consume ch ~segment:1 ~part_scan_id:1);
-  Alcotest.(check (list int)) "unknown id empty" []
-    (Channel.consume ch ~segment:0 ~part_scan_id:9)
+  let bits l =
+    let b = Mpp_catalog.Bitset.create 100 in
+    Mpp_catalog.Bitset.set_list b l;
+    b
+  in
+  let read ?allowed segment part_scan_id =
+    Option.map Mpp_catalog.Bitset.to_list
+      (Channel.consume ?allowed ch ~segment ~part_scan_id)
+  in
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 42 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 42; 7 ]);
+  Channel.propagate ch ~segment:1 ~part_scan_id:1 (bits [ 99 ]);
+  Alcotest.(check (pair int int)) "selected, nothing consumed yet" (3, 0)
+    (Channel.counts ch ~part_scan_id:1);
+  Alcotest.(check (option (list int))) "union, ascending" (Some [ 7; 42 ])
+    (read 0 1);
+  Alcotest.(check (option (list int))) "per-segment isolation" (Some [ 99 ])
+    (read 1 1);
+  Alcotest.(check (option (list int))) "untouched segment empty" None
+    (read 2 1);
+  Alcotest.(check (option (list int))) "unknown id empty" None (read 0 9);
+  Alcotest.(check (pair int int)) "selected and consumed over segments"
+    (3, 3)
+    (Channel.counts ch ~part_scan_id:1);
+  (* a min-max allow-list: the scan consumes only the survivors, and the
+     slot keeps what was selected *)
+  Channel.propagate ch ~segment:2 ~part_scan_id:2 (bits [ 1; 2; 3 ]);
+  Alcotest.(check (option (list int))) "consume keeps allowed leaves"
+    (Some [ 2 ])
+    (read ~allowed:(bits [ 2; 5 ]) 2 2);
+  Alcotest.(check (pair int int)) "consumed counts only what was read"
+    (3, 1)
+    (Channel.counts ch ~part_scan_id:2);
+  (* the channel keeps its own copy of a pushed set *)
+  let pushed = bits [ 3 ] in
+  Channel.propagate ch ~segment:3 ~part_scan_id:1 pushed;
+  Mpp_catalog.Bitset.set pushed 5;
+  Alcotest.(check (option (list int))) "pushed set not aliased" (Some [ 3 ])
+    (read 3 1)
 
 (* ---- DML ---- *)
 

@@ -98,8 +98,8 @@ let check_equivalent ~what ~catalog ~storage ?params ?selection_enabled plan =
     (fun root ->
       Alcotest.(check (list int))
         (Printf.sprintf "%s: selected partitions of root %d" what root)
-        (Metrics.scanned_oids m_s ~root_oid:root)
-        (Metrics.scanned_oids m_p ~root_oid:root))
+        (Metrics.scanned_leaves m_s ~root_oid:root)
+        (Metrics.scanned_leaves m_p ~root_oid:root))
     (Metrics.roots_scanned m_s)
 
 (* ---- the full evaluation workload, Orca plans ---- *)
@@ -193,9 +193,9 @@ let test_agg_sort_limit_seven_segments () =
 
 (* Hand-built streaming-DPE plan: a join-driven selector (Figure 5(d))
    above the build side resolves partitions per distinct join key through
-   the selection index's memoized path and pushes the OID sets into the
-   sharded channel via the batched [propagate_set].  The selected-OID sets
-   per root (checked by [check_equivalent] through [Metrics.scanned_oids])
+   the selection index's memoized path and unions the leaf sets into the
+   sharded channel via [propagate].  The scanned leaf sets per root
+   (checked by [check_equivalent] through [Metrics.scanned_leaves])
    must be identical serial vs parallel. *)
 let test_streaming_dpe_memoized () =
   let catalog = Cat.create () in
@@ -249,7 +249,7 @@ let test_streaming_dpe_memoized () =
   let _, m = Exec.run ~catalog ~storage plan in
   Alcotest.(check int) "3 of 20 partitions scanned" 3
     (List.length
-       (Metrics.scanned_oids m ~root_oid:fact.Mpp_catalog.Table.oid))
+       (Metrics.scanned_leaves m ~root_oid:fact.Mpp_catalog.Table.oid))
 
 (* Dynamic selection: streaming selector feeding a DynamicScan through the
    sharded channel, exercised at both domain counts. *)

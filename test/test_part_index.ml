@@ -12,8 +12,8 @@
       Int/Float key mixing) where indexed select/route must equal the
       oracle exactly, 1200+ cases each;
     - {!Bitset} word-level invariants (ghost bits, ordering);
-    - {!Channel} dedup: pushing the same OID twice — singly or via the
-      batched [propagate_set] — must not double-count. *)
+    - {!Channel} dedup: pushing the same leaf twice, alone or within a
+      larger set, holds it once. *)
 
 open Mpp_expr
 module Cat = Mpp_catalog.Catalog
@@ -276,21 +276,33 @@ let test_bitset_basics () =
 
 let test_channel_dedup () =
   let ch = Channel.create ~nsegments:2 in
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 42;
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 42;
-  Channel.propagate_set ch ~segment:0 ~part_scan_id:1 [ 7; 42; 7; 9 ];
-  Channel.propagate_set ch ~segment:0 ~part_scan_id:1 [ 9; 42 ];
-  Alcotest.(check (list int)) "consume: unique sorted OIDs" [ 7; 9; 42 ]
-    (Channel.consume ch ~segment:0 ~part_scan_id:1);
-  Alcotest.(check bool) "mem sees batched push" true
+  let bits l =
+    let b = Bitset.create 64 in
+    Bitset.set_list b l;
+    b
+  in
+  let slot segment part_scan_id =
+    Option.map Bitset.to_list (Channel.consume ch ~segment ~part_scan_id)
+  in
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 42 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 42 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 7; 42; 9 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 9; 42 ]);
+  Alcotest.(check (option (list int))) "slot: unique ascending leaves"
+    (Some [ 7; 9; 42 ]) (slot 0 1);
+  Alcotest.(check bool) "mem sees a pushed leaf" true
     (Channel.mem ch ~segment:0 ~part_scan_id:1 9);
-  Alcotest.(check (list int)) "other segment unaffected" []
-    (Channel.consume ch ~segment:1 ~part_scan_id:1);
-  Alcotest.(check (list int)) "other scan id unaffected" []
-    (Channel.consume ch ~segment:0 ~part_scan_id:2);
-  Channel.propagate_set ch ~segment:1 ~part_scan_id:3 [];
-  Alcotest.(check (list int)) "empty batch is a no-op" []
-    (Channel.consume ch ~segment:1 ~part_scan_id:3)
+  Alcotest.(check bool) "mem rejects an unpushed leaf" false
+    (Channel.mem ch ~segment:0 ~part_scan_id:1 8);
+  Alcotest.(check (option (list int))) "other segment unaffected" None
+    (slot 1 1);
+  Alcotest.(check (option (list int))) "other scan id unaffected" None
+    (slot 0 2);
+  Channel.propagate ch ~segment:1 ~part_scan_id:3 (bits []);
+  Alcotest.(check (option (list int))) "empty push leaves an empty slot"
+    (Some []) (slot 1 3);
+  Alcotest.(check bool) "mem on an empty slot" false
+    (Channel.mem ch ~segment:1 ~part_scan_id:3 0)
 
 let () =
   Alcotest.run "part_index"
@@ -305,4 +317,4 @@ let () =
          [ prop_select_matches_oracle; prop_route_matches_oracle ]);
       ("bitset", [ Alcotest.test_case "word-level ops" `Quick test_bitset_basics ]);
       ("channel",
-       [ Alcotest.test_case "OID dedup" `Quick test_channel_dedup ]) ]
+       [ Alcotest.test_case "leaf dedup" `Quick test_channel_dedup ]) ]

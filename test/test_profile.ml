@@ -318,20 +318,28 @@ let test_dpool_accounting () =
 
 let test_channel_occupancy () =
   let ch = Channel.create ~nsegments:2 in
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 100;
-  Channel.propagate ch ~segment:0 ~part_scan_id:1 100 (* dedup hit *);
-  Channel.propagate_set ch ~segment:0 ~part_scan_id:1 [ 100; 101; 101; 102 ];
-  Channel.propagate ch ~segment:1 ~part_scan_id:1 100;
+  let bits l =
+    let b = Mpp_catalog.Bitset.create 128 in
+    Mpp_catalog.Bitset.set_list b l;
+    b
+  in
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 100 ]);
+  (* a dedup hit *)
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 100 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:1 (bits [ 100; 101; 102 ]);
+  Channel.propagate ch ~segment:0 ~part_scan_id:2 (bits [ 100 ]);
+  Channel.propagate ch ~segment:1 ~part_scan_id:1 (bits [ 100 ]);
   let s0 = Channel.seg_stats ch ~segment:0 in
   Alcotest.(check int) "seg0 offered" 6 s0.Channel.offered;
-  Alcotest.(check int) "seg0 admitted" 3 s0.Channel.admitted;
-  Alcotest.(check int) "seg0 occupancy" 3 s0.Channel.occupancy;
+  Alcotest.(check int) "seg0 admitted" 4 s0.Channel.admitted;
+  Alcotest.(check int) "seg0 occupancy sums its slots" 4 s0.Channel.occupancy;
   let s1 = Channel.seg_stats ch ~segment:1 in
   Alcotest.(check int) "seg1 admitted" 1 s1.Channel.admitted;
   (* reading the channel does not perturb the counters *)
   ignore (Channel.consume ch ~segment:0 ~part_scan_id:1);
+  ignore (Channel.mem ch ~segment:0 ~part_scan_id:1 100);
   Alcotest.(check int)
-    "consume does not count" 6
+    "reads do not count" 6
     (Channel.seg_stats ch ~segment:0).Channel.offered;
   Channel.reset ch;
   let r = Channel.seg_stats ch ~segment:0 in

@@ -13,7 +13,8 @@
     Also pins the {!Mpp_exec.Metrics} extension: the four filter counters
     survive [create]/[merge]/[pp]/[to_json] and a JSON round-trip, and
     merging with a fresh record (an "old artifact" with all-zero filter
-    fields) is the identity on them. *)
+    fields) is the identity on them; merging sums the scan counters and
+    unions the per-root partition sets. *)
 
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
@@ -73,6 +74,72 @@ let test_filters_actually_fire () =
   Alcotest.(check bool)
     "probe rows dropped at the scan" true
     (m.Metrics.rows_filtered_scan > 0)
+
+(* Min-max partition elimination: the selection-disabled plan of
+   [ss_datedim_month] (its selector pushes all 36 store_sales partitions)
+   with a runtime filter on every eligible join.  The filter's min-max
+   summary of the November-2013 dates intersected with the partition index
+   leaves the DynamicScan a single month to read; EXPLAIN ANALYZE must
+   count the partitions the scan read, not the ones the selector pushed. *)
+let test_minmax_elimination () =
+  let e = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
+  let catalog = e.W.Runner.catalog and storage = e.W.Runner.storage in
+  let plan =
+    Mpp_plan.Rf_annotate.annotate ~catalog
+      ~decide:(fun ~build:_ ~probe:_ ~build_keys:_ ~probe_keys:_ -> Some 64)
+      (W.Runner.optimize_with e W.Runner.Orca_no_selection
+         (W.Queries.find "ss_datedim_month"))
+  in
+  let ss_oid =
+    (Mpp_catalog.Catalog.find catalog "store_sales").Mpp_catalog.Table.oid
+  in
+  (* pre-order index of the plan's one DynamicScan *)
+  let rec scan_id id (p : Mpp_plan.Plan.t) =
+    match p with
+    | Mpp_plan.Plan.Dynamic_scan { root_oid; _ } when root_oid = ss_oid ->
+        Some id
+    | _ ->
+        let rec kids id = function
+          | [] -> None
+          | c :: rest -> (
+              match scan_id id c with
+              | Some _ as r -> r
+              | None -> kids (id + Mpp_plan.Plan.node_count c) rest)
+        in
+        kids (id + 1) (Mpp_plan.Plan.children p)
+  in
+  let scan =
+    match scan_id 0 plan with
+    | Some id -> id
+    | None -> Alcotest.fail "no store_sales DynamicScan"
+  in
+  let run ~domains ~runtime_filters =
+    let rows, m, ns =
+      Exec.run_analyze ~domains ~runtime_filters ~catalog ~storage plan
+    in
+    let explained =
+      match Mpp_exec.Node_stats.find ns scan with
+      | Some n -> n.Mpp_exec.Node_stats.parts_scanned
+      | None -> Alcotest.fail "DynamicScan not executed"
+    in
+    (sorted rows, Metrics.parts_scanned_of m ~root_oid:ss_oid, explained)
+  in
+  let rows_off, parts_off, _ = run ~domains:1 ~runtime_filters:false in
+  let rows_on, parts_on, explained_on = run ~domains:1 ~runtime_filters:true in
+  Alcotest.(check int) "without filters every partition is read" 36 parts_off;
+  Alcotest.(check bool) "rows equal with filters on and off" true
+    (rows_on = rows_off);
+  Alcotest.(check bool) "min-max elimination drops partitions" true
+    (parts_on < 36);
+  Alcotest.(check int) "EXPLAIN ANALYZE counts the partitions read" parts_on
+    explained_on;
+  let rows_par, parts_par, explained_par =
+    run ~domains:4 ~runtime_filters:true
+  in
+  Alcotest.(check bool) "4 domains: same rows" true (rows_par = rows_on);
+  Alcotest.(check int) "4 domains: same partitions" parts_on parts_par;
+  Alcotest.(check int) "4 domains: same EXPLAIN count" explained_on
+    explained_par
 
 (* ------------------------------------------------------------------ *)
 (* Property-based: random join queries, serial and parallel             *)
@@ -184,7 +251,10 @@ let populated () =
   m.Metrics.rows_filtered_scan <- 1000;
   m.Metrics.rows_filtered_motion <- 250;
   m.Metrics.motion_rows_saved <- 750;
-  m.Metrics.tuples_scanned <- 9;
+  (* one scan read leaves 1 and 3 of a four-leaf root: 9 rows *)
+  let parts = Mpp_catalog.Bitset.create 4 in
+  Mpp_catalog.Bitset.set_list parts [ 1; 3 ];
+  Metrics.record_scan m ~root_oid:77 parts ~rows:9;
   m
 
 let int_field name json =
@@ -204,9 +274,23 @@ let test_metrics_counters () =
     "merge keeps rows_filtered_motion" 250 merged.Metrics.rows_filtered_motion;
   Alcotest.(check int)
     "merge keeps motion_rows_saved" 750 merged.Metrics.motion_rows_saved;
-  (* merge sums *)
+  Alcotest.(check (list int))
+    "merge keeps the scanned leaves" [ 1; 3 ]
+    (Metrics.scanned_leaves merged ~root_oid:77);
+  (* merge sums the counters and unions the partition sets *)
   let doubled = Metrics.merge m m in
   Alcotest.(check int) "merge sums" 2000 doubled.Metrics.rows_filtered_scan;
+  Alcotest.(check int) "merge sums rows" 18 doubled.Metrics.tuples_scanned;
+  Alcotest.(check int) "merge sums opens" 4 doubled.Metrics.partition_opens;
+  Alcotest.(check int)
+    "merge unions partitions" 2
+    (Metrics.parts_scanned_of doubled ~root_oid:77);
+  Alcotest.(check (list int)) "roots" [ 77 ] (Metrics.roots_scanned doubled);
+  (* the merged record owns its sets *)
+  Metrics.record_scan doubled ~root_oid:77 (Mpp_catalog.Bitset.full 4) ~rows:0;
+  Alcotest.(check int)
+    "merge does not alias its inputs" 2
+    (Metrics.parts_scanned_of m ~root_oid:77);
   (* JSON round-trip: serialize, reparse, counters intact *)
   let json =
     match Json.parse_opt (Json.to_string (Metrics.to_json m)) with
@@ -239,7 +323,9 @@ let () =
        [ Alcotest.test_case "workload on=off, both optimizers" `Slow
            test_workload_equivalence;
          Alcotest.test_case "filters fire on RF targets" `Quick
-           test_filters_actually_fire ]);
+           test_filters_actually_fire;
+         Alcotest.test_case "min-max partition elimination" `Quick
+           test_minmax_elimination ]);
       ("property", [ QCheck_alcotest.to_alcotest ~long:true equivalence_test ]);
       ("metrics", [ Alcotest.test_case "counters everywhere" `Quick
                       test_metrics_counters ]) ]
