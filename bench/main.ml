@@ -2,9 +2,9 @@
     evaluation (§4).
 
     Usage: [bench/main.exe [table2|table3|fig16|fig17|fig18a|fig18b|fig18c|
-    ablation-memo|ablation-pwj|micro|micro-exec|part-select|obs-overhead|
+    ablation-memo|ablation-pwj|micro-exec|part-select|obs-overhead|
     verify|join-filter|opt-scaling|all]] — no argument runs everything
-    except the bechamel micro-benchmarks.  [micro-exec] measures the executor hot path
+    except [obs-overhead].  [micro-exec] measures the executor hot path
     (interpreted vs compiled expressions, serial vs domain-pool join, the
     grouped-aggregation and two-key join kernels);
     [part-select] measures partition-selection cost vs partition count
@@ -684,77 +684,6 @@ let ablation_pwj () =
              ("dynscan_ms", Json.Float dms);
              ("partwise_ms", Json.Float pms) ]))
     [ 25; 50; 100; 200 ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Bechamel micro-benchmarks (one per experiment family)";
-  let open Bechamel in
-  let catalog = make_rs ~nparts:300 () in
-  let table = Cat.find catalog "r" in
-  let partitioning = Option.get table.Table.partitioning in
-  let restriction =
-    [| Some (Interval.Set.singleton (Interval.at_most (Value.Int 5000))) |]
-  in
-  let test_selection =
-    Test.make ~name:"partition-selection-300-parts"
-      (Staged.stage (fun () ->
-           ignore (Part.select_oids partitioning restriction)))
-  in
-  let sql_join = "SELECT * FROM r, s WHERE r.b = s.b AND s.a < 100" in
-  let lg = Mpp_sql.Sql.to_logical catalog sql_join in
-  let test_optimize =
-    Test.make ~name:"orca-optimize-join-300-parts"
-      (Staged.stage (fun () ->
-           ignore
-             (Orca.Optimizer.optimize (Orca.Optimizer.create ~catalog ()) lg)))
-  in
-  let test_planner =
-    Test.make ~name:"planner-expand-join-300-parts"
-      (Staged.stage (fun () ->
-           ignore
-             (Mpp_planner.Planner.plan
-                (Mpp_planner.Planner.create ~catalog ())
-                lg)))
-  in
-  let a =
-    Interval.Set.of_list
-      (List.init 32 (fun i ->
-           Option.get
-             (Interval.closed_open (Value.Int (i * 10)) (Value.Int ((i * 10) + 5)))))
-  in
-  let b =
-    Interval.Set.of_list
-      (List.init 32 (fun i ->
-           Option.get
-             (Interval.closed_open (Value.Int (i * 7)) (Value.Int ((i * 7) + 3)))))
-  in
-  let test_interval =
-    Test.make ~name:"interval-set-intersection"
-      (Staged.stage (fun () -> ignore (Interval.Set.inter a b)))
-  in
-  let tests =
-    Test.make_grouped ~name:"partitioned-tables"
-      [ test_selection; test_optimize; test_planner; test_interval ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-48s %14.1f ns/run\n" name est
-          | _ -> Printf.printf "%-48s (no estimate)\n" name)
-        tbl)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Executor hot path: compiled expressions and the domain pool          *)
@@ -2299,7 +2228,6 @@ let () =
   | "fig18c" -> fig18c ()
   | "ablation-memo" -> ablation_memo ()
   | "ablation-pwj" -> ablation_pwj ()
-  | "micro" -> micro ()
   | "micro-exec" ->
       micro_exec
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke") ()
@@ -2332,7 +2260,7 @@ let () =
   | other ->
       Printf.eprintf
         "unknown experiment %s (expected table2|table3|fig16|fig17|fig18a|\
-         fig18b|fig18c|ablation-memo|ablation-pwj|micro|micro-exec|\
+         fig18b|fig18c|ablation-memo|ablation-pwj|micro-exec|\
          part-select|obs-overhead|verify|join-filter|profile|opt-scaling|\
          analysis|serve|check-regression|all)\n"
         other;

@@ -30,10 +30,17 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 (** The cluster-wide hash used both for hash-distributed storage and for
     Redistribute Motions, so that equal keys always land on the same
     segment. *)
-let hash_values (vs : Mpp_expr.Value.t list) =
-  List.fold_left (fun acc v -> (acc * 31) + Mpp_expr.Value.hash v) 17 vs
+let hash_step acc v = (acc * 31) + Mpp_expr.Value.hash v
+let hash_values (vs : Mpp_expr.Value.t list) = List.fold_left hash_step 17 vs
 
 let segment_for_values ~nsegments vs = abs (hash_values vs) mod nsegments
+
+let segment_for_row ~nsegments (row : Mpp_expr.Value.t array) offs =
+  let h = ref 17 in
+  for i = 0 to Array.length offs - 1 do
+    h := hash_step !h (Array.unsafe_get row offs.(i))
+  done;
+  abs !h mod nsegments
 
 (** Segment assignment of a tuple under this policy.  [None] means the tuple
     belongs on every segment (replicated). *)

@@ -20,6 +20,12 @@ val hash_values : Mpp_expr.Value.t list -> int
 
 val segment_for_values : nsegments:int -> Mpp_expr.Value.t list -> int
 
+val segment_for_row :
+  nsegments:int -> Mpp_expr.Value.t array -> int array -> int
+(** [segment_for_row ~nsegments row offs] =
+    [segment_for_values ~nsegments] of [row]'s values at [offs], in order,
+    without building the list. *)
+
 val segment_of :
   nsegments:int -> t -> Mpp_expr.Value.t array -> rowno:int -> int option
 (** Segment assignment of a tuple under this policy; [None] means "every

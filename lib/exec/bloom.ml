@@ -52,8 +52,10 @@ type t = {
   mask : int;
   words : int array;
   mutable count : int;  (** key tuples inserted (non-NULL) *)
-  mins : Value.t option array;  (** per key position; [None] = empty *)
-  maxs : Value.t option array;
+  mins : Value.t array;
+      (** per key position; [Null] while empty (a NULL key is never
+          inserted, so [Null] never stands for a seen value) *)
+  maxs : Value.t array;
 }
 
 let create ~nkeys ~expected =
@@ -65,8 +67,8 @@ let create ~nkeys ~expected =
     mask = nbits - 1;
     words = Array.make ((nbits + bits_per_word - 1) / bits_per_word) 0;
     count = 0;
-    mins = Array.make nkeys None;
-    maxs = Array.make nkeys None;
+    mins = Array.make nkeys Value.Null;
+    maxs = Array.make nkeys Value.Null;
   }
 
 let nkeys t = t.nkeys
@@ -79,10 +81,20 @@ let set_bit words i =
 
 let get_bit words i = words.(i lsr 5) land (1 lsl (i land 31)) <> 0
 
-let has_null keys =
-  let n = Array.length keys in
-  let rec go i = i < n && (Value.is_null keys.(i) || go (i + 1)) in
-  go 0
+(* Whether probes [i .. nprobes-1] of the double-hashing sequence
+   [h1 + i * h2] all find their bit set.  A top-level loop over its
+   arguments, with no local closure: a probe allocates nothing. *)
+let rec all_set words mask h1 h2 i =
+  i >= nprobes
+  || get_bit words ((h1 + (i * h2)) land mask)
+     && all_set words mask h1 h2 (i + 1)
+
+(* Keep [v] at [slot] of a min ([sign] = -1) or max ([sign] = 1) summary
+   when it extends it. *)
+let widen (bounds : Value.t array) sign slot v =
+  match Array.unsafe_get bounds slot with
+  | Value.Null -> Array.unsafe_set bounds slot v
+  | b -> if sign * Value.compare v b > 0 then Array.unsafe_set bounds slot v
 
 (* One well-mixed hash of the key tuple ({!Value.tuple_hash}, so a filter
    agrees with SQL [=]: an integral float key hits the bits its equal int
@@ -91,7 +103,7 @@ let has_null keys =
    (power-of-two-sized) table. *)
 let add t keys =
   if Array.length keys <> t.nkeys then invalid_arg "Bloom.add: key arity";
-  if not (has_null keys) then begin
+  if not (Value.has_null keys) then begin
     let h1 = Value.tuple_hash keys in
     let h2 = Value.mix h1 lor 1 in
     for i = 0 to nprobes - 1 do
@@ -99,13 +111,9 @@ let add t keys =
     done;
     t.count <- t.count + 1;
     for k = 0 to t.nkeys - 1 do
-      let v = keys.(k) in
-      (match t.mins.(k) with
-      | None -> t.mins.(k) <- Some v
-      | Some lo -> if Value.compare v lo < 0 then t.mins.(k) <- Some v);
-      match t.maxs.(k) with
-      | None -> t.maxs.(k) <- Some v
-      | Some hi -> if Value.compare v hi > 0 then t.maxs.(k) <- Some v
+      let v = Array.unsafe_get keys k in
+      widen t.mins (-1) k v;
+      widen t.maxs 1 k v
     done
   end
 
@@ -116,30 +124,20 @@ let mem1 t v =
   (* identical probe positions to {!mem} on [\[| v |\]]: same seed, same
      per-component fold, same double hashing *)
   let h1 = Value.tuple_hash1 v in
-  let h2 = Value.mix h1 lor 1 in
-  let rec probe i =
-    i >= nprobes
-    || (get_bit t.words ((h1 + (i * h2)) land t.mask) && probe (i + 1))
-  in
-  probe 0
+  all_set t.words t.mask h1 (Value.mix h1 lor 1) 0
 
 let mem t keys =
   if Array.length keys <> t.nkeys then invalid_arg "Bloom.mem: key arity";
-  (not (has_null keys))
+  (not (Value.has_null keys))
   &&
   let h1 = Value.tuple_hash keys in
-  let h2 = Value.mix h1 lor 1 in
-  let rec probe i =
-    i >= nprobes
-    || (get_bit t.words ((h1 + (i * h2)) land t.mask) && probe (i + 1))
-  in
-  probe 0
+  all_set t.words t.mask h1 (Value.mix h1 lor 1) 0
 
 let minmax t ~key =
   if key < 0 || key >= t.nkeys then invalid_arg "Bloom.minmax: key";
   match (t.mins.(key), t.maxs.(key)) with
-  | Some lo, Some hi -> Some (lo, hi)
-  | _ -> None
+  | Value.Null, _ | _, Value.Null -> None
+  | lo, hi -> Some (lo, hi)
 
 let union_into ~into src =
   if into.nkeys <> src.nkeys || into.nbits <> src.nbits then
@@ -149,14 +147,8 @@ let union_into ~into src =
   done;
   into.count <- into.count + src.count;
   for k = 0 to into.nkeys - 1 do
-    (match (into.mins.(k), src.mins.(k)) with
-    | None, m -> into.mins.(k) <- m
-    | Some _, None -> ()
-    | Some a, Some b -> if Value.compare b a < 0 then into.mins.(k) <- Some b);
-    match (into.maxs.(k), src.maxs.(k)) with
-    | None, m -> into.maxs.(k) <- m
-    | Some _, None -> ()
-    | Some a, Some b -> if Value.compare b a > 0 then into.maxs.(k) <- Some b
+    (match src.mins.(k) with Value.Null -> () | v -> widen into.mins (-1) k v);
+    match src.maxs.(k) with Value.Null -> () | v -> widen into.maxs 1 k v
   done
 
 let merge = function

@@ -83,6 +83,13 @@ let sql_compare a b =
 
 let is_null = function Null -> true | _ -> false
 
+(* A top-level loop: [Array.exists] would allocate a closure per call. *)
+let rec has_null_from (vs : t array) i =
+  i < Array.length vs
+  && (is_null (Array.unsafe_get vs i) || has_null_from vs (i + 1))
+
+let has_null vs = has_null_from vs 0
+
 let to_bool = function
   | Bool b -> Some b
   | Null -> None

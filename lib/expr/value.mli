@@ -37,6 +37,9 @@ val sql_compare : t -> t -> int option
 
 val is_null : t -> bool
 
+val has_null : t array -> bool
+(** Whether any component is [Null]; allocates nothing. *)
+
 val to_bool : t -> bool option
 (** [None] for [Null]; raises [Invalid_argument] on non-booleans. *)
 

@@ -67,6 +67,21 @@ let test_invalid () =
     (Invalid_argument "Date.of_ymd: day out of range") (fun () ->
       ignore (Date.of_ymd 2013 2 30))
 
+(* year/month/day against a calendar walked one day at a time from
+   1600-03-01 to 2400-12-31, across both century rules *)
+let test_calendar_walk () =
+  let t = ref (Date.of_ymd 1600 3 1) in
+  for y = 1600 to 2400 do
+    for m = (if y = 1600 then 3 else 1) to 12 do
+      for d = 1 to Date.days_in_month y m do
+        if (Date.year !t, Date.month !t, Date.day !t) <> (y, m, d) then
+          Alcotest.failf "day %d: got %s, expected %04d-%02d-%02d" !t
+            (Date.to_string !t) y m d;
+        incr t
+      done
+    done
+  done
+
 let prop_roundtrip =
   QCheck2.Test.make ~count:1000 ~name:"to_ymd(of_ymd) roundtrips"
     QCheck2.Gen.(int_range (-100_000) 100_000)
@@ -94,7 +109,8 @@ let () =
          Alcotest.test_case "add months" `Quick test_add_months;
          Alcotest.test_case "quarter" `Quick test_quarter;
          Alcotest.test_case "string conversions" `Quick test_strings;
-         Alcotest.test_case "invalid dates" `Quick test_invalid ]);
+         Alcotest.test_case "invalid dates" `Quick test_invalid;
+         Alcotest.test_case "calendar walk" `Quick test_calendar_walk ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_roundtrip; prop_add_days_ordered; prop_month_boundaries ]) ]
