@@ -2,9 +2,9 @@
     evaluation (§4).
 
     Usage: [bench/main.exe [table2|table3|fig16|fig17|fig18a|fig18b|fig18c|
-    ablation-memo|ablation-pwj|micro-exec|part-select|obs-overhead|
-    verify|join-filter|opt-scaling|all]] — no argument runs everything
-    except [obs-overhead].  [micro-exec] measures the executor hot path
+    ablation-memo|ablation-pwj|micro-exec|part-select|
+    verify|join-filter|opt-scaling|all]] — no argument runs everything.
+    [micro-exec] measures the executor hot path
     (interpreted vs compiled expressions, serial vs domain-pool join, the
     grouped-aggregation and two-key join kernels);
     [part-select] measures partition-selection cost vs partition count
@@ -643,12 +643,14 @@ let ablation_pwj () =
       let storage = Storage.create ~nsegments:4 in
       let r = Cat.find catalog "r" and s = Cat.find catalog "s" in
       let rng = W.Rng.create () in
-      for i = 0 to 20_000 - 1 do
-        let b = W.Rng.int rng (nparts * 100) in
-        Storage.insert storage r [| Value.Int i; Value.Int b |];
-        Storage.insert storage s
-          [| Value.Int (W.Rng.int rng 20_000); Value.Int b |]
-      done;
+      let rows =
+        List.init 20_000 (fun i ->
+            let b = W.Rng.int rng (nparts * 100) in
+            ( [| Value.Int i; Value.Int b |],
+              [| Value.Int (W.Rng.int rng 20_000); Value.Int b |] ))
+      in
+      Storage.load storage r (List.map fst rows);
+      Storage.load storage s (List.map snd rows);
       let lg =
         Mpp_sql.Sql.to_logical catalog
           "SELECT count(*) FROM r, s WHERE r.b = s.b AND s.a < 1000"
@@ -788,13 +790,11 @@ let micro_exec ?(smoke = false) () =
   let storage = Storage.create ~nsegments:nseg in
   let ndim = if smoke then 50 else 1_000 in
   let nfact = if smoke then 2_000 else 200_000 in
-  for k = 0 to ndim - 1 do
-    Storage.insert storage dim
-      [| Value.Int k; Value.String (if k mod 2 = 0 then "even" else "odd") |]
-  done;
-  for i = 0 to nfact - 1 do
-    Storage.insert storage fact [| Value.Int i; Value.Int (W.Rng.int rng ndim) |]
-  done;
+  Storage.load storage dim
+    (List.init ndim (fun k ->
+         [| Value.Int k; Value.String (if k mod 2 = 0 then "even" else "odd") |]));
+  Storage.load storage fact
+    (List.init nfact (fun i -> [| Value.Int i; Value.Int (W.Rng.int rng ndim) |]));
   let dim_k = Colref.make ~rel:0 ~index:0 ~name:"k" ~dtype:Value.Tint in
   let fact_b = Colref.make ~rel:1 ~index:1 ~name:"b" ~dtype:Value.Tint in
   let join =
@@ -829,11 +829,10 @@ let micro_exec ?(smoke = false) () =
       ~distribution:(Dist.Hashed [ 0 ]) ()
   in
   let nkrows = if smoke then 2_000 else 200_000 in
-  for _ = 1 to nkrows do
-    Storage.insert kstorage grp
-      [| Value.Int (W.Rng.int rng 100); Value.Int (W.Rng.int rng 4);
-         Value.Int (W.Rng.int rng 3); Value.Int (W.Rng.int rng 1000) |]
-  done;
+  Storage.load kstorage grp
+    (List.init nkrows (fun _ ->
+         [| Value.Int (W.Rng.int rng 100); Value.Int (W.Rng.int rng 4);
+            Value.Int (W.Rng.int rng 3); Value.Int (W.Rng.int rng 1000) |]));
   let kcol rel i name =
     Expr.col (Colref.make ~rel ~index:i ~name ~dtype:Value.Tint)
   in
@@ -861,12 +860,11 @@ let micro_exec ?(smoke = false) () =
       ~columns:(int_cols [ "k1"; "k2"; "s" ])
       ~distribution:Dist.Replicated ()
   in
-  for k1 = 0 to 99 do
-    for k2 = 0 to 3 do
-      Storage.insert kstorage dim2
-        [| Value.Int k1; Value.Int k2; Value.Int (k1 + k2) |]
-    done
-  done;
+  Storage.load kstorage dim2
+    (List.concat
+       (List.init 100 (fun k1 ->
+            List.init 4 (fun k2 ->
+                [| Value.Int k1; Value.Int k2; Value.Int (k1 + k2) |]))));
   let join2 =
     Plan.hash_join ~kind:Plan.Inner
       ~pred:
@@ -1101,69 +1099,6 @@ let part_select ?(smoke = false) () =
       "smoke OK: part_select schema valid; legacy and indexed selection both \
        measured and agree oid-for-oid"
   end
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The instrumentation contract of lib/obs: with the null sink installed
-   every recording site is one flag test, so tracing must be effectively
-   free when off.  Measured three ways: end-to-end runtime with the sink
-   disabled vs enabled, the per-event cost of a disabled-sink recording
-   site, and that cost extrapolated over the events one query emits. *)
-let obs_overhead () =
-  header "Micro: observability overhead (disabled sink vs enabled)";
-  let env = get_env () in
-  let qu = List.hd W.Queries.all in
-  let measure () =
-    median
-      (samples ~warmup:10 ~batch:10 7 (fun () ->
-           W.Runner.run env W.Runner.Orca qu))
-  in
-  Obs.uninstall ();
-  let disabled = measure () in
-  let sink = Obs.create () in
-  Obs.install sink;
-  (* events a single optimize+run of this query emits *)
-  ignore (W.Runner.run env W.Runner.Orca qu);
-  let events_per_query =
-    List.fold_left (fun acc (_, v) -> acc + v) 0 (Obs.counters sink)
-  in
-  Obs.reset sink;
-  let enabled = measure () in
-  Obs.uninstall ();
-  (* per-event cost of a recording site hitting the disabled sink *)
-  let n = 20_000_000 in
-  let dt, () =
-    time_run (fun () ->
-        for _ = 1 to n do
-          Obs.incr Obs.null "bench.noop"
-        done)
-  in
-  let per_event = dt /. float_of_int n in
-  let disabled_pct =
-    100.0 *. per_event *. float_of_int events_per_query /. disabled
-  in
-  let enabled_pct = 100.0 *. ((enabled /. disabled) -. 1.0) in
-  Printf.printf "query: %s\n" qu.W.Queries.name;
-  Printf.printf "disabled sink:      %.3f ms/query\n" (disabled *. 1000.0);
-  Printf.printf "enabled sink:       %.3f ms/query (%+.1f%%)\n"
-    (enabled *. 1000.0) enabled_pct;
-  Printf.printf "disabled-site cost: %.2f ns/event x %d events/query = \
-                 %.3f%% of runtime (budget: 2%%)\n"
-    (per_event *. 1e9) events_per_query disabled_pct;
-  Printf.printf "disabled-sink overhead within budget: %b\n"
-    (disabled_pct <= 2.0);
-  record "obs_overhead"
-    (Json.Obj
-       [ ("query", Json.String qu.W.Queries.name);
-         ("disabled_ms", Json.Float (disabled *. 1000.0));
-         ("enabled_ms", Json.Float (enabled *. 1000.0));
-         ("enabled_overhead_pct", Json.Float enabled_pct);
-         ("disabled_ns_per_event", Json.Float (per_event *. 1e9));
-         ("events_per_query", Json.Int events_per_query);
-         ("disabled_overhead_pct", Json.Float disabled_pct);
-         ("within_budget", Json.Bool (disabled_pct <= 2.0)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Verifier overhead                                                    *)
@@ -1426,14 +1361,12 @@ let join_filter ?(smoke = false) () =
   let ndim = if smoke then 64 else 2_000 in
   let nfact = if smoke then 1_000 else 100_000 in
   let rng = W.Rng.create () in
-  for k = 0 to ndim - 1 do
-    Storage.insert mstore dim
-      [| Value.Int k;
-         Value.String (if k mod 8 = 0 then "keep" else "drop") |]
-  done;
-  for i = 0 to nfact - 1 do
-    Storage.insert mstore fact [| Value.Int i; Value.Int (W.Rng.int rng ndim) |]
-  done;
+  Storage.load mstore dim
+    (List.init ndim (fun k ->
+         [| Value.Int k;
+            Value.String (if k mod 8 = 0 then "keep" else "drop") |]));
+  Storage.load mstore fact
+    (List.init nfact (fun i -> [| Value.Int i; Value.Int (W.Rng.int rng ndim) |]));
   let dim_k = Table.colref dim ~rel:0 "k" in
   let dim_s = Table.colref dim ~rel:0 "s" in
   let fact_b = Table.colref fact ~rel:1 "b" in
@@ -1520,7 +1453,9 @@ let join_filter ?(smoke = false) () =
    Every run asserts accounting's cost by counting, not timing: on a
    one-domain pool with a read-counting clock, the query reads the clock
    exactly twice per job with accounting on and never with it off, and
-   allocates the same minor words either way.  [~smoke] also checks that
+   allocates the same minor words either way; and the disabled Obs sink,
+   installed by default, records none of a query's events and allocates
+   nothing over as many calls of each entry point.  [~smoke] also checks that
    the Perfetto export round-trips through our own JSON parser with
    monotone timestamps and a named track per pool domain. *)
 let bench_profile ?(smoke = false) () =
@@ -1618,6 +1553,50 @@ let bench_profile ?(smoke = false) () =
       words_on tasks words_off
       (words_on /. float_of_int tasks)
       (words_off /. float_of_int tasks);
+  (* The disabled sink, counted the same way.  An enabled sink counts the
+     recording events one optimize+execute of the query emits (counter
+     updates and spans).  With the null sink installed (the default) the
+     same query must leave it empty, and each Obs entry point, called that
+     many times on it, must allocate no minor words: the instrumentation
+     costs a query one flag test per site and nothing else. *)
+  let query () =
+    ignore
+      (Mpp_exec.Exec.run ~pool:counted ~catalog ~storage
+         (Orca.Optimizer.optimize (Orca.Optimizer.create ~catalog ()) lg))
+  in
+  let sink = Obs.create () in
+  Obs.install sink;
+  query ();
+  Obs.uninstall ();
+  let rec nspans spans =
+    List.fold_left (fun n sp -> n + 1 + nspans sp.Obs.span_children) 0 spans
+  in
+  let obs_events =
+    List.fold_left (fun n (_, v) -> n + v) 0 (Obs.counters sink)
+    + nspans (Obs.root_spans sink)
+  in
+  query ();
+  if Obs.counters Obs.null <> [] || Obs.root_spans Obs.null <> [] then
+    fail "the disabled sink recorded a query's events";
+  let body () = () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to obs_events do
+    Obs.incr Obs.null "bench.noop";
+    Obs.add Obs.null "bench.noop" 2;
+    Obs.span Obs.null "bench.noop" body;
+    Obs.span_open Obs.null "bench.noop";
+    Obs.annotate Obs.null "bench.noop" Json.Null;
+    Obs.span_close Obs.null
+  done;
+  let obs_words = Gc.minor_words () -. w0 in
+  Printf.printf
+    "%-34s %d recording event(s) per query; %.0f minor words over %d calls \
+     of each entry point\n"
+    "disabled-sink census" obs_events obs_words obs_events;
+  if obs_events = 0 then fail "the census query emitted no recording event";
+  if obs_words <> 0.0 then
+    fail "the disabled sink allocated %.0f minor words over %d calls" obs_words
+      obs_events;
   (* one fully profiled run for the export round-trip check *)
   let stats = Mpp_exec.Node_stats.create () in
   let trace = Mpp_obs.Trace.create () in
@@ -1678,11 +1657,14 @@ let bench_profile ?(smoke = false) () =
          ("census_clock_reads_on", Json.Int reads_on);
          ("census_clock_reads_off", Json.Int reads_off);
          ("census_minor_words_on", Json.Float words_on);
-         ("census_minor_words_off", Json.Float words_off) ]);
+         ("census_minor_words_off", Json.Float words_off);
+         ("obs_events_per_query", Json.Int obs_events);
+         ("obs_disabled_minor_words", Json.Float obs_words) ]);
   if smoke then
     print_endline
       "smoke OK: pool accounting reads the clock twice per job and never \
-       when off, and allocates nothing; Perfetto export round-trips with \
+       when off, and allocates nothing; the disabled Obs sink records \
+       nothing and allocates nothing; Perfetto export round-trips with \
        monotone timestamps and a named track per domain"
 
 (* ------------------------------------------------------------------ *)
@@ -2234,7 +2216,6 @@ let () =
   | "part-select" ->
       part_select
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke") ()
-  | "obs-overhead" -> obs_overhead ()
   | "verify" ->
       bench_verify
         ~smoke:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke") ()
@@ -2261,7 +2242,7 @@ let () =
       Printf.eprintf
         "unknown experiment %s (expected table2|table3|fig16|fig17|fig18a|\
          fig18b|fig18c|ablation-memo|ablation-pwj|micro-exec|\
-         part-select|obs-overhead|verify|join-filter|profile|opt-scaling|\
+         part-select|verify|join-filter|profile|opt-scaling|\
          analysis|serve|check-regression|all)\n"
         other;
       exit 1);

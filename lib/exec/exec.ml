@@ -1148,9 +1148,9 @@ let remove_tuples ctx table (images : (int * row) list) =
         end
         else true
       in
+      let heap = Mpp_storage.Storage.scan_vec ctx.storage ~segment:seg ~oid in
       Mpp_storage.Storage.replace_heap ctx.storage ~segment:seg ~oid
-        (List.filter keep
-           (Mpp_storage.Storage.scan_list ctx.storage ~segment:seg ~oid)))
+        (List.filter keep (Vec.to_list heap)))
     touched;
   !removed
 
@@ -1190,12 +1190,10 @@ let exec_update ctx ~rel ~table_oid ~set_exprs ~(child : result) =
     child.rows;
   ignore
     (remove_tuples ctx table (List.map (fun (seg, t, _) -> (seg, t)) !actions));
-  (* Re-insert the new images through the normal path so they land on the
-     right segment and partition. *)
-  List.iter
-    (fun (_, _, new_tuple) ->
-      Mpp_storage.Storage.insert ctx.storage table new_tuple)
-    !actions;
+  (* Re-insert the new images as one batch through the normal path so they
+     land on the right segment and partition. *)
+  Mpp_storage.Storage.load ctx.storage table
+    (List.map (fun (_, _, new_tuple) -> new_tuple) !actions);
   let updated = List.length !actions in
   ctx.metrics.(0).Metrics.rows_updated <-
     ctx.metrics.(0).Metrics.rows_updated + updated;
@@ -1628,13 +1626,11 @@ and exec_node ctx id (plan : Plan.t) : result =
       let table = Mpp_catalog.Catalog.find_oid ctx.catalog table_oid in
       (* VALUES rows reference no columns; compile against the empty layout
          (parameters are bound, stray columns raise as before) *)
-      List.iter
-        (fun r ->
-          let tuple =
-            Array.of_list (List.map (fun e -> compile_expr ctx [] e [||]) r)
-          in
-          Mpp_storage.Storage.insert ctx.storage table tuple)
-        rows;
+      Mpp_storage.Storage.load ctx.storage table
+        (List.map
+           (fun r ->
+             Array.of_list (List.map (fun e -> compile_expr ctx [] e [||]) r))
+           rows);
       dml_count ctx (List.length rows)
   | Plan.Table_scan _ | Plan.Dynamic_scan _ | Plan.Filter _ | Plan.Project _
   | Plan.Sequence _ | Plan.Append _ | Plan.Hash_join _ | Plan.Nl_join _

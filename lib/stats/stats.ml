@@ -42,9 +42,9 @@ let analyze storage (table : Mpp_catalog.Table.t) : table_stats =
   List.iter
     (fun oid ->
       for seg = 0 to last_seg do
-        Array.iter
+        Mpp_storage.Vec.iter
           (fun t -> rows := t :: !rows)
-          (Mpp_storage.Storage.scan storage ~segment:seg ~oid)
+          (Mpp_storage.Storage.scan_vec storage ~segment:seg ~oid)
       done)
     oids;
   let all = !rows in

@@ -8,7 +8,12 @@
     decides which leaf.
 
     Tuples that [f_T] maps to the invalid partition ⊥ are rejected at load
-    time, mirroring a constraint violation in a real system. *)
+    time, mirroring a constraint violation in a real system.
+
+    Every write goes through {!load}, so a heap is a run of rows allocated
+    together in scan order over values shared within their batch, and a
+    scan of one leaf reads a compact unit.  Heaps are read-only once
+    written: a DELETE swaps in a heap of the surviving rows themselves. *)
 
 open Mpp_expr
 
@@ -58,40 +63,77 @@ let physical_oid (table : Mpp_catalog.Table.t) (tuple : tuple) =
       | Some lf -> lf.leaf_oid
       | None -> raise (No_partition_for_tuple { table = table.name; tuple }))
 
-(** Insert one tuple, honouring both the distribution policy and the
-    partitioning function. *)
-let insert t (table : Mpp_catalog.Table.t) (tuple : tuple) =
-  if Array.length tuple <> Mpp_catalog.Table.ncols table then
-    invalid_arg
-      (Printf.sprintf "Storage.insert: arity mismatch for %s" table.name);
-  let oid = physical_oid table tuple in
-  let rowno = t.row_counter in
-  t.row_counter <- rowno + 1;
-  match
-    Mpp_catalog.Distribution.segment_of ~nsegments:t.nsegments
-      table.distribution tuple ~rowno
-  with
-  | Some seg -> Vec.push (heap t ~segment:seg ~oid) tuple
-  | None ->
-      for seg = 0 to t.nsegments - 1 do
-        Vec.push (heap t ~segment:seg ~oid) tuple
-      done
+(* A value as the batch being written stores it.  Equal [Int], [Date],
+   [String] and [Bool] values become the one physical value [shared] holds
+   for the batch; keys compare structurally, constructor included, so
+   [Int 1], [Float 1.0] and a [Date] on day 1 stay apart.  Each [Float] gets
+   a fresh box with the same bits (so -0.0 and NaN payloads survive),
+   allocated beside the row that holds it. *)
+let share_value shared (v : Value.t) : Value.t =
+  match v with
+  | Null -> v
+  | Float f -> Float (Int64.float_of_bits (Int64.bits_of_float f))
+  | Bool _ | Int _ | Date _ | String _ -> (
+      match Hashtbl.find_opt shared v with
+      | Some s -> s
+      | None ->
+          Hashtbl.add shared v v;
+          v)
 
-let load t table tuples = List.iter (insert t table) tuples
-let load_seq t table tuples = Seq.iter (insert t table) tuples
+(** The one write path.  Every tuple is first routed to its (segment, leaf)
+    heap — distribution policy, [f_T] and the round-robin row counter,
+    exactly as one-at-a-time inserts in batch order would — so an arity
+    error or a tuple on ⊥ raises before anything is written.  Then each
+    heap's share is appended heap by heap as fresh rows: a heap's new rows
+    are allocated one after another, in scan order, over values shared
+    across the batch.  A replicated table's rows are copied once and the
+    copies appended to every segment's heap. *)
+let load t (table : Mpp_catalog.Table.t) (tuples : tuple list) =
+  let ncols = Mpp_catalog.Table.ncols table in
+  (* (segment, oid) → rows, the segment [None] for every segment *)
+  let routed = Hashtbl.create 16 in
+  let order = ref [] in
+  let rowno =
+    List.fold_left
+      (fun rowno tuple ->
+        if Array.length tuple <> ncols then
+          invalid_arg
+            (Printf.sprintf "Storage.load: arity mismatch for %s" table.name);
+        let key =
+          ( Mpp_catalog.Distribution.segment_of ~nsegments:t.nsegments
+              table.distribution tuple ~rowno,
+            physical_oid table tuple )
+        in
+        (match Hashtbl.find_opt routed key with
+        | Some rows -> Vec.push rows tuple
+        | None ->
+            let rows = Vec.create () in
+            Vec.push rows tuple;
+            Hashtbl.add routed key rows;
+            order := key :: !order);
+        rowno + 1)
+      t.row_counter tuples
+  in
+  t.row_counter <- rowno;
+  (* lives for this call only, so a stream of fresh sentinel values
+     cannot grow it *)
+  let shared = Hashtbl.create 16 in
+  List.iter
+    (fun ((segment, oid) as key) ->
+      let rows = Vec.create () in
+      Vec.iter
+        (fun tuple -> Vec.push rows (Array.map (share_value shared) tuple))
+        (Hashtbl.find routed key);
+      match segment with
+      | Some segment -> Vec.append ~dst:(heap t ~segment ~oid) rows
+      | None ->
+          for segment = 0 to t.nsegments - 1 do
+            Vec.append ~dst:(heap t ~segment ~oid) rows
+          done)
+    (List.rev !order)
 
-(** Rows of physical table [oid] on [segment] (empty if none). *)
-let scan t ~segment ~oid : tuple array =
-  match Hashtbl.find_opt t.heaps (segment, oid) with
-  | Some h -> Vec.to_array h
-  | None -> [||]
-
-(** Same as {!scan} but as a list, without copying the heap into an
-    intermediate array. *)
-let scan_list t ~segment ~oid : tuple list =
-  match Hashtbl.find_opt t.heaps (segment, oid) with
-  | Some h -> Vec.to_list h
-  | None -> []
+(** A one-row {!load}. *)
+let insert t table tuple = load t table [ tuple ]
 
 (** The live heap vector itself, zero-copy — the executor's hot path.  The
     caller must treat it as read-only: executor operators never mutate input
@@ -127,9 +169,8 @@ let count_table t (table : Mpp_catalog.Table.t) =
         0
         (Mpp_catalog.Partition.leaf_oids p)
 
-(** Destructively replace the rows of [oid] on [segment] — used by the DML
-    executor. *)
+(** Swap in a new heap for [oid] on [segment] — DELETE's primitive.  The
+    rows are stored as given: a DELETE passes the surviving rows
+    themselves, so they stay where they are. *)
 let replace_heap t ~segment ~oid tuples =
   Hashtbl.replace t.heaps (segment, oid) (Vec.of_list tuples)
-
-let clear t = Hashtbl.reset t.heaps

@@ -73,7 +73,10 @@ let generate ?(nsegments = 4) (spec : spec) : env =
   let storage = Mpp_storage.Storage.create ~nsegments in
   let rng = Rng.create ~seed:(Int64.of_int (0x5eed + spec.seed)) () in
   let alloc () = Cat.alloc_oid catalog in
-  let ins = Mpp_storage.Storage.insert storage in
+  (* each table's rows are built in order and loaded as one batch *)
+  let load table nrows row =
+    Mpp_storage.Storage.load storage table (List.init nrows (fun _ -> row ()))
+  in
   let n = spec.nrels in
   let rand_key () = Value.Int (Rng.int rng key_domain) in
   (* Optional local filter for a leaf over its first int key column (or the
@@ -141,21 +144,15 @@ let generate ?(nsegments = 4) (spec : spec) : env =
               Cat.add_table catalog ~name:dname ~columns:dim_cols
                 ~distribution ?partitioning ())
         in
-        let fact_rows = 300 + Rng.int rng 300 in
-        for _ = 1 to fact_rows do
-          ins fact
-            (Array.init n (fun ci ->
-                 if ci = n - 1 then Value.Float (Rng.float rng 100.0)
-                 else rand_key ()))
-        done;
+        load fact (300 + Rng.int rng 300) (fun () ->
+            Array.init n (fun ci ->
+                if ci = n - 1 then Value.Float (Rng.float rng 100.0)
+                else rand_key ()));
         Array.iter
           (fun dim ->
-            let rows = 20 + Rng.int rng 120 in
-            for _ = 1 to rows do
-              ins dim
+            load dim (20 + Rng.int rng 120) (fun () ->
                 [| rand_key (); Value.Float (Rng.float rng 10.0);
-                   Value.String (Rng.pick rng cats) |]
-            done)
+                   Value.String (Rng.pick rng cats) |]))
           dims;
         let tree =
           ref
@@ -202,11 +199,8 @@ let generate ?(nsegments = 4) (spec : spec) : env =
         in
         Array.iter
           (fun table ->
-            let rows = 50 + Rng.int rng 250 in
-            for _ = 1 to rows do
-              ins table
-                [| rand_key (); rand_key (); Value.Float (Rng.float rng 100.0) |]
-            done)
+            load table (50 + Rng.int rng 250) (fun () ->
+                [| rand_key (); rand_key (); Value.Float (Rng.float rng 100.0) |]))
           tables;
         let leaf_of i =
           leaf ~rel:i tables.(i).Mpp_catalog.Table.name
@@ -244,10 +238,8 @@ let generate ?(nsegments = 4) (spec : spec) : env =
         in
         Array.iter
           (fun table ->
-            let rows = 30 + Rng.int rng 120 in
-            for _ = 1 to rows do
-              ins table [| rand_key (); Value.Float (Rng.float rng 100.0) |]
-            done)
+            load table (30 + Rng.int rng 120) (fun () ->
+                [| rand_key (); Value.Float (Rng.float rng 100.0) |]))
           tables;
         let leaf_of i =
           leaf ~rel:i tables.(i).Mpp_catalog.Table.name

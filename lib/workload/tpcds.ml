@@ -193,70 +193,61 @@ let setup ?(scale = 1) ~catalog ~storage () : schema =
       ()
   in
   (* ---------------- data ---------------- *)
-  let ins = Mpp_storage.Storage.insert storage in
-  for d = 0 to day_count - 1 do
-    let date = Date.add_days start d in
-    ins date_dim
-      [| Value.Date date; Value.Int d; Value.Int (Date.year date);
-         Value.Int (Date.month date); Value.Int (Date.quarter date);
-         Value.Int (Date.day_of_week date) |]
-  done;
+  (* Each table's rows are built in order, drawing from [rng] as they go,
+     and handed to storage as one batch. *)
+  let load = Mpp_storage.Storage.load storage in
+  load date_dim
+    (List.init day_count (fun d ->
+         let date = Date.add_days start d in
+         [| Value.Date date; Value.Int d; Value.Int (Date.year date);
+            Value.Int (Date.month date); Value.Int (Date.quarter date);
+            Value.Int (Date.day_of_week date) |]));
   let n_items = 200 * scale and n_customers = 400 * scale in
   let rng = Rng.create ~seed:42L () in
-  for i = 0 to n_items - 1 do
-    ins item
-      [| Value.Int i; Value.String (Rng.pick rng categories);
-         Value.Float (1.0 +. Rng.float rng 500.0) |]
-  done;
-  for c = 0 to n_customers - 1 do
-    ins customer [| Value.Int c; Value.String (Rng.pick rng states) |]
-  done;
-  for s = 0 to 19 do
-    ins store [| Value.Int s; Value.String (Rng.pick rng states) |]
-  done;
-  for w = 0 to 9 do
-    ins warehouse [| Value.Int w; Value.String (Rng.pick rng states) |]
-  done;
+  load item
+    (List.init n_items (fun i ->
+         [| Value.Int i; Value.String (Rng.pick rng categories);
+            Value.Float (1.0 +. Rng.float rng 500.0) |]));
+  load customer
+    (List.init n_customers (fun c ->
+         [| Value.Int c; Value.String (Rng.pick rng states) |]));
+  load store
+    (List.init 20 (fun s -> [| Value.Int s; Value.String (Rng.pick rng states) |]));
+  load warehouse
+    (List.init 10 (fun w -> [| Value.Int w; Value.String (Rng.pick rng states) |]));
   let rand_date () = Date.add_days start (Rng.int rng day_count) in
   let n = 4000 * scale in
-  for _ = 1 to n do
-    ins store_sales
-      [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
-         Value.Int (Rng.int rng n_customers); Value.Int (Rng.int rng 20);
-         Value.Int (1 + Rng.int rng 10); Value.Float (Rng.float rng 500.0) |]
-  done;
-  for _ = 1 to n do
-    ins web_sales
-      [| Value.Int (Rng.int rng day_count); Value.Int (Rng.int rng n_items);
-         Value.Int (Rng.int rng n_customers); Value.Int (1 + Rng.int rng 10);
-         Value.Float (Rng.float rng 500.0) |]
-  done;
-  for _ = 1 to n do
-    ins catalog_sales
-      [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
-         Value.Int (1 + Rng.int rng 10); Value.Float (Rng.float rng 500.0) |]
-  done;
+  load store_sales
+    (List.init n (fun _ ->
+         [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
+            Value.Int (Rng.int rng n_customers); Value.Int (Rng.int rng 20);
+            Value.Int (1 + Rng.int rng 10); Value.Float (Rng.float rng 500.0) |]));
+  load web_sales
+    (List.init n (fun _ ->
+         [| Value.Int (Rng.int rng day_count); Value.Int (Rng.int rng n_items);
+            Value.Int (Rng.int rng n_customers); Value.Int (1 + Rng.int rng 10);
+            Value.Float (Rng.float rng 500.0) |]));
+  load catalog_sales
+    (List.init n (fun _ ->
+         [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
+            Value.Int (1 + Rng.int rng 10); Value.Float (Rng.float rng 500.0) |]));
   let reasons = [| "damaged"; "wrong size"; "changed mind"; "late" |] in
-  for _ = 1 to n / 4 do
-    ins store_returns
-      [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
-         Value.Int (1 + Rng.int rng 5); Value.String (Rng.pick rng reasons) |]
-  done;
-  for _ = 1 to n / 4 do
-    ins web_returns
-      [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
-         Value.Int (1 + Rng.int rng 5) |]
-  done;
-  for _ = 1 to n / 4 do
-    ins catalog_returns
-      [| Value.Date (rand_date ()); Value.String (Rng.pick rng channels);
-         Value.Int (Rng.int rng n_items); Value.Int (1 + Rng.int rng 5) |]
-  done;
-  for _ = 1 to n do
-    ins inventory
-      [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
-         Value.Int (Rng.int rng 10); Value.Int (Rng.int rng 1000) |]
-  done;
+  load store_returns
+    (List.init (n / 4) (fun _ ->
+         [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
+            Value.Int (1 + Rng.int rng 5); Value.String (Rng.pick rng reasons) |]));
+  load web_returns
+    (List.init (n / 4) (fun _ ->
+         [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
+            Value.Int (1 + Rng.int rng 5) |]));
+  load catalog_returns
+    (List.init (n / 4) (fun _ ->
+         [| Value.Date (rand_date ()); Value.String (Rng.pick rng channels);
+            Value.Int (Rng.int rng n_items); Value.Int (1 + Rng.int rng 5) |]));
+  load inventory
+    (List.init n (fun _ ->
+         [| Value.Date (rand_date ()); Value.Int (Rng.int rng n_items);
+            Value.Int (Rng.int rng 10); Value.Int (Rng.int rng 1000) |]));
   {
     date_dim; item; customer; store; warehouse; store_sales; web_sales;
     catalog_sales; store_returns; web_returns; catalog_returns; inventory;

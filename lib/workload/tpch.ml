@@ -95,13 +95,12 @@ let setup ~catalog ~storage ~scenario ~rows : Mpp_catalog.Table.t =
       ~distribution:(Dist.Hashed [ 0 ]) ?partitioning ()
   in
   let rng = Rng.create () in
-  for i = 0 to rows - 1 do
-    let day = i * total_days / rows in
-    Mpp_storage.Storage.insert storage table
-      [| Value.Int i;
-         Value.Int (Rng.int rng 10_000);
-         Value.Float (float_of_int (1 + Rng.int rng 50));
-         Value.Float (Rng.float rng 10_000.0);
-         Value.Date (Date.add_days start day) |]
-  done;
+  Mpp_storage.Storage.load storage table
+    (List.init rows (fun i ->
+         let day = i * total_days / rows in
+         [| Value.Int i;
+            Value.Int (Rng.int rng 10_000);
+            Value.Float (float_of_int (1 + Rng.int rng 50));
+            Value.Float (Rng.float rng 10_000.0);
+            Value.Date (Date.add_days start day) |]));
   table

@@ -1,4 +1,6 @@
-(** Counted allocation gate for the executor's row kernels.  Four workload
+(** Counted memory gates: the executor's row kernels and the stored data.
+
+    Row kernels.  Four workload
     templates whose per-row path runs through a typed comparison, an IN
     list, a resolved date function, the Bloom probe, the key table
     (join build and probe, hash aggregation) and the aggregate feeders are
@@ -19,7 +21,15 @@
     - [sr_reasons_and_date]: 17.0 (23.6 with a closure per IN-list test
       and per AND; 189 tuples, so the fixed cost dominates);
     - [ss_misestimate_no_dpe]: 2.5 (10.6 with a closure per Bloom
-      insertion; its build side is store_sales). *)
+      insertion; its build side is store_sales).
+
+    Stored data.  The live major-heap words that [Runner.setup_env
+    ~scale:1] adds — a full major collection before and after, the env
+    kept alive — must stay under [setup_budget]: 250 063 words when each
+    load shares its batch's equal values and a replicated row is stored
+    once for all segments, 292 826 with a copy per segment, 404 274 when
+    every row keeps its own boxed values.  Like the kernel budgets, the
+    figure repeats exactly. *)
 
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
@@ -28,6 +38,23 @@ module Metrics = Mpp_exec.Metrics
 let budgets =
   [ ("ss_customer_rf_scan", 2.5); ("cs_group_by_month", 4.0);
     ("sr_reasons_and_date", 17.0); ("ss_misestimate_no_dpe", 2.5) ]
+
+let setup_budget = 280_000
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_setup_live_words () =
+  let w0 = live_words () in
+  let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
+  let words = live_words () - w0 in
+  ignore (Sys.opaque_identity env);
+  Printf.printf "scale-1 setup: %d live words (budget %d)\n" words
+    setup_budget;
+  if words > setup_budget then
+    Alcotest.failf "scale-1 setup keeps %d live words (budget %d)" words
+      setup_budget
 
 let words_per_tuple env pool name =
   let q = List.find (fun q -> q.W.Queries.name = name) W.Queries.all in
@@ -68,5 +95,8 @@ let () =
   Alcotest.run "alloc"
     [ ("row kernels",
        [ Alcotest.test_case "minor words per scanned tuple" `Quick
-           test_budgets ])
+           test_budgets ]);
+      ("stored data",
+       [ Alcotest.test_case "live words after scale-1 setup" `Quick
+           test_setup_live_words ])
     ]

@@ -210,6 +210,21 @@ let test_insert_via_sql () =
   | [ r ] -> Alcotest.(check bool) "param insert" true (r.(0) = Value.Int 1)
   | _ -> Alcotest.fail "count row"
 
+(* A multi-row INSERT is one write: when one VALUES row lies outside every
+   partition, the statement fails and none of its rows are stored. *)
+let test_insert_all_or_nothing () =
+  let catalog, storage, orders = env () in
+  let before = Storage.count_table storage orders in
+  Alcotest.(check bool) "the statement fails" true
+    (try
+       ignore
+         (sql_run ~catalog ~storage
+            "INSERT INTO orders VALUES (90001, 1.0, '2012-05-05'), \
+             (90002, 2.0, '2031-01-01'), (90003, 3.0, '2013-05-05')");
+       false
+     with Storage.No_partition_for_tuple _ -> true);
+  Alcotest.(check int) "no row stored" before (Storage.count_table storage orders)
+
 let test_delete_via_sql () =
   let catalog, storage, orders = env () in
   ignore orders;
@@ -257,5 +272,7 @@ let () =
          Alcotest.test_case "update moves across partitions" `Quick
            test_update_via_sql_moves_rows;
          Alcotest.test_case "insert" `Quick test_insert_via_sql;
+         Alcotest.test_case "insert is all-or-nothing" `Quick
+           test_insert_all_or_nothing;
          Alcotest.test_case "delete" `Quick test_delete_via_sql;
          Alcotest.test_case "seven segments" `Quick test_three_segment_cluster ]) ]
