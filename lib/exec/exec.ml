@@ -1188,6 +1188,12 @@ let exec_update ctx ~rel ~table_oid ~set_exprs ~(child : result) =
           actions := (seg, old_tuple, new_tuple) :: !actions)
         rows)
     child.rows;
+  (* Route every new image before removing anything: an image outside
+     every partition raises with the table unchanged. *)
+  List.iter
+    (fun (_, _, new_tuple) ->
+      ignore (Mpp_storage.Storage.physical_oid table new_tuple))
+    !actions;
   ignore
     (remove_tuples ctx table (List.map (fun (seg, t, _) -> (seg, t)) !actions));
   (* Re-insert the new images as one batch through the normal path so they

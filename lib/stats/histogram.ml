@@ -18,48 +18,133 @@ type t = { buckets : bucket array; null_rows : int; total_rows : int }
 
 let empty = { buckets = [||]; null_rows = 0; total_rows = 0 }
 
-(** Build an equi-depth histogram with at most [nbuckets] buckets. *)
-let build ?(nbuckets = 32) (values : Value.t list) : t =
-  let nulls, non_null = List.partition Value.is_null values in
-  let sorted = List.sort Value.compare non_null |> Array.of_list in
-  let n = Array.length sorted in
-  let total_rows = n + List.length nulls in
-  if n = 0 then { empty with null_rows = List.length nulls; total_rows }
+(* The one bucket loop, over [n] sorted non-NULL values: [get k] is the
+   [k]-th and [same k] whether it equals the one before.  A bucket takes
+   about [n / nbuckets] values, then extends so equal values never
+   straddle a boundary; its bounds are the values [get] returns. *)
+let of_sorted ~nbuckets ~null_rows ~n ~get ~same =
+  let total_rows = n + null_rows in
+  if n = 0 then { empty with null_rows; total_rows }
   else begin
-    let nbuckets = min nbuckets n in
-    let per = max 1 (n / nbuckets) in
+    let per = max 1 (n / min nbuckets n) in
     let buckets = ref [] in
     let i = ref 0 in
     while !i < n do
       let start = !i in
-      let stop0 = min (n - 1) (start + per - 1) in
-      (* extend the bucket so equal values never straddle a boundary *)
-      let stop = ref stop0 in
-      while !stop < n - 1 && Value.equal sorted.(!stop) sorted.(!stop + 1) do
+      let stop = ref (min (n - 1) (start + per - 1)) in
+      while !stop < n - 1 && same (!stop + 1) do
         incr stop
       done;
-      let rows = !stop - start + 1 in
       let ndv = ref 1 in
       for k = start + 1 to !stop do
-        if not (Value.equal sorted.(k) sorted.(k - 1)) then incr ndv
+        if not (same k) then incr ndv
       done;
       buckets :=
         {
-          lo = sorted.(start);
-          hi = sorted.(!stop);
-          rows;
+          lo = get start;
+          hi = get !stop;
+          rows = !stop - start + 1;
           ndv = !ndv;
           hi_inclusive = !stop = n - 1;
         }
         :: !buckets;
       i := !stop + 1
     done;
-    {
-      buckets = Array.of_list (List.rev !buckets);
-      null_rows = List.length nulls;
-      total_rows;
-    }
+    { buckets = Array.of_list (List.rev !buckets); null_rows; total_rows }
   end
+
+let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
+
+(* The key of each value when all are [Int] or all are [Date]; raises
+   [Exit] otherwise. *)
+let int_keys (values : Value.t array) =
+  let key : Value.t -> int =
+    if Array.length values = 0 then raise_notrace Exit
+    else
+      match values.(0) with
+      | Value.Int _ -> ( function Value.Int x -> x | _ -> raise_notrace Exit)
+      | Value.Date _ -> (
+          function Value.Date d -> (d :> int) | _ -> raise_notrace Exit)
+      | _ -> raise_notrace Exit
+  in
+  Array.map key values
+
+(* Stable LSD radix sort of an all-[Int] or all-[Date] array.  Each value
+   becomes one int, its key − min above its index, so [p.(k) lsr ib] is the
+   [k]-th smallest key − min and [p.(k) land (1 lsl ib - 1)] where it sits
+   in [values]; indices break ties, so equal keys keep their input order.
+   [None] for any other array, or when the pair does not fit one int (a
+   range that overflows reads as 63 bits). *)
+let radix_sort values =
+  match int_keys values with
+  | exception Exit -> None
+  | p ->
+      let n = Array.length p in
+      let lo = Array.fold_left Int.min max_int p
+      and hi = Array.fold_left Int.max min_int p in
+      let range = hi - lo and ib = bit_width (n - 1) in
+      let kb = bit_width range in
+      if kb + ib > 62 then None
+      else begin
+        for i = 0 to n - 1 do
+          p.(i) <- ((p.(i) - lo) lsl ib) lor i
+        done;
+        (* digits of at most 11 bits, as few passes as the range needs *)
+        let passes = (kb + 10) / 11 in
+        let d = if passes = 0 then 0 else (kb + passes - 1) / passes in
+        let mask = (1 lsl d) - 1 in
+        let count = Array.make (mask + 1) 0 in
+        let src = ref p and dst = ref (Array.make n 0) in
+        for pass = 0 to passes - 1 do
+          let shift = ib + (pass * d) and s = !src and t = !dst in
+          Array.fill count 0 (mask + 1) 0;
+          for i = 0 to n - 1 do
+            let b = (s.(i) lsr shift) land mask in
+            count.(b) <- count.(b) + 1
+          done;
+          let pos = ref 0 in
+          for b = 0 to mask do
+            let c = count.(b) in
+            count.(b) <- !pos;
+            pos := !pos + c
+          done;
+          for i = 0 to n - 1 do
+            let x = s.(i) in
+            let b = (x lsr shift) land mask in
+            t.(count.(b)) <- x;
+            count.(b) <- count.(b) + 1
+          done;
+          src := t;
+          dst := s
+        done;
+        Some (!src, ib)
+      end
+
+(** Build from the non-NULL [values] of a column in input order, plus
+    [null_rows].  All-[Int] and all-[Date] arrays are radix-sorted by key;
+    any other is stable-sorted in place with {!Value.compare}.  Either
+    way, of values that compare equal the first in input order comes first,
+    and bucket bounds are elements of [values]. *)
+let of_array ?(nbuckets = 32) ~null_rows (values : Value.t array) : t =
+  let n = Array.length values in
+  match radix_sort values with
+  | Some (p, ib) ->
+      let idx = (1 lsl ib) - 1 in
+      of_sorted ~nbuckets ~null_rows ~n
+        ~get:(fun k -> values.(p.(k) land idx))
+        ~same:(fun k -> p.(k) lsr ib = p.(k - 1) lsr ib)
+  | None ->
+      Array.stable_sort Value.compare values;
+      of_sorted ~nbuckets ~null_rows ~n
+        ~get:(fun k -> values.(k))
+        ~same:(fun k -> Value.equal values.(k) values.(k - 1))
+
+(** Build an equi-depth histogram with at most [nbuckets] buckets. *)
+let build ?nbuckets (values : Value.t list) : t =
+  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
+  of_array ?nbuckets
+    ~null_rows:(List.length values - List.length non_null)
+    (Array.of_list non_null)
 
 let ndv t = Array.fold_left (fun acc b -> acc + b.ndv) 0 t.buckets
 

@@ -14,7 +14,10 @@ type table_stats = {
 }
 
 val analyze : Mpp_storage.Storage.t -> Mpp_catalog.Table.t -> table_stats
-(** Full pass over the table's heaps (replicated tables counted once). *)
+(** One pass over the table's heaps (replicated tables read once) that
+    fills a value array per column; histograms come from
+    {!Histogram.of_array}, so Int and Date columns are radix-sorted and
+    every bucket bound is a stored value. *)
 
 val defaults : Mpp_catalog.Table.t -> table_stats
 (** Textbook defaults when nothing has been analyzed. *)

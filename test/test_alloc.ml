@@ -1,4 +1,5 @@
-(** Counted memory gates: the executor's row kernels and the stored data.
+(** Counted memory gates: the executor's row kernels, the stored data and
+    ANALYZE.
 
     Row kernels.  Four workload
     templates whose per-row path runs through a typed comparison, an IN
@@ -29,7 +30,16 @@
     load shares its batch's equal values and a replicated row is stored
     once for all segments, 292 826 with a copy per segment, 404 274 when
     every row keeps its own boxed values.  Like the kernel budgets, the
-    figure repeats exactly. *)
+    figure repeats exactly.
+
+    ANALYZE.  The words [Gc.allocated_bytes] reports for analyzing every
+    table of the scale-1 catalog (a full collection on each side brings
+    the major-heap counters up to date), over the values analyzed (rows
+    times columns), must stay under [analyze_budget]: 3.94 words per value
+    (374 722 words for 95 036 values, repeating exactly) with one value
+    array per column, radix-sorted by key for Int and Date columns.
+    Consing every row into one list and mapping it into a value list per
+    column before a list sort read 48.37, and fails. *)
 
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
@@ -40,6 +50,31 @@ let budgets =
     ("sr_reasons_and_date", 17.0); ("ss_misestimate_no_dpe", 2.5) ]
 
 let setup_budget = 280_000
+
+let analyze_budget = 4.5
+
+let test_analyze_words () =
+  let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
+  let tables = Mpp_catalog.Catalog.tables env.W.Runner.catalog in
+  Gc.full_major ();
+  let b0 = Gc.allocated_bytes () in
+  let values =
+    List.fold_left
+      (fun acc t ->
+        let st = Mpp_stats.Stats.analyze env.W.Runner.storage t in
+        acc + (st.Mpp_stats.Stats.rowcount * Mpp_catalog.Table.ncols t))
+      0 tables
+  in
+  Gc.full_major ();
+  let words =
+    (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  let per = words /. float_of_int values in
+  Printf.printf "scale-1 analyze: %.0f words / %d values = %.2f (budget %.1f)\n"
+    words values per analyze_budget;
+  if values = 0 || per > analyze_budget then
+    Alcotest.failf "analyze allocates %.2f words per value (budget %.1f)" per
+      analyze_budget
 
 let live_words () =
   Gc.full_major ();
@@ -98,5 +133,8 @@ let () =
            test_budgets ]);
       ("stored data",
        [ Alcotest.test_case "live words after scale-1 setup" `Quick
-           test_setup_live_words ])
+           test_setup_live_words ]);
+      ("analyze",
+       [ Alcotest.test_case "words per analyzed value" `Quick
+           test_analyze_words ])
     ]

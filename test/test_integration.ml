@@ -225,6 +225,27 @@ let test_insert_all_or_nothing () =
      with Storage.No_partition_for_tuple _ -> true);
   Alcotest.(check int) "no row stored" before (Storage.count_table storage orders)
 
+(* An UPDATE is one write too: when one new image lies outside every
+   partition, the statement fails and no row is removed or changed. *)
+let test_update_all_or_nothing () =
+  let catalog, storage, orders = env () in
+  let before = Storage.count_table storage orders in
+  Alcotest.(check bool) "the statement fails" true
+    (try
+       ignore
+         (sql_run ~catalog ~storage
+            "UPDATE orders SET date = '2031-01-01' WHERE id < 10");
+       false
+     with Storage.No_partition_for_tuple _ -> true);
+  Alcotest.(check int) "no row removed" before
+    (Storage.count_table storage orders);
+  let kept, _ =
+    sql_run ~catalog ~storage
+      "SELECT count(*) FROM orders WHERE id < 10 AND date < '2012-02-01'"
+  in
+  Alcotest.(check (list int)) "the rows are unchanged" [ 10 ]
+    (List.map (fun r -> Value.to_int r.(0)) kept)
+
 let test_delete_via_sql () =
   let catalog, storage, orders = env () in
   ignore orders;
@@ -274,5 +295,7 @@ let () =
          Alcotest.test_case "insert" `Quick test_insert_via_sql;
          Alcotest.test_case "insert is all-or-nothing" `Quick
            test_insert_all_or_nothing;
+         Alcotest.test_case "update is all-or-nothing" `Quick
+           test_update_all_or_nothing;
          Alcotest.test_case "delete" `Quick test_delete_via_sql;
          Alcotest.test_case "seven segments" `Quick test_three_segment_cluster ]) ]
