@@ -981,7 +981,7 @@ let part_select ?(smoke = false) () =
         let p = make_part ~nparts () in
         let pd = make_part ~default_arm:true ~nparts () in
         let build_s, ix = time_run (fun () -> Part.Index.build p) in
-        let ixd = Part.Index.of_partitioning pd in
+        let ixd = pd.Part.index in
         let domain = nparts * 100 in
         let rset i = Interval.Set.of_interval_opt i in
         (* ~P/8 surviving leaves, mid-domain *)

@@ -383,6 +383,33 @@ let rows_sorted rows =
     (List.compare Mpp_expr.Value.compare)
     (List.map Array.to_list rows)
 
+(* Why a statement failed, for the failures that are the statement's and
+   not a bug in mppsim: SQL that does not lex, parse or bind, a row no
+   partition accepts, a plan the verifier rejects.  [None] for anything
+   else. *)
+let statement_error = function
+  | Mpp_sql.Sql.Error m -> Some m
+  | Mpp_storage.Storage.No_partition_for_tuple { table; tuple } ->
+      Some
+        (Printf.sprintf "no partition of %s accepts the row (%s)" table
+           (String.concat ", "
+              (Array.to_list (Array.map Mpp_expr.Value.to_string tuple))))
+  | Mpp_verify.Verify.Rejected (what, errs) ->
+      Some
+        (Printf.sprintf "%s rejected by the plan verifier: %s" what
+           (String.concat "; " (List.map Mpp_verify.Diag.to_string errs)))
+  | _ -> None
+
+(* The interactive loops report a failed statement and read the next
+   line. *)
+let report_statement_error f =
+  try f () with
+  | Invalid_argument m -> Printf.printf "error: %s\n" m
+  | e -> (
+      match statement_error e with
+      | Some m -> Printf.printf "error: %s\n" m
+      | None -> raise e)
+
 let do_check env selection ~workload ~biggen sql_opt =
   let nfail = ref 0 in
   let report ?(catalog = env.W.Runner.catalog) name kname = function
@@ -401,8 +428,8 @@ let do_check env selection ~workload ~biggen sql_opt =
   let guard f =
     match f () with
     | plan -> Ok plan
-    | exception Orca.Optimizer.Invalid_plan m -> Error m
-    | exception Mpp_planner.Planner.Invalid_plan m -> Error m
+    | exception Mpp_verify.Verify.Rejected (_, errs) ->
+        Error (String.concat "; " (List.map Mpp_verify.Diag.to_string errs))
   in
   if workload then
     List.iter
@@ -531,13 +558,10 @@ let do_repl ?domains ?runtime_filters env kind selection =
             (true, String.sub line 9 (String.length line - 9))
           else (false, line)
         in
-        (try
-           if explain then
-             do_explain ?domains ?runtime_filters env kind selection sql
-           else do_run ?domains ?runtime_filters env kind selection sql
-         with
-        | Mpp_sql.Sql.Error m -> Printf.printf "error: %s\n" m
-        | Invalid_argument m -> Printf.printf "error: %s\n" m);
+        report_statement_error (fun () ->
+            if explain then
+              do_explain ?domains ?runtime_filters env kind selection sql
+            else do_run ?domains ?runtime_filters env kind selection sql);
         loop ()
   in
   loop ()
@@ -596,8 +620,8 @@ let do_serve ?stats_json ?(workers = 2) ?(capacity = 4) ?domains env kind =
         | "\\stats" ->
             print_endline (Json.to_string_pretty (Serve.stats_to_json srv));
             loop ()
-        | line -> (
-            (try
+        | line ->
+            report_statement_error (fun () ->
                match prefixed "\\prepare " line with
                | Some rest -> (
                    match String.index_opt rest ' ' with
@@ -643,11 +667,8 @@ let do_serve ?stats_json ?(workers = 2) ?(capacity = 4) ?domains env kind =
                              Hashtbl.replace anon line p;
                              p
                        in
-                       run_prepared p [])
-             with
-            | Mpp_sql.Sql.Error m -> Printf.printf "error: %s\n" m
-            | Invalid_argument m -> Printf.printf "error: %s\n" m);
-            loop ())
+                       run_prepared p []));
+            loop ()
       in
       loop ();
       match stats_json with
@@ -731,8 +752,8 @@ let cluster_term ?(optimizer = true) ?(selection = true) () =
     $ (if selection then no_selection_arg else const false)
     $ scale_arg $ segments_arg $ verbose_arg)
 
-(* SQL that does not lex, parse or bind, and an output file that cannot
-   be written, are the caller's errors, not the program's: report them as
+(* A failed statement ([statement_error]) and an output file that cannot
+   be written are the caller's errors, not the program's: report them as
    [mppsim: error: <message>] on stderr and exit with [bad_sql_exit] or
    [bad_output_exit], codes nothing else in mppsim uses (0 success, 1
    verification or lint findings, 2 missing input, 124 usage, 125
@@ -742,7 +763,9 @@ let bad_output_exit = 4
 
 let exits =
   Cmd.Exit.info bad_sql_exit
-    ~doc:"on SQL that does not lex, parse or bind."
+    ~doc:"on SQL that does not lex, parse or bind, and on a statement that \
+          fails: a row that no partition accepts, or a plan the verifier \
+          rejects."
   :: Cmd.Exit.defaults
 
 let output_exit =
@@ -760,8 +783,11 @@ let on_user_error f =
     exit code
   in
   try f () with
-  | Mpp_sql.Sql.Error msg -> fail bad_sql_exit msg
   | Sys_error msg -> fail bad_output_exit msg
+  | e -> (
+      match statement_error e with
+      | Some msg -> fail bad_sql_exit msg
+      | None -> raise e)
 
 let explain_cmd =
   Cmd.v

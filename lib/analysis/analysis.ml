@@ -104,19 +104,6 @@ let env_meet a b =
               if av_is_bottom v' then Bottom else Env (M.add k v' m))
         mb (Env ma)
 
-let pp_env fmt = function
-  | Bottom -> Format.pp_print_string fmt "⊥"
-  | Env m ->
-      if M.is_empty m then Format.pp_print_string fmt "⊤"
-      else (
-        Format.fprintf fmt "@[<v>";
-        M.iter
-          (fun (r, i) v ->
-            Format.fprintf fmt "(%d.%d) ∈ %a%s@," r i Interval.Set.pp v.range
-              (if v.nullable then " ∪ {NULL}" else ""))
-          m;
-        Format.fprintf fmt "@]")
-
 (* ------------------------------------------------------------------ *)
 (* Abstract evaluation.                                                *)
 

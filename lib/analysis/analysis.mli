@@ -63,8 +63,6 @@ val env_join : env -> env -> env
 (** Least upper bound: the environment of a row coming from {e either}
     input (an Append of both). *)
 
-val pp_env : Format.formatter -> env -> unit
-
 (** {2 Abstract evaluation} *)
 
 val aeval : env -> Expr.t -> aval

@@ -68,18 +68,6 @@ let popcount x =
 let cardinal t =
   Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let iter_set f t =
-  let n = Array.length t.words in
-  for wi = 0 to n - 1 do
-    let w = ref t.words.(wi) in
-    let i = ref (wi * bits_per_word) in
-    while !w <> 0 do
-      if !w land 1 = 1 then f !i;
-      w := !w lsr 1;
-      incr i
-    done
-  done
-
 let fold_right_set f t init =
   let acc = ref init in
   let n = Array.length t.words in

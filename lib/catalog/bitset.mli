@@ -36,9 +36,6 @@ val set_array : t -> int array -> unit
 val is_empty : t -> bool
 val cardinal : t -> int
 
-val iter_set : (int -> unit) -> t -> unit
-(** Visit set bits in ascending order. *)
-
 val fold_right_set : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over set bits in descending order — builds ascending lists without
     a reversal. *)

@@ -15,12 +15,13 @@
       that can satisfy them (an over-approximation, never dropping a
       qualifying leaf).
 
-    Both are served by a {!Index} built once per table (cached in
-    [cached_index]): per-level sorted boundary arrays answer interval →
-    leaf-set questions by binary search, a value → leaf-set hash serves
-    point-partitioned (categorical) levels, per-(level, prefix) covered
-    sets make default-arm checks O(1) set operations instead of an O(P)
-    sibling rescan, and an OID hash replaces the linear leaf lookup.
+    Both are served by the table's {!Index}, built with the record by the
+    layout constructors below and never changed: per-level sorted boundary
+    arrays answer interval → leaf-set questions by binary search, a value
+    → leaf-set hash serves point-partitioned (categorical) levels,
+    per-(level, prefix) covered sets make default-arm checks O(1) set
+    operations instead of an O(P) sibling rescan, and an OID hash replaces
+    the linear leaf lookup.
     Survival across levels is intersected on compact {!Bitset}s.  The
     pre-index implementations are kept as {!select_legacy} /
     {!route_legacy} — the executable oracles the property tests and the
@@ -96,25 +97,20 @@ type index = {
 type t = {
   levels : level array;
   leaves : leaf array;
-  mutable cached_index : index option;
-      (** built on first use by {!Index.of_partitioning}; treat as an
-          implementation detail (always construct with [None]) *)
+  index : index;  (** built with the record; see {!Index} *)
 }
 
 let nlevels t = Array.length t.levels
 let nparts t = Array.length t.leaves
 let leaf_oids t = Array.to_list (Array.map (fun l -> l.leaf_oid) t.leaves)
 
-let key_indices t =
-  Array.to_list (Array.map (fun lv -> lv.key_index) t.levels)
-
 (* The union of the sibling (non-default) constraints at [level], restricted
-   to leaves matching [prefix_pred]; used to decide what a Default arm
+   to leaves matching [prefix]; used to decide what a Default arm
    covers.  O(P) per call — the index precomputes one result per
    (level, prefix) class at build time; the legacy oracle below calls it per
    default-arm check. *)
-let covered_at t ~level ~prefix =
-  Array.to_list t.leaves
+let covered_at leaves ~level ~prefix =
+  Array.to_list leaves
   |> List.filter (fun lf ->
          let rec agrees i =
            i >= level
@@ -150,7 +146,7 @@ let route_legacy t (keys : Value.t array) : leaf option =
             Value.is_null keys.(i)
             || not
                  (Interval.Set.contains
-                    (covered_at t ~level:i ~prefix:lf.bounds)
+                    (covered_at t.leaves ~level:i ~prefix:lf.bounds)
                     keys.(i)))
         && go (i + 1)
     in
@@ -179,7 +175,7 @@ let select_legacy t (restrictions : Interval.Set.t option array) : leaf list =
             | Default ->
                 (* keep the default arm unless the restriction lies entirely
                    inside what the siblings cover *)
-                let covered = covered_at t ~level:i ~prefix:lf.bounds in
+                let covered = covered_at t.leaves ~level:i ~prefix:lf.bounds in
                 not (Interval.Set.is_empty (Interval.Set.diff r covered))))
         && go (i + 1)
     in
@@ -248,12 +244,12 @@ module Index = struct
     let rec go i = i >= level || (constr_equal a.(i) b.(i) && go (i + 1)) in
     go 0
 
-  let build_level (p : partitioning) lvl : level_index =
-    let nleaves = Array.length p.leaves in
+  let build_level (leaves : leaf array) lvl : level_index =
+    let nleaves = Array.length leaves in
     (* 1. cuts: every bound value of every arm at this level *)
     let values = ref [] in
     for j = 0 to nleaves - 1 do
-      match p.leaves.(j).bounds.(lvl) with
+      match leaves.(j).bounds.(lvl) with
       | Default -> ()
       | Cset s ->
           List.iter
@@ -276,7 +272,7 @@ module Index = struct
     (* 2. region membership + point hash *)
     for j = nleaves - 1 downto 0 do
       (* downto: member lists come out ascending *)
-      match p.leaves.(j).bounds.(lvl) with
+      match leaves.(j).bounds.(lvl) with
       | Default -> ()
       | Cset s ->
           List.iter
@@ -305,7 +301,7 @@ module Index = struct
        precompute each class's covered set once *)
     let classes : (constr array * int list ref) list ref = ref [] in
     for j = nleaves - 1 downto 0 do
-      let lf = p.leaves.(j) in
+      let lf = leaves.(j) in
       if lf.bounds.(lvl) = Default then begin
         match
           List.find_opt
@@ -320,7 +316,7 @@ module Index = struct
       List.map
         (fun (prefix, cell) ->
           {
-            dc_covered = covered_at p ~level:lvl ~prefix;
+            dc_covered = covered_at leaves ~level:lvl ~prefix;
             dc_members = Array.of_list !cell;
           })
         !classes
@@ -336,27 +332,17 @@ module Index = struct
       li_defaults = defaults;
     }
 
-  let build (p : partitioning) : t =
-    let by_oid = Hashtbl.create (2 * Array.length p.leaves) in
-    Array.iteri (fun j lf -> Hashtbl.replace by_oid lf.leaf_oid j) p.leaves;
+  let of_layout (levels : level array) (leaves : leaf array) : t =
+    let by_oid = Hashtbl.create (2 * Array.length leaves) in
+    Array.iteri (fun j lf -> Hashtbl.replace by_oid lf.leaf_oid j) leaves;
     {
-      ix_nleaves = Array.length p.leaves;
-      ix_leaves = p.leaves;
-      ix_levels = Array.init (Array.length p.levels) (fun i -> build_level p i);
+      ix_nleaves = Array.length leaves;
+      ix_leaves = leaves;
+      ix_levels = Array.init (Array.length levels) (build_level leaves);
       ix_by_oid = by_oid;
     }
 
-  (* Build-once cache.  Single-writer discipline: the executor resolves
-     indexes on the coordinating domain before fanning out (create_ctx),
-     and storage/bench/tests build from one domain, so the mutable field is
-     never raced; a duplicate build would only waste work, not corrupt. *)
-  let of_partitioning (p : partitioning) : t =
-    match p.cached_index with
-    | Some ix -> ix
-    | None ->
-        let ix = build p in
-        p.cached_index <- Some ix;
-        ix
+  let build (p : partitioning) : t = of_layout p.levels p.leaves
 
   let position (ix : t) oid = Hashtbl.find_opt ix.ix_by_oid oid
 
@@ -455,27 +441,32 @@ end
 
 (** OID → leaf via the index's hash (replaces the pre-index O(P) linear
     scan, removed once all callers migrated). *)
-let find_leaf t oid = Index.find_leaf (Index.of_partitioning t) oid
+let find_leaf t oid = Index.find_leaf t.index oid
 
 (** [f_T]: route a tuple's key values (one per level) to the leaf that must
     store it; [None] is the invalid partition ⊥ of §2.1.  O(log P) per
     level via the index. *)
 let route t (keys : Value.t array) : leaf option =
-  Index.route (Index.of_partitioning t) keys
+  Index.route t.index keys
 
 (** [f*_T]: given an optional restriction per level ([None] = no predicate on
     that level's key), return the leaves that may hold satisfying tuples.
     Sound by construction, and exactly equal to {!select_legacy} (the
     property suite holds them to oid-for-oid equality). *)
 let select t (restrictions : Interval.Set.t option array) : leaf list =
-  Index.select (Index.of_partitioning t) restrictions
+  Index.select t.index restrictions
 
 let select_oids t restrictions =
-  Index.select_oids (Index.of_partitioning t) restrictions
+  Index.select_oids t.index restrictions
 
 (* ------------------------------------------------------------------ *)
 (* Constructors for common partitioning layouts                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The one place a record is built, so every partitioning carries its
+   index from the start and domains only ever read it. *)
+let make levels leaves =
+  { levels; leaves; index = Index.of_layout levels leaves }
 
 (** Build single-level metadata from explicit per-leaf constraints.
     [alloc_oid] supplies fresh OIDs for the leaves. *)
@@ -491,8 +482,7 @@ let single_level ~alloc_oid ~key_index ~key_name ~scheme ~table_name constrs =
       constrs
     |> Array.of_list
   in
-  { levels = [| { key_index; key_name; scheme } |]; leaves;
-    cached_index = None }
+  make [| { key_index; key_name; scheme } |] leaves
 
 (** Monthly range partitions covering [months] months starting at the first
     of [start_year]-[start_month]; the classic chronological layout of the
@@ -501,15 +491,6 @@ let monthly_ranges ~start_year ~start_month ~months =
   List.init months (fun i ->
       let lo = Date.add_months (Date.of_ymd start_year start_month 1) i in
       let hi = Date.add_months lo 1 in
-      match Interval.closed_open (Value.Date lo) (Value.Date hi) with
-      | Some iv -> Cset (Interval.Set.singleton iv)
-      | None -> assert false)
-
-(** [n] consecutive day-granularity range partitions of width [width_days]. *)
-let daily_ranges ~start_date ~width_days ~count =
-  List.init count (fun i ->
-      let lo = Date.add_days start_date (i * width_days) in
-      let hi = Date.add_days lo width_days in
       match Interval.closed_open (Value.Date lo) (Value.Date hi) with
       | Some iv -> Cset (Interval.Set.singleton iv)
       | None -> assert false)
@@ -547,7 +528,7 @@ let two_level ~alloc_oid ~table_name ~level1 ~constrs1 ~level2 ~constrs2 =
       (List.mapi (fun i c -> (i, c)) constrs1)
     |> Array.of_list
   in
-  { levels = [| level1; level2 |]; leaves; cached_index = None }
+  make [| level1; level2 |] leaves
 
 (** General n-level metadata as the cross product of per-level constraint
     lists — two_level generalized to arbitrary hierarchies. *)
@@ -577,8 +558,7 @@ let multi_level ~alloc_oid ~table_name (levels : (level * constr list) list) =
            })
     |> Array.of_list
   in
-  { levels = Array.of_list (List.map fst levels); leaves;
-    cached_index = None }
+  make (Array.of_list (List.map fst levels)) leaves
 
 let pp_constr fmt = function
   | Default -> Format.pp_print_string fmt "DEFAULT"

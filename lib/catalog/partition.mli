@@ -12,13 +12,15 @@
       satisfying tuples (an over-approximation, never dropping a qualifying
       leaf).
 
-    Both are served by a selection {!Index} built once per table and cached
-    on the metadata record: sorted boundary arrays (binary-searched interval
-    → leaf-set lookup) per range level, a value → leaf-set hash per
-    categorical level, precomputed per-(level, prefix) covered sets for O(1)
-    default-arm checks, and an OID hash for leaf lookup; per-level survivor
-    sets are intersected as {!Bitset}s.  The pre-index linear
-    implementations remain as [*_legacy] oracles. *)
+    Both are served by the table's selection {!Index}.  The layout
+    constructors below are the only way to make a [t], and each builds the
+    index with the record; nothing writes it afterwards, so any domain may
+    read it without coordination.  It holds sorted boundary arrays
+    (binary-searched interval → leaf-set lookup) per range level, a value →
+    leaf-set hash per categorical level, precomputed per-(level, prefix)
+    covered sets for O(1) default-arm checks, and an OID hash for leaf
+    lookup; per-level survivor sets are intersected as {!Bitset}s.  The
+    pre-index linear implementations remain as [*_legacy] oracles. *)
 
 open Mpp_expr
 
@@ -39,21 +41,17 @@ type leaf = {
 }
 
 type index
-(** The per-table selection index; build/obtain one via
-    {!Index.of_partitioning}. *)
+(** The per-table selection index: the [index] field of {!t}. *)
 
-type t = {
+type t = private {
   levels : level array;
   leaves : leaf array;
-  mutable cached_index : index option;
-      (** internal build-once cache; always construct with [None] (the
-          layout constructors below do) *)
+  index : index;  (** built with the record by the layout constructors *)
 }
 
 val nlevels : t -> int
 val nparts : t -> int
 val leaf_oids : t -> oid list
-val key_indices : t -> int list
 
 val find_leaf : t -> oid -> leaf option
 (** OID → leaf via the index's hash table. *)
@@ -81,21 +79,16 @@ val select_legacy : t -> Interval.Set.t option array -> leaf list
 val select_oids_legacy : t -> Interval.Set.t option array -> oid list
 
 (** The partition-selection index of one table (paper §5's plan-scalability
-    concern, applied to selection itself): built once, cached on the
-    metadata record, and consulted by {!route} / {!select} / {!find_leaf}
-    and by the executor, storage router and optimizer. *)
+    concern, applied to selection itself): built once with the metadata
+    record, and consulted by {!route} / {!select} / {!find_leaf} and by the
+    executor, storage router and optimizer. *)
 module Index : sig
   type partitioning := t
   type t = index
 
-  val of_partitioning : partitioning -> t
-  (** The table's index, building and caching it on first use.  Build the
-      index from a single domain before sharing the partitioning across
-      domains (the executor does this in [create_ctx]). *)
-
   val build : partitioning -> t
-  (** Always builds fresh, ignoring the cache (benchmarks use this to time
-      construction). *)
+  (** A fresh copy of the table's index (benchmarks use this to time
+      construction); every other caller reads [partitioning.index]. *)
 
   val nparts : t -> int
   val find_leaf : t -> oid -> leaf option
@@ -130,7 +123,6 @@ val single_level :
 val monthly_ranges : start_year:int -> start_month:int -> months:int -> constr list
 (** Monthly range partitions — the chronological layout of paper Figure 1. *)
 
-val daily_ranges : start_date:Date.t -> width_days:int -> count:int -> constr list
 val int_ranges : start:int -> width:int -> count:int -> constr list
 
 val categorical : Value.t list list -> constr list

@@ -90,11 +90,6 @@ type ctx = {
           partitions scanned and wall time (the EXPLAIN ANALYZE data);
           [None] skips all per-node bookkeeping *)
   pool : Dpool.t;  (** executes the per-segment loops *)
-  pindex : (int, Mpp_catalog.Partition.index) Hashtbl.t;
-      (** root OID → partition-selection index, resolved once per table on
-          the coordinating domain in {!create_ctx} (before any Dpool
-          fan-out, so the build-once cache is never raced) and consulted by
-          every PartitionSelector execution *)
   verify : bool;
       (** when set, {!exec} runs {!Mpp_verify.Verify.assert_valid} over the
           root plan before interpreting it, rejecting structurally,
@@ -137,17 +132,6 @@ let create_ctx ?(params = [||]) ?(selection_enabled = true) ?(verify = false)
   let domains =
     match domains with Some d -> d | None -> Dpool.default_domains ()
   in
-  (* Resolve every partitioned table's selection index here, on the
-     coordinating domain: [of_partitioning] populates the build-once cache
-     single-threaded, so the parallel sections below only ever read it. *)
-  let pindex = Hashtbl.create 16 in
-  List.iter
-    (fun (tbl : Mpp_catalog.Table.t) ->
-      match tbl.partitioning with
-      | Some p ->
-          Hashtbl.replace pindex tbl.oid (Index.of_partitioning p)
-      | None -> ())
-    (Mpp_catalog.Catalog.tables catalog);
   (* A caller-supplied pool wins over the shared per-size pools: the
      serving layer gives each worker domain a private pool, because a
      [Dpool] has a single job slot and must never take submissions from
@@ -177,7 +161,6 @@ let create_ctx ?(params = [||]) ?(selection_enabled = true) ?(verify = false)
     selection_enabled;
     stats;
     pool;
-    pindex;
     verify;
     runtime_filters;
     rf_motion_claimed = 0;
@@ -363,17 +346,8 @@ let partitioning_of ctx root_oid =
         (Printf.sprintf "Exec: PartitionSelector on non-partitioned oid %d"
            root_oid)
 
-(* The table's selection index, from the per-context cache built in
-   [create_ctx]; tables registered after context creation fall back to an
-   on-demand build (still on the coordinating domain — selectors resolve
-   their index before fanning out). *)
 let index_of ctx root_oid =
-  match Hashtbl.find_opt ctx.pindex root_oid with
-  | Some ix -> ix
-  | None ->
-      let ix = Index.of_partitioning (partitioning_of ctx root_oid) in
-      Hashtbl.replace ctx.pindex root_oid ix;
-      ix
+  (partitioning_of ctx root_oid).Mpp_catalog.Partition.index
 
 (* Table [oid] as the partition counters see it: its root, its leaf
    position there and the set of just that position — position 0 of a

@@ -10,7 +10,9 @@
 
     A set of partitions is one {!Mpp_catalog.Bitset} over the root's leaf
     positions from the selection index to {!Metrics}; scans visit it in
-    ascending position, which is ascending OID.
+    ascending position, which is ascending OID.  A selector reads its
+    table's index from the catalog's partitioning record, which is built
+    with it and never written, so any domain may read it.
 
     Hot path (the paper's Figure 15 argument applied to the whole
     executor): expressions are compiled once per operator via
@@ -46,10 +48,6 @@ type ctx = {
       (** when set, per-plan-node actual rows / partitions / wall time are
           recorded for EXPLAIN ANALYZE; [None] skips all bookkeeping *)
   pool : Dpool.t;  (** executes the per-segment loops *)
-  pindex : (int, Mpp_catalog.Partition.index) Hashtbl.t;
-      (** root OID → partition-selection index, resolved once per table in
-          {!create_ctx} on the coordinating domain and read-only
-          thereafter *)
   verify : bool;
       (** when set, {!exec} runs the {!Mpp_verify.Verify} static analysis
           over the root plan and raises {!Mpp_verify.Verify.Rejected}

@@ -8,8 +8,6 @@
 type t = int
 (** Days since 1970-01-01. *)
 
-let epoch_year = 1970
-
 let is_leap_year y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0
 
 let days_in_month y m =
@@ -91,10 +89,6 @@ let add_months t n =
   let mm = m - 1 + n in
   let y = y + (if mm >= 0 then mm / 12 else -(((-mm) + 11) / 12)) in
   let m = ((mm mod 12) + 12) mod 12 + 1 in
-  of_ymd y m 1
-
-let first_of_month t =
-  let y, m, _ = to_ymd t in
   of_ymd y m 1
 
 let quarter t = ((month t - 1) / 3) + 1

@@ -7,8 +7,6 @@
 type t = int
 (** Days since 1970-01-01. *)
 
-val epoch_year : int
-
 val is_leap_year : int -> bool
 
 val days_in_month : int -> int -> int
@@ -35,8 +33,6 @@ val add_days : t -> int -> t
 
 val add_months : t -> int -> t
 (** First day of the month [n] months after the month containing [t]. *)
-
-val first_of_month : t -> t
 
 val quarter : t -> int
 (** 1–4. *)

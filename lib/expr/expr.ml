@@ -102,8 +102,6 @@ let rels e =
       if List.mem c.rel acc then acc else c.rel :: acc)
     [] e
 
-let refers_to_rel rel e = List.mem rel (rels e)
-
 let rec has_param = function
   | Param _ -> true
   | Const _ | Col _ -> false
@@ -144,12 +142,6 @@ let rec bind_params lookup = function
 (* ------------------------------------------------------------------ *)
 
 type env = { col : Colref.t -> Value.t; param : int -> Value.t }
-
-let env_empty =
-  {
-    col = (fun c -> invalid_arg ("Expr.eval: unbound column " ^ Colref.to_string c));
-    param = (fun i -> invalid_arg ("Expr.eval: unbound param $" ^ string_of_int i));
-  }
 
 let eval_cmp op (c : int) =
   match op with

@@ -62,7 +62,6 @@ val free_cols : t -> Colref.t list
 val rels : t -> int list
 (** Relation instances referenced. *)
 
-val refers_to_rel : int -> t -> bool
 val has_param : t -> bool
 
 val subst_cols : (Colref.t -> Value.t option) -> t -> t
@@ -74,9 +73,6 @@ val bind_params : (int -> Value.t option) -> t -> t
 (** {2 Evaluation} *)
 
 type env = { col : Colref.t -> Value.t; param : int -> Value.t }
-
-val env_empty : env
-(** Raises on any lookup. *)
 
 val eval : env -> t -> Value.t
 (** SQL three-valued logic: boolean results may be [Value.Null]. *)

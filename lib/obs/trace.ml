@@ -106,15 +106,6 @@ let emit t ~tid ?(cat = "exec") ?(args = []) ~name ~start ~stop () =
     Mutex.unlock t.lock
   end
 
-let with_span t ~tid ?cat ?args ~name f =
-  if not t.enabled then f ()
-  else begin
-    let start = t.clock () in
-    Fun.protect
-      ~finally:(fun () -> emit t ~tid ?cat ?args ~name ~start ~stop:(t.clock ()) ())
-      f
-  end
-
 let event_count t =
   Mutex.lock t.lock;
   let n = List.length t.events in

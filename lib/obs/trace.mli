@@ -60,17 +60,6 @@ val emit :
 (** Append one complete ("X") event covering [start, stop] (absolute clock
     seconds) on track [tid].  [cat] defaults to ["exec"]. *)
 
-val with_span :
-  t ->
-  tid:int ->
-  ?cat:string ->
-  ?args:(string * Json.t) list ->
-  name:string ->
-  (unit -> 'a) ->
-  'a
-(** Time [f] and emit the covering event; exceptions propagate and still
-    emit. *)
-
 val add_obs_spans : t -> tid:int -> ?cat:string -> Obs.span list -> unit
 (** Render a completed {!Obs} span tree (e.g. the optimizer's phase spans)
     as events on one track; nesting becomes containment on the timeline.

@@ -169,8 +169,7 @@ let indexed_nparts env ~root_oid ~keys pred =
       if Array.for_all Option.is_none restrictions then None
       else begin
         Obs.incr (Obs.current ()) "optimizer.indexed_part_counts";
-        let ix = Mpp_catalog.Partition.Index.of_partitioning p in
-        Some (Mpp_catalog.Partition.Index.count_selected ix restrictions)
+        Some (Mpp_catalog.Partition.Index.count_selected p.index restrictions)
       end
 
 let plan_select env pred (child : annotated) : annotated =

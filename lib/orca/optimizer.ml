@@ -12,8 +12,9 @@
        and lose when injected misestimates say otherwise (the paper's
        Table-3 outliers);
     3. the PartitionSelector placement pass of {!Placement} (paper §2.3);
-    4. the plan verifier ({!Mpp_verify.Verify.check}, all six passes; its
-       structure pass holds the §3.1 rules). *)
+    4. the plan verifier ({!Mpp_verify.Verify.assert_valid}, all six
+       passes; its structure pass holds the §3.1 rules), the one check a
+       plan gets before it is cached or run. *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
@@ -29,9 +30,6 @@ type config = {
   enable_partition_selection : bool;
       (** master switch for the Figure-17 ablation: when off, only Φ
           selectors are placed and every partition is scanned *)
-  enable_two_phase_agg : bool;
-      (** aggregate locally on each segment before moving rows (the MPP
-          norm); off = gather everything and aggregate once *)
   enable_partition_wise_join : bool;
       (** ablation of the related-work alternative (paper §5, Herodotou et
           al.): when two tables partitioned identically are equi-joined on
@@ -53,7 +51,6 @@ type config = {
 let default_config =
   {
     enable_partition_selection = true;
-    enable_two_phase_agg = true;
     enable_partition_wise_join = false;
     opt_domains = 1;
     simplify = true;
@@ -412,12 +409,12 @@ let gather (ann : annotated) : annotated =
    segment over its local rows, the (much smaller) partial states move once,
    and a final aggregate combines them — count combines by summing partial
    counts, avg is decomposed into sum and count recombined by a projection.
-   Falls back to gather-then-aggregate when disabled or already local. *)
+   Aggregates once, gathered, when the input is already on one segment. *)
 let rec plan_aggregate t ~env ~pinned_rel ~group_by ~aggs child :
     annotated =
   let c = build_physical t ~env ~pinned_rel child in
   let rows = if group_by = [] then 1.0 else Float.max 1.0 (c.rows /. 10.0) in
-  if (not t.config.enable_two_phase_agg) || c.dist = Dist.Dsingleton then begin
+  if c.dist = Dist.Dsingleton then begin
     let c = gather c in
     {
       plan = Plan.agg ~group_by ~aggs c.plan;
@@ -694,8 +691,6 @@ let rf_decide t ~env ~build ~probe ~build_keys ~probe_keys =
   end
   else None
 
-exception Invalid_plan of string
-
 (** Optimize a logical tree into an executable physical plan. *)
 let optimize t (lg : Logical.t) : Plan.t =
   let obs = Obs.current () in
@@ -754,18 +749,11 @@ let optimize t (lg : Logical.t) : Plan.t =
       in
       (* Stamp each DynamicScan's statically-surviving partition count from
          its placed selector, then run the full static verifier: every plan
-         this optimizer emits passes all five passes or is rejected. *)
+         this optimizer emits passes all six passes or is rejected. *)
       let placed = Mpp_verify.Verify.stamp_nparts ~catalog:t.catalog placed in
-      match
-        Mpp_verify.Diag.errors
-          (Mpp_verify.Verify.check ~catalog:t.catalog placed)
-      with
-      | [] -> placed
-      | errors ->
-          raise
-            (Invalid_plan
-               (String.concat "; "
-                  (List.map Mpp_verify.Diag.to_string errors))))
+      Mpp_verify.Verify.assert_valid ~catalog:t.catalog ~what:"Orca plan"
+        placed;
+      placed)
 
 (** The per-physical-node row estimator over [lg]'s base tables, for
     stamping {!Mpp_plan.Est} arrays onto finished plans.  Must be applied

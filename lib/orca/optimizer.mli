@@ -3,7 +3,7 @@
     every tree of joins planned by the {!Memo}, whose costs value dynamic
     partition elimination and whose Motions never separate a selector from
     its scan) → the {!Placement} pass of paper §2.3 → the plan verifier
-    ({!Mpp_verify.Verify.check}, all six passes). *)
+    ({!Mpp_verify.Verify.assert_valid}, all six passes). *)
 
 module Plan = Mpp_plan.Plan
 
@@ -11,9 +11,6 @@ type config = {
   enable_partition_selection : bool;
       (** master switch for the Figure-17 ablation: when off, only Φ
           selectors are placed and every partition is scanned *)
-  enable_two_phase_agg : bool;
-      (** aggregate locally per segment before moving rows (the MPP norm);
-          off = gather everything and aggregate once *)
   enable_partition_wise_join : bool;
       (** ablation of the related-work alternative (paper §5): expand a
           key-to-key join of identically partitioned, co-located tables into
@@ -44,11 +41,10 @@ val create :
   unit ->
   t
 
-exception Invalid_plan of string
-
 val optimize : t -> Logical.t -> Plan.t
-(** Optimize into an executable physical plan; raises {!Invalid_plan} if the
-    result violates the Motion/selector rules (a bug, not an input error). *)
+(** Optimize into an executable physical plan, verified once on the way
+    out: raises {!Mpp_verify.Verify.Rejected} if the result fails any
+    verifier pass (a bug, not an input error). *)
 
 val row_estimator : t -> Logical.t -> Plan.t -> float
 (** [row_estimator t lg] is the per-node row estimator over [lg]'s base

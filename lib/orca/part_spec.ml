@@ -34,8 +34,6 @@ let add_predicates t (found : Expr.t option list) =
         t.predicates found;
   }
 
-let has_any_predicate t = List.exists Option.is_some t.predicates
-
 let pp fmt t =
   Format.fprintf fmt "<%d, [%s], [%s]>" t.part_scan_id
     (String.concat "; " (List.map Colref.to_string t.keys))

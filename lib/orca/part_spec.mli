@@ -19,6 +19,5 @@ val add_predicates : t -> Expr.t option list -> t
 (** Conjoin newly found per-level predicates with the accumulated ones (the
     [Conj] of Algorithms 3/4). *)
 
-val has_any_predicate : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

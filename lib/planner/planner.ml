@@ -341,8 +341,6 @@ and plan_dml t ~rel ~table_name ~set_cols child : sub =
       let body = Plan.Append (List.map per_leaf leaves) in
       { plan = dml_node body; dist = `Other; expansion = None }
 
-exception Invalid_plan of string
-
 (* Build-side cardinality for sizing a runtime join filter: textbook
    default rowcounts of the base relations in the subtree (the legacy
    planner has no analyzed statistics), leaf scans resolved to their one
@@ -405,9 +403,5 @@ let plan t (lg : Logical.t) : Plan.t =
   (* Every plan the legacy planner emits runs the full static verifier —
      the same six passes the Orca pipeline must satisfy, which is what
      makes the two optimizers differentially checkable. *)
-  match Mpp_verify.Diag.errors (Mpp_verify.Verify.check ~catalog:t.catalog p) with
-  | [] -> p
-  | errors ->
-      raise
-        (Invalid_plan
-           (String.concat "; " (List.map Mpp_verify.Diag.to_string errors)))
+  Mpp_verify.Verify.assert_valid ~catalog:t.catalog ~what:"Planner plan" p;
+  p

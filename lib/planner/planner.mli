@@ -26,8 +26,7 @@ type t
 
 val create : ?config:config -> catalog:Mpp_catalog.Catalog.t -> unit -> t
 
-exception Invalid_plan of string
-
 val plan : t -> Orca.Logical.t -> Mpp_plan.Plan.t
-(** Plan a logical tree with the legacy planner; raises {!Invalid_plan} on a
-    malformed result (a bug, not an input error). *)
+(** Plan a logical tree with the legacy planner, verified once on the way
+    out: raises {!Mpp_verify.Verify.Rejected} on a malformed result (a bug,
+    not an input error). *)

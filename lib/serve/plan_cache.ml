@@ -2,9 +2,11 @@
     verified physical plan.
 
     Invariants:
-    - every entry was checked by the plan verifier {e once, at insert} —
-      the cache-hit path then executes with per-query verification off,
-      which is where the "near-zero optimizer time on hits" comes from;
+    - every entry is a plan the optimizer already verified: both optimizers
+      end with {!Mpp_verify.Verify.assert_valid}, so the cache stores what
+      it is given and the cache-hit path executes with per-query
+      verification off, which is where the "near-zero optimizer time on
+      hits" comes from;
     - every entry records the catalog generation it was optimized under;
       a lookup that finds a stale entry drops it and reports a miss
       (counted as an invalidation), so DDL can never serve a plan built
@@ -19,14 +21,8 @@
 module Plan = Mpp_plan.Plan
 module Est = Mpp_plan.Est
 module Catalog = Mpp_catalog.Catalog
-module Verify = Mpp_verify.Verify
-module Diag = Mpp_verify.Diag
 module Obs = Mpp_obs.Obs
 module Json = Mpp_obs.Json
-
-exception Rejected of string
-(** The verifier found errors in a plan offered for caching — optimizer
-    bug; the plan must not be served. *)
 
 type entry = {
   plan : Plan.t;
@@ -45,7 +41,6 @@ type t = {
   mutable inserts : int;
   mutable invalidations : int;
   mutable evictions : int;
-  mutable rejects : int;
 }
 
 let create ?(capacity = 256) () =
@@ -60,7 +55,6 @@ let create ?(capacity = 256) () =
     inserts = 0;
     invalidations = 0;
     evictions = 0;
-    rejects = 0;
   }
 
 let key ~fingerprint ~kind ~shape =
@@ -106,16 +100,9 @@ let evict_lru t =
       Obs.incr (Obs.current ()) "serve.cache.evicted"
   | None -> ()
 
-(** Verify-at-insert: the one verifier pass a cached plan ever gets.
-    Raises {!Rejected} when the verifier reports errors. *)
+(** Store a plan the optimizer produced (and so verified) under [k],
+    stamped with the catalog's current generation. *)
 let insert t ~catalog k plan est =
-  let diags = Verify.check ~catalog plan in
-  if Diag.has_errors diags then begin
-    with_lock t (fun () -> t.rejects <- t.rejects + 1);
-    Obs.incr (Obs.current ()) "serve.cache.rejected";
-    let msg = String.concat "; " (List.map Diag.to_string (Diag.errors diags)) in
-    raise (Rejected msg)
-  end;
   with_lock t (fun () ->
       if Hashtbl.length t.tbl >= t.capacity && not (Hashtbl.mem t.tbl k)
       then evict_lru t;
@@ -138,7 +125,6 @@ type stats = {
   inserts : int;
   invalidations : int;
   evictions : int;
-  rejects : int;
   entries : int;
 }
 
@@ -150,7 +136,6 @@ let stats (t : t) : stats =
         inserts = t.inserts;
         invalidations = t.invalidations;
         evictions = t.evictions;
-        rejects = t.rejects;
         entries = Hashtbl.length t.tbl;
       })
 
@@ -167,7 +152,6 @@ let stats_to_json t =
       ("inserts", Json.Int s.inserts);
       ("invalidations", Json.Int s.invalidations);
       ("evictions", Json.Int s.evictions);
-      ("rejects", Json.Int s.rejects);
       ("entries", Json.Int s.entries);
       ("hit_rate", Json.Float (hit_rate s));
     ]

@@ -4,14 +4,14 @@
 
     Division of labor (the Citus-style coordinator model):
     - {e prepare} and {e plan resolution} run on the coordinator thread:
-      cache probe, and on a miss optimize → verify → insert.  The cache
-      and both optimizers are therefore never touched concurrently.
+      cache probe, and on a miss optimize (which verifies) → insert.  The
+      cache and both optimizers are therefore never touched concurrently.
     - {e execution} runs on worker domains.  Each worker owns a private
       {!Mpp_exec.Dpool} — a pool has a single job slot, so two domains
       must never submit to the same pool (see {!Mpp_exec.Exec.create_ctx}'s
       [?pool]).
     - the {e admission controller} bounds in-flight queries ([capacity]),
-      schedules strict-priority / per-session round-robin / FIFO, and
+      schedules per-session round-robin / FIFO, and
       enforces a global estimated-memory budget derived from the plans'
       [est_rows]: a query is only co-admitted while the in-flight memory
       estimate stays under budget; an over-budget query is admitted only
@@ -108,8 +108,6 @@ type state =
 
 type ticket = {
   tk_session : int;
-  tk_priority : int;
-  tk_seq : int;
   tk_plan : Plan.t;
   tk_params : Value.t array;
   tk_mem : float;
@@ -129,14 +127,12 @@ type t = {
   work_cv : Condition.t;
   done_cv : Condition.t;
   mutable queued : ticket list;  (** submission order *)
-  mutable rr_last : int array;  (** last session served, per priority *)
+  mutable rr_last : int;  (** last session served *)
   mutable in_flight : int;
   mutable mem_in_flight : float;
-  mutable next_seq : int;
   mutable shutdown : bool;
   mutable workers : unit Domain.t list;
   mutable pools : Dpool.t list;  (** the workers' private pools *)
-  mutable seen_generation : int;
   (* accounting, for the admission tests and [--stats-json] *)
   mutable submitted : int;
   mutable completed : int;
@@ -147,55 +143,29 @@ type t = {
   mutable peak_queued : int;
 }
 
-let n_priorities = 3
-
 (* ------------------------------------------------------------------ *)
 (* Admission policy                                                    *)
 
 let fits t tk =
   t.mem_in_flight +. tk.tk_mem <= t.cfg.mem_budget_bytes
 
-(** The next ticket to admit, under the lock: strict priority first; within
-    a priority, sessions in round-robin order starting after the last
-    session served; within a session, FIFO.  The first candidate in that
-    order whose memory estimate fits is taken; when nothing is in flight
-    the head candidate is admitted even over budget. *)
+(** The next ticket to admit, under the lock: sessions in round-robin
+    order starting after the last session served; within a session, FIFO
+    (the queue is in submission order).  The first candidate in that order
+    whose memory estimate fits is taken; when nothing is in flight the head
+    candidate is admitted even over budget. *)
 let select_next t =
   if t.in_flight >= t.cfg.capacity then None
   else begin
-    let candidates = ref [] in
-    for prio = n_priorities - 1 downto 0 do
-      let at_prio =
-        List.filter (fun tk -> tk.tk_priority = prio) t.queued
-      in
-      if at_prio <> [] then begin
-        let sessions =
-          List.sort_uniq Int.compare
-            (List.map (fun tk -> tk.tk_session) at_prio)
-        in
-        let last = t.rr_last.(prio) in
-        let after, upto =
-          List.partition (fun s -> s > last) sessions
-        in
-        let order = after @ upto in
-        let per_session =
-          List.map
-            (fun s ->
-              List.fold_left
-                (fun best tk ->
-                  if tk.tk_session <> s then best
-                  else
-                    match best with
-                    | Some b when b.tk_seq <= tk.tk_seq -> best
-                    | _ -> Some tk)
-                None at_prio)
-            order
-        in
-        candidates :=
-          List.filter_map (fun x -> x) per_session @ !candidates
-      end
-    done;
-    let candidates = !candidates in
+    let sessions =
+      List.sort_uniq Int.compare (List.map (fun tk -> tk.tk_session) t.queued)
+    in
+    let after, upto = List.partition (fun s -> s > t.rr_last) sessions in
+    let candidates =
+      List.filter_map
+        (fun s -> List.find_opt (fun tk -> tk.tk_session = s) t.queued)
+        (after @ upto)
+    in
     match List.find_opt (fits t) candidates with
     | Some tk -> Some tk
     | None -> (
@@ -209,7 +179,7 @@ let select_next t =
 
 let admit t tk =
   t.queued <- List.filter (fun x -> x != tk) t.queued;
-  t.rr_last.(tk.tk_priority) <- tk.tk_session;
+  t.rr_last <- tk.tk_session;
   t.in_flight <- t.in_flight + 1;
   t.mem_in_flight <- t.mem_in_flight +. tk.tk_mem;
   if t.in_flight > t.peak_in_flight then t.peak_in_flight <- t.in_flight;
@@ -281,18 +251,6 @@ let worker_loop t =
 (* ------------------------------------------------------------------ *)
 (* Server lifecycle                                                    *)
 
-(** Resolve every partitioned table's selection index on the calling
-    thread: the build-once cache must be populated before worker domains
-    race to read it. *)
-let prewarm_indexes t =
-  List.iter
-    (fun (tbl : Mpp_catalog.Table.t) ->
-      match tbl.partitioning with
-      | Some p -> ignore (Mpp_catalog.Partition.Index.of_partitioning p)
-      | None -> ())
-    (Catalog.tables t.catalog);
-  t.seen_generation <- Catalog.generation t.catalog
-
 let create ?(config = default_config) ?stats ~catalog ~storage () =
   if config.workers < 1 then invalid_arg "Serve.create: workers < 1";
   if config.capacity < 1 then invalid_arg "Serve.create: capacity < 1";
@@ -307,14 +265,12 @@ let create ?(config = default_config) ?stats ~catalog ~storage () =
       work_cv = Condition.create ();
       done_cv = Condition.create ();
       queued = [];
-      rr_last = Array.make n_priorities (-1);
+      rr_last = -1;
       in_flight = 0;
       mem_in_flight = 0.0;
-      next_seq = 0;
       shutdown = false;
       workers = [];
       pools = [];
-      seen_generation = -1;
       submitted = 0;
       completed = 0;
       failed = 0;
@@ -324,7 +280,6 @@ let create ?(config = default_config) ?stats ~catalog ~storage () =
       peak_queued = 0;
     }
   in
-  prewarm_indexes t;
   t.workers <-
     List.init config.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
@@ -375,13 +330,10 @@ let optimize t lg =
       in
       (plan, est)
 
-(** Coordinator-side plan resolution: cache probe, else optimize + verify +
-    insert.  Returns (plan, est, hit, seconds). *)
+(** Coordinator-side plan resolution: cache probe, else optimize (the
+    optimizer verifies its plan) + insert.  Returns (plan, est, hit,
+    seconds). *)
 let resolve t prepared params =
-  (* DDL since the last resolution: re-resolve partition indexes before
-     any worker touches a new table's build-once cache. *)
-  if Catalog.generation t.catalog <> t.seen_generation then
-    prewarm_indexes t;
   let key =
     Plan_cache.key
       ~fingerprint:prepared.p_norm.Normalize.fingerprint
@@ -400,9 +352,7 @@ let resolve t prepared params =
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
 
-let submit t ~session ?(priority = 1) prepared binds =
-  if priority < 0 || priority >= n_priorities then
-    invalid_arg "Serve.submit: priority out of range";
+let submit t ~session prepared binds =
   let params = Normalize.params prepared.p_norm binds in
   let plan, est, hit, opt_seconds = resolve t prepared params in
   let mem = mem_estimate plan est in
@@ -410,8 +360,6 @@ let submit t ~session ?(priority = 1) prepared binds =
   let tk =
     {
       tk_session = session;
-      tk_priority = priority;
-      tk_seq = t.next_seq;
       tk_plan = plan;
       tk_params = params;
       tk_mem = mem;
@@ -421,7 +369,6 @@ let submit t ~session ?(priority = 1) prepared binds =
       tk_state = Queued;
     }
   in
-  t.next_seq <- t.next_seq + 1;
   t.submitted <- t.submitted + 1;
   t.queued <- t.queued @ [ tk ];
   let q = List.length t.queued in
@@ -448,8 +395,8 @@ let await t tk =
   wait ()
 
 (** One-shot convenience: submit and wait. *)
-let execute t ~session ?priority prepared binds =
-  await t (submit t ~session ?priority prepared binds)
+let execute t ~session prepared binds =
+  await t (submit t ~session prepared binds)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-loop session driver                                          *)
@@ -460,7 +407,7 @@ let execute t ~session ?priority prepared binds =
     previous completes — concurrency comes from the sessions, capacity
     from the admission controller).  Returns per-session results in
     submission order. *)
-let run_stream t ?(priority = fun _session -> 1) sessions =
+let run_stream t sessions =
   let n = Array.length sessions in
   let results = Array.map (fun _ -> []) sessions in
   let pending = Array.map (fun l -> ref l) sessions in
@@ -471,7 +418,7 @@ let run_stream t ?(priority = fun _session -> 1) sessions =
     | (prepared, binds) :: rest ->
         pending.(i) <- ref rest;
         current.(i) <-
-          Some (submit t ~session:i ~priority:(priority i) prepared binds)
+          Some (submit t ~session:i prepared binds)
   in
   for i = 0 to n - 1 do
     submit_next i

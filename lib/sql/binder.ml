@@ -90,6 +90,29 @@ let check_comparable what a b =
               (Value.datatype_to_string ta) (Value.datatype_to_string tb)))
   | _ -> ()
 
+(* A value stored into a column of type [want] — an INSERT value or an
+   UPDATE SET expression.  Literals are coerced to the column's type (a
+   string to a date, an int to a float); a value whose type can never be
+   stored there is a bind error, as for comparisons.  [what] names the
+   target column; it is only rendered on error. *)
+let coerce_assigned what want e =
+  let e =
+    match (want, e) with
+    | Value.Tdate, Expr.Const (Value.String s) -> (
+        try Expr.Const (Value.date_of_string s) with _ -> e)
+    | Value.Tfloat, Expr.Const (Value.Int n) ->
+        Expr.Const (Value.Float (float_of_int n))
+    | _ -> e
+  in
+  (match operand_type e with
+  | Some t when not (Value.comparable t want) ->
+      raise
+        (Bind_error
+           (Printf.sprintf "%s expects %s, got %s" (what ())
+              (Value.datatype_to_string want) (Value.datatype_to_string t)))
+  | _ -> ());
+  e
+
 type bound = {
   expr : Expr.t;
   semis : (Expr.t * Logical.t) list;
@@ -372,16 +395,9 @@ let bind_update catalog (u : Ast.update) : Logical.t =
     List.map
       (fun (c, e) ->
         let b = bind_expr catalog scope ~next_rel e in
-        (* coerce literals to the target column's declared type *)
-        let expr =
-          match (Table.col_type target c, b.expr) with
-          | Value.Tdate, Expr.Const (Value.String s) -> (
-              try Expr.Const (Value.date_of_string s) with _ -> b.expr)
-          | Value.Tfloat, Expr.Const (Value.Int i) ->
-              Expr.Const (Value.Float (float_of_int i))
-          | _ -> b.expr
-        in
-        (c, expr))
+        ( c,
+          coerce_assigned (fun () -> "SET " ^ c) (Table.col_type target c)
+            b.expr ))
       u.Ast.u_set
   in
   Logical.Update { rel = 0; table_name = u.Ast.u_table; set_cols; child = tree }
@@ -422,14 +438,6 @@ let bind_insert catalog (i : Ast.insert) : Logical.t =
       columns
   in
   let ncols = Table.ncols table in
-  let coerce dtype e =
-    match (dtype, e) with
-    | Value.Tdate, Expr.Const (Value.String s) -> (
-        try Expr.Const (Value.date_of_string s) with _ -> e)
-    | Value.Tfloat, Expr.Const (Value.Int n) ->
-        Expr.Const (Value.Float (float_of_int n))
-    | _ -> e
-  in
   let rows =
     List.map
       (fun row ->
@@ -442,7 +450,9 @@ let bind_insert catalog (i : Ast.insert) : Logical.t =
             let b = bind_expr catalog [] ~next_rel:(ref 0) e in
             if b.semis <> [] then
               raise (Bind_error "subqueries are not allowed in VALUES");
-            slots.(idx) <- coerce (snd table.Table.columns.(idx)) b.expr)
+            let name, want = table.Table.columns.(idx) in
+            slots.(idx) <-
+              coerce_assigned (fun () -> "INSERT column " ^ name) want b.expr)
           indices row;
         Array.to_list slots)
       i.Ast.i_rows

@@ -51,15 +51,13 @@ let physical_oid (table : Mpp_catalog.Table.t) (tuple : tuple) =
   | Some p ->
       (* Bulk-load routing goes through the selection index: one O(log P)
          binary search (or O(1) hash probe) per level instead of the legacy
-         scan of every leaf.  [of_partitioning] builds the index on the first
-         tuple and reuses the cached copy for the rest of the load. *)
-      let idx = Mpp_catalog.Partition.Index.of_partitioning p in
+         scan of every leaf. *)
       let keys =
         Array.map
           (fun (lv : Mpp_catalog.Partition.level) -> tuple.(lv.key_index))
           p.levels
       in
-      (match Mpp_catalog.Partition.Index.route idx keys with
+      (match Mpp_catalog.Partition.Index.route p.index keys with
       | Some lf -> lf.leaf_oid
       | None -> raise (No_partition_for_tuple { table = table.name; tuple }))
 

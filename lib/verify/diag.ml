@@ -22,15 +22,6 @@ let pass_to_string = function
   | Filters -> "filters"
   | Pruning -> "pruning"
 
-let pass_of_string = function
-  | "structure" -> Some Structure
-  | "schema" -> Some Schema
-  | "distribution" -> Some Distribution
-  | "accounting" -> Some Accounting
-  | "filters" -> Some Filters
-  | "pruning" -> Some Pruning
-  | _ -> None
-
 let make ?(severity = Error) ~pass ~code ~path message =
   { severity; pass; code; path; message }
 
@@ -55,5 +46,3 @@ let to_json d =
       ("path", Mpp_obs.Json.String d.path);
       ("message", Mpp_obs.Json.String d.message);
     ]
-
-let list_to_json ds = Mpp_obs.Json.List (List.map to_json ds)

@@ -19,7 +19,6 @@ type t = {
 
 val severity_to_string : severity -> string
 val pass_to_string : pass -> string
-val pass_of_string : string -> pass option
 
 val make :
   ?severity:severity -> pass:pass -> code:string -> path:string -> string -> t
@@ -37,4 +36,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 val to_json : t -> Mpp_obs.Json.t
-val list_to_json : t list -> Mpp_obs.Json.t

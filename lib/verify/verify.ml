@@ -779,9 +779,7 @@ let expected_nparts ~catalog ~keys ~predicates root_oid : int option =
                    keys predicates)
             in
             Some
-              (Partition.Index.count_selected
-                 (Partition.Index.of_partitioning part)
-                 restr))
+              (Partition.Index.count_selected part.Partition.index restr))
 
 let total_nparts ~catalog root_oid =
   match table_opt catalog root_oid with
@@ -896,9 +894,7 @@ let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
                          keys)
                   in
                   let surviving =
-                    Partition.Index.select_oids
-                      (Partition.Index.of_partitioning part)
-                      restr
+                    Partition.Index.select_oids part.Partition.index restr
                   in
                   let missing =
                     List.filter

@@ -264,7 +264,7 @@ let test_leaf_oids_ascend () =
     match tbl.Table.partitioning with
     | None -> ()
     | Some p ->
-        let ix = Part.Index.of_partitioning p in
+        let ix = p.Part.index in
         Array.iteri
           (fun j (lf : Part.leaf) ->
             if j > 0 && p.Part.leaves.(j - 1).Part.leaf_oid >= lf.Part.leaf_oid

@@ -176,10 +176,11 @@ let test_two_phase_aggregation () =
       0 two_phase
   in
   Alcotest.(check int) "partial + final aggregate" 2 aggs;
-  let single_config =
-    { Opt.default_config with enable_two_phase_agg = false }
+  (* the legacy planner gathers and aggregates once: the single-phase
+     reference *)
+  let single =
+    Mpp_planner.Planner.plan (Mpp_planner.Planner.create ~catalog ()) lg
   in
-  let single = optimize ~config:single_config ~stats catalog lg in
   let r2, m2 = run ~catalog ~storage two_phase in
   let r1, m1 = run ~catalog ~storage single in
   Support.check_rows_equal "two-phase = single-phase" r1 r2;

@@ -30,7 +30,7 @@ let leaf_oid_opt = Option.map (fun (lf : Part.leaf) -> lf.Part.leaf_oid)
 (* Indexed select / count / bits must agree with the legacy oracle on this
    restriction array, oid for oid. *)
 let check_select what p restrictions =
-  let ix = Part.Index.of_partitioning p in
+  let ix = p.Part.index in
   let legacy = Part.select_oids_legacy p restrictions in
   Alcotest.(check (list int))
     (what ^ ": indexed select = legacy")
@@ -222,7 +222,7 @@ let prop_select_matches_oracle =
     ~name:"indexed select = legacy oracle (randomized layouts)"
     layout_and_restrictions_gen
     (fun (p, restrictions) ->
-      let ix = Part.Index.of_partitioning p in
+      let ix = p.Part.index in
       let legacy = Part.select_oids_legacy p restrictions in
       Part.Index.select_oids ix restrictions = legacy
       && Part.Index.count_selected ix restrictions = List.length legacy

@@ -1,8 +1,9 @@
 (** Serving-layer tests: plan-cache correctness (cache-hit executions are
     row-identical to fresh optimization for randomized bind parameters,
     under both optimizers, serial and parallel executors), invalidation on
-    catalog change, and admission control (capacity-1 serialization,
-    memory budgets, Dpool/Channel accounting). *)
+    catalog change, one verifier run per miss, a partitioned table added
+    while serving, and admission control (capacity-1 serialization, memory
+    budgets, Dpool/Channel accounting). *)
 
 open Mpp_expr
 module W = Mpp_workload
@@ -220,6 +221,76 @@ let test_invalidation_on_catalog_change () =
       Alcotest.(check bool) "invalidation counted" true
         (s.Plan_cache.invalidations >= 1))
 
+(* Each plan is verified once, by the optimizer that made it: a miss adds
+   one verifier run and a hit adds none. *)
+let test_one_verify_per_miss optimizer () =
+  let env = Lazy.force env in
+  let config = serve_config ~optimizer () in
+  let sink = Mpp_obs.Obs.create () in
+  Mpp_obs.Obs.install sink;
+  Fun.protect ~finally:Mpp_obs.Obs.uninstall (fun () ->
+      with_server ~config env (fun srv ->
+          let verified () = Mpp_obs.Obs.counter sink "verify.plans" in
+          let prepared =
+            Serve.prepare srv
+              "SELECT count(*) FROM store_sales WHERE ss_qty < 7 AND \
+               ss_item > 2"
+          in
+          let before = verified () in
+          let miss = Serve.execute srv ~session:0 prepared [] in
+          let after_miss = verified () in
+          let hit = Serve.execute srv ~session:0 prepared [] in
+          Alcotest.(check (pair bool bool)) "miss, then hit" (false, true)
+            (miss.Serve.cache_hit, hit.Serve.cache_hit);
+          Alcotest.(check int) "a miss verifies once" 1 (after_miss - before);
+          Alcotest.(check int) "a hit does not verify" 0
+            (verified () - after_miss)))
+
+(* A range-partitioned table created and loaded mid-session is queried
+   through the server, its workers on two-domain pools: rows and
+   partitions scanned equal a direct execution's. *)
+let test_partitioned_ddl_while_serving () =
+  let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
+  let catalog = env.W.Runner.catalog and storage = env.W.Runner.storage in
+  let config = serve_config ~workers:2 ~exec_domains:2 () in
+  with_server ~config env (fun srv ->
+      ignore
+        (Serve.execute srv ~session:0
+           (Serve.prepare srv "SELECT count(*) FROM store_sales")
+           []);
+      let partitioning =
+        Mpp_catalog.Partition.single_level
+          ~alloc_oid:(fun () -> Catalog.alloc_oid catalog)
+          ~key_index:0 ~key_name:"k" ~scheme:Mpp_catalog.Partition.Range
+          ~table_name:"serve_ddl_probe"
+          (Mpp_catalog.Partition.int_ranges ~start:0 ~width:10 ~count:8)
+      in
+      let tbl =
+        Catalog.add_table catalog ~name:"serve_ddl_probe"
+          ~columns:[ ("k", Value.Tint); ("v", Value.Tint) ]
+          ~distribution:(Mpp_catalog.Distribution.Hashed [ 1 ])
+          ~partitioning ()
+      in
+      Mpp_storage.Storage.load storage tbl
+        (List.init 80 (fun i -> [| Value.Int i; Value.Int (i * 3) |]));
+      let sql =
+        "SELECT count(*), sum(v) FROM serve_ddl_probe WHERE k >= 20 AND k < 40"
+      in
+      let served = Serve.execute srv ~session:1 (Serve.prepare srv sql) [] in
+      let rows, metrics =
+        Exec.run ~catalog ~storage
+          (Orca.Optimizer.optimize
+             (Orca.Optimizer.create ~stats:env.W.Runner.stats ~catalog ())
+             (Mpp_sql.Sql.to_logical catalog sql))
+      in
+      Support.check_rows_equal "rows = direct execution" rows served.Serve.rows;
+      let parts m =
+        Metrics.parts_scanned_of m ~root_oid:tbl.Mpp_catalog.Table.oid
+      in
+      Alcotest.(check int) "two of eight partitions" 2 (parts metrics);
+      Alcotest.(check int) "parts scanned = direct execution" (parts metrics)
+        (parts served.Serve.metrics))
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 
@@ -363,6 +434,13 @@ let () =
             (test_workload_roundtrip Serve.Planner);
           Alcotest.test_case "invalidation on catalog change" `Quick
             test_invalidation_on_catalog_change;
+          Alcotest.test_case "one verifier run per cache miss, orca" `Quick
+            (test_one_verify_per_miss Serve.Orca);
+          Alcotest.test_case "one verifier run per cache miss, planner"
+            `Quick
+            (test_one_verify_per_miss Serve.Planner);
+          Alcotest.test_case "partitioned table added while serving" `Quick
+            test_partitioned_ddl_while_serving;
         ] );
       ( "admission control",
         [

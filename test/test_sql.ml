@@ -140,19 +140,24 @@ let test_bind_qualified_and_ambiguous () =
     (try ignore (Sql.to_logical cat "SELECT z.id FROM orders o"); false
      with Sql.Error _ -> true)
 
-(* Comparisons whose operand types can never compare are bind errors;
-   int against float still compares, and a date literal in a string still
-   coerces to a date. *)
+(* Comparisons whose operand types can never compare are bind errors, and
+   so are INSERT values and UPDATE SET expressions whose type can never be
+   stored in their column; int against float still compares, and a date
+   literal in a string still coerces to a date. *)
 let test_bind_type_errors () =
   let cat = catalog () in
+  let contains m s =
+    let k = String.length s in
+    List.exists
+      (fun i -> String.sub m i k = s)
+      (List.init (max 0 (String.length m - k + 1)) Fun.id)
+  in
   let rejects sql =
     match Sql.to_logical cat sql with
     | _ -> false
     | exception Sql.Error m ->
-        let k = String.length " mixes " in
-        List.exists
-          (fun i -> String.sub m i k = " mixes ")
-          (List.init (max 0 (String.length m - k + 1)) Fun.id)
+        contains m "bind error: "
+        && (contains m " mixes " || contains m " expects ")
   in
   List.iter
     (fun sql -> Alcotest.(check bool) sql true (rejects sql))
@@ -160,7 +165,12 @@ let test_bind_type_errors () =
       "SELECT count(*) FROM orders WHERE date = 'not a date'";
       "SELECT count(*) FROM orders WHERE amount BETWEEN 1 AND 'x'";
       "SELECT count(*) FROM orders WHERE id IN (1, 'x')";
-      "SELECT count(*) FROM orders WHERE date IN (SELECT d_year FROM date_dim)" ];
+      "SELECT count(*) FROM orders WHERE date IN (SELECT d_year FROM date_dim)";
+      "INSERT INTO orders VALUES (1, 2.5, 7)";
+      "INSERT INTO orders VALUES ('x', 2.5, '2013-01-01')";
+      "INSERT INTO orders (id, date) VALUES (1, 'not a date')";
+      "UPDATE orders SET amount = 'x' WHERE id = 1";
+      "UPDATE orders SET date = 7 WHERE id = 1" ];
   List.iter
     (fun sql ->
       Alcotest.(check bool) sql true
@@ -169,7 +179,10 @@ let test_bind_type_errors () =
         | exception Sql.Error _ -> false))
     [ "SELECT count(*) FROM orders WHERE amount = 3";
       "SELECT count(*) FROM orders WHERE date >= '2012-06-01'";
-      "SELECT count(*) FROM orders WHERE id = NULL" ]
+      "SELECT count(*) FROM orders WHERE id = NULL";
+      "INSERT INTO orders VALUES (1, 2, '2013-01-01')";
+      "INSERT INTO orders VALUES (NULL, 2.5, NULL)";
+      "UPDATE orders SET amount = 3, date = '2013-02-01' WHERE id = 1" ]
 
 let test_bind_join_tree () =
   let lg =
