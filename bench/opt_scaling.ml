@@ -1,0 +1,60 @@
+(** Optimize-time scaling: big-join graphs. *)
+
+open Harness
+
+(* How optimize time grows with relation count on generated star/chain/
+   clique graphs.  Each point also records [joinorder_states], the
+   join-order search's kept states summed over its levels: a count that
+   moves only when the beam or the search space changes, which
+   check-regression pins for the smoke graphs (14 relations is past the
+   point where the beam binds).  [~smoke] runs small graphs and checks
+   the schema only. *)
+let run ~smoke =
+  header
+    (if smoke then "Bench: optimize-time scaling (smoke mode, tiny graphs)"
+     else "Bench: optimize-time scaling on big-join graphs");
+  let shapes =
+    [ (W.Biggen.Star, "star"); (W.Biggen.Chain, "chain");
+      (W.Biggen.Clique, "clique") ]
+  in
+  let sizes = if smoke then [ 5; 8; 14 ] else [ 5; 10; 20; 30 ] in
+  let reps = if smoke then 1 else 5 in
+  let optimize_once benv =
+    W.Runner.optimize_logical ~stats:benv.W.Biggen.stats
+      ~catalog:benv.W.Biggen.catalog W.Runner.Orca benv.W.Biggen.logical
+  in
+  (* the warm-up call warms the stats caches *)
+  let timed benv =
+    median (samples reps (fun () -> optimize_once benv)) *. 1000.0
+  in
+  let states benv =
+    let sink = Obs.create () in
+    Obs.install sink;
+    Fun.protect ~finally:Obs.uninstall (fun () -> ignore (optimize_once benv));
+    Obs.counter sink "joinorder.states"
+  in
+  Printf.printf "%-10s %8s %14s %8s\n" "shape" "#rels" "optimize (ms)"
+    "states";
+  let points =
+    List.concat_map
+      (fun (shape, sname) ->
+        List.map
+          (fun nrels ->
+            let benv = W.Biggen.generate { W.Biggen.shape; nrels; seed = 1 } in
+            let ms = timed benv in
+            let st = states benv in
+            Printf.printf "%-10s %8d %14.2f %8d\n" sname nrels ms st;
+            Json.Obj
+              [ ("shape", Json.String sname);
+                ("nrels", Json.Int nrels);
+                ("optimize_ms", Json.Float ms);
+                ("joinorder_states", Json.Int st) ])
+          sizes)
+      shapes
+  in
+  record "opt_scaling"
+    (Json.Obj
+       [ ("smoke", Json.Bool smoke);
+         ("reps", Json.Int reps);
+         ("points", Json.List points) ]);
+  if smoke then print_endline "smoke OK: opt_scaling schema valid"

@@ -18,8 +18,7 @@ module Plan = Mpp_plan.Plan
 module W = Mpp_workload
 module Obs = Mpp_obs.Obs
 module Json = Mpp_obs.Json
-
-type opt_kind = Orca | Planner
+module Serve = Mpp_serve.Serve
 
 let env_of ~scale ~segments =
   W.Runner.setup_env ~scale ~nsegments:segments ()
@@ -30,12 +29,12 @@ let env_of ~scale ~segments =
 let plan_est_of env kind ~selection sql =
   let logical = Mpp_sql.Sql.to_logical env.W.Runner.catalog sql in
   match kind with
-  | Planner ->
+  | Serve.Planner ->
       ( Mpp_planner.Planner.plan
           (Mpp_planner.Planner.create ~catalog:env.W.Runner.catalog ())
           logical,
         Mpp_plan.Est.none )
-  | Orca ->
+  | Serve.Orca ->
       let config =
         { Orca.Optimizer.default_config with
           enable_partition_selection = selection }
@@ -351,21 +350,10 @@ let do_lint env selection ~workload ~biggen sql_opt =
   end
   else print_endline "no lint findings"
 
-(* [mppsim check] — run the multi-pass plan verifier over the plans both
-   optimizers produce (for one SQL statement, or for the whole built-in
-   workload with [--workload]) and pretty-print the diagnostics.  The
-   optimizers already gate every plan they emit on the verifier's error
-   diagnostics, so a plan that comes back at all can only carry warnings;
-   an optimizer-side rejection is reported as a failure here too.  Exits
-   1 when anything fails, so the target doubles as a CI smoke test. *)
-module Serve = Mpp_serve.Serve
-
-let serve_optimizer = function Orca -> Serve.Orca | Planner -> Serve.Planner
-
 let serve_config ?(workers = 2) ?(capacity = 4) ?domains kind =
   {
     Serve.default_config with
-    optimizer = serve_optimizer kind;
+    optimizer = kind;
     workers;
     capacity;
     exec_domains = (match domains with Some d -> d | None -> 1);
@@ -410,6 +398,15 @@ let report_statement_error f =
       | Some m -> Printf.printf "error: %s\n" m
       | None -> raise e)
 
+(* [mppsim check] — run the multi-pass plan verifier over the plans both
+   optimizers produce (for one SQL statement, or for the whole built-in
+   workload with [--workload]) and pretty-print the diagnostics, followed
+   by the linter's findings on the same plan.  The optimizers already gate
+   every plan they emit on the verifier's error diagnostics, so a plan
+   that comes back at all can only carry warnings and lint findings,
+   neither of which fails the run; an optimizer-side rejection is reported
+   as a failure here too.  Exits 1 when anything fails, so the target
+   doubles as a CI smoke test. *)
 let do_check env selection ~workload ~biggen sql_opt =
   let nfail = ref 0 in
   let report ?(catalog = env.W.Runner.catalog) name kname = function
@@ -418,12 +415,18 @@ let do_check env selection ~workload ~biggen sql_opt =
         Printf.printf "%-28s %-8s rejected by optimizer: %s\n" name kname msg
     | Ok plan -> (
         let diags = Mpp_verify.Verify.check ~catalog plan in
+        let findings = Mpp_analysis.Analysis.Lint.plan ~catalog plan in
         if Mpp_verify.Diag.has_errors diags then incr nfail;
-        match diags with
-        | [] -> Printf.printf "%-28s %-8s clean\n" name kname
-        | ds ->
+        match (diags, findings) with
+        | [], [] -> Printf.printf "%-28s %-8s clean\n" name kname
+        | ds, fs ->
             Printf.printf "%-28s %-8s\n" name kname;
-            Format.printf "%a@." Mpp_verify.Verify.pp_report ds)
+            if ds <> [] then
+              Format.printf "%a@." Mpp_verify.Verify.pp_report ds;
+            List.iter
+              (fun f ->
+                Format.printf "  %a@." Mpp_analysis.Analysis.Lint.pp_finding f)
+              fs)
   in
   let guard f =
     match f () with
@@ -448,21 +451,16 @@ let do_check env selection ~workload ~biggen sql_opt =
         let benv = W.Biggen.generate spec in
         let catalog = benv.W.Biggen.catalog in
         let name = benv.W.Biggen.name in
+        let plan kind () =
+          W.Runner.optimize_logical ~stats:benv.W.Biggen.stats ~catalog kind
+            benv.W.Biggen.logical
+        in
         report ~catalog name "orca"
-          (guard (fun () ->
-               let config =
-                 { Orca.Optimizer.default_config with
-                   enable_partition_selection = selection }
-               in
-               Orca.Optimizer.optimize
-                 (Orca.Optimizer.create ~config ~stats:benv.W.Biggen.stats
-                    ~catalog ())
-                 benv.W.Biggen.logical));
-        report ~catalog name "planner"
-          (guard (fun () ->
-               Mpp_planner.Planner.plan
-                 (Mpp_planner.Planner.create ~catalog ())
-                 benv.W.Biggen.logical)))
+          (guard
+             (plan
+                (if selection then W.Runner.Orca
+                 else W.Runner.Orca_no_selection)));
+        report ~catalog name "planner" (guard (plan W.Runner.Legacy_planner)))
       (W.Biggen.default_suite ());
   (if not (workload || biggen) then
      match sql_opt with
@@ -471,7 +469,7 @@ let do_check env selection ~workload ~biggen sql_opt =
            (fun (kname, kind) ->
              report "query" kname
                (guard (fun () -> plan_of env kind ~selection sql)))
-           [ ("orca", Orca); ("planner", Planner) ]
+           [ ("orca", Serve.Orca); ("planner", Serve.Planner) ]
      | None ->
          prerr_endline
            "mppsim check: provide a SQL argument, --workload or --biggen";
@@ -488,7 +486,7 @@ let do_check env selection ~workload ~biggen sql_opt =
      workload — the second execution of each statement must come out of
      the plan cache and return exactly the cold pass's rows *)
   if workload then begin
-    let config = serve_config ~workers:2 ~capacity:2 Orca in
+    let config = serve_config ~workers:2 ~capacity:2 Serve.Orca in
     let serve_fail = ref 0 in
     with_server env config (fun srv ->
         List.iter
@@ -691,8 +689,10 @@ let setup_logs verbose =
   end
 
 let optimizer_arg =
-  let kind_conv = Arg.enum [ ("orca", Orca); ("planner", Planner) ] in
-  Arg.(value & opt kind_conv Orca & info [ "optimizer"; "o" ]
+  let kind_conv =
+    Arg.enum [ ("orca", Serve.Orca); ("planner", Serve.Planner) ]
+  in
+  Arg.(value & opt kind_conv Serve.Orca & info [ "optimizer"; "o" ]
          ~doc:"Optimizer to use: orca (default) or planner.")
 
 let no_selection_arg =
@@ -748,7 +748,7 @@ let cluster_term ?(optimizer = true) ?(selection = true) () =
     const (fun kind no_selection scale segments verbose ->
         setup_logs verbose;
         (env_of ~scale ~segments, kind, not no_selection))
-    $ (if optimizer then optimizer_arg else const Orca)
+    $ (if optimizer then optimizer_arg else const Serve.Orca)
     $ (if selection then no_selection_arg else const false)
     $ scale_arg $ segments_arg $ verbose_arg)
 

@@ -1062,26 +1062,6 @@ module Lint = struct
   let pp_finding fmt f =
     Format.fprintf fmt "%s at %s: %s" f.code f.path f.detail
 
-  let short = function
-    | Plan.Table_scan _ -> "Scan"
-    | Plan.Dynamic_scan _ -> "DynamicScan"
-    | Plan.Partition_selector _ -> "PartitionSelector"
-    | Plan.Sequence _ -> "Sequence"
-    | Plan.Filter _ -> "Filter"
-    | Plan.Project _ -> "Project"
-    | Plan.Hash_join _ -> "HashJoin"
-    | Plan.Nl_join _ -> "NLJoin"
-    | Plan.Agg _ -> "Agg"
-    | Plan.Sort _ -> "Sort"
-    | Plan.Limit _ -> "Limit"
-    | Plan.Motion _ -> "Motion"
-    | Plan.Append _ -> "Append"
-    | Plan.Update _ -> "Update"
-    | Plan.Delete _ -> "Delete"
-    | Plan.Insert _ -> "Insert"
-    | Plan.Runtime_filter_build _ -> "RuntimeFilterBuild"
-    | Plan.Runtime_filter _ -> "RuntimeFilter"
-
   let plan ~catalog (plan : Plan.t) =
     let findings = ref [] in
     let emit code path detail = findings := { code; path; detail } :: !findings in
@@ -1132,9 +1112,9 @@ module Lint = struct
             cs
       | _ -> ());
       List.iteri
-        (fun i c -> walk (Printf.sprintf "%d.%s" i (short c) :: path) c)
+        (fun i c -> walk (Printf.sprintf "%d.%s" i (Plan.name c) :: path) c)
         (Plan.children p)
     in
-    walk [ short plan ] plan;
+    walk [ Plan.name plan ] plan;
     List.rev !findings
 end

@@ -282,6 +282,26 @@ let agg_fun_to_string = function
   | Min e -> "min(" ^ Expr.to_string e ^ ")"
   | Max e -> "max(" ^ Expr.to_string e ^ ")"
 
+let name = function
+  | Table_scan _ -> "Scan"
+  | Dynamic_scan _ -> "DynamicScan"
+  | Partition_selector _ -> "PartitionSelector"
+  | Sequence _ -> "Sequence"
+  | Filter _ -> "Filter"
+  | Project _ -> "Project"
+  | Hash_join _ -> "HashJoin"
+  | Nl_join _ -> "NLJoin"
+  | Agg _ -> "Agg"
+  | Sort _ -> "Sort"
+  | Limit _ -> "Limit"
+  | Motion _ -> "Motion"
+  | Append _ -> "Append"
+  | Update _ -> "Update"
+  | Delete _ -> "Delete"
+  | Insert _ -> "Insert"
+  | Runtime_filter_build _ -> "RuntimeFilterBuild"
+  | Runtime_filter _ -> "RuntimeFilter"
+
 let describe = function
   | Table_scan { rel; table_oid; filter; guard } ->
       Printf.sprintf "Scan(rel=%d, oid=%d%s%s)" rel table_oid

@@ -187,6 +187,10 @@ val join_kind_to_string : join_kind -> string
 val motion_kind_to_string : motion_kind -> string
 val agg_fun_to_string : agg_fun -> string
 
+val name : t -> string
+(** The root operator's name, e.g. ["DynamicScan"]: the node segments of
+    the verifier's and the linter's plan paths. *)
+
 val describe : t -> string
 (** One line for the root operator. *)
 

@@ -11,26 +11,6 @@ module Obs = Mpp_obs.Obs
 (* Node paths                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let short = function
-  | Plan.Table_scan _ -> "Scan"
-  | Plan.Dynamic_scan _ -> "DynScan"
-  | Plan.Partition_selector _ -> "Selector"
-  | Plan.Sequence _ -> "Sequence"
-  | Plan.Filter _ -> "Filter"
-  | Plan.Project _ -> "Project"
-  | Plan.Hash_join _ -> "HashJoin"
-  | Plan.Nl_join _ -> "NLJoin"
-  | Plan.Agg _ -> "Agg"
-  | Plan.Sort _ -> "Sort"
-  | Plan.Limit _ -> "Limit"
-  | Plan.Motion _ -> "Motion"
-  | Plan.Append _ -> "Append"
-  | Plan.Update _ -> "Update"
-  | Plan.Delete _ -> "Delete"
-  | Plan.Insert _ -> "Insert"
-  | Plan.Runtime_filter_build _ -> "RFBuild"
-  | Plan.Runtime_filter _ -> "RFApply"
-
 (* A path is kept as a reversed segment list and rendered on demand.  The
    segments stay symbolic (child index + node) until a diagnostic is
    actually emitted: clean plans — the common case on the optimizer hot
@@ -41,8 +21,8 @@ let render path =
   String.concat "/"
     (List.rev_map
        (function
-         | Root p -> short p
-         | Child (i, c) -> string_of_int i ^ "." ^ short c)
+         | Root p -> Plan.name p
+         | Child (i, c) -> string_of_int i ^ "." ^ Plan.name c)
        path)
 
 let seg i child = Child (i, child)
@@ -1144,18 +1124,14 @@ let partitioning_opt catalog root_oid =
 
 (* Re-derive, independently of the optimizer, the partitions each pruning
    site's reachable predicates permit, and check the plan's static pruning
-   kept a superset (over-pruning = silently missing rows = Error).  Two
-   weaker smells are Warnings: an Append child whose own filter already
-   contradicts its leaf's bounds (dead branch the optimizer failed to cut)
-   and a filter predicate that contradicts the derived bounds of its
-   input (always-empty subtree).  A literal [false] filter is exempt —
-   that is the sanctioned statically-empty shape. *)
+   kept a superset (over-pruning = silently missing rows = Error).  Dead
+   branches and contradictory filters are plan smells, not errors: they
+   are {!Mpp_analysis.Analysis.Lint}'s to report. *)
 let pruning_pass ~catalog (plan : Plan.t) : Diag.t list =
   let diags = ref [] in
-  let emit ?severity code path msg =
+  let emit code path msg =
     diags :=
-      Diag.make ?severity ~pass:Diag.Pruning ~code ~path:(render path) msg
-      :: !diags
+      Diag.make ~pass:Diag.Pruning ~code ~path:(render path) msg :: !diags
   in
   let sels = selector_map plan in
   List.iter
@@ -1219,41 +1195,6 @@ let pruning_pass ~catalog (plan : Plan.t) : Diag.t list =
                         (List.map string_of_int missing))
                      (List.length selected) (List.length permitted))))
     (Analysis.pruning_sites ~catalog plan);
-  let rec walk ~under_append path (p : Plan.t) =
-    (match p with
-    | Plan.Filter { pred; child } ->
-        if
-          (not (Expr.equal pred Expr.false_))
-          && Analysis.contradicts (Analysis.derive ~catalog child) pred
-        then
-          emit ~severity:Diag.Warning "pruning/contradictory-filter" path
-            "filter predicate contradicts the derived bounds of its input"
-    | Plan.Table_scan { rel; table_oid; filter = Some f; _ }
-      when not (Expr.equal f Expr.false_) ->
-        if Analysis.contradicts (Analysis.scan_env ~catalog ~rel table_oid) f
-        then
-          if under_append then
-            emit ~severity:Diag.Warning "pruning/dead-append-child" path
-              (Printf.sprintf
-                 "filter contradicts the partition bounds of leaf %d: the \
-                  branch is statically empty"
-                 table_oid)
-          else
-            emit ~severity:Diag.Warning "pruning/contradictory-filter" path
-              "scan filter contradicts the table's partition bounds"
-    | Plan.Dynamic_scan { rel; root_oid; filter = Some f; _ }
-      when not (Expr.equal f Expr.false_) ->
-        if Analysis.contradicts (Analysis.scan_env ~catalog ~rel root_oid) f
-        then
-          emit ~severity:Diag.Warning "pruning/contradictory-filter" path
-            "scan filter contradicts the table's partition bounds"
-    | _ -> ());
-    let under_append = match p with Plan.Append _ -> true | _ -> false in
-    List.iteri
-      (fun i c -> walk ~under_append (seg i c :: path) c)
-      (Plan.children p)
-  in
-  walk ~under_append:false [ Root plan ] plan;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)

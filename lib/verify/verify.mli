@@ -46,12 +46,8 @@
       {!Mpp_analysis.Analysis.pruning_sites}) are re-derived independently
       of the optimizer; a statically pruned set that excludes a permitted
       partition is an [Error] (["pruning/over-pruned"] — silently missing
-      rows), while an Append branch whose own filter contradicts its
-      leaf's bounds (["pruning/dead-append-child"]) or a filter predicate
-      contradicting its input's derived bounds
-      (["pruning/contradictory-filter"]) are [Warning]s.  A literal
-      [false] filter — the sanctioned statically-empty shape — is
-      exempt. *)
+      rows).  Dead Append branches and contradictory filters are plan
+      smells that {!Mpp_analysis.Analysis.Lint} reports. *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan

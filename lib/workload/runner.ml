@@ -56,42 +56,35 @@ let facts_in env (qu : Queries.query) =
     (Tpcds.fact_tables env.schema)
   (* `store_sales` contains `store_sale`… exact-enough for our table names *)
 
-let optimize_est env kind (qu : Queries.query) : Plan.t * Mpp_plan.Est.t =
-  let lg = Mpp_sql.Sql.to_logical env.catalog qu.Queries.sql in
+let optimize_logical ?stats ~catalog kind lg : Plan.t =
   match kind with
   | Legacy_planner ->
-      let pl = Mpp_planner.Planner.create ~catalog:env.catalog () in
-      (Mpp_planner.Planner.plan pl lg, Mpp_plan.Est.none)
+      Mpp_planner.Planner.plan (Mpp_planner.Planner.create ~catalog ()) lg
   | Orca | Orca_no_selection ->
-      (* inject this query's misestimates for the cost-based optimizer *)
-      Mpp_stats.Stats_source.clear_row_scales env.stats;
-      List.iter
-        (fun (name, factor) ->
-          let table = Mpp_catalog.Catalog.find env.catalog name in
-          Mpp_stats.Stats_source.set_row_scale env.stats
-            ~table_oid:table.Table.oid ~factor)
-        qu.Queries.misestimates;
       let config =
         {
           Orca.Optimizer.default_config with
           enable_partition_selection = (kind = Orca);
         }
       in
-      let opt =
-        Orca.Optimizer.create ~config ~stats:env.stats ~catalog:env.catalog ()
-      in
-      let plan = Orca.Optimizer.optimize opt lg in
-      (* stamp plan-time row estimates while the misestimates are still
-         active — exactly what the optimizer believed when costing *)
-      let est =
-        Mpp_plan.Est.of_plan ~estimate:(Orca.Optimizer.row_estimator opt lg)
-          plan
-      in
-      Mpp_stats.Stats_source.clear_row_scales env.stats;
-      (plan, est)
+      Orca.Optimizer.optimize
+        (Orca.Optimizer.create ~config ?stats ~catalog ())
+        lg
 
 let optimize_with env kind (qu : Queries.query) : Plan.t =
-  fst (optimize_est env kind qu)
+  let lg = Mpp_sql.Sql.to_logical env.catalog qu.Queries.sql in
+  (* inject this query's misestimates; only the cost-based optimizer
+     reads them *)
+  Mpp_stats.Stats_source.clear_row_scales env.stats;
+  List.iter
+    (fun (name, factor) ->
+      let table = Mpp_catalog.Catalog.find env.catalog name in
+      Mpp_stats.Stats_source.set_row_scale env.stats ~table_oid:table.Table.oid
+        ~factor)
+    qu.Queries.misestimates;
+  Fun.protect
+    ~finally:(fun () -> Mpp_stats.Stats_source.clear_row_scales env.stats)
+    (fun () -> optimize_logical ~stats:env.stats ~catalog:env.catalog kind lg)
 
 (** Optimize and execute [qu] under [kind]. *)
 let run env kind (qu : Queries.query) : run_result =

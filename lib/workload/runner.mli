@@ -30,16 +30,17 @@ type run_result = {
   plan_bytes : int;
 }
 
+val optimize_logical :
+  ?stats:Mpp_stats.Stats_source.t ->
+  catalog:Mpp_catalog.Catalog.t ->
+  optimizer_kind ->
+  Orca.Logical.t ->
+  Plan.t
+(** Plan a bound query with [kind]'s default configuration. *)
+
 val optimize_with : env -> optimizer_kind -> Queries.query -> Plan.t
 (** Optimize only, applying the query's injected misestimates for the
     cost-based optimizer. *)
-
-val optimize_est :
-  env -> optimizer_kind -> Queries.query -> Plan.t * Mpp_plan.Est.t
-(** Like {!optimize_with}, additionally stamping per-node plan-time row
-    estimates (captured while the query's injected misestimates are still
-    active, i.e. what the optimizer actually believed).  The estimate
-    array is {!Mpp_plan.Est.none} for the legacy planner. *)
 
 val run : env -> optimizer_kind -> Queries.query -> run_result
 
