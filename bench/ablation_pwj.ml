@@ -30,7 +30,10 @@ let run ~smoke:_ =
         Mpp_sql.Sql.to_logical catalog
           "SELECT count(*) FROM r, s WHERE r.b = s.b AND s.a < 1000"
       in
-      let dyn = W.Runner.optimize_logical ~catalog W.Runner.Orca lg in
+      let dyn =
+        W.Runner.optimize_logical ~catalog
+          ~nsegments:(Storage.nsegments storage) W.Runner.Orca lg
+      in
       let pwj =
         let config =
           { Orca.Optimizer.default_config with

@@ -20,30 +20,6 @@ let run ~smoke =
      else "Bench: predicate-analysis overhead and implied-predicate pruning");
   let env = get_env () in
   let catalog = env.W.Runner.catalog in
-  let optimize kind ~simplify (qu : W.Queries.query) =
-    let lg = Mpp_sql.Sql.to_logical catalog qu.W.Queries.sql in
-    match kind with
-    | `Planner ->
-        let config = { Mpp_planner.Planner.default_config with simplify } in
-        Mpp_planner.Planner.plan
-          (Mpp_planner.Planner.create ~config ~catalog ())
-          lg
-    | `Orca ->
-        Mpp_stats.Stats_source.clear_row_scales env.W.Runner.stats;
-        List.iter
-          (fun (name, factor) ->
-            let t = Cat.find catalog name in
-            Mpp_stats.Stats_source.set_row_scale env.W.Runner.stats
-              ~table_oid:t.Table.oid ~factor)
-          qu.W.Queries.misestimates;
-        let config = { Orca.Optimizer.default_config with simplify } in
-        let opt =
-          Orca.Optimizer.create ~config ~stats:env.W.Runner.stats ~catalog ()
-        in
-        let plan = Orca.Optimizer.optimize opt lg in
-        Mpp_stats.Stats_source.clear_row_scales env.W.Runner.stats;
-        plan
-  in
   let queries = if smoke then [ List.hd W.Queries.all ] else W.Queries.all in
   let reps = if smoke then 1 else 11 in
   let kind_section (kname, kind) =
@@ -58,13 +34,13 @@ let run ~smoke =
       (fun qu ->
         let t_opt_on, t_opt_off =
           paired_median_ms reps
-            (fun () -> optimize kind ~simplify:true qu)
-            (fun () -> optimize kind ~simplify:false qu)
+            (fun () -> W.Runner.optimize_with ~simplify:true env kind qu)
+            (fun () -> W.Runner.optimize_with ~simplify:false env kind qu)
         in
         opt_on := !opt_on +. t_opt_on;
         opt_off := !opt_off +. t_opt_off;
         let e2e simplify () =
-          let plan = optimize kind ~simplify qu in
+          let plan = W.Runner.optimize_with ~simplify env kind qu in
           ignore
             (Mpp_exec.Exec.run ~catalog ~storage:env.W.Runner.storage plan)
         in
@@ -90,19 +66,20 @@ let run ~smoke =
       (pct, !on_ms -. !off_ms) )
   in
   let kind_sections =
-    List.map kind_section [ ("orca", `Orca); ("planner", `Planner) ]
+    List.map kind_section
+      [ ("orca", W.Runner.Orca); ("planner", W.Runner.Legacy_planner) ]
   in
   (* (b) the transitive-pruning payoff, rows asserted identical *)
   let qu = W.Queries.find "ss_sr_transitive_date" in
   let ss_oid = (Cat.find catalog "store_sales").Table.oid in
   let run_parts kind simplify =
-    let plan = optimize kind ~simplify qu in
+    let plan = W.Runner.optimize_with ~simplify env kind qu in
     let rows, m =
       Mpp_exec.Exec.run ~catalog ~storage:env.W.Runner.storage plan
     in
     (List.sort compare rows, Mpp_exec.Metrics.parts_scanned_of m ~root_oid:ss_oid)
   in
-  let rows_ref, orca_on = run_parts `Orca true in
+  let rows_ref, orca_on = run_parts W.Runner.Orca true in
   let pruning =
     List.map
       (fun (kname, kind, simplify) ->
@@ -111,9 +88,9 @@ let run ~smoke =
           failwith
             ("bench_analysis: " ^ kname ^ " changed the transitive answer");
         (kname, parts))
-      [ ("orca_off", `Orca, false);
-        ("planner_on", `Planner, true);
-        ("planner_off", `Planner, false) ]
+      [ ("orca_off", W.Runner.Orca, false);
+        ("planner_on", W.Runner.Legacy_planner, true);
+        ("planner_off", W.Runner.Legacy_planner, false) ]
   in
   let planner_on = List.assoc "planner_on" pruning in
   let planner_off = List.assoc "planner_off" pruning in

@@ -30,7 +30,10 @@ let run ~smoke =
   let storage = Storage.create ~nsegments:4 in
   let _ = W.Tpch.setup ~catalog ~storage ~scenario:W.Tpch.Parts_42 ~rows in
   let lg = Mpp_sql.Sql.to_logical catalog "SELECT count(*) FROM lineitem" in
-  let optimize () = W.Runner.optimize_logical ~catalog W.Runner.Orca lg in
+  let optimize () =
+    W.Runner.optimize_logical ~catalog ~nsegments:(Storage.nsegments storage)
+      W.Runner.Orca lg
+  in
   let plan = optimize () in
   let pool = Mpp_exec.Dpool.get ~domains:(Mpp_exec.Dpool.default_domains ()) in
   let run_plain () = ignore (Mpp_exec.Exec.run ~catalog ~storage plan) in

@@ -84,7 +84,8 @@ let run ~smoke =
         "SELECT count(*) FROM lineitem WHERE l_shipdate >= '1992-01-01'"
     in
     let plan =
-      W.Runner.optimize_logical ~catalog W.Runner.Legacy_planner logical
+      W.Runner.optimize_logical ~catalog ~nsegments:(Storage.nsegments storage)
+        W.Runner.Legacy_planner logical
     in
     let nodes = Plan.node_count plan in
     let t = med (fun () -> Mpp_verify.Verify.check ~catalog plan) in

@@ -4,7 +4,8 @@
 open Harness
 
 (* One panel: for each point, plan the query [at point] returns (its
-   catalog and SQL) with both optimizers and record both plan sizes. *)
+   catalog and SQL) with both optimizers, costed for the four segments
+   every figure's cluster has, and record both plan sizes. *)
 let sweep ~name ~title ~label ~key points at =
   header title;
   Printf.printf "%-12s %-14s %-14s\n" label "Planner (KB)" "Orca (KB)";
@@ -15,7 +16,7 @@ let sweep ~name ~title ~label ~key points at =
         let lg = Mpp_sql.Sql.to_logical catalog sql in
         let kb kind =
           Mpp_plan.Plan_size.kilobytes ~catalog
-            (W.Runner.optimize_logical ~catalog kind lg)
+            (W.Runner.optimize_logical ~catalog ~nsegments:4 kind lg)
         in
         let pkb = kb W.Runner.Legacy_planner in
         let okb = kb W.Runner.Orca in

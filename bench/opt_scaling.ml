@@ -21,7 +21,9 @@ let run ~smoke =
   let reps = if smoke then 1 else 5 in
   let optimize_once benv =
     W.Runner.optimize_logical ~stats:benv.W.Biggen.stats
-      ~catalog:benv.W.Biggen.catalog W.Runner.Orca benv.W.Biggen.logical
+      ~catalog:benv.W.Biggen.catalog
+      ~nsegments:(Storage.nsegments benv.W.Biggen.storage) W.Runner.Orca
+      benv.W.Biggen.logical
   in
   (* the warm-up call warms the stats caches *)
   let timed benv =

@@ -16,7 +16,7 @@ let run ~smoke =
     let storage = Storage.create ~nsegments in
     let _ = W.Tpch.setup ~catalog ~storage ~scenario ~rows in
     let lg = Mpp_sql.Sql.to_logical catalog "SELECT count(*) FROM lineitem" in
-    let plan = W.Runner.optimize_logical ~catalog W.Runner.Orca lg in
+    let plan = W.Runner.optimize_logical ~catalog ~nsegments W.Runner.Orca lg in
     fun () -> Mpp_exec.Exec.run ~catalog ~storage plan
   in
   (* Minor-heap words one query allocates, averaged over [n] runs: what

@@ -23,35 +23,14 @@ module Serve = Mpp_serve.Serve
 let env_of ~scale ~segments =
   W.Runner.setup_env ~scale ~nsegments:segments ()
 
-(* Plan plus the optimizer's per-node plan-time row estimates (stamped
-   against the same stats the costing saw); the legacy planner has no
-   cardinality model, so its estimate array is empty. *)
-let plan_est_of env kind ~selection sql =
-  let logical = Mpp_sql.Sql.to_logical env.W.Runner.catalog sql in
-  match kind with
-  | Serve.Planner ->
-      ( Mpp_planner.Planner.plan
-          (Mpp_planner.Planner.create ~catalog:env.W.Runner.catalog ())
-          logical,
-        Mpp_plan.Est.none )
-  | Serve.Orca ->
-      let config =
-        { Orca.Optimizer.default_config with
-          enable_partition_selection = selection }
-      in
-      let opt =
-        Orca.Optimizer.create ~config ~stats:env.W.Runner.stats
-          ~catalog:env.W.Runner.catalog ()
-      in
-      let plan = Orca.Optimizer.optimize opt logical in
-      let est =
-        Mpp_plan.Est.of_plan
-          ~estimate:(Orca.Optimizer.row_estimator opt logical)
-          plan
-      in
-      (plan, est)
-
-let plan_of env kind ~selection sql = fst (plan_est_of env kind ~selection sql)
+(* Every command plans through the serving layer's front door, on the
+   cluster it runs against: the plan plus Orca's per-node plan-time row
+   estimates (the legacy planner's estimate array is empty). *)
+let plan_sql env kind ~selection sql =
+  let { W.Runner.stats; catalog; storage; _ } = env in
+  Serve.plan ~stats ~selection ~catalog
+    ~nsegments:(Mpp_storage.Storage.nsegments storage) kind
+    (Mpp_sql.Sql.to_logical catalog sql)
 
 let print_metrics env metrics =
   (* every partitioned table in the catalog, not only the TPC-DS facts:
@@ -111,7 +90,7 @@ let do_explain ?(analyze = false) ?trace ?domains ?(runtime_filters = true)
     env kind selection sql =
   let sink = sink_for trace in
   if Obs.enabled sink then Obs.install sink;
-  let plan, est = plan_est_of env kind ~selection sql in
+  let plan, est = plan_sql env kind ~selection sql in
   let extras =
     if analyze then begin
       let _rows, metrics, stats =
@@ -170,7 +149,7 @@ let do_run ?trace ?stats_json ?domains ?(runtime_filters = true) env kind
     selection sql =
   let sink = sink_for trace in
   if Obs.enabled sink then Obs.install sink;
-  let plan, est = plan_est_of env kind ~selection sql in
+  let plan, est = plan_sql env kind ~selection sql in
   match stats_json with
   | None ->
       let t0 = Unix.gettimeofday () in
@@ -218,7 +197,7 @@ let do_profile ?domains ?(runtime_filters = true) ~out env kind selection sql =
   (* capture the optimizer's phase spans for the optimizer track *)
   let sink = Obs.create () in
   Obs.install sink;
-  let plan, est = plan_est_of env kind ~selection sql in
+  let plan, est = plan_sql env kind ~selection sql in
   Obs.uninstall ();
   Mpp_obs.Trace.declare_track trace ~tid:Mpp_exec.Exec.optimizer_tid
     "optimizer";
@@ -269,73 +248,52 @@ let lint_report ~catalog name kname plan nfind =
       fs
   end
 
-(* The linter wants the plan as written, so both optimizers run with
-   [simplify = false]; everything else stays at the defaults the normal
-   pipeline uses. *)
-let unsimplified_plans env ~selection logical =
-  let orca =
-    let config =
-      { Orca.Optimizer.default_config with
-        enable_partition_selection = selection;
-        simplify = false }
-    in
-    Orca.Optimizer.optimize
-      (Orca.Optimizer.create ~config ~stats:env.W.Runner.stats
-         ~catalog:env.W.Runner.catalog ())
-      logical
-  and planner =
-    let config = { Mpp_planner.Planner.default_config with simplify = false } in
-    Mpp_planner.Planner.plan
-      (Mpp_planner.Planner.create ~config ~catalog:env.W.Runner.catalog ())
-      logical
-  in
-  [ ("orca", orca); ("planner", planner) ]
-
-let lint_sweep env selection ~workload ~biggen sql_opt nfind =
-  let lint_logical name logical =
+(* The statements [check] and [lint] sweep: every built-in workload query
+   (with its injected misestimates, as the evaluation plans it), the
+   generated big-join suite, and one SQL statement.  [f ~catalog name
+   kname plan] is called for each under both optimizers, in that order;
+   [plan ()] plans it on its own cluster. *)
+let sweep env ~selection ?simplify ~workload ~biggen sql_opt f =
+  let both ?(wrap = fun g -> g ()) ~stats ~catalog ~storage name lg =
     List.iter
-      (fun (kname, plan) ->
-        lint_report ~catalog:env.W.Runner.catalog name kname plan nfind)
-      (unsimplified_plans env ~selection logical)
+      (fun (kname, kind) ->
+        f ~catalog name kname (fun () ->
+            wrap (fun () ->
+                fst
+                  (Serve.plan ~stats ~selection ?simplify ~catalog
+                     ~nsegments:(Mpp_storage.Storage.nsegments storage)
+                     kind lg))))
+      [ ("orca", Serve.Orca); ("planner", Serve.Planner) ]
   in
+  let { W.Runner.stats; catalog; storage; _ } = env in
   if workload then
     List.iter
       (fun (qu : W.Queries.query) ->
-        lint_logical qu.W.Queries.name
-          (Mpp_sql.Sql.to_logical env.W.Runner.catalog qu.W.Queries.sql))
+        both ~wrap:(W.Runner.with_misestimates env qu) ~stats ~catalog
+          ~storage qu.W.Queries.name
+          (Mpp_sql.Sql.to_logical catalog qu.W.Queries.sql))
       W.Queries.all;
   if biggen then
     List.iter
       (fun spec ->
-        let benv = W.Biggen.generate spec in
-        let catalog = benv.W.Biggen.catalog in
-        let name = benv.W.Biggen.name in
-        let orca_plan =
-          let config =
-            { Orca.Optimizer.default_config with
-              enable_partition_selection = selection;
-              simplify = false }
-          in
-          Orca.Optimizer.optimize
-            (Orca.Optimizer.create ~config ~stats:benv.W.Biggen.stats
-               ~catalog ())
-            benv.W.Biggen.logical
+        let { W.Biggen.name; catalog; storage; stats; logical } =
+          W.Biggen.generate spec
         in
-        lint_report ~catalog name "orca" orca_plan nfind;
-        let planner_plan =
-          let config =
-            { Mpp_planner.Planner.default_config with simplify = false }
-          in
-          Mpp_planner.Planner.plan
-            (Mpp_planner.Planner.create ~config ~catalog ())
-            benv.W.Biggen.logical
-        in
-        lint_report ~catalog name "planner" planner_plan nfind)
+        both ~stats ~catalog ~storage name logical)
       (W.Biggen.default_suite ());
-  match sql_opt with
-  | Some sql ->
-      lint_logical "query" (Mpp_sql.Sql.to_logical env.W.Runner.catalog sql)
-  | None -> ()
+  Option.iter
+    (fun sql ->
+      both ~stats ~catalog ~storage "query"
+        (Mpp_sql.Sql.to_logical catalog sql))
+    sql_opt
+
+(* The linter wants the plan as written, so both optimizers run with
+   [simplify = false]; everything else stays at the defaults the normal
+   pipeline uses. *)
+let lint_sweep env selection ~workload ~biggen sql_opt nfind =
+  sweep env ~selection ~simplify:false ~workload ~biggen sql_opt
+    (fun ~catalog name kname plan ->
+      lint_report ~catalog name kname (plan ()) nfind)
 
 let do_lint env selection ~workload ~biggen sql_opt =
   let nfind = ref 0 in
@@ -409,7 +367,7 @@ let report_statement_error f =
    doubles as a CI smoke test. *)
 let do_check env selection ~workload ~biggen sql_opt =
   let nfail = ref 0 in
-  let report ?(catalog = env.W.Runner.catalog) name kname = function
+  let report ~catalog name kname = function
     | Error msg ->
         incr nfail;
         Printf.printf "%-28s %-8s rejected by optimizer: %s\n" name kname msg
@@ -434,53 +392,18 @@ let do_check env selection ~workload ~biggen sql_opt =
     | exception Mpp_verify.Verify.Rejected (_, errs) ->
         Error (String.concat "; " (List.map Mpp_verify.Diag.to_string errs))
   in
-  if workload then
-    List.iter
-      (fun (qu : W.Queries.query) ->
-        List.iter
-          (fun (kname, kind) ->
-            report qu.W.Queries.name kname
-              (guard (fun () -> W.Runner.optimize_with env kind qu)))
-          [ ("orca", W.Runner.Orca); ("planner", W.Runner.Legacy_planner) ])
-      W.Queries.all;
-  (* generated big-join suite: every plan verifier-clean under both
-     optimizers *)
-  if biggen then
-    List.iter
-      (fun spec ->
-        let benv = W.Biggen.generate spec in
-        let catalog = benv.W.Biggen.catalog in
-        let name = benv.W.Biggen.name in
-        let plan kind () =
-          W.Runner.optimize_logical ~stats:benv.W.Biggen.stats ~catalog kind
-            benv.W.Biggen.logical
-        in
-        report ~catalog name "orca"
-          (guard
-             (plan
-                (if selection then W.Runner.Orca
-                 else W.Runner.Orca_no_selection)));
-        report ~catalog name "planner" (guard (plan W.Runner.Legacy_planner)))
-      (W.Biggen.default_suite ());
-  (if not (workload || biggen) then
-     match sql_opt with
-     | Some sql ->
-         List.iter
-           (fun (kname, kind) ->
-             report "query" kname
-               (guard (fun () -> plan_of env kind ~selection sql)))
-           [ ("orca", Serve.Orca); ("planner", Serve.Planner) ]
-     | None ->
-         prerr_endline
-           "mppsim check: provide a SQL argument, --workload or --biggen";
-         incr nfail);
+  if not (workload || biggen || sql_opt <> None) then begin
+    prerr_endline "mppsim check: provide a SQL argument, --workload or --biggen";
+    incr nfail
+  end;
+  let sql_opt = if workload || biggen then None else sql_opt in
+  sweep env ~selection ~workload ~biggen sql_opt
+    (fun ~catalog name kname plan -> report ~catalog name kname (guard plan));
   (* the same inputs also go through the pre-simplification linter: a
      query carrying a redundant or contradictory predicate is workload rot
      even when the simplifier cleans the plan up *)
   let nfind = ref 0 in
-  lint_sweep env selection ~workload ~biggen
-    (if workload || biggen then None else sql_opt)
-    nfind;
+  lint_sweep env selection ~workload ~biggen sql_opt nfind;
   if !nfind > 0 then Printf.printf "%d lint finding(s)\n" !nfind;
   (* serving-layer smoke: a prepared-statement round trip over the whole
      workload — the second execution of each statement must come out of

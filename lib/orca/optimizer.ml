@@ -646,6 +646,10 @@ let rec est_rows t ~env (p : Plan.t) : float =
                 ~right_ndv:(Memo.key_ndv env (Expr.Col pk))
           | [] -> Float.max 1.0 (lr *. rr *. 0.1)))
   | Plan.Agg { group_by = []; _ } -> 1.0
+  | Plan.Agg { child = Plan.Motion { child = Plan.Agg _ as partial; _ }; _ } ->
+      (* the final phase of a two-phase aggregate: [plan_aggregate]
+         estimates the group count once, at the partial *)
+      est_rows t ~env partial
   | Plan.Agg { child; _ } ->
       Float.max 1.0 (est_rows t ~env child /. 10.0)
   | Plan.Limit { rows; child } ->

@@ -27,33 +27,14 @@ module Partition = Mpp_catalog.Partition
 module Distribution = Mpp_catalog.Distribution
 module Logical = Orca.Logical
 
-type config = {
-  enable_static_elimination : bool;
-  enable_dynamic_elimination : bool;
-  simplify : bool;
-      (** abstract-interpretation pass over the finished plan: drop
-          always-true conjuncts, collapse always-false filters, and (when
-          static elimination is on) re-run static exclusion with implied
-          partition-key restrictions *)
-  nsegments : int;
-}
-
-let default_config =
-  {
-    enable_static_elimination = true;
-    enable_dynamic_elimination = true;
-    simplify = true;
-    nsegments = 4;
-  }
-
 type t = {
   catalog : Mpp_catalog.Catalog.t;
-  config : config;
+  simplify : bool;
   mutable next_scan_id : int;
 }
 
-let create ?(config = default_config) ~catalog () =
-  { catalog; config; next_scan_id = 1 }
+let create ?(simplify = true) ~catalog () =
+  { catalog; simplify; next_scan_id = 1 }
 
 let fresh_scan_id t =
   let id = t.next_scan_id in
@@ -103,32 +84,23 @@ let finalize (s : sub) : Plan.t =
 
 (* Constraint exclusion: drop the leaves whose constraints contradict the
    constant restrictions derivable from [pred]. *)
-let static_exclusion t (e : expansion) pred : expansion =
-  if not t.config.enable_static_elimination then e
-  else begin
-    let keys = Table.part_key_colrefs e.exp_table ~rel:e.exp_rel in
-    let restrictions =
-      List.map
-        (fun key ->
-          match Expr.restriction key pred with
-          | Some set -> Some set
-          | None -> None)
-        keys
-      |> Array.of_list
-    in
-    let surviving = Partition.select e.exp_partitioning restrictions in
-    let surviving_oids =
-      List.map (fun (lf : Partition.leaf) -> lf.Partition.leaf_oid) surviving
-    in
-    {
-      e with
-      exp_leaves =
-        List.filter
-          (fun (lf : Partition.leaf) ->
-            List.mem lf.Partition.leaf_oid surviving_oids)
-          e.exp_leaves;
-    }
-  end
+let static_exclusion (e : expansion) pred : expansion =
+  let keys = Table.part_key_colrefs e.exp_table ~rel:e.exp_rel in
+  let restrictions =
+    Array.of_list (List.map (fun key -> Expr.restriction key pred) keys)
+  in
+  let surviving = Partition.select e.exp_partitioning restrictions in
+  let surviving_oids =
+    List.map (fun (lf : Partition.leaf) -> lf.Partition.leaf_oid) surviving
+  in
+  {
+    e with
+    exp_leaves =
+      List.filter
+        (fun (lf : Partition.leaf) ->
+          List.mem lf.Partition.leaf_oid surviving_oids)
+        e.exp_leaves;
+  }
 
 let dist_of_table (table : Table.t) ~rel =
   match table.Table.distribution with
@@ -162,7 +134,7 @@ let plan_get t ~rel name : sub =
             };
       }
 
-let plan_select t pred (child : sub) : sub =
+let plan_select pred (child : sub) : sub =
   match child.expansion with
   | Some e ->
       let e =
@@ -174,7 +146,7 @@ let plan_select t pred (child : sub) : sub =
             | Some f -> Some (Expr.conj [ f; pred ]));
         }
       in
-      { child with expansion = Some (static_exclusion t e pred) }
+      { child with expansion = Some (static_exclusion e pred) }
   | None -> (
       match child.plan with
       | Plan.Table_scan ({ filter = None; _ } as s) ->
@@ -227,7 +199,7 @@ let plan_join t ~kind ~pred (left : sub) (right : sub) : sub =
   in
   let join_plan =
     match probe.expansion with
-    | Some e when t.config.enable_dynamic_elimination -> (
+    | Some e -> (
         match planner_dpe_predicate ~probe:e ~build_rels pred with
         | Some (key, key_pred) ->
             (* runtime parameter: selector on the build side fills the
@@ -264,7 +236,7 @@ let gather (s : sub) : Plan.t =
 let rec build t (lg : Logical.t) : sub =
   match lg with
   | Logical.Get { rel; table_name } -> plan_get t ~rel table_name
-  | Logical.Select { pred; child } -> plan_select t pred (build t child)
+  | Logical.Select { pred; child } -> plan_select pred (build t child)
   | Logical.Join { kind; pred; left; right } ->
       plan_join t ~kind ~pred (build t left) (build t right)
   | Logical.Aggregate { group_by; aggs; child } ->
@@ -331,7 +303,7 @@ and plan_dml t ~rel ~table_name ~set_cols child : sub =
                 expansion = None;
               }
           | Logical.Get { rel = r; table_name = n } -> plan_get t ~rel:r n
-          | Logical.Select { pred; child } -> plan_select t pred (subst child)
+          | Logical.Select { pred; child } -> plan_select pred (subst child)
           | Logical.Join { kind; pred; left; right } ->
               plan_join t ~kind ~pred (subst left) (subst right)
           | _ -> { plan = finalize (build t lg); dist = `Other; expansion = None }
@@ -394,9 +366,8 @@ let plan t (lg : Logical.t) : Plan.t =
     | _ -> gather s
   in
   let p =
-    if t.config.simplify then
-      Mpp_analysis.Analysis.simplify_plan ~catalog:t.catalog
-        ~strengthen:t.config.enable_static_elimination p
+    if t.simplify then
+      Mpp_analysis.Analysis.simplify_plan ~catalog:t.catalog ~strengthen:true p
     else p
   in
   let p = Mpp_plan.Rf_annotate.annotate ~catalog:t.catalog ~decide:(rf_decide t) p in

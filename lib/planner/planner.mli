@@ -11,20 +11,13 @@
     - join orientation is as written; DML expands the join per target leaf,
       making DML plans quadratic in the partition count (§4.4.3). *)
 
-type config = {
-  enable_static_elimination : bool;
-  enable_dynamic_elimination : bool;
-  simplify : bool;
-      (** abstract-interpretation pass over the finished plan
-          ({!Mpp_analysis.Analysis.simplify_plan}) *)
-  nsegments : int;
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> catalog:Mpp_catalog.Catalog.t -> unit -> t
+val create : ?simplify:bool -> catalog:Mpp_catalog.Catalog.t -> unit -> t
+(** [simplify] (default on) runs the abstract-interpretation pass over the
+    finished plan ({!Mpp_analysis.Analysis.simplify_plan}): drop
+    always-true conjuncts, collapse always-false filters, and re-run
+    static exclusion with implied partition-key restrictions. *)
 
 val plan : t -> Orca.Logical.t -> Mpp_plan.Plan.t
 (** Plan a logical tree with the legacy planner, verified once on the way

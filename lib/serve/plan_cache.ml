@@ -21,7 +21,6 @@
 module Plan = Mpp_plan.Plan
 module Est = Mpp_plan.Est
 module Catalog = Mpp_catalog.Catalog
-module Obs = Mpp_obs.Obs
 module Json = Mpp_obs.Json
 
 type entry = {
@@ -31,8 +30,10 @@ type entry = {
   mutable last_used : int;
 }
 
+(** Entries a cache holds before an insert evicts. *)
+let capacity = 256
+
 type t = {
-  capacity : int;
   tbl : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   mutable clock : int;
@@ -43,10 +44,8 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(capacity = 256) () =
-  if capacity < 1 then invalid_arg "Plan_cache.create: capacity < 1";
+let create () =
   {
-    capacity;
     tbl = Hashtbl.create 64;
     lock = Mutex.create ();
     clock = 0;
@@ -71,18 +70,14 @@ let find t ~catalog k =
       | Some e when e.generation = Catalog.generation catalog ->
           e.last_used <- t.clock;
           t.hits <- t.hits + 1;
-          Obs.incr (Obs.current ()) "serve.cache.hit";
           Some (e.plan, e.est)
       | Some _ ->
           Hashtbl.remove t.tbl k;
           t.invalidations <- t.invalidations + 1;
           t.misses <- t.misses + 1;
-          Obs.incr (Obs.current ()) "serve.cache.invalidated";
-          Obs.incr (Obs.current ()) "serve.cache.miss";
           None
       | None ->
           t.misses <- t.misses + 1;
-          Obs.incr (Obs.current ()) "serve.cache.miss";
           None)
 
 let evict_lru t =
@@ -96,15 +91,14 @@ let evict_lru t =
   match !victim with
   | Some (k, _) ->
       Hashtbl.remove t.tbl k;
-      t.evictions <- t.evictions + 1;
-      Obs.incr (Obs.current ()) "serve.cache.evicted"
+      t.evictions <- t.evictions + 1
   | None -> ()
 
 (** Store a plan the optimizer produced (and so verified) under [k],
     stamped with the catalog's current generation. *)
 let insert t ~catalog k plan est =
   with_lock t (fun () ->
-      if Hashtbl.length t.tbl >= t.capacity && not (Hashtbl.mem t.tbl k)
+      if Hashtbl.length t.tbl >= capacity && not (Hashtbl.mem t.tbl k)
       then evict_lru t;
       t.clock <- t.clock + 1;
       Hashtbl.replace t.tbl k
@@ -114,8 +108,7 @@ let insert t ~catalog k plan est =
           generation = Catalog.generation catalog;
           last_used = t.clock;
         };
-      t.inserts <- t.inserts + 1;
-      Obs.incr (Obs.current ()) "serve.cache.insert")
+      t.inserts <- t.inserts + 1)
 
 let size t = with_lock t (fun () -> Hashtbl.length t.tbl)
 

@@ -25,7 +25,6 @@ module Storage = Mpp_storage.Storage
 module Exec = Mpp_exec.Exec
 module Dpool = Mpp_exec.Dpool
 module Metrics = Mpp_exec.Metrics
-module Obs = Mpp_obs.Obs
 module Json = Mpp_obs.Json
 
 type optimizer = Orca | Planner
@@ -37,7 +36,6 @@ type config = {
   workers : int;  (** executor worker domains *)
   capacity : int;  (** max queries in flight *)
   mem_budget_bytes : float;  (** global estimated-memory budget *)
-  cache_capacity : int;
   exec_domains : int;  (** Dpool size of each worker's private pool *)
 }
 
@@ -47,7 +45,6 @@ let default_config =
     workers = 2;
     capacity = 4;
     mem_budget_bytes = 256. *. 1024. *. 1024.;
-    cache_capacity = 256;
     exec_domains = 1;
   }
 
@@ -172,7 +169,6 @@ let select_next t =
         match candidates with
         | tk :: _ when t.in_flight = 0 ->
             t.oversize_admissions <- t.oversize_admissions + 1;
-            Obs.incr (Obs.current ()) "serve.admit.oversize";
             Some tk
         | _ -> None)
   end
@@ -185,8 +181,7 @@ let admit t tk =
   if t.in_flight > t.peak_in_flight then t.peak_in_flight <- t.in_flight;
   if t.mem_in_flight > t.peak_mem_bytes then
     t.peak_mem_bytes <- t.mem_in_flight;
-  tk.tk_state <- Running;
-  Obs.incr (Obs.current ()) "serve.admit.admitted"
+  tk.tk_state <- Running
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -240,7 +235,6 @@ let worker_loop t =
         (match outcome with
         | Failed _ -> t.failed <- t.failed + 1
         | _ -> t.completed <- t.completed + 1);
-        Obs.incr (Obs.current ()) "serve.admit.completed";
         Condition.broadcast t.done_cv;
         Condition.broadcast t.work_cv;
         Mutex.unlock t.lock;
@@ -260,7 +254,7 @@ let create ?(config = default_config) ?stats ~catalog ~storage () =
       catalog;
       storage;
       stats;
-      cache = Plan_cache.create ~capacity:config.cache_capacity ();
+      cache = Plan_cache.create ();
       lock = Mutex.create ();
       work_cv = Condition.create ();
       done_cv = Condition.create ();
@@ -310,25 +304,34 @@ let prepare t ?(name = "") sql =
   let lg = Mpp_sql.Sql.to_logical t.catalog sql in
   { p_name = name; p_sql = sql; p_norm = Normalize.of_logical ~catalog:t.catalog lg }
 
-let optimize t lg =
-  let nsegments = Storage.nsegments t.storage in
-  match t.cfg.optimizer with
+(** The one way to plan a statement.  Picks Orca or the legacy Planner,
+    gives it the production settings — the cluster's segment count for
+    Orca's cost model, partition selection on unless the Figure-17
+    ablation turns it off, the simplification pass on unless a linter
+    wants the plan as written — and stamps Orca's per-node plan-time row
+    estimates against the same stats the costing saw.  The Planner has no
+    cardinality model and no selection switch: its estimates are
+    {!Est.none}. *)
+let plan ?stats ?(selection = true) ?(simplify = true) ~catalog ~nsegments
+    kind lg : Plan.t * Est.t =
+  match kind with
   | Planner ->
-      let config =
-        { Mpp_planner.Planner.default_config with nsegments }
-      in
-      let pl = Mpp_planner.Planner.create ~config ~catalog:t.catalog () in
+      let pl = Mpp_planner.Planner.create ~simplify ~catalog () in
       (Mpp_planner.Planner.plan pl lg, Est.none)
   | Orca ->
-      let config = { Orca.Optimizer.default_config with nsegments } in
-      let opt =
-        Orca.Optimizer.create ~config ?stats:t.stats ~catalog:t.catalog ()
+      let config =
+        { Orca.Optimizer.default_config with
+          enable_partition_selection = selection;
+          simplify;
+          nsegments }
       in
+      let opt = Orca.Optimizer.create ~config ?stats ~catalog () in
       let plan = Orca.Optimizer.optimize opt lg in
-      let est =
-        Est.of_plan ~estimate:(Orca.Optimizer.row_estimator opt lg) plan
-      in
-      (plan, est)
+      (plan, Est.of_plan ~estimate:(Orca.Optimizer.row_estimator opt lg) plan)
+
+let optimize t lg =
+  plan ?stats:t.stats ~catalog:t.catalog
+    ~nsegments:(Storage.nsegments t.storage) t.cfg.optimizer lg
 
 (** Coordinator-side plan resolution: cache probe, else optimize (the
     optimizer verifies its plan) + insert.  Returns (plan, est, hit,
@@ -373,7 +376,6 @@ let submit t ~session prepared binds =
   t.queued <- t.queued @ [ tk ];
   let q = List.length t.queued in
   if q > t.peak_queued then t.peak_queued <- q;
-  Obs.incr (Obs.current ()) "serve.admit.submitted";
   Condition.broadcast t.work_cv;
   Mutex.unlock t.lock;
   tk

@@ -37,25 +37,36 @@ let table_opt catalog oid =
 (* Pass 1: structure                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Unmatched endpoint counts for one part_scan_id in a subtree; [tp]/[tc]
-   record whether any of the unmatched producers/consumers crossed a Motion
-   on the way up (the §3.1 process-boundary taint). *)
+(* Unmatched endpoint counts for one id in a subtree, shared by the two
+   pairing walks: PartitionSelector (producer) and DynamicScan or guarded
+   scan (consumer) per part_scan_id in the structure pass, builder and
+   consumer per rf_id in the filters pass.  [tp]/[tc] record whether any
+   of the unmatched producers/consumers crossed a process boundary on the
+   way up — any Motion for a selector and its scans (the §3.1 taint), a
+   Gather for a runtime filter; each walk applies its own rule with
+   [taint]. *)
 type ep = { prod : int; cons : int; tp : bool; tc : bool }
 
 let ep_producer = { prod = 1; cons = 0; tp = false; tc = false }
 let ep_consumer = { prod = 0; cons = 1; tp = false; tc = false }
-
-let ep_merge a b =
-  { prod = a.prod + b.prod; cons = a.cons + b.cons;
-    tp = a.tp || b.tp; tc = a.tc || b.tc }
 
 let merge_tables acc tbl =
   List.fold_left
     (fun acc (id, e) ->
       match List.assoc_opt id acc with
       | None -> (id, e) :: acc
-      | Some e0 -> (id, ep_merge e0 e) :: List.remove_assoc id acc)
+      | Some e0 ->
+          ( id,
+            { prod = e0.prod + e.prod; cons = e0.cons + e.cons;
+              tp = e0.tp || e.tp; tc = e0.tc || e.tc } )
+          :: List.remove_assoc id acc)
     acc tbl
+
+let taint tbl =
+  List.map
+    (fun (id, e) ->
+      (id, { e with tp = e.tp || e.prod > 0; tc = e.tc || e.cons > 0 }))
+    tbl
 
 let structure_pass ~catalog (plan : Plan.t) : Diag.t list =
   let diags = ref [] in
@@ -174,13 +185,7 @@ let structure_pass ~catalog (plan : Plan.t) : Diag.t list =
             (Printf.sprintf
                "a Motion separates PartitionSelector and DynamicScan %d" id))
       resolved;
-    match p with
-    | Plan.Motion _ ->
-        List.map
-          (fun (id, e) ->
-            (id, { e with tp = e.tp || e.prod > 0; tc = e.tc || e.cons > 0 }))
-          leftover
-    | _ -> leftover
+    match p with Plan.Motion _ -> taint leftover | _ -> leftover
   in
   let leftover = walk [ Root plan ] plan in
   List.iter
@@ -917,24 +922,6 @@ let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
 
    Key resolution against the child layout is the schema pass's job. *)
 
-(* Unmatched builder/consumer counts for one rf_id, with the §3.1-style
-   taint recording whether any crossed a Gather on the way up. *)
-type fep = { fb : int; fc : int; gb : bool; gc : bool }
-
-let fep_builder = { fb = 1; fc = 0; gb = false; gc = false }
-let fep_consumer = { fb = 0; fc = 1; gb = false; gc = false }
-
-let fep_merge a b =
-  { fb = a.fb + b.fb; fc = a.fc + b.fc; gb = a.gb || b.gb; gc = a.gc || b.gc }
-
-let merge_ftables acc tbl =
-  List.fold_left
-    (fun acc (id, e) ->
-      match List.assoc_opt id acc with
-      | None -> (id, e) :: acc
-      | Some e0 -> (id, fep_merge e0 e) :: List.remove_assoc id acc)
-    acc tbl
-
 let filters_pass ~catalog:_ (plan : Plan.t) : Diag.t list =
   let diags = ref [] in
   let emit ?severity code path msg =
@@ -1001,11 +988,11 @@ let filters_pass ~catalog:_ (plan : Plan.t) : Diag.t list =
       | _ -> ())
     !consumers;
   (* --- endpoint walk: build-side/probe-side pairing, Gather taint --- *)
-  let rec walk path p : (int * fep) list =
+  let rec walk path p : (int * ep) list =
     let own =
       match p with
-      | Plan.Runtime_filter_build { rf_id; _ } -> [ (rf_id, fep_builder) ]
-      | Plan.Runtime_filter { rf_id; _ } -> [ (rf_id, fep_consumer) ]
+      | Plan.Runtime_filter_build { rf_id; _ } -> [ (rf_id, ep_producer) ]
+      | Plan.Runtime_filter { rf_id; _ } -> [ (rf_id, ep_consumer) ]
       | _ -> []
     in
     let kid_tables =
@@ -1022,7 +1009,9 @@ let filters_pass ~catalog:_ (plan : Plan.t) : Diag.t list =
            publishes — the merge resolves to nothing *)
         List.iter
           (fun (id, e) ->
-            if e.fc > 0 && List.exists (fun (i, e') -> i = id && e'.fb > 0) right
+            if
+              e.cons > 0
+              && List.exists (fun (i, e') -> i = id && e'.prod > 0) right
             then
               emit "filters/consumer-on-build-side" path
                 (Printf.sprintf
@@ -1032,13 +1021,13 @@ let filters_pass ~catalog:_ (plan : Plan.t) : Diag.t list =
                    id))
           left;
         (* the legal pairing: builder left (build), consumer right (probe) *)
-        let merged = merge_ftables (merge_ftables own left) right in
+        let merged = merge_tables (merge_tables own left) right in
         List.filter_map
           (fun (id, e) ->
-            let lb = List.exists (fun (i, e') -> i = id && e'.fb > 0) left in
-            let rc = List.exists (fun (i, e') -> i = id && e'.fc > 0) right in
+            let lb = List.exists (fun (i, e') -> i = id && e'.prod > 0) left in
+            let rc = List.exists (fun (i, e') -> i = id && e'.cons > 0) right in
             if lb && rc then begin
-              if e.gb || e.gc then
+              if e.tp || e.tc then
                 emit "filters/crosses-gather" path
                   (Printf.sprintf
                      "runtime filter %d crosses a Gather between its \
@@ -1050,25 +1039,22 @@ let filters_pass ~catalog:_ (plan : Plan.t) : Diag.t list =
             else Some (id, e))
           merged
     | Plan.Motion { kind = Plan.Gather | Plan.Gather_one; _ } ->
-        List.map
-          (fun (id, e) ->
-            (id, { e with gb = e.gb || e.fb > 0; gc = e.gc || e.fc > 0 }))
-          (List.fold_left merge_ftables own kid_tables)
-    | _ -> List.fold_left merge_ftables own kid_tables
+        taint (List.fold_left merge_tables own kid_tables)
+    | _ -> List.fold_left merge_tables own kid_tables
   in
   let leftover = walk [ Root plan ] plan in
   List.iter
     (fun (id, e) ->
-      if e.fb > 0 && e.fc > 0 then
+      if e.prod > 0 && e.cons > 0 then
         emit "filters/not-across-join" [ Root plan ]
           (Printf.sprintf
              "runtime filter %d has builder and consumer on the same side \
               of every join"
              id)
-      else if e.fb > 0 then
+      else if e.prod > 0 then
         emit ~severity:Diag.Warning "filters/unmatched-builder" [ Root plan ]
           (Printf.sprintf "RuntimeFilterBuild %d has no RuntimeFilter" id)
-      else if e.fc > 0 then
+      else if e.cons > 0 then
         emit "filters/unmatched-consumer" [ Root plan ]
           (Printf.sprintf "RuntimeFilter %d has no RuntimeFilterBuild" id))
     leftover;

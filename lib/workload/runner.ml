@@ -56,25 +56,18 @@ let facts_in env (qu : Queries.query) =
     (Tpcds.fact_tables env.schema)
   (* `store_sales` contains `store_sale`… exact-enough for our table names *)
 
-let optimize_logical ?stats ~catalog kind lg : Plan.t =
-  match kind with
-  | Legacy_planner ->
-      Mpp_planner.Planner.plan (Mpp_planner.Planner.create ~catalog ()) lg
-  | Orca | Orca_no_selection ->
-      let config =
-        {
-          Orca.Optimizer.default_config with
-          enable_partition_selection = (kind = Orca);
-        }
-      in
-      Orca.Optimizer.optimize
-        (Orca.Optimizer.create ~config ?stats ~catalog ())
-        lg
+let optimize_logical ?stats ?simplify ~catalog ~nsegments kind lg : Plan.t =
+  let kind, selection =
+    match kind with
+    | Orca -> (Mpp_serve.Serve.Orca, true)
+    | Orca_no_selection -> (Mpp_serve.Serve.Orca, false)
+    | Legacy_planner -> (Mpp_serve.Serve.Planner, true)
+  in
+  fst
+    (Mpp_serve.Serve.plan ?stats ~selection ?simplify ~catalog ~nsegments kind
+       lg)
 
-let optimize_with env kind (qu : Queries.query) : Plan.t =
-  let lg = Mpp_sql.Sql.to_logical env.catalog qu.Queries.sql in
-  (* inject this query's misestimates; only the cost-based optimizer
-     reads them *)
+let with_misestimates env (qu : Queries.query) f =
   Mpp_stats.Stats_source.clear_row_scales env.stats;
   List.iter
     (fun (name, factor) ->
@@ -84,7 +77,14 @@ let optimize_with env kind (qu : Queries.query) : Plan.t =
     qu.Queries.misestimates;
   Fun.protect
     ~finally:(fun () -> Mpp_stats.Stats_source.clear_row_scales env.stats)
-    (fun () -> optimize_logical ~stats:env.stats ~catalog:env.catalog kind lg)
+    f
+
+let optimize_with ?simplify env kind (qu : Queries.query) : Plan.t =
+  let lg = Mpp_sql.Sql.to_logical env.catalog qu.Queries.sql in
+  with_misestimates env qu (fun () ->
+      optimize_logical ~stats:env.stats ?simplify ~catalog:env.catalog
+        ~nsegments:(Mpp_storage.Storage.nsegments env.storage)
+        kind lg)
 
 (** Optimize and execute [qu] under [kind]. *)
 let run env kind (qu : Queries.query) : run_result =

@@ -32,15 +32,23 @@ type run_result = {
 
 val optimize_logical :
   ?stats:Mpp_stats.Stats_source.t ->
+  ?simplify:bool ->
   catalog:Mpp_catalog.Catalog.t ->
+  nsegments:int ->
   optimizer_kind ->
   Orca.Logical.t ->
   Plan.t
-(** Plan a bound query with [kind]'s default configuration. *)
+(** Plan a bound query with [kind] through {!Mpp_serve.Serve.plan}:
+    [Orca_no_selection] is Orca with partition selection off. *)
 
-val optimize_with : env -> optimizer_kind -> Queries.query -> Plan.t
-(** Optimize only, applying the query's injected misestimates for the
-    cost-based optimizer. *)
+val with_misestimates : env -> Queries.query -> (unit -> 'a) -> 'a
+(** Run [f] with [qu]'s injected misestimates on [env]'s stats (only the
+    cost-based optimizer reads them), cleared again however [f] ends. *)
+
+val optimize_with :
+  ?simplify:bool -> env -> optimizer_kind -> Queries.query -> Plan.t
+(** Optimize only, on [env]'s cluster, with the query's misestimates
+    injected. *)
 
 val run : env -> optimizer_kind -> Queries.query -> run_result
 

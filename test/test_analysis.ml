@@ -235,33 +235,6 @@ let prop_expr_of_set_membership =
 
 let wenv = lazy (W.Runner.setup_env ~scale:1 ~nsegments:4 ())
 
-(* Like [W.Runner.optimize_with], but with the simplification pass under
-   test switched explicitly (the runner always uses the defaults). *)
-let optimize_plain env kind ~simplify (qu : W.Queries.query) =
-  let lg = Mpp_sql.Sql.to_logical env.W.Runner.catalog qu.W.Queries.sql in
-  match kind with
-  | `Planner ->
-      let config = { Mpp_planner.Planner.default_config with simplify } in
-      Mpp_planner.Planner.plan
-        (Mpp_planner.Planner.create ~config ~catalog:env.W.Runner.catalog ())
-        lg
-  | `Orca ->
-      Mpp_stats.Stats_source.clear_row_scales env.W.Runner.stats;
-      List.iter
-        (fun (name, factor) ->
-          let t = Cat.find env.W.Runner.catalog name in
-          Mpp_stats.Stats_source.set_row_scale env.W.Runner.stats
-            ~table_oid:t.Table.oid ~factor)
-        qu.W.Queries.misestimates;
-      let config = { Orca.Optimizer.default_config with simplify } in
-      let opt =
-        Orca.Optimizer.create ~config ~stats:env.W.Runner.stats
-          ~catalog:env.W.Runner.catalog ()
-      in
-      let plan = Orca.Optimizer.optimize opt lg in
-      Mpp_stats.Stats_source.clear_row_scales env.W.Runner.stats;
-      plan
-
 let run_rows env plan =
   fst
     (Mpp_exec.Exec.run ~catalog:env.W.Runner.catalog
@@ -273,34 +246,29 @@ let test_workload_simplify_equivalence () =
     (fun (qu : W.Queries.query) ->
       List.iter
         (fun (kname, kind) ->
-          let on_ = run_rows env (optimize_plain env kind ~simplify:true qu) in
+          let on_ =
+            run_rows env (W.Runner.optimize_with ~simplify:true env kind qu)
+          in
           let off =
-            run_rows env (optimize_plain env kind ~simplify:false qu)
+            run_rows env (W.Runner.optimize_with ~simplify:false env kind qu)
           in
           Support.check_rows_equal
             (Printf.sprintf "%s [%s] simplify on/off" qu.W.Queries.name kname)
             on_ off)
-        [ ("orca", `Orca); ("planner", `Planner) ])
+        [ ("orca", W.Runner.Orca); ("planner", W.Runner.Legacy_planner) ])
     W.Queries.all
 
 let test_biggen_simplify_equivalence () =
   List.iter
     (fun spec ->
       let benv = W.Biggen.generate spec in
-      let orca simplify =
-        let config = { Orca.Optimizer.default_config with simplify } in
-        Orca.Optimizer.optimize
-          (Orca.Optimizer.create ~config ~stats:benv.W.Biggen.stats
-             ~catalog:benv.W.Biggen.catalog ())
-          benv.W.Biggen.logical
+      let plan kind simplify =
+        W.Runner.optimize_logical ~stats:benv.W.Biggen.stats ~simplify
+          ~catalog:benv.W.Biggen.catalog
+          ~nsegments:(Mpp_storage.Storage.nsegments benv.W.Biggen.storage)
+          kind benv.W.Biggen.logical
       in
-      let planner simplify =
-        let config = { Mpp_planner.Planner.default_config with simplify } in
-        Mpp_planner.Planner.plan
-          (Mpp_planner.Planner.create ~config ~catalog:benv.W.Biggen.catalog
-             ())
-          benv.W.Biggen.logical
-      in
+      let orca = plan W.Runner.Orca and planner = plan W.Runner.Legacy_planner in
       let run p =
         fst
           (Mpp_exec.Exec.run ~catalog:benv.W.Biggen.catalog
@@ -344,7 +312,7 @@ let test_transitive_pruning () =
   (* Orca's join-driven DPE still prunes at runtime with the pass off; the
      legacy planner has no runtime fallback here, so disabling the pass
      exposes the full table *)
-  let off = optimize_plain env `Planner ~simplify:false qu in
+  let off = W.Runner.optimize_with ~simplify:false env W.Runner.Legacy_planner qu in
   let rows, metrics =
     Mpp_exec.Exec.run ~catalog:env.W.Runner.catalog ~storage:env.W.Runner.storage
       off

@@ -16,8 +16,7 @@ let env () =
   Support.load_date_dim storage date_dim;
   (catalog, storage, orders, date_dim)
 
-let plan_with ?config catalog lg =
-  Planner.plan (Planner.create ?config ~catalog ()) lg
+let plan_with catalog lg = Planner.plan (Planner.create ~catalog ()) lg
 
 (* count the Table_scan leaves in a plan *)
 let scan_count plan =
@@ -48,22 +47,6 @@ let test_constraint_exclusion () =
     (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid);
   Alcotest.(check bool) "rows produced" true (List.length rows > 0)
 
-let test_exclusion_disabled () =
-  let catalog, _, orders, _ = env () in
-  ignore orders;
-  let o_date =
-    Mpp_catalog.Table.colref (Mpp_catalog.Catalog.find catalog "orders")
-      ~rel:0 "date"
-  in
-  let config = { Planner.default_config with enable_static_elimination = false } in
-  let lg =
-    Logical.select
-      (Expr.lt (Expr.col o_date) (Expr.date "2012-02-01"))
-      (Logical.get ~rel:0 "orders")
-  in
-  Alcotest.(check int) "all leaves kept when disabled" 24
-    (scan_count (plan_with ~config catalog lg))
-
 let dpe_logical catalog =
   let orders = Mpp_catalog.Catalog.find catalog "orders" in
   let date_dim = Mpp_catalog.Catalog.find catalog "date_dim" in
@@ -93,16 +76,6 @@ let test_rudimentary_dpe () =
   Alcotest.(check int) "July 2013 only" 1
     (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid);
   Alcotest.(check bool) "valid" true (Mpp_verify.Verify.ok ~catalog p)
-
-let test_dpe_disabled () =
-  let catalog, storage, orders, _ = env () in
-  let config =
-    { Planner.default_config with enable_dynamic_elimination = false }
-  in
-  let p = plan_with ~config catalog (dpe_logical catalog) in
-  let _, m = Mpp_exec.Exec.run ~catalog ~storage p in
-  Alcotest.(check int) "all partitions scanned" 24
-    (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid)
 
 let test_no_dpe_for_multilevel () =
   (* the legacy planner's DPE pattern is single-level only *)
@@ -234,12 +207,10 @@ let () =
     [ ("expansion",
        [ Alcotest.test_case "inheritance expansion" `Quick test_expansion;
          Alcotest.test_case "constraint exclusion" `Quick
-           test_constraint_exclusion;
-         Alcotest.test_case "exclusion disabled" `Quick test_exclusion_disabled ]);
+           test_constraint_exclusion ]);
       ("dynamic elimination",
        [ Alcotest.test_case "rudimentary DPE with guards" `Quick
            test_rudimentary_dpe;
-         Alcotest.test_case "DPE disabled" `Quick test_dpe_disabled;
          Alcotest.test_case "multilevel unsupported" `Quick
            test_no_dpe_for_multilevel ]);
       ("dml",

@@ -2,8 +2,9 @@
     row-identical to fresh optimization for randomized bind parameters,
     under both optimizers, serial and parallel executors), invalidation on
     catalog change, one verifier run per miss, a partitioned table added
-    while serving, and admission control (capacity-1 serialization, memory
-    budgets, Dpool/Channel accounting). *)
+    while serving, LRU eviction, the planning front door's root estimate
+    against the optimizer's, and admission control (capacity-1
+    serialization, memory budgets, Dpool/Channel accounting). *)
 
 open Mpp_expr
 module W = Mpp_workload
@@ -14,21 +15,20 @@ module Exec = Mpp_exec.Exec
 module Dpool = Mpp_exec.Dpool
 module Metrics = Mpp_exec.Metrics
 module Catalog = Mpp_catalog.Catalog
+module Obs = Mpp_obs.Obs
 
 let env = lazy (W.Runner.setup_env ~scale:1 ~nsegments:4 ())
 
 let serve_config ?(optimizer = Serve.Orca) ?(workers = 2) ?(capacity = 4)
     ?(exec_domains = 1) ?mem_budget () =
   {
-    Serve.default_config with
-    optimizer;
+    Serve.optimizer;
     workers;
     capacity;
     exec_domains;
     mem_budget_bytes =
-      (match mem_budget with
-      | Some b -> b
-      | None -> Serve.default_config.Serve.mem_budget_bytes);
+      Option.value mem_budget
+        ~default:Serve.default_config.Serve.mem_budget_bytes;
   }
 
 let with_server ?config env f =
@@ -39,31 +39,20 @@ let with_server ?config env f =
   in
   Fun.protect ~finally:(fun () -> Serve.close srv) (fun () -> f srv)
 
-(* Fresh optimize+run through the serving layer's own optimizer entry (no
-   cache): the reference a cache-hit execution must be row-identical to. *)
+(* A fresh plan through the planning front door on [env]'s cluster (no
+   cache), and its rows: the reference a cache-hit execution must be
+   row-identical to. *)
+let fresh_plan env kind sql =
+  fst
+    (Serve.plan ~stats:env.W.Runner.stats ~catalog:env.W.Runner.catalog
+       ~nsegments:(Mpp_storage.Storage.nsegments env.W.Runner.storage)
+       kind
+       (Mpp_sql.Sql.to_logical env.W.Runner.catalog sql))
+
 let fresh_rows env kind sql =
-  let lg = Mpp_sql.Sql.to_logical env.W.Runner.catalog sql in
-  let srv_kind =
-    match kind with Serve.Orca -> W.Runner.Orca | Serve.Planner -> W.Runner.Legacy_planner
-  in
-  ignore srv_kind;
-  let plan =
-    match kind with
-    | Serve.Planner ->
-        let pl =
-          Mpp_planner.Planner.create ~catalog:env.W.Runner.catalog ()
-        in
-        Mpp_planner.Planner.plan pl lg
-    | Serve.Orca ->
-        let opt =
-          Orca.Optimizer.create ~stats:env.W.Runner.stats
-            ~catalog:env.W.Runner.catalog ()
-        in
-        Orca.Optimizer.optimize opt lg
-  in
   fst
     (Exec.run ~catalog:env.W.Runner.catalog ~storage:env.W.Runner.storage
-       plan)
+       (fresh_plan env kind sql))
 
 (* ------------------------------------------------------------------ *)
 (* Plan-cache correctness                                              *)
@@ -285,10 +274,7 @@ let test_partitioned_ddl_while_serving () =
       in
       let served = Serve.execute srv ~session:1 (Serve.prepare srv sql) [] in
       let rows, metrics =
-        Exec.run ~catalog ~storage
-          (Orca.Optimizer.optimize
-             (Orca.Optimizer.create ~stats:env.W.Runner.stats ~catalog ())
-             (Mpp_sql.Sql.to_logical catalog sql))
+        Exec.run ~catalog ~storage (fresh_plan env Serve.Orca sql)
       in
       Support.check_rows_equal "rows = direct execution" rows served.Serve.rows;
       let parts m =
@@ -297,6 +283,75 @@ let test_partitioned_ddl_while_serving () =
       Alcotest.(check int) "two of eight partitions" 2 (parts metrics);
       Alcotest.(check int) "parts scanned = direct execution" (parts metrics)
         (parts served.Serve.metrics))
+
+(* LRU eviction: a full cache touched at its oldest key evicts the
+   second-oldest on the next insert. *)
+let test_lru_eviction () =
+  let env = Lazy.force env in
+  let catalog = env.W.Runner.catalog in
+  let plan = fresh_plan env Serve.Orca "SELECT count(*) FROM store" in
+  let est = Mpp_plan.Est.none in
+  let cache = Plan_cache.create () in
+  let key i =
+    Plan_cache.key ~fingerprint:(string_of_int i) ~kind:"orca" ~shape:""
+  in
+  for i = 0 to Plan_cache.capacity - 1 do
+    Plan_cache.insert cache ~catalog (key i) plan est
+  done;
+  Alcotest.(check bool) "oldest key found" true
+    (Plan_cache.find cache ~catalog (key 0) <> None);
+  Plan_cache.insert cache ~catalog (key Plan_cache.capacity) plan est;
+  Alcotest.(check bool) "second-oldest key evicted" true
+    (Plan_cache.find cache ~catalog (key 1) = None);
+  Alcotest.(check bool) "touched key kept" true
+    (Plan_cache.find cache ~catalog (key 0) <> None);
+  let s = Plan_cache.stats cache in
+  Alcotest.(check int) "one eviction" 1 s.Plan_cache.evictions;
+  Alcotest.(check int) "still full" Plan_cache.capacity s.Plan_cache.entries
+
+(* ------------------------------------------------------------------ *)
+(* The planning front door                                             *)
+
+(* EXPLAIN's root estimate is the optimizer's own: for every Orca plan of
+   the 43 templates and the generated big-join suite, the stamped root
+   estimate equals the [estimated_rows] the optimizer costed the plan
+   with (the attribute of its [optimize] span). *)
+let test_root_estimate_matches_optimizer () =
+  let env = Lazy.force env in
+  let check ~stats ~catalog ~storage name lg =
+    let sink = Obs.create () in
+    Obs.install sink;
+    let _, est =
+      Fun.protect ~finally:Obs.uninstall (fun () ->
+          Serve.plan ~stats ~catalog
+            ~nsegments:(Mpp_storage.Storage.nsegments storage)
+            Serve.Orca lg)
+    in
+    let costed =
+      match Obs.find_span sink "optimize" with
+      | Some sp -> (
+          match List.assoc_opt "estimated_rows" sp.Obs.span_attrs with
+          | Some (Mpp_obs.Json.Float r) -> Some r
+          | _ -> None)
+      | None -> None
+    in
+    Alcotest.(check (option (float 1e-9)))
+      (name ^ ": root estimate = optimizer's") costed
+      (Mpp_plan.Est.find est 0)
+  in
+  let { W.Runner.stats; catalog; storage; _ } = env in
+  List.iter
+    (fun (qu : W.Queries.query) ->
+      check ~stats ~catalog ~storage qu.W.Queries.name
+        (Mpp_sql.Sql.to_logical catalog qu.W.Queries.sql))
+    W.Queries.all;
+  List.iter
+    (fun spec ->
+      let { W.Biggen.name; catalog; storage; stats; logical } =
+        W.Biggen.generate spec
+      in
+      check ~stats ~catalog ~storage name logical)
+    (W.Biggen.default_suite ())
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -336,12 +391,7 @@ let test_admission_capacity_one () =
             fst
               (Exec.run ~pool:baseline_pool ~catalog:env.W.Runner.catalog
                  ~storage:env.W.Runner.storage
-                 (let opt =
-                    Orca.Optimizer.create ~stats:env.W.Runner.stats
-                      ~catalog:env.W.Runner.catalog ()
-                  in
-                  Orca.Optimizer.optimize opt
-                    (Mpp_sql.Sql.to_logical env.W.Runner.catalog sql))))
+                 (fresh_plan env Serve.Orca sql)))
           admission_queries
       in
       let serial_jobs = Dpool.jobs_submitted baseline_pool in
@@ -448,6 +498,12 @@ let () =
             (test_one_verify_per_miss Serve.Planner);
           Alcotest.test_case "partitioned table added while serving" `Quick
             test_partitioned_ddl_while_serving;
+          Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+        ] );
+      ( "front door",
+        [
+          Alcotest.test_case "root estimate = optimizer's" `Slow
+            test_root_estimate_matches_optimizer;
         ] );
       ( "admission control",
         [
