@@ -100,6 +100,86 @@ let selectivity_for env pred =
       List.fold_left (fun acc rel -> acc *. per_rel rel) 1.0 rels
 
 (* ------------------------------------------------------------------ *)
+(* Row estimates                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A scan's rows: the table's rowcount shaped by the filter's selectivity;
+   a leaf partition's scan (the partition-wise join's) reads its share. *)
+let scan_rows env ~rel oid filter =
+  let table =
+    match List.assoc_opt rel env.rel_tables with
+    | Some table -> table
+    | None -> Mpp_catalog.Catalog.find_oid env.catalog oid
+  in
+  let rows = float_of_int (stats_of env table).rowcount in
+  let rows =
+    match table.Table.partitioning with
+    | Some p when oid <> table.Table.oid ->
+        rows /. float_of_int (max 1 (Mpp_catalog.Partition.nparts p))
+    | _ -> rows
+  in
+  match filter with
+  | None -> rows
+  | Some f -> Float.max 1.0 (rows *. selectivity_for env f)
+
+(* The one row-count rule (see the interface). *)
+let rows_of env (node : Plan.t) child_rows =
+  match (node, child_rows) with
+  | Plan.Table_scan { rel; table_oid; filter; _ }, _ ->
+      scan_rows env ~rel table_oid filter
+  | Plan.Dynamic_scan { rel; root_oid; filter; _ }, _ ->
+      scan_rows env ~rel root_oid filter
+  | Plan.Filter { pred; _ }, [ c ] ->
+      Float.max 1.0 (c *. selectivity_for env pred)
+  | ( ( Plan.Hash_join { kind; pred; left; right }
+      | Plan.Nl_join { kind; pred; left; right } ),
+      [ build; probe ] ) -> (
+      let build_rels = Plan.output_rels left in
+      let probe_rels = Plan.output_rels right in
+      match (kind, Dist.equi_pairs ~build_rels ~probe_rels pred) with
+      | Plan.Semi, _ -> Float.max 1.0 (probe *. 0.5)
+      | _, [] -> Float.max 1.0 (build *. probe *. 0.1)
+      | _, (bk, pk) :: _ ->
+          Mpp_stats.Selectivity.join_rows ~left_rows:build ~right_rows:probe
+            ~left_ndv:(key_ndv env bk) ~right_ndv:(key_ndv env pk))
+  | Plan.Agg { group_by = []; _ }, _ -> 1.0
+  | Plan.Agg { child = Plan.Motion { child = Plan.Agg _; _ }; _ }, [ c ] ->
+      (* the final phase of a two-phase aggregate: the group count was
+         estimated once, at the partial *)
+      c
+  | Plan.Agg _, [ c ] -> Float.max 1.0 (c /. 10.0)
+  | Plan.Limit { rows; _ }, [ c ] -> Float.min (float_of_int rows) c
+  | Plan.Append _, cs -> List.fold_left ( +. ) 0.0 cs
+  | Plan.Sequence _, cs -> (
+      match List.rev cs with last :: _ -> last | [] -> 0.0)
+  | ( ( Plan.Partition_selector { child = None; _ }
+      | Plan.Update _ | Plan.Delete _ | Plan.Insert _ ),
+      _ ) ->
+      1.0
+  | _, [ c ] -> c
+  | _ -> invalid_arg "Memo.rows_of: one row count per child expected"
+
+(* Plan nodes by physical identity. *)
+module Phys = Hashtbl.Make (struct
+  type t = Plan.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let estimator env : Plan.t -> float =
+  let memo = Phys.create 64 in
+  let rec rows p =
+    match Phys.find_opt memo p with
+    | Some r -> r
+    | None ->
+        let r = rows_of env p (List.map rows (Plan.children p)) in
+        Phys.add memo p r;
+        r
+  in
+  rows
+
+(* ------------------------------------------------------------------ *)
 (* Annotated subplans                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -121,7 +201,7 @@ type annotated = {
 
 let plan_get env ~scan_id ~rel name : annotated =
   let table = Mpp_catalog.Catalog.find env.catalog name in
-  let rows = float_of_int (stats_of env table).rowcount in
+  let rows = scan_rows env ~rel table.Table.oid None in
   let dist = Dist.of_table table ~rel in
   match table.Table.partitioning with
   | None ->
@@ -174,16 +254,16 @@ let indexed_nparts env ~root_oid ~keys pred =
 
 let plan_select env pred (child : annotated) : annotated =
   let sel = selectivity_for env pred in
-  let rows = Float.max 1.0 (child.rows *. sel) in
-  let plan =
+  let plan, child_rows =
     (* push the filter into a bare scan; otherwise keep a Filter node *)
     match child.plan with
     | Plan.Table_scan ({ filter = None; _ } as s) ->
-        Plan.Table_scan { s with filter = Some pred }
+        (Plan.Table_scan { s with filter = Some pred }, [])
     | Plan.Dynamic_scan ({ filter = None; _ } as s) ->
-        Plan.Dynamic_scan { s with filter = Some pred }
-    | p -> Plan.filter pred p
+        (Plan.Dynamic_scan { s with filter = Some pred }, [])
+    | p -> (Plan.filter pred p, [ child.rows ])
   in
+  let rows = rows_of env plan child_rows in
   (* Refine each visible DynamicScan with the statically-surviving
      partition count under [pred] (the index makes this one bitset
      cardinality per scan): DPE costing then discounts against the
@@ -293,13 +373,8 @@ let alternatives env ~kind ~pred ~(build : Dist.t -> annotated option)
           probe.cost dpe
       in
       let rows =
-        match (kind, pairs) with
-        | Plan.Semi, _ -> Float.max 1.0 (probe.rows *. 0.5)
-        | _, [] -> Float.max 1.0 (b.rows *. probe.rows *. 0.1)
-        | _, (bk, pk) :: _ ->
-            Mpp_stats.Selectivity.join_rows ~left_rows:b.rows
-              ~right_rows:probe.rows ~left_ndv:(key_ndv env bk)
-              ~right_ndv:(key_ndv env pk)
+        rows_of env (Plan.hash_join ~kind ~pred b.plan probe.plan)
+          [ b.rows; probe.rows ]
       in
       List.map
         (fun (bm : annotated) ->

@@ -36,6 +36,20 @@ val key_ndv : env -> Mpp_expr.Expr.t -> int
 val selectivity_for : env -> Mpp_expr.Expr.t -> float
 (** Selectivity of a predicate from per-relation statistics. *)
 
+(** {1 Row estimates} *)
+
+val rows_of : env -> Plan.t -> float list -> float
+(** The one row-count rule: a node's estimated rows, given its children's
+    in {!Plan.children} order.  Every annotated subplan's [rows] is this
+    rule over its plan; a [Filter] is its child's rows times the
+    predicate's {!selectivity_for}, and a leaf partition's scan reads its
+    share of the root table (rowcount ÷ nparts). *)
+
+val estimator : env -> Plan.t -> float
+(** [estimator env] is {!rows_of} folded over a plan, memoized by physical
+    node identity: asked for every node of a plan (or of plans sharing
+    subtrees), it evaluates the rule once per node. *)
+
 (** {1 Annotated subplans} *)
 
 type dyn_scan_info = {
@@ -48,7 +62,7 @@ type dyn_scan_info = {
 
 type annotated = {
   plan : Plan.t;
-  rows : float;
+  rows : float;  (** {!rows_of} folded over [plan] *)
   dist : Mpp_plan.Dist.t;
   cost : float;
   dyn_scans : dyn_scan_info list;  (** DynamicScans visible for DPE *)

@@ -111,7 +111,7 @@ let env_of t (lg : Logical.t) : Memo.env =
    DynamicScans of tables partitioned with *identical* level-0 constraints,
    equi-joined on those keys — expand into an Append of per-pair joins.
    Returns [None] when the pattern does not apply. *)
-let try_partition_wise_join t ~kind ~pred (left : annotated)
+let try_partition_wise_join t ~env ~kind ~pred (left : annotated)
     (right : annotated) : annotated option =
   if not (t.config.enable_partition_wise_join && kind = Plan.Inner) then None
   else
@@ -132,11 +132,11 @@ let try_partition_wise_join t ~kind ~pred (left : annotated)
             let keys_joined =
               List.exists
                 (function
-                  | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-                      (Colref.equal a lkey && Colref.equal b rkey)
-                      || (Colref.equal a rkey && Colref.equal b lkey)
+                  | Expr.Col a, Expr.Col b ->
+                      Colref.equal a lkey && Colref.equal b rkey
                   | _ -> false)
-                (Expr.conjuncts pred)
+                (Dist.equi_pairs ~build_rels:[ ls.rel ] ~probe_rels:[ rs.rel ]
+                   pred)
             in
             let constraints_match =
               List.for_all2
@@ -174,12 +174,11 @@ let try_partition_wise_join t ~kind ~pred (left : annotated)
                   (Array.to_list lp.Mpp_catalog.Partition.leaves)
                   (Array.to_list rp.Mpp_catalog.Partition.leaves)
               in
+              let plan = Plan.Append pairs in
               Some
                 {
-                  plan = Plan.Append pairs;
-                  rows =
-                    Mpp_stats.Selectivity.join_rows ~left_rows:left.rows
-                      ~right_rows:right.rows ~left_ndv:1000 ~right_ndv:1000;
+                  plan;
+                  rows = Memo.estimator env plan;
                   dist = right.dist;
                   cost =
                     left.cost +. right.cost
@@ -195,8 +194,8 @@ let try_partition_wise_join t ~kind ~pred (left : annotated)
 (* ------------------------------------------------------------------ *)
 
 (* Row estimate of a logical subtree, for seeding the join-order search.
-   Deliberately the same crude shapes as [est_rows]: the search only ranks
-   orders; the chosen order is then re-costed by the full model. *)
+   Deliberately cruder than {!Memo.rows_of}: the search only ranks
+   orders; the chosen order is then re-costed by the memo. *)
 let rec logical_rows t ~env (lg : Logical.t) : float =
   match lg with
   | Logical.Get { table_name; _ } ->
@@ -413,12 +412,12 @@ let gather (ann : annotated) : annotated =
 let rec plan_aggregate t ~env ~pinned_rel ~group_by ~aggs child :
     annotated =
   let c = build_physical t ~env ~pinned_rel child in
-  let rows = if group_by = [] then 1.0 else Float.max 1.0 (c.rows /. 10.0) in
   if c.dist = Dist.Dsingleton then begin
     let c = gather c in
+    let plan = Plan.agg ~group_by ~aggs c.plan in
     {
-      plan = Plan.agg ~group_by ~aggs c.plan;
-      rows;
+      plan;
+      rows = Memo.rows_of env plan [ c.rows ];
       dist = Dist.Dsingleton;
       cost = c.cost +. (c.rows *. cost_agg_tuple);
       dyn_scans = [];
@@ -501,6 +500,7 @@ let rec plan_aggregate t ~env ~pinned_rel ~group_by ~aggs child :
       Plan.agg ~output_rel:final_rel ~group_by:final_group ~aggs:!final_aggs
         moved
     in
+    let rows = Memo.rows_of env final [ Memo.rows_of env partial [ c.rows ] ] in
     let plan =
       if not !needs_project then final
       else
@@ -532,7 +532,7 @@ and join_tree t ~env ~pinned_rel (lg : Logical.t) : Memo.tree =
       let right = join_tree t ~env ~pinned_rel right in
       match (left, right) with
       | Memo.Leaf l, Memo.Leaf r -> (
-          match try_partition_wise_join t ~kind ~pred l r with
+          match try_partition_wise_join t ~env ~kind ~pred l r with
           | Some ann -> Memo.Leaf ann
           | None -> Memo.Join { kind; pred; left; right })
       | _ -> Memo.Join { kind; pred; left; right })
@@ -558,11 +558,8 @@ and build_physical t ~env ~pinned_rel (lg : Logical.t) : annotated =
       { c with plan = Plan.Sort { keys; child = c.plan } }
   | Logical.Limit { rows; child } ->
       let c = gather (build_physical t ~env ~pinned_rel child) in
-      {
-        c with
-        plan = Plan.Limit { rows; child = c.plan };
-        rows = Float.min c.rows (float_of_int rows);
-      }
+      let plan = Plan.Limit { rows; child = c.plan } in
+      { c with plan; rows = Memo.rows_of env plan [ c.rows ] }
   | Logical.Update { rel; table_name; set_cols; child } ->
       let table = table_of t table_name in
       let c = build_physical t ~env ~pinned_rel:(Some rel) child in
@@ -598,78 +595,8 @@ and build_physical t ~env ~pinned_rel (lg : Logical.t) : annotated =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Runtime-join-filter annotation (costing side)                       *)
+(* Runtime-join-filter decisions                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Row estimate of a *physical* subtree, for sizing and costing runtime
-   filters after placement (the annotated-subplan estimates are gone by
-   then).  Deliberately crude — scan rowcounts shaped by filter
-   selectivity, the textbook join and aggregate discounts — but it only
-   gates the filter-or-not decision and the Bloom's deterministic size. *)
-let rec est_rows t ~env (p : Plan.t) : float =
-  let scan_rows ~rel oid filter =
-    let table =
-      match List.assoc_opt rel env.Memo.rel_tables with
-      | Some tbl -> tbl
-      | None -> Mpp_catalog.Catalog.find_oid t.catalog oid
-    in
-    let rows = float_of_int (Memo.stats_of env table).Mpp_stats.Stats.rowcount in
-    match filter with
-    | None -> rows
-    | Some f ->
-        Float.max 1.0
-          (rows
-          *. Mpp_stats.Selectivity.estimate ~stats:(Memo.stats_of env table) ~rel f)
-  in
-  match p with
-  | Plan.Table_scan { rel; table_oid; filter; _ } ->
-      scan_rows ~rel table_oid filter
-  | Plan.Dynamic_scan { rel; root_oid; filter; _ } ->
-      scan_rows ~rel root_oid filter
-  | Plan.Filter { pred = _; child } ->
-      Float.max 1.0 (est_rows t ~env child *. 0.5)
-  | Plan.Hash_join { kind; pred; left; right }
-  | Plan.Nl_join { kind; pred; left; right } -> (
-      let lr = est_rows t ~env left
-      and rr = est_rows t ~env right in
-      match kind with
-      | Plan.Semi -> Float.max 1.0 (rr *. 0.5)
-      | Plan.Inner | Plan.Left_outer -> (
-          match
-            Mpp_plan.Rf_annotate.equi_col_pairs
-              ~build_rels:(Plan.output_rels left)
-              ~probe_rels:(Plan.output_rels right) pred
-          with
-          | (bk, pk) :: _ ->
-              Mpp_stats.Selectivity.join_rows ~left_rows:lr ~right_rows:rr
-                ~left_ndv:(Memo.key_ndv env (Expr.Col bk))
-                ~right_ndv:(Memo.key_ndv env (Expr.Col pk))
-          | [] -> Float.max 1.0 (lr *. rr *. 0.1)))
-  | Plan.Agg { group_by = []; _ } -> 1.0
-  | Plan.Agg { child = Plan.Motion { child = Plan.Agg _ as partial; _ }; _ } ->
-      (* the final phase of a two-phase aggregate: [plan_aggregate]
-         estimates the group count once, at the partial *)
-      est_rows t ~env partial
-  | Plan.Agg { child; _ } ->
-      Float.max 1.0 (est_rows t ~env child /. 10.0)
-  | Plan.Limit { rows; child } ->
-      Float.min (float_of_int rows) (est_rows t ~env child)
-  | Plan.Append cs ->
-      List.fold_left (fun acc c -> acc +. est_rows t ~env c) 0.0 cs
-  | Plan.Sequence cs -> (
-      match List.rev cs with
-      | last :: _ -> est_rows t ~env last
-      | [] -> 0.0)
-  | Plan.Partition_selector { child = Some c; _ }
-  | Plan.Project { child = c; _ }
-  | Plan.Sort { child = c; _ }
-  | Plan.Motion { child = c; _ }
-  | Plan.Runtime_filter_build { child = c; _ }
-  | Plan.Runtime_filter { child = c; _ } ->
-      est_rows t ~env c
-  | Plan.Partition_selector { child = None; _ }
-  | Plan.Update _ | Plan.Delete _ | Plan.Insert _ ->
-      1.0
 
 (* Annotate-or-not, per eligible join: expected probe-row reduction from
    the NDV ratio of the key pair (the fraction of probe key values the
@@ -677,9 +604,9 @@ let rec est_rows t ~env (p : Plan.t) : float =
    filter pays for itself when the probe stream is non-trivial and at
    least ~10% of it is expected to drop; the Bloom is sized from the
    build-side estimate (the executor caps the bit count). *)
-let rf_decide t ~env ~build ~probe ~build_keys ~probe_keys =
-  let build_rows = est_rows t ~env build in
-  let probe_rows = est_rows t ~env probe in
+let rf_decide ~env ~rows ~build ~probe ~build_keys ~probe_keys =
+  let build_rows = rows build in
+  let probe_rows = rows probe in
   let bk = List.hd build_keys and pk = List.hd probe_keys in
   let build_ndv = float_of_int (Memo.key_ndv env (Expr.Col bk)) in
   let probe_ndv = float_of_int (Memo.key_ndv env (Expr.Col pk)) in
@@ -749,7 +676,7 @@ let optimize t (lg : Logical.t) : Plan.t =
         else
           Obs.span obs "optimize.runtime_filters" (fun () ->
               Mpp_plan.Rf_annotate.annotate ~catalog:t.catalog
-                ~decide:(rf_decide t ~env) placed)
+                ~decide:(rf_decide ~env ~rows:(Memo.estimator env)) placed)
       in
       (* Stamp each DynamicScan's statically-surviving partition count from
          its placed selector, then run the full static verifier: every plan
@@ -759,11 +686,11 @@ let optimize t (lg : Logical.t) : Plan.t =
         placed;
       placed)
 
-(** The per-physical-node row estimator over [lg]'s base tables, for
-    stamping {!Mpp_plan.Est} arrays onto finished plans.  Must be applied
+(** {!Memo.estimator} over [lg]'s base tables, for stamping
+    {!Mpp_plan.Est} arrays onto finished plans: the rule the memo priced
+    every alternative with.  Must be applied
     {e at plan time} — while any injected misestimates are still active —
     so [EXPLAIN ANALYZE]'s est-vs-actual report shows the numbers the
     optimizer actually planned with. *)
 let row_estimator t (lg : Logical.t) : Plan.t -> float =
-  let env = env_of t lg in
-  fun p -> est_rows t ~env p
+  Memo.estimator (env_of t lg)

@@ -47,8 +47,8 @@ val optimize : t -> Logical.t -> Plan.t
     verifier pass (a bug, not an input error). *)
 
 val row_estimator : t -> Logical.t -> Plan.t -> float
-(** [row_estimator t lg] is the per-node row estimator over [lg]'s base
-    tables: apply it to each node of the finished physical plan (e.g. via
+(** [row_estimator t lg] is {!Memo.estimator} over [lg]'s base tables:
+    apply it to each node of the finished physical plan (e.g. via
     {!Mpp_plan.Est.of_plan}) to stamp plan-time cardinality estimates.
     Call at plan time, while any injected misestimates are still
     active. *)

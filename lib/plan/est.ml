@@ -1,6 +1,7 @@
 (** Plan-time cardinality estimates, stamped per physical node.
 
-    The optimizer's row estimator runs once over the finished plan and the
+    The rule Orca's memo priced every alternative with is folded once
+    over the finished plan ([Memo.estimator]) and the
     per-node results are frozen into a pre-order array — the same node
     numbering {!Mpp_exec.Exec} and {!Mpp_exec.Explain} use (root = 0, a
     node's first child is its index + 1, siblings after the whole
@@ -20,7 +21,7 @@ type t = float array
 let none : t = [||]
 
 (** Stamp a plan: [estimate] is called once per node with the subtree
-    rooted there (the optimizer's recursive row estimator) in pre-order.
+    rooted there, in pre-order (Orca's memoizes its rule per node).
     An estimator exception marks that node unknown rather than aborting —
     estimation must never make a valid plan unrunnable. *)
 let of_plan ~(estimate : Plan.t -> float) (plan : Plan.t) : t =

@@ -1,6 +1,7 @@
 (** Plan-time cardinality estimates, stamped per physical node in the
     pre-order numbering shared with the executor and [EXPLAIN ANALYZE]
-    (root = 0; a node's first child is its index + 1). *)
+    (root = 0; a node's first child is its index + 1).  Orca's come from
+    its memo's row-count rule. *)
 
 type t = float array
 (** One estimate per pre-order node index; negative = unknown. *)

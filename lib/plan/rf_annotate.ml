@@ -28,24 +28,13 @@ open Mpp_expr
 module Partition = Mpp_catalog.Partition
 module Table = Mpp_catalog.Table
 
-(* Equi-join (build column, probe column) pairs of [pred]: only simple
-   column = column conjuncts qualify — the Bloom key tuple is positional
+(* Equi-join (build column, probe column) pairs of [pred]: the column =
+   column subset of {!Dist.equi_pairs} — the Bloom key tuple is positional
    over raw column values on both sides. *)
 let equi_col_pairs ~build_rels ~probe_rels pred =
   List.filter_map
-    (function
-      | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-          if
-            List.mem a.Colref.rel build_rels
-            && List.mem b.Colref.rel probe_rels
-          then Some (a, b)
-          else if
-            List.mem b.Colref.rel build_rels
-            && List.mem a.Colref.rel probe_rels
-          then Some (b, a)
-          else None
-      | _ -> None)
-    (Expr.conjuncts pred)
+    (function Expr.Col a, Expr.Col b -> Some (a, b) | _ -> None)
+    (Dist.equi_pairs ~build_rels ~probe_rels pred)
 
 (* part_scan_ids driven by a *streaming* selector (child = Some _): those
    DynamicScans already receive join-driven partition elimination. *)

@@ -24,11 +24,3 @@ val annotate :
     [None] skips the join (the optimizer's cost veto).  Joins whose filter
     would only re-derive streaming partition selection are skipped
     regardless. *)
-
-val equi_col_pairs :
-  build_rels:int list ->
-  probe_rels:int list ->
-  Expr.t ->
-  (Colref.t * Colref.t) list
-(** The (build column, probe column) equality pairs of a join predicate —
-    exposed for the optimizers' costing. *)

@@ -135,28 +135,30 @@ let test_memo_plan_executes () =
       Alcotest.(check bool) "selection pruned something" true
         (Mpp_exec.Metrics.parts_scanned_of m ~root_oid:r.Table.oid <= 10)
 
-let test_three_way_join () =
-  (* the memo's groups compose: (R ⋈ S) ⋈ U with R partitioned *)
-  let catalog, _ = figure13_env () in
+(* The three-way join (R ⋈ S) ⋈ U over the Figure 13 catalog. *)
+let three_way catalog =
   let u =
     Cat.add_table catalog ~name:"u"
       ~columns:[ ("c", Value.Tint) ]
       ~distribution:Dist.Replicated ()
   in
   let r = Cat.find catalog "r" and s = Cat.find catalog "s" in
-  let lg =
-    Orca.Logical.join
-      (Expr.eq
-         (Expr.col (Table.colref s ~rel:1 "b"))
-         (Expr.col (Table.colref u ~rel:2 "c")))
-      (Orca.Logical.join
-         (Expr.eq
-            (Expr.col (Table.colref r ~rel:0 "pk"))
-            (Expr.col (Table.colref s ~rel:1 "a")))
-         (Orca.Logical.get ~rel:0 "r")
-         (Orca.Logical.get ~rel:1 "s"))
-      (Orca.Logical.get ~rel:2 "u")
-  in
+  Orca.Logical.join
+    (Expr.eq
+       (Expr.col (Table.colref s ~rel:1 "b"))
+       (Expr.col (Table.colref u ~rel:2 "c")))
+    (Orca.Logical.join
+       (Expr.eq
+          (Expr.col (Table.colref r ~rel:0 "pk"))
+          (Expr.col (Table.colref s ~rel:1 "a")))
+       (Orca.Logical.get ~rel:0 "r")
+       (Orca.Logical.get ~rel:1 "s"))
+    (Orca.Logical.get ~rel:2 "u")
+
+let test_three_way_join () =
+  (* the memo's groups compose: (R ⋈ S) ⋈ U with R partitioned *)
+  let catalog, _ = figure13_env () in
+  let lg = three_way catalog in
   (match Memo.best_plan ~catalog lg with
   | Some (plan, _) ->
       Alcotest.(check bool) "three-way best plan valid" true
@@ -230,6 +232,114 @@ let test_dml_target_on_probe () =
   Alcotest.(check bool) "pinned: s on the probe side, unmoved" true
     (match right with Plan.Table_scan { rel = 1; _ } -> true | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* One row-count rule                                                  *)
+
+(* The memo's view of [lg]'s base tables, as the optimizer builds it. *)
+let env_of catalog lg : Memo.env =
+  { catalog;
+    stats = None;
+    nsegments = 4;
+    rel_tables =
+      List.map
+        (fun (rel, name) -> (rel, Cat.find catalog name))
+        (Orca.Logical.base_tables lg) }
+
+(* [lg]'s join tree with Get and Select(Get) leaves, as memo groups. *)
+let rec memo_tree env (lg : Orca.Logical.t) =
+  match lg with
+  | Orca.Logical.Get { rel; table_name } ->
+      Memo.Leaf (Memo.plan_get env ~scan_id:(fun () -> rel) ~rel table_name)
+  | Orca.Logical.Select { pred; child } -> (
+      match memo_tree env child with
+      | Memo.Leaf a -> Memo.Leaf (Memo.plan_select env pred a)
+      | Memo.Join _ -> Alcotest.fail "a Select over a Get expected")
+  | Orca.Logical.Join { kind; pred; left; right } ->
+      Memo.Join
+        { kind; pred; left = memo_tree env left; right = memo_tree env right }
+  | _ -> Alcotest.fail "a Get/Select/Join tree expected"
+
+let rec leaves = function
+  | Memo.Leaf a -> [ a ]
+  | Memo.Join { left; right; _ } -> leaves left @ leaves right
+
+(* [r.x < r.pk]: a one-relation predicate no histogram restricts, so its
+   selectivity is the default range guess. *)
+let x_below_pk catalog =
+  let r = Cat.find catalog "r" in
+  Expr.Cmp
+    (Expr.Lt, Expr.col (Table.colref r ~rel:0 "x"),
+     Expr.col (Table.colref r ~rel:0 "pk"))
+
+(* Every annotated subplan the memo returns — scans, pushed filters, the
+   best join plan for each request, and a Filter over a join — carries the
+   rows the plan-time estimator (the rule, folded) gives its plan. *)
+let test_rows_are_the_rule () =
+  let catalog, fig13 = figure13_env () in
+  let pred, r, s =
+    match fig13 with
+    | Orca.Logical.Join { pred; left; right; _ } -> (pred, left, right)
+    | _ -> assert false
+  in
+  let x_below_pk = x_below_pk catalog in
+  let r_filtered = Orca.Logical.select x_below_pk r in
+  let three = three_way catalog in
+  let fixtures =
+    [ ("figure 13", fig13);
+      ("figure 13, R filtered", Orca.Logical.join pred r_filtered s);
+      ("semi", Orca.Logical.join ~kind:Plan.Semi pred r s);
+      ("left outer", Orca.Logical.join ~kind:Plan.Left_outer pred r s);
+      ("three-way", three) ]
+  in
+  List.iter
+    (fun (name, lg) ->
+      let env = env_of catalog lg in
+      let estimate =
+        Orca.Optimizer.row_estimator (Orca.Optimizer.create ~catalog ()) lg
+      in
+      let check what (a : Memo.annotated) =
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s: %s rows = the rule's" name what)
+          (estimate a.Memo.plan) a.Memo.rows
+      in
+      let tree = memo_tree env lg in
+      List.iteri
+        (fun i a -> check (Printf.sprintf "leaf %d" i) a)
+        (leaves tree);
+      List.iter
+        (fun pinned_rel ->
+          match Memo.plan env ~pinned_rel tree with
+          | Some a ->
+              check "best plan" a;
+              check "filter over the join"
+                (Memo.plan_select env x_below_pk a)
+          | None -> ())
+        [ None; Some 0; Some 1 ])
+    fixtures
+
+(* A filter over a join stays a Filter node, estimated at its child's rows
+   times the predicate's selectivity (not a flat half). *)
+let test_filter_over_join_estimate () =
+  let catalog, lg = figure13_env () in
+  let env = env_of catalog lg in
+  let pred = x_below_pk catalog in
+  let sel = Memo.selectivity_for env pred in
+  Alcotest.(check bool) "selectivity is not a half" true (sel < 0.4);
+  match Memo.plan env ~pinned_rel:None (memo_tree env lg) with
+  | None -> Alcotest.fail "the join must plan"
+  | Some join -> (
+      let f = Memo.plan_select env pred join in
+      let expected = Float.max 1.0 (join.Memo.rows *. sel) in
+      let estimate =
+        Orca.Optimizer.row_estimator (Orca.Optimizer.create ~catalog ()) lg
+      in
+      match f.Memo.plan with
+      | Plan.Filter _ ->
+          Alcotest.(check (float 1e-9)) "memo rows" expected f.Memo.rows;
+          Alcotest.(check (float 1e-9)) "plan-time estimate" expected
+            (estimate f.Memo.plan)
+      | _ -> Alcotest.fail "a Filter node expected")
+
 let () =
   Alcotest.run "memo"
     [ ("figure 13/14",
@@ -247,4 +357,9 @@ let () =
          Alcotest.test_case "semi and left-outer orientations" `Quick
            test_fixed_orientations;
          Alcotest.test_case "DML target on the probe side" `Quick
-           test_dml_target_on_probe ]) ]
+           test_dml_target_on_probe ]);
+      ("row estimates",
+       [ Alcotest.test_case "annotated rows = the rule" `Quick
+           test_rows_are_the_rule;
+         Alcotest.test_case "filter over a join" `Quick
+           test_filter_over_join_estimate ]) ]
