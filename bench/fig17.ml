@@ -6,10 +6,15 @@ let run ~smoke:_ =
   header
     "Figure 17: relative runtime improvement, partition selection ON vs OFF";
   let env = get_env () in
-  (* sub-millisecond executions are noise-dominated: time batches of five
-     consecutive runs and take the median of five batches *)
+  (* execution only, as the paper times it: the median of [Runner.run]'s
+     [wall_seconds] (the [Exec.run] call, not the optimization before it)
+     over 25 runs after 5 warm-ups *)
   let measure kind qu =
-    median (samples ~warmup:5 ~batch:5 5 (fun () -> W.Runner.run env kind qu))
+    let exec_seconds () = (W.Runner.run env kind qu).W.Runner.wall_seconds in
+    for _ = 1 to 5 do
+      ignore (exec_seconds ())
+    done;
+    median (List.init 25 (fun _ -> exec_seconds ()))
   in
   let results =
     List.map

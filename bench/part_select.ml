@@ -10,8 +10,8 @@ open Harness
    - static:      a range restriction selecting ~P/8 leaves — the leaf
                   selector of Figure 5(a-c), once per query;
    - point:       a single-value restriction — one leaf survives;
-   - streaming:   point restrictions cycling over distinct join keys — the
-                  per-memo-key resolution of the DPE path (Figure 5(d));
+   - streaming:   point restrictions cycling over distinct join keys — one
+                  select per join key on the DPE path (Figure 5(d));
    - default-arm: a range restriction on a layout with a Default partition,
                   forcing the covered-set check on every select.
 
@@ -67,7 +67,7 @@ let run ~smoke =
           [| Some (Interval.Set.point (Value.Int ((domain / 2) + 50))) |]
         in
         (* distinct join-key tuples of the streaming-DPE path: one select
-           per memoized key, keys cycling round-robin *)
+           per key, keys cycling round-robin *)
         let nkeys = if smoke then 16 else 256 in
         let rng = W.Rng.create () in
         let stream_rs =

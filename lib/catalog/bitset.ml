@@ -53,7 +53,12 @@ let inter_into ~into src =
   done
 
 let set_list t l = List.iter (set t) l
-let set_array t a = Array.iter (set t) a
+let set_array t a =
+  for i = 0 to Array.length a - 1 do
+    set t (Array.unsafe_get a i)
+  done
+
+let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 

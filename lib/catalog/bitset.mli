@@ -33,6 +33,9 @@ val set_list : t -> int list -> unit
 
 val set_array : t -> int array -> unit
 
+val clear : t -> unit
+(** Clear every bit, keeping the length. *)
+
 val is_empty : t -> bool
 val cardinal : t -> int
 

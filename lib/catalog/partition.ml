@@ -403,26 +403,34 @@ module Index = struct
   let count_selected ix restrictions =
     Bitset.cardinal (select_bits ix restrictions)
 
+  (* OR into [into] the leaves the point restriction [{v}] selects at one
+     level, [v] not NULL: [level_bits] of [Interval.Set.point v] without
+     building it.  The region holding [v] comes from one binary search (or
+     the categorical hash), and a default class joins unless its covered
+     set holds [v].  Allocates nothing. *)
+  let add_point (ix : t) ~level v into =
+    let li = ix.ix_levels.(level) in
+    (if li.li_all_points then
+       match VH.find li.li_points v with
+       | ms -> Bitset.set_array into ms
+       | exception Not_found -> ()
+     else Bitset.set_array into li.li_regions.(region_of_value li.li_cuts v));
+    let defaults = li.li_defaults in
+    for d = 0 to Array.length defaults - 1 do
+      let dc = defaults.(d) in
+      if not (Interval.Set.contains dc.dc_covered v) then
+        Bitset.set_array into dc.dc_members
+    done
+
   (* Leaves accepting value [v] (possibly NULL) at one level. *)
-  let route_bits (ix : t) (li : level_index) (v : Value.t) : Bitset.t =
+  let route_bits (ix : t) ~level (v : Value.t) : Bitset.t =
     let bits = Bitset.create ix.ix_nleaves in
     if Value.is_null v then
       (* NULLs go to default arms only *)
-      Array.iter (fun dc -> Bitset.set_array bits dc.dc_members) li.li_defaults
-    else begin
-      (if li.li_all_points then (
-         match VH.find_opt li.li_points v with
-         | Some ms -> Bitset.set_array bits ms
-         | None -> ())
-       else
-         Bitset.set_array bits
-           li.li_regions.(region_of_value li.li_cuts v));
       Array.iter
-        (fun dc ->
-          if not (Interval.Set.contains dc.dc_covered v) then
-            Bitset.set_array bits dc.dc_members)
-        li.li_defaults
-    end;
+        (fun dc -> Bitset.set_array bits dc.dc_members)
+        ix.ix_levels.(level).li_defaults
+    else add_point ix ~level v bits;
     bits
 
   let route (ix : t) (keys : Value.t array) : leaf option =
@@ -430,7 +438,7 @@ module Index = struct
       invalid_arg "Partition.Index.route: wrong number of keys";
     let acc = Bitset.full ix.ix_nleaves in
     Array.iteri
-      (fun i v -> Bitset.inter_into ~into:acc (route_bits ix ix.ix_levels.(i) v))
+      (fun level v -> Bitset.inter_into ~into:acc (route_bits ix ~level v))
       keys;
     Option.map (fun j -> ix.ix_leaves.(j)) (Bitset.first_set acc)
 end

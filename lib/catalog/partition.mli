@@ -107,6 +107,16 @@ module Index : sig
   val count_selected : t -> Interval.Set.t option array -> int
   (** [cardinal (select_bits …)] without materializing leaves — the
       optimizer's statically-surviving partition count. *)
+
+  val add_point : t -> level:int -> Value.t -> Bitset.t -> unit
+  (** [add_point ix ~level v into] ORs into [into] the leaves that the point
+      restriction [{v}] selects at [level] — exactly [select_bits]'s
+      survivors of that one level under [Some (Interval.Set.point v)] — for
+      a non-NULL [v], without building a restriction or allocating: the
+      region members from one binary search (or the categorical hash), plus
+      each default class whose covered set does not hold [v].  The
+      streaming selector's equality fast path (paper Figure 15(a)), and the
+      non-NULL arm of {!route}. *)
 end
 
 (** {2 Constructors for common layouts} *)

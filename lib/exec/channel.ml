@@ -61,8 +61,8 @@ let union_slot shard id bits =
   | None -> Hashtbl.replace shard id (Bitset.copy bits)
 
 (** Push selected leaf positions to the DynamicScan with the given id on
-    the given segment: one word-wise union, so a leaf pushed twice (two
-    rows or memo keys routing to one leaf) is held once. *)
+    the given segment: one word-wise union, so a leaf pushed twice (by two
+    selectors, or two rows of a re-analyzing selector) is held once. *)
 let propagate t ~segment ~part_scan_id bits =
   let c = t.counters.(segment) in
   c.offered <- c.offered + Bitset.cardinal bits;

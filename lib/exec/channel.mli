@@ -56,7 +56,10 @@ val reset : t -> unit
     repeated selector pushes the channel absorbed. *)
 
 type seg_stats = {
-  offered : int;  (** leaves pushed, duplicates included *)
+  offered : int;
+      (** leaves pushed, duplicates included; a streaming selector pushes
+          once per segment, the union of its rows' leaves, so its repeats
+          are absorbed before they are offered *)
   admitted : int;  (** leaves new to their slot: slots only grow *)
   filters_published : int;  (** runtime-filter publications *)
   occupancy : int;  (** distinct leaves currently held, over all slots *)

@@ -38,17 +38,17 @@
       the row without keeping it.  Rows from a heap or a batch are never
       written and pass through unchanged.
     - {b One key table.}  Hash joins (build and probe), grouped
-      aggregation, the streaming selector's memo and DELETE's
-      deleted-tuple multiset all use {!Keytbl}: open addressing over flat
-      parallel arrays of keys, hashes and [int] values, keyed on one value
-      or a tuple, with {!Value.equal} (SQL [=], so [Int 1] matches
-      [Float 1.0]) and {!Keytbl.hash}.  A lookup allocates nothing:
-      probe and group keys go through a per-segment scratch tuple whose
-      components are copied only when a new key is stored.  A join's
-      equal-key build rows form an index chain headed by the entry's
-      value; a grouped aggregation's groups are the table's entries, in
-      first-seen order.  Aggregates pick their per-row feeder at compile
-      time.
+      aggregation and DELETE's deleted-tuple multiset all use {!Keytbl}:
+      open addressing over flat parallel arrays of keys, hashes and [int]
+      values, keyed on one value or a tuple, with {!Value.equal} (SQL [=],
+      so [Int 1] matches [Float 1.0]) and {!Keytbl.hash}.  A lookup
+      allocates nothing: probe and group keys go through a per-segment
+      scratch tuple whose components are copied only when a new key is
+      stored.  A join's equal-key build rows form an index chain headed by
+      the entry's value; a grouped aggregation's groups are the table's
+      entries, in first-seen order.  Aggregates pick their per-row feeder
+      at compile time.  The streaming partition selector keys on nothing:
+      a row costs one {!Index.add_point} per equality level.
     - {b Segment parallelism.}  Each breaker's per-segment work fans out
       across a {!Dpool} domain pool (knob: [MPP_DOMAINS] / [?domains]).  The
       plan walk itself stays on the coordinating domain; {!Channel} and
@@ -522,25 +522,25 @@ let run_static_selection ctx ~part_scan_id ~root_oid
     Channel.propagate ctx.channel ~segment ~part_scan_id bits
   done
 
-(* Row-driven selection (the DPE case, Figure 5(d)): evaluate the compiled
-   selectors against each row, memoizing per distinct key-value tuple.  The
-   memo only helps when no level needs the general per-row re-analysis, so
-   that check is hoisted out of the row loop — with a dynamic level present
-   the fast-key tuples are never even built.
+(* Row-driven selection (the DPE case, Figure 5(d)).  Selection goes
+   through the table's index, resolved here on the coordinating domain and
+   then read-only inside the parallel section.
 
-   Selection itself goes through the table's index (resolved here on the
-   coordinating domain, then read-only inside the parallel section): each
-   memo key costs one O(log P) bitset intersection instead of a scan of
-   every leaf, and the resolved leaf set is unioned into the channel slot
-   in one word-wise [propagate] — overlapping per-row leaf sets are held
-   once. *)
+   With no [Sel_dynamic] level this is the equality fast path of
+   Figure 15(a), and it allocates nothing per row.  The static levels'
+   survivors are computed once.  Each row costs one {!Index.add_point} per
+   point level (a binary search or a hash hit); the row's set is the
+   static survivors intersected with each level's, and it is unioned into
+   the segment's accumulator.  A NULL point selects nothing.  The
+   accumulator is pushed once per segment that has input rows, so the
+   channel slot is the union of the rows' leaf sets; a segment without
+   rows pushes nothing.
+
+   A [Sel_dynamic] level re-analyzes the predicate with the row
+   substituted, and pushes each row's leaf set. *)
 let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
     (selectors : level_selector array) (child : result) =
   let index = index_of ctx root_oid in
-  let keys = Array.of_list keys in
-  let general =
-    Array.exists (function Sel_dynamic _ -> true | _ -> false) selectors
-  in
   let resolve = resolver child.layout in
   (* compile the per-level point expressions once, not per row *)
   let points =
@@ -550,52 +550,68 @@ let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
         | Sel_none | Sel_static _ | Sel_dynamic _ -> None)
       selectors
   in
-  ignore
-    (par_init ctx (fun segment ->
-         let leaves_for row =
-           let restrictions =
-             Array.mapi
-               (fun i sel ->
-                 match sel with
-                 | Sel_none -> None
-                 | Sel_static set -> Some set
-                 | Sel_point _ -> (
-                     match (Option.get points.(i)) row with
-                     | Value.Null -> Some Interval.Set.empty
-                     | v -> Some (Interval.Set.point v))
-                 | Sel_dynamic p ->
-                     Expr.restriction keys.(i)
-                       (Expr.subst_cols (partial_lookup child.layout row) p))
-               selectors
-           in
-           Index.select_bits index restrictions
-         in
-         let push bits =
-           Channel.propagate ctx.channel ~segment ~part_scan_id bits
-         in
-         let rows = child.rows.(segment) in
-         if general then Vec.iter (fun row -> push (leaves_for row)) rows
-         else begin
-           (* cheap memo key: the per-level point values (Null for static /
-              unrestricted levels, which contribute nothing row-specific —
-              a level is a point level or not for every row, so the
-              placeholder never collides with a point value), built in a
-              scratch tuple and copied only on a miss; a repeated key costs
-              one hash probe, not a re-selection *)
-           let nlevels = Array.length points in
-           let memo = Keytbl.create ~width:nlevels ~init:0 64 in
-           let scratch = Array.make nlevels Value.Null in
-           Vec.iter
-             (fun row ->
-               for i = 0 to nlevels - 1 do
-                 match Array.unsafe_get points i with
-                 | Some f -> scratch.(i) <- f row
-                 | None -> ()
-               done;
-               let seen = Keytbl.length memo in
-               if Keytbl.intern memo scratch = seen then push (leaves_for row))
-             rows
-         end))
+  let push segment bits =
+    Channel.propagate ctx.channel ~segment ~part_scan_id bits
+  in
+  if Array.exists (function Sel_dynamic _ -> true | _ -> false) selectors
+  then begin
+    let keys = Array.of_list keys in
+    let leaves_for row =
+      Index.select_bits index
+        (Array.mapi
+           (fun i sel ->
+             match sel with
+             | Sel_none -> None
+             | Sel_static set -> Some set
+             | Sel_point _ -> (
+                 match (Option.get points.(i)) row with
+                 | Value.Null -> Some Interval.Set.empty
+                 | v -> Some (Interval.Set.point v))
+             | Sel_dynamic p ->
+                 Expr.restriction keys.(i)
+                   (Expr.subst_cols (partial_lookup child.layout row) p))
+           selectors)
+    in
+    ignore
+      (par_init ctx (fun segment ->
+           Vec.iter (fun row -> push segment (leaves_for row))
+             child.rows.(segment)))
+  end
+  else begin
+    let static_bits =
+      Index.select_bits index
+        (Array.map (function Sel_static set -> Some set | _ -> None) selectors)
+    in
+    let nleaves = Index.nparts index in
+    ignore
+      (par_init ctx (fun segment ->
+           let rows = child.rows.(segment) in
+           if Vec.length rows > 0 then begin
+             (* the segment's union, the current row's set, one level's *)
+             let acc = Bitset.create nleaves
+             and row_bits = Bitset.create nleaves
+             and level_bits = Bitset.create nleaves in
+             Vec.iter
+               (fun row ->
+                 Bitset.clear row_bits;
+                 Bitset.union_into ~into:row_bits static_bits;
+                 let live = ref true in
+                 for level = 0 to Array.length points - 1 do
+                   match points.(level) with
+                   | Some f when !live -> (
+                       match f row with
+                       | Value.Null -> live := false
+                       | v ->
+                           Bitset.clear level_bits;
+                           Index.add_point index ~level v level_bits;
+                           Bitset.inter_into ~into:row_bits level_bits)
+                   | _ -> ()
+                 done;
+                 if !live then Bitset.union_into ~into:acc row_bits)
+               rows;
+             push segment acc
+           end))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Runtime join filters                                                *)

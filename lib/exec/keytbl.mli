@@ -1,7 +1,6 @@
 (** The executor's one key table: an open-addressing hash table from keys
     to [int] values, used by the hash-join build and probe, hash
-    aggregation, the streaming partition selector's memo and DELETE's
-    multiset of deleted tuple images.
+    aggregation and DELETE's multiset of deleted tuple images.
 
     A key is a fixed number ([width]) of {!Mpp_expr.Value.t} components:
     one value (a one-element array), or a tuple.  Keys hash with {!hash}

@@ -133,6 +133,9 @@ let serialized_size { lo; hi } =
   in
   bsize lo + bsize hi
 
+(* the one-interval test, under a name [Set.contains] does not shadow *)
+let interval_contains = contains
+
 module Set = struct
   type interval = t
 
@@ -148,7 +151,12 @@ module Set = struct
   let of_interval_opt = function None -> [] | Some i -> [ i ]
   let point v : t = [ point v ]
 
-  let contains (s : t) v = List.exists (fun i -> contains i v) s
+  (* a loop, not [List.exists] over a closure: the selector's point
+     lookup checks default arms per row and must not allocate *)
+  let rec contains (s : t) v =
+    match s with
+    | [] -> false
+    | i :: rest -> interval_contains i v || contains rest v
 
   (* Normalize an arbitrary interval list: sort and merge. *)
   let normalize (l : interval list) : t =

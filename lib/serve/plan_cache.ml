@@ -23,11 +23,17 @@ module Est = Mpp_plan.Est
 module Catalog = Mpp_catalog.Catalog
 module Json = Mpp_obs.Json
 
+(* Entries are threaded on an intrusive circular doubly-linked list in
+   order of use: from the newest, [older] walks back to the oldest, whose
+   [older] is the newest again, so a touch and an eviction are O(1).  A
+   lone entry links to itself. *)
 type entry = {
+  key : string;
   plan : Plan.t;
   est : Est.t;
   generation : int;
-  mutable last_used : int;
+  mutable newer : entry;
+  mutable older : entry;
 }
 
 (** Entries a cache holds before an insert evicts. *)
@@ -36,7 +42,7 @@ let capacity = 256
 type t = {
   tbl : (string, entry) Hashtbl.t;
   lock : Mutex.t;
-  mutable clock : int;
+  mutable newest : entry option;  (** the list's head; [None] when empty *)
   mutable hits : int;
   mutable misses : int;
   mutable inserts : int;
@@ -48,7 +54,7 @@ let create () =
   {
     tbl = Hashtbl.create 64;
     lock = Mutex.create ();
-    clock = 0;
+    newest = None;
     hits = 0;
     misses = 0;
     inserts = 0;
@@ -63,16 +69,45 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let unlink t e =
+  if e.older == e then t.newest <- None
+  else begin
+    e.newer.older <- e.older;
+    e.older.newer <- e.newer;
+    match t.newest with
+    | Some n when n == e -> t.newest <- Some e.older
+    | _ -> ()
+  end;
+  e.newer <- e;
+  e.older <- e
+
+(* [e] is unlinked: link it in as the newest, between the old newest and
+   the oldest. *)
+let push_newest t e =
+  (match t.newest with
+  | None -> ()
+  | Some n ->
+      let oldest = n.newer in
+      e.older <- n;
+      e.newer <- oldest;
+      oldest.older <- e;
+      n.newer <- e);
+  t.newest <- Some e
+
+let remove t e =
+  unlink t e;
+  Hashtbl.remove t.tbl e.key
+
 let find t ~catalog k =
   with_lock t (fun () ->
-      t.clock <- t.clock + 1;
       match Hashtbl.find_opt t.tbl k with
       | Some e when e.generation = Catalog.generation catalog ->
-          e.last_used <- t.clock;
+          unlink t e;
+          push_newest t e;
           t.hits <- t.hits + 1;
           Some (e.plan, e.est)
-      | Some _ ->
-          Hashtbl.remove t.tbl k;
+      | Some e ->
+          remove t e;
           t.invalidations <- t.invalidations + 1;
           t.misses <- t.misses + 1;
           None
@@ -80,34 +115,31 @@ let find t ~catalog k =
           t.misses <- t.misses + 1;
           None)
 
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-      match !victim with
-      | Some (_, v) when v.last_used <= e.last_used -> ()
-      | _ -> victim := Some (k, e))
-    t.tbl;
-  match !victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.tbl k;
-      t.evictions <- t.evictions + 1
-  | None -> ()
-
 (** Store a plan the optimizer produced (and so verified) under [k],
     stamped with the catalog's current generation. *)
 let insert t ~catalog k plan est =
   with_lock t (fun () ->
-      if Hashtbl.length t.tbl >= capacity && not (Hashtbl.mem t.tbl k)
-      then evict_lru t;
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.tbl k
+      (match Hashtbl.find_opt t.tbl k with
+      | Some e -> remove t e
+      | None when Hashtbl.length t.tbl >= capacity ->
+          Option.iter
+            (fun n ->
+              remove t n.newer;
+              t.evictions <- t.evictions + 1)
+            t.newest
+      | None -> ());
+      let rec e =
         {
+          key = k;
           plan;
           est;
           generation = Catalog.generation catalog;
-          last_used = t.clock;
-        };
+          newer = e;
+          older = e;
+        }
+      in
+      push_newest t e;
+      Hashtbl.replace t.tbl k e;
       t.inserts <- t.inserts + 1)
 
 let size t = with_lock t (fun () -> Hashtbl.length t.tbl)

@@ -1,10 +1,11 @@
 (** Counted memory gates: the executor's row kernels, the stored data and
     ANALYZE.
 
-    Row kernels.  Four workload
+    Row kernels.  Five workload
     templates whose per-row path runs through a typed comparison, an IN
     list, a resolved date function, the Bloom probe, the key table
-    (join build and probe, hash aggregation) and the aggregate feeders are
+    (join build and probe, hash aggregation), the aggregate feeders and
+    the streaming partition selector are
     run at scale 1 on a one-domain pool, so every task runs on the calling
     domain and [Gc.minor_words] sees all of it.  Minor words per scanned
     tuple must stay under each template's budget.  Words are counted, not
@@ -22,7 +23,11 @@
     - [sr_reasons_and_date]: 17.0 (23.6 with a closure per IN-list test
       and per AND; 189 tuples, so the fixed cost dominates);
     - [ss_misestimate_no_dpe]: 2.5 (10.6 with a closure per Bloom
-      insertion; its build side is store_sales).
+      insertion; its build side is store_sales);
+    - [sr_dow_join]: 4.0 (1.80, 9 674 words over 5 384 tuples, with one
+      index point lookup per selector input row; 9.96, 53 648 words, when
+      the streaming selector builds a restriction, an interval set and two
+      bitsets per distinct join key).
 
     Stored data.  The live major-heap words that [Runner.setup_env
     ~scale:1] adds — a full major collection before and after, the env
@@ -47,7 +52,8 @@ module Metrics = Mpp_exec.Metrics
 
 let budgets =
   [ ("ss_customer_rf_scan", 2.5); ("cs_group_by_month", 4.0);
-    ("sr_reasons_and_date", 17.0); ("ss_misestimate_no_dpe", 2.5) ]
+    ("sr_reasons_and_date", 17.0); ("ss_misestimate_no_dpe", 2.5);
+    ("sr_dow_join", 4.0) ]
 
 let setup_budget = 280_000
 

@@ -424,6 +424,126 @@ let test_channel () =
   Alcotest.(check (option (list int))) "pushed set not aliased" (Some [ 3 ])
     (read 3 1)
 
+(* The streaming selector's point path: each segment's channel slot must
+   be the union, over that segment's input rows, of the leaves
+   [Index.select_bits] keeps for the row's key values at the point levels
+   and the static restriction elsewhere (the per-key selection the point
+   lookup replaces).  A NULL key selects nothing, and a segment without
+   input rows leaves no slot.  Eight segments for six input rows, so some
+   segments get none. *)
+type sel_level =
+  | Point of string * string  (** target key = input column *)
+  | Static of string * Value.t  (** target key = constant *)
+
+let test_streaming_point_selection () =
+  let module Part = Mpp_catalog.Partition in
+  let module Table = Mpp_catalog.Table in
+  let catalog = Cat.create () in
+  let storage = Storage.create ~nsegments:8 in
+  let schema = Mpp_workload.Tpcds.setup ~catalog ~storage () in
+  let with_default =
+    Cat.add_table catalog ~name:"with_default" ~columns:[ ("a", Value.Tint) ]
+      ~distribution:(Dist.Hashed [ 0 ])
+      ~partitioning:
+        (Part.single_level
+           ~alloc_oid:(fun () -> Cat.alloc_oid catalog)
+           ~key_index:0 ~key_name:"a" ~scheme:Part.Range
+           ~table_name:"with_default"
+           (Part.int_ranges ~start:0 ~width:10 ~count:4 @ [ Part.Default ]))
+      ()
+  in
+  let input =
+    Cat.add_table catalog ~name:"sel_input"
+      ~columns:[ ("i", Value.Tint); ("d", Value.Tdate); ("c", Value.Tstring) ]
+      ~distribution:(Dist.Hashed [ 0 ]) ()
+  in
+  let date s = Value.Date (Date.of_string s) in
+  Storage.load storage input
+    [ [| Value.Int 3; date "2012-05-10"; Value.String "catalog" |];
+      (* a date no leaf holds *)
+      [| Value.Int 25; date "2030-01-01"; Value.String "web" |];
+      (* the default arm; a NULL date *)
+      [| Value.Int 999; Value.Null; Value.String "store" |];
+      (* NULL keys; a date on a cut *)
+      [| Value.Null; date "2011-01-01"; Value.Null |];
+      [| Value.Int 40; date "2013-12-31"; Value.String "catalog" |];
+      (* a channel no leaf holds *)
+      [| Value.Int 12; date "2012-02-29"; Value.String "mail" |] ];
+  let cases =
+    [ ("store_returns, one point level", schema.Mpp_workload.Tpcds.store_returns,
+       [ Point ("sr_returned_date", "d") ]);
+      ("default arm", with_default, [ Point ("a", "i") ]);
+      ("catalog_returns, static channel level",
+       schema.Mpp_workload.Tpcds.catalog_returns,
+       [ Point ("cr_returned_date", "d");
+         Static ("cr_channel", Value.String "catalog") ]);
+      ("catalog_returns, two point levels",
+       schema.Mpp_workload.Tpcds.catalog_returns,
+       [ Point ("cr_returned_date", "d"); Point ("cr_channel", "c") ]) ]
+  in
+  let empty_segments = ref 0 in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (what, (target : Table.t), levels) ->
+          let key = function Point (k, _) | Static (k, _) -> k in
+          let keys = List.map (fun l -> Table.colref target ~rel:1 (key l)) levels in
+          let predicates =
+            List.map2
+              (fun l k ->
+                Some
+                  (match l with
+                  | Point (_, c) ->
+                      Expr.eq (Expr.col k) (Expr.col (Table.colref input ~rel:0 c))
+                  | Static (_, v) -> Expr.eq (Expr.col k) (Expr.Const v)))
+              levels keys
+          in
+          let plan =
+            Plan.partition_selector
+              ~child:(Plan.table_scan ~rel:0 input.Table.oid)
+              ~part_scan_id:1 ~root_oid:target.Table.oid ~keys ~predicates ()
+          in
+          let ctx = Exec.create_ctx ~domains ~catalog ~storage () in
+          let r = Exec.exec ctx plan in
+          let ix = (Option.get target.Table.partitioning).Part.index in
+          let selected (row : Value.t array) =
+            Part.Index.select_bits ix
+              (Array.of_list
+                 (List.map
+                    (function
+                      | Static (_, v) -> Some (Interval.Set.point v)
+                      | Point (_, c) -> (
+                          match row.(Table.col_index input c) with
+                          | Value.Null -> Some Interval.Set.empty
+                          | v -> Some (Interval.Set.point v)))
+                    levels))
+          in
+          Array.iteri
+            (fun segment rows ->
+              let expected =
+                match Vec.to_list rows with
+                | [] ->
+                    incr empty_segments;
+                    None
+                | row :: rest ->
+                    let acc = selected row in
+                    List.iter
+                      (fun r -> Mpp_catalog.Bitset.union_into ~into:acc (selected r))
+                      rest;
+                    Some (Mpp_catalog.Bitset.to_list acc)
+              in
+              Alcotest.(check (option (list int)))
+                (Printf.sprintf "%s, %d domains, segment %d" what domains
+                   segment)
+                expected
+                (Option.map Mpp_catalog.Bitset.to_list
+                   (Channel.consume ctx.Exec.channel ~segment ~part_scan_id:1)))
+            r.Exec.rows)
+        cases)
+    [ 1; 3 ];
+  Alcotest.(check bool) "some segment had no input rows" true
+    (!empty_segments > 0)
+
 (* ---- DML ---- *)
 
 let test_update () =
@@ -1509,7 +1629,9 @@ let () =
            test_selection_disabled_flag;
          Alcotest.test_case "guarded scans (Planner DPE)" `Quick
            test_guarded_scan_skips;
-         Alcotest.test_case "channel semantics" `Quick test_channel ]);
+         Alcotest.test_case "channel semantics" `Quick test_channel;
+         Alcotest.test_case "streaming point selection" `Quick
+           test_streaming_point_selection ]);
       ("explain analyze",
        [ Alcotest.test_case "scan rows sum to metrics" `Quick
            test_stats_rows_match_metrics;

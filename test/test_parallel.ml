@@ -192,9 +192,9 @@ let test_agg_sort_limit_seven_segments () =
   check_equivalent ~what:"agg+sort+limit" ~catalog ~storage plan
 
 (* Hand-built streaming-DPE plan: a join-driven selector (Figure 5(d))
-   above the build side resolves partitions per distinct join key through
-   the selection index's memoized path and unions the leaf sets into the
-   sharded channel via [propagate].  The scanned leaf sets per root
+   above the build side resolves partitions per join key through the
+   selection index's point lookup and unions each segment's leaf set into
+   the sharded channel via [propagate].  The scanned leaf sets per root
    (checked by [check_equivalent] through [Metrics.scanned_leaves])
    must be identical serial vs parallel. *)
 let test_streaming_dpe_memoized () =
@@ -220,8 +220,8 @@ let test_streaming_dpe_memoized () =
   for i = 0 to 499 do
     Storage.insert storage fact [| Value.Int i; Value.Int (i mod 200) |]
   done;
-  (* duplicate keys (memo hits), a key outside every partition, and a NULL
-     key (routes nowhere) *)
+  (* duplicate keys, a key outside every partition, and a NULL key (routes
+     nowhere) *)
   List.iter
     (fun k ->
       Storage.insert storage dim [| k; Value.String "x" |])

@@ -11,6 +11,9 @@
       default arm at a random position, overlapping restriction sets,
       Int/Float key mixing) where indexed select/route must equal the
       oracle exactly, 1200+ cases each;
+    - the point lookup {!Partition.Index.add_point} against [select_bits]
+      and the oracle with a point restriction at one level, on cuts, in
+      gaps and outside every arm, over fixed and randomized layouts;
     - {!Bitset} word-level invariants (ghost bits, ordering);
     - {!Channel} dedup: pushing the same leaf twice, alone or within a
       larger set, holds it once. *)
@@ -159,6 +162,80 @@ let test_find_leaf_hash () =
   Alcotest.(check (option int)) "unknown oid" None
     (leaf_oid_opt (Part.find_leaf p 999_999))
 
+(* ---- the point lookup ---- *)
+
+(* [add_point ~level v] must OR into its target exactly what [select_bits]
+   keeps under [Some {v}] at [level] and [None] elsewhere, which the oracle
+   keeps too; [pre] is what the target held before. *)
+let add_point_agrees ?(pre = []) p ~level v =
+  let ix = p.Part.index in
+  let restrictions =
+    Array.init (Part.nlevels p) (fun i ->
+        if i = level then Some (Interval.Set.point v) else None)
+  in
+  let into = Bitset.create (Part.nparts p) in
+  Bitset.set_list into pre;
+  Part.Index.add_point ix ~level v into;
+  let expected = Part.Index.select_bits ix restrictions in
+  Bitset.set_list expected pre;
+  let oids bits =
+    List.map (fun j -> p.Part.leaves.(j).Part.leaf_oid) (Bitset.to_list bits)
+  in
+  Bitset.equal into expected
+  && (pre <> [] || oids into = Part.select_oids_legacy p restrictions)
+
+let check_add_point what p ~level v =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: add_point level %d %s = select_bits = legacy" what
+       level (Value.to_string v))
+    true
+    (add_point_agrees p ~level v && add_point_agrees ~pre:[ 0 ] p ~level v)
+
+let test_add_point () =
+  (* single-level range: every cut, the day before it (a gap), and values
+     outside every arm *)
+  let _, orders = Support.orders_schema () in
+  let monthly = Option.get orders.Mpp_catalog.Table.partitioning in
+  for m = 0 to 24 do
+    let first = Date.add_months (Date.of_ymd 2012 1 1) m in
+    check_add_point "monthly cut" monthly ~level:0 (Value.Date first);
+    check_add_point "monthly gap" monthly ~level:0
+      (Value.Date (Date.add_days first 14))
+  done;
+  check_add_point "monthly below" monthly ~level:0 (d "2001-01-01");
+  check_add_point "monthly above" monthly ~level:0 (d "2030-01-01");
+  (* categorical *)
+  let next = ref 0 in
+  let cat =
+    Part.single_level
+      ~alloc_oid:(fun () -> incr next; !next)
+      ~key_index:0 ~key_name:"c" ~scheme:Part.Categorical ~table_name:"c"
+      (Part.categorical
+         [ [ Value.Int 1; Value.Int 5 ]; [ Value.Int 2 ]; [ Value.Int 9 ] ])
+  in
+  List.iter
+    (fun v -> check_add_point "categorical" cat ~level:0 v)
+    [ Value.Int 1; Value.Int 5; Value.Int 2; Value.Int 9; Value.Float 2.0;
+      Value.Int 3; Value.Float 1.5; Value.Int (-4); Value.Int 100 ];
+  (* two levels: a range level over a categorical one *)
+  let _, two = Support.multilevel_schema () in
+  let two = Option.get two.Mpp_catalog.Table.partitioning in
+  List.iter
+    (fun v -> check_add_point "two-level" two ~level:0 v)
+    [ d "2012-01-01"; d "2012-03-15"; d "2012-12-31"; d "2013-01-01";
+      d "2011-06-01" ];
+  List.iter
+    (fun v -> check_add_point "two-level" two ~level:1 v)
+    [ Value.String "east"; Value.String "west"; Value.String "north" ];
+  (* default arms at both levels *)
+  let def = default_layout () in
+  for i = -3 to 45 do
+    check_add_point "default arms" def ~level:0 (Value.Int i);
+    check_add_point "default arms" def ~level:1 (Value.Int i)
+  done;
+  check_add_point "default arms" def ~level:0 (Value.Float 39.5);
+  check_add_point "default arms" def ~level:1 (Value.Float 2.0)
+
 (* ---- randomized layouts: the oracle property ---- *)
 
 let layout_and_restrictions_gen :
@@ -247,6 +324,20 @@ let prop_route_matches_oracle =
     (fun (p, keys) ->
       leaf_oid_opt (Part.route p keys) = leaf_oid_opt (Part.route_legacy p keys))
 
+let prop_add_point_matches_select =
+  QCheck2.Test.make ~count:1500
+    ~name:"add_point = select_bits of a point = legacy (randomized layouts)"
+    QCheck2.Gen.(
+      let* p, _ = layout_and_restrictions_gen in
+      let* level = int_range 0 (Part.nlevels p - 1) in
+      let* v = key_value_gen in
+      (* [add_point] takes non-NULL values only *)
+      let v = if Value.is_null v then Value.Int 3 else v in
+      let* pre = list_size (int_range 0 2) (int_range 0 (Part.nparts p - 1)) in
+      return (p, level, v, pre))
+    (fun (p, level, v, pre) ->
+      add_point_agrees p ~level v && add_point_agrees ~pre p ~level v)
+
 (* ---- bitsets ---- *)
 
 let test_bitset_basics () =
@@ -311,10 +402,12 @@ let () =
          Alcotest.test_case "two-level month x region" `Quick
            test_two_level_equivalence;
          Alcotest.test_case "default arms" `Quick test_default_arm_equivalence;
-         Alcotest.test_case "find_leaf OID hash" `Quick test_find_leaf_hash ]);
+         Alcotest.test_case "find_leaf OID hash" `Quick test_find_leaf_hash;
+         Alcotest.test_case "point lookup" `Quick test_add_point ]);
       ("oracle properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_select_matches_oracle; prop_route_matches_oracle ]);
+         [ prop_select_matches_oracle; prop_route_matches_oracle;
+           prop_add_point_matches_select ]);
       ("bitset", [ Alcotest.test_case "word-level ops" `Quick test_bitset_basics ]);
       ("channel",
        [ Alcotest.test_case "leaf dedup" `Quick test_channel_dedup ]) ]

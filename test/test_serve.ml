@@ -309,6 +309,54 @@ let test_lru_eviction () =
   Alcotest.(check int) "one eviction" 1 s.Plan_cache.evictions;
   Alcotest.(check int) "still full" Plan_cache.capacity s.Plan_cache.entries
 
+(* The eviction victim against the last-use scan it replaced: a model
+   stamping each entry with a clock on every hit and insert, and evicting
+   the entry with the smallest stamp.  Random finds and inserts over more
+   keys than the cache holds must hit, miss and evict exactly as the model
+   does. *)
+let test_lru_matches_last_use () =
+  let env = Lazy.force env in
+  let catalog = env.W.Runner.catalog in
+  let plan = fresh_plan env Serve.Orca "SELECT count(*) FROM store" in
+  let est = Mpp_plan.Est.none in
+  let cache = Plan_cache.create () in
+  let key i =
+    Plan_cache.key ~fingerprint:(string_of_int i) ~kind:"orca" ~shape:""
+  in
+  let model : (int, int) Hashtbl.t = Hashtbl.create 512 in
+  let clock = ref 0 and evictions = ref 0 in
+  let rs = Random.State.make [| 31 |] in
+  let nkeys = Plan_cache.capacity + 64 in
+  for step = 1 to 20_000 do
+    incr clock;
+    let i = Random.State.int rs nkeys in
+    if Random.State.bool rs then begin
+      let hit = Plan_cache.find cache ~catalog (key i) <> None in
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: find %d hits as in the model" step i)
+        (Hashtbl.mem model i) hit;
+      if hit then Hashtbl.replace model i !clock
+    end
+    else begin
+      Plan_cache.insert cache ~catalog (key i) plan est;
+      if Hashtbl.length model >= Plan_cache.capacity
+         && not (Hashtbl.mem model i)
+      then begin
+        let victim, _ =
+          Hashtbl.fold
+            (fun k used (v, u) -> if used < u then (k, used) else (v, u))
+            model (-1, max_int)
+        in
+        Hashtbl.remove model victim;
+        incr evictions
+      end;
+      Hashtbl.replace model i !clock
+    end
+  done;
+  let s = Plan_cache.stats cache in
+  Alcotest.(check int) "evictions" !evictions s.Plan_cache.evictions;
+  Alcotest.(check int) "entries" (Hashtbl.length model) s.Plan_cache.entries
+
 (* ------------------------------------------------------------------ *)
 (* The planning front door                                             *)
 
@@ -499,6 +547,8 @@ let () =
           Alcotest.test_case "partitioned table added while serving" `Quick
             test_partitioned_ddl_while_serving;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "LRU victim = least recently used" `Quick
+            test_lru_matches_last_use;
         ] );
       ( "front door",
         [
