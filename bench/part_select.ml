@@ -50,8 +50,7 @@ let run ~smoke =
       (fun nparts ->
         let p = make_part ~nparts () in
         let pd = make_part ~default_arm:true ~nparts () in
-        let build_s, ix = time_run (fun () -> Part.Index.build p) in
-        let ixd = pd.Part.index in
+        let build_s, _ = time_run (fun () -> Part.Index.build p) in
         let domain = nparts * 100 in
         let rset i = Interval.Set.of_interval_opt i in
         (* ~P/8 surviving leaves, mid-domain *)
@@ -88,23 +87,23 @@ let run ~smoke =
                            (Value.Int (domain + 250))))
           |]
         in
-        let case name part ix restriction =
+        let case name part restriction =
           (match restriction with
           | Some r ->
               (* the oracle contract, checked before timing *)
-              assert (Part.Index.select_oids ix r = Part.select_oids_legacy part r)
+              assert (Part.select_oids part r = Part.select_oids_legacy part r)
           | None ->
               Array.iter
                 (fun r ->
                   assert (
-                    Part.Index.select_oids ix r
+                    Part.select_oids part r
                     = Part.select_oids_legacy part r))
                 stream_rs);
           let arg () =
             match restriction with Some r -> r | None -> next_stream ()
           in
           let legacy = ns_per_op (fun () -> Part.select_oids_legacy part (arg ()))
-          and indexed = ns_per_op (fun () -> Part.Index.select_oids ix (arg ())) in
+          and indexed = ns_per_op (fun () -> Part.select_oids part (arg ())) in
           let speedup = legacy /. indexed in
           Printf.printf "%-8d %-12s %14.0f %14.0f %9.1fx\n" nparts name legacy
             indexed speedup;
@@ -117,10 +116,10 @@ let run ~smoke =
                 ("speedup", Json.Float speedup) ] )
         in
         (* force left-to-right evaluation so the table prints in order *)
-        let c_static = case "static" p ix (Some static_r) in
-        let c_point = case "point" p ix (Some point_r) in
-        let c_stream = case "streaming" p ix None in
-        let c_default = case "default-arm" pd ixd (Some default_r) in
+        let c_static = case "static" p (Some static_r) in
+        let c_point = case "point" p (Some point_r) in
+        let c_stream = case "streaming" p None in
+        let c_default = case "default-arm" pd (Some default_r) in
         let cases = [ c_static; c_point; c_stream; c_default ] in
         Json.Obj
           [ ("nparts", Json.Int nparts);

@@ -412,15 +412,8 @@ let expr_of_set (c : Colref.t) (s : Interval.Set.t) : Expr.t =
 (* ------------------------------------------------------------------ *)
 (* Plan-level derivation.                                              *)
 
-let root_oid_of cat oid =
-  match Catalog.root_of_leaf cat oid with Some r -> r | None -> oid
-
-let table_opt cat oid =
-  try Some (Catalog.find_oid cat (root_oid_of cat oid))
-  with Invalid_argument _ -> None
-
 let scan_env ~catalog ~rel oid =
-  match table_opt catalog oid with
+  match Catalog.find_oid_opt catalog (Catalog.root_of catalog oid) with
   | None -> env_top
   | Some tbl ->
       (* every stored column: full range, non-nullable (base tables store no
@@ -438,25 +431,7 @@ let scan_env ~catalog ~rel oid =
           let keys = Table.part_key_colrefs tbl ~rel in
           let nlv = Partition.nlevels part in
           let ranges =
-            if oid = root then
-              (* union of the leaf constraint sets per level; a default arm
-                 makes the level unconstrained *)
-              Array.init nlv (fun l ->
-                  if
-                    Array.exists
-                      (fun (lf : Partition.leaf) ->
-                        match lf.Partition.bounds.(l) with
-                        | Partition.Default -> true
-                        | Partition.Cset _ -> false)
-                      part.Partition.leaves
-                  then Interval.Set.full
-                  else
-                    Array.fold_left
-                      (fun acc (lf : Partition.leaf) ->
-                        match lf.Partition.bounds.(l) with
-                        | Partition.Cset s -> Interval.Set.union acc s
-                        | Partition.Default -> acc)
-                      Interval.Set.empty part.Partition.leaves)
+            if oid = root then part.Partition.envelope
             else
               match Partition.find_leaf part oid with
               | None -> Array.make nlv Interval.Set.full
@@ -688,28 +663,24 @@ type expansion = {
 let expansion_of cat (cs : Plan.t list) : expansion option =
   match cs with
   | Plan.Table_scan { rel; table_oid; _ } :: _ -> (
-      match Catalog.root_of_leaf cat table_oid with
-      | None -> None
-      | Some root -> (
-          match table_opt cat root with
-          | None -> None
-          | Some tbl -> (
-              match tbl.Table.partitioning with
-              | None -> None
-              | Some part ->
-                  let scans =
-                    List.filter_map
-                      (function
-                        | Plan.Table_scan { rel = r; table_oid = o; filter; guard }
-                          when r = rel
-                               && Catalog.root_of_leaf cat o = Some root ->
-                            Some (o, filter, guard)
-                        | _ -> None)
-                      cs
-                  in
-                  if List.length scans = List.length cs then
-                    Some { x_rel = rel; x_root = root; x_table = tbl; x_part = part; x_scans = scans }
-                  else None)))
+      let root = Catalog.root_of cat table_oid in
+      match Catalog.find_oid_opt cat root with
+      | Some ({ Table.partitioning = Some part; _ } as tbl) ->
+          let scans =
+            List.filter_map
+              (function
+                | Plan.Table_scan { rel = r; table_oid = o; filter; guard }
+                  when r = rel
+                       && Partition.Index.position part.Partition.index o
+                          <> None ->
+                    Some (o, filter, guard)
+                | _ -> None)
+              cs
+          in
+          if List.length scans = List.length cs then
+            Some { x_rel = rel; x_root = root; x_table = tbl; x_part = part; x_scans = scans }
+          else None
+      | _ -> None)
   | _ -> None
 
 let is_lit_false_opt = function
@@ -754,7 +725,7 @@ let pruning_sites ~catalog plan =
   let rec walk path ctx (p : Plan.t) =
     (match p with
     | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } -> (
-        match table_opt catalog root_oid with
+        match Catalog.find_oid_opt catalog root_oid with
         | Some ({ Table.partitioning = Some _; _ } as tbl) ->
             let keys = Table.part_key_colrefs tbl ~rel in
             let permitted =
@@ -811,7 +782,7 @@ let pruning_sites ~catalog plan =
 (* ------------------------------------------------------------------ *)
 (* Plan simplification (phase 1) and strengthening (phase 2).           *)
 
-let scan_base_env cat ~rel oid = scan_env ~catalog:cat ~rel (root_oid_of cat oid)
+let scan_base_env cat ~rel oid = scan_env ~catalog:cat ~rel (Catalog.root_of cat oid)
 
 (* Phase 1: pure expression rewrite, no cross-operator context. *)
 let rec s1 cat (p : Plan.t) : Plan.t =
@@ -899,7 +870,7 @@ let strengthen_pass cat (plan : Plan.t) : Plan.t =
   let rec go ctx (p : Plan.t) : Plan.t =
     match p with
     | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } ->
-        (match table_opt cat root_oid with
+        (match Catalog.find_oid_opt cat root_oid with
         | Some ({ Table.partitioning = Some _; _ } as tbl) ->
             let keys = Table.part_key_colrefs tbl ~rel in
             let imp =
@@ -945,15 +916,19 @@ let strengthen_pass cat (plan : Plan.t) : Plan.t =
                 | [] -> p
                 | _ ->
                     let f' = Expr.conj (conjuncts_opt fopt @ synths) in
-                    let restr =
-                      Array.of_list
-                        (List.map (fun k -> Expr.restriction k f') keys)
+                    let bits =
+                      Partition.select_static x.x_part ~keys
+                        (List.map (fun _ -> Some f') keys)
                     in
-                    let kept = Partition.select_oids x.x_part restr in
+                    let kept o =
+                      Option.fold ~none:true
+                        ~some:(fun b -> Partition.mem_oid x.x_part b o)
+                        bits
+                    in
                     let children' =
                       List.filter_map
                         (fun (o, _, _) ->
-                          if List.mem o kept then
+                          if kept o then
                             Some (Plan.table_scan ~filter:f' ~rel:x.x_rel o)
                           else None)
                         x.x_scans

@@ -64,13 +64,16 @@ let find t name =
 
 let find_opt t name = Hashtbl.find_opt t.by_name name
 
+let find_oid_opt t oid = Hashtbl.find_opt t.by_oid oid
+
 let find_oid t oid =
-  match Hashtbl.find_opt t.by_oid oid with
+  match find_oid_opt t oid with
   | Some tbl -> tbl
   | None -> invalid_arg ("Catalog.find_oid: no table with oid " ^ string_of_int oid)
 
-(** Root OID of the partitioned table a leaf belongs to. *)
-let root_of_leaf t leaf_oid = Hashtbl.find_opt t.leaf_root leaf_oid
+(** A leaf's partitioned root, else the OID itself. *)
+let root_of t oid =
+  match Hashtbl.find_opt t.leaf_root oid with Some r -> r | None -> oid
 
 let tables t =
   Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.by_oid []

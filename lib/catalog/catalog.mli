@@ -26,8 +26,12 @@ val find_opt : t -> string -> Table.t option
 val find_oid : t -> int -> Table.t
 (** Lookup by root OID; raises [Invalid_argument] when absent. *)
 
-val root_of_leaf : t -> int -> int option
-(** Root OID of the partitioned table a leaf belongs to. *)
+val find_oid_opt : t -> int -> Table.t option
+(** Lookup by root OID; [None] when absent (a leaf OID is absent too). *)
+
+val root_of : t -> int -> int
+(** The root OID of the table an OID belongs to: a leaf's partitioned
+    root, any other OID itself. *)
 
 val tables : t -> Table.t list
 (** All registered tables, by ascending OID. *)

@@ -11,9 +11,9 @@
 
     This module implements the two functions of §2.1:
     - [f_T] — {!route}: map a tuple's key values to its leaf (or ⊥);
-    - [f*_T] — {!select}: map per-level restrictions to the set of leaf OIDs
-      that can satisfy them (an over-approximation, never dropping a
-      qualifying leaf).
+    - [f*_T] — {!select_oids} / {!select_static}: map per-level restrictions
+      (or per-level predicates) to the set of leaves that can satisfy them
+      (an over-approximation, never dropping a qualifying leaf).
 
     Both are served by the table's {!Index}, built with the record by the
     layout constructors below and never changed: per-level sorted boundary
@@ -98,6 +98,9 @@ type t = {
   levels : level array;
   leaves : leaf array;
   index : index;  (** built with the record; see {!Index} *)
+  envelope : Interval.Set.t array;
+      (** per level: the union of the leaves' constraint sets, full when a
+          leaf at that level is [Default] *)
 }
 
 let nlevels t = Array.length t.levels
@@ -380,7 +383,7 @@ module Index = struct
   let select_bits (ix : t) (restrictions : Interval.Set.t option array) :
       Bitset.t =
     if Array.length restrictions <> Array.length ix.ix_levels then
-      invalid_arg "Partition.Index.select: wrong number of restrictions";
+      invalid_arg "Partition.Index.select_bits: wrong number of restrictions";
     let acc = Bitset.full ix.ix_nleaves in
     Array.iteri
       (fun i r ->
@@ -389,19 +392,6 @@ module Index = struct
         | Some r -> Bitset.inter_into ~into:acc (level_bits ix ix.ix_levels.(i) r))
       restrictions;
     acc
-
-  let select ix restrictions =
-    Bitset.fold_right_set
-      (fun j acc -> ix.ix_leaves.(j) :: acc)
-      (select_bits ix restrictions) []
-
-  let select_oids ix restrictions =
-    Bitset.fold_right_set
-      (fun j acc -> ix.ix_leaves.(j).leaf_oid :: acc)
-      (select_bits ix restrictions) []
-
-  let count_selected ix restrictions =
-    Bitset.cardinal (select_bits ix restrictions)
 
   (* OR into [into] the leaves the point restriction [{v}] selects at one
      level, [v] not NULL: [level_bits] of [Interval.Set.point v] without
@@ -458,23 +448,61 @@ let route t (keys : Value.t array) : leaf option =
   Index.route t.index keys
 
 (** [f*_T]: given an optional restriction per level ([None] = no predicate on
-    that level's key), return the leaves that may hold satisfying tuples.
-    Sound by construction, and exactly equal to {!select_legacy} (the
-    property suite holds them to oid-for-oid equality). *)
-let select t (restrictions : Interval.Set.t option array) : leaf list =
-  Index.select t.index restrictions
+    that level's key), return the OIDs of the leaves that may hold
+    satisfying tuples.  Sound by construction, and exactly equal to
+    {!select_oids_legacy} (the property suite holds them to oid-for-oid
+    equality). *)
+let select_oids t (restrictions : Interval.Set.t option array) : oid list =
+  Bitset.fold_right_set
+    (fun j acc -> t.leaves.(j).leaf_oid :: acc)
+    (Index.select_bits t.index restrictions) []
 
-let select_oids t restrictions =
-  Index.select_oids t.index restrictions
+(** [f*_T] over a selector's predicates: level [i]'s predicate is analysed
+    against the [i]th key column ({!Expr.restriction}), and the survivors
+    come back as a bitset over leaf positions.  [None] when no level is
+    restricted (every leaf survives) or when [keys] or [predicates] does
+    not have one entry per level. *)
+let select_static t ~keys (predicates : Expr.t option list) : Bitset.t option =
+  let n = nlevels t in
+  if List.length keys <> n || List.length predicates <> n then None
+  else
+    let restrictions =
+      Array.of_list
+        (List.map2
+           (fun k -> function None -> None | Some p -> Expr.restriction k p)
+           keys predicates)
+    in
+    if Array.for_all Option.is_none restrictions then None
+    else Some (Index.select_bits t.index restrictions)
+
+(** Whether leaf [oid]'s position is set in [bits]. *)
+let mem_oid t bits oid =
+  match Index.position t.index oid with
+  | Some j -> Bitset.mem bits j
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Constructors for common partitioning layouts                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The one place a record is built, so every partitioning carries its
-   index from the start and domains only ever read it. *)
+   index and envelope from the start and domains only ever read them. *)
 let make levels leaves =
-  { levels; leaves; index = Index.of_layout levels leaves }
+  let envelope =
+    Array.mapi
+      (fun l _ ->
+        if Array.exists (fun lf -> lf.bounds.(l) = Default) leaves then
+          Interval.Set.full
+        else
+          Array.fold_left
+            (fun acc lf ->
+              match lf.bounds.(l) with
+              | Cset s -> Interval.Set.union acc s
+              | Default -> acc)
+            Interval.Set.empty leaves)
+      levels
+  in
+  { levels; leaves; index = Index.of_layout levels leaves; envelope }
 
 (** Build single-level metadata from explicit per-leaf constraints.
     [alloc_oid] supplies fresh OIDs for the leaves. *)

@@ -8,19 +8,21 @@
 
     This module implements the paper's two functions:
     - [f_T] — {!route}: key values → leaf (or ⊥);
-    - [f*_T] — {!select}: per-level restrictions → the leaves that can hold
+    - [f*_T] — {!select_oids} over per-level restrictions, {!select_static}
+      over a selector's per-level predicates: the leaves that can hold
       satisfying tuples (an over-approximation, never dropping a qualifying
       leaf).
 
     Both are served by the table's selection {!Index}.  The layout
     constructors below are the only way to make a [t], and each builds the
-    index with the record; nothing writes it afterwards, so any domain may
-    read it without coordination.  It holds sorted boundary arrays
-    (binary-searched interval → leaf-set lookup) per range level, a value →
-    leaf-set hash per categorical level, precomputed per-(level, prefix)
-    covered sets for O(1) default-arm checks, and an OID hash for leaf
-    lookup; per-level survivor sets are intersected as {!Bitset}s.  The
-    pre-index linear implementations remain as [*_legacy] oracles. *)
+    index and the per-level envelope with the record; nothing writes them
+    afterwards, so any domain may read them without coordination.  The
+    index holds sorted boundary arrays (binary-searched interval →
+    leaf-set lookup) per range level, a value → leaf-set hash per
+    categorical level, precomputed per-(level, prefix) covered sets for
+    O(1) default-arm checks, and an OID hash for leaf lookup; per-level
+    survivor sets are intersected as {!Bitset}s.  The pre-index linear
+    implementations remain as [*_legacy] oracles. *)
 
 open Mpp_expr
 
@@ -47,6 +49,9 @@ type t = private {
   levels : level array;
   leaves : leaf array;
   index : index;  (** built with the record by the layout constructors *)
+  envelope : Interval.Set.t array;
+      (** per level, the values some leaf accepts: the union of the leaves'
+          [Cset]s, or full when any leaf is [Default] at that level *)
 }
 
 val nlevels : t -> int
@@ -61,12 +66,23 @@ val route : t -> Value.t array -> leaf option
     level); [None] is the invalid partition ⊥.  Indexed: O(log P) binary
     search (or O(1) hash for categorical levels) per level. *)
 
-val select : t -> Interval.Set.t option array -> leaf list
-(** [f*_T]: leaves that may hold satisfying tuples under the given per-level
-    restrictions ([None] = no predicate on that level).  Sound by
-    construction, indexed, and oid-for-oid equal to {!select_legacy}. *)
-
 val select_oids : t -> Interval.Set.t option array -> oid list
+(** [f*_T]: OIDs of the leaves that may hold satisfying tuples under the
+    given per-level restrictions ([None] = no predicate on that level).
+    Sound by construction, indexed, and equal to {!select_oids_legacy}. *)
+
+val select_static :
+  t -> keys:Colref.t list -> Expr.t option list -> Bitset.t option
+(** [f*_T] over a selector's static predicates, one per level, each
+    analysed against that level's key column ({!Expr.restriction}; an
+    unanalysable predicate restricts nothing).  The survivors as a bitset
+    over leaf positions, as {!Index.select_bits}.  [None] when no level is
+    restricted (every leaf survives) or when [keys] or the predicates do not
+    have one entry per level, so a malformed selector never raises. *)
+
+val mem_oid : t -> Bitset.t -> oid -> bool
+(** Whether leaf [oid]'s position is set in a bitset over leaf positions
+    ([false] for an OID that is not a leaf of [t]). *)
 
 val route_legacy : t -> Value.t array -> leaf option
 (** The pre-index O(P·levels) implementation — the executable oracle the
@@ -96,17 +112,11 @@ module Index : sig
   (** A leaf OID's index in [partitioning.leaves], as in {!select_bits}. *)
 
   val route : t -> Value.t array -> leaf option
-  val select : t -> Interval.Set.t option array -> leaf list
-  val select_oids : t -> Interval.Set.t option array -> oid list
 
   val select_bits : t -> Interval.Set.t option array -> Bitset.t
   (** Survivors as a bitset over leaf positions (indices into
       [partitioning.leaves]) — the executor's one partition-set currency.
       Leaf OIDs ascend with position in every layout built here. *)
-
-  val count_selected : t -> Interval.Set.t option array -> int
-  (** [cardinal (select_bits …)] without materializing leaves — the
-      optimizer's statically-surviving partition count. *)
 
   val add_point : t -> level:int -> Value.t -> Bitset.t -> unit
   (** [add_point ix ~level v into] ORs into [into] the leaves that the point

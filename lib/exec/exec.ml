@@ -91,13 +91,10 @@ type ctx = {
           [None] skips all per-node bookkeeping *)
   pool : Dpool.t;  (** executes the per-segment loops *)
   verify : bool;
-      (** when set, {!exec} runs {!Mpp_verify.Verify.assert_valid} over the
-          root plan before interpreting it, rejecting structurally,
-          schema-, distribution- or accounting-invalid plans up front
-          instead of failing (or mis-executing) mid-flight; additionally,
-          every built runtime join filter's min-max summary is
+      (** when set, every built runtime join filter's min-max summary is
           cross-checked against the static bounds of its build subtree
-          ({!Mpp_analysis.Analysis.minmax_violations}) *)
+          ({!Mpp_analysis.Analysis.minmax_violations}); the plan itself was
+          verified by the optimizer that made it *)
   runtime_filters : bool;
       (** when [false], [Runtime_filter_build] / [Runtime_filter] nodes are
           pure pass-throughs — the "runtime filters off" half of the
@@ -353,14 +350,14 @@ let index_of ctx root_oid =
    position there and the set of just that position — position 0 of a
    one-leaf root when unpartitioned. *)
 let leaf_position ctx oid =
-  match Mpp_catalog.Catalog.root_of_leaf ctx.catalog oid with
-  | None -> (oid, Bitset.full 1, 0)
-  | Some root ->
-      let ix = index_of ctx root in
-      let pos = Option.get (Index.position ix oid) in
-      let parts = Bitset.create (Index.nparts ix) in
-      Bitset.set parts pos;
-      (root, parts, pos)
+  let root = Mpp_catalog.Catalog.root_of ctx.catalog oid in
+  if root = oid then (oid, Bitset.full 1, 0)
+  else
+    let ix = index_of ctx root in
+    let pos = Option.get (Index.position ix oid) in
+    let parts = Bitset.create (Index.nparts ix) in
+    Bitset.set parts pos;
+    (root, parts, pos)
 
 let table_width ctx oid =
   Mpp_catalog.Table.ncols (Mpp_catalog.Catalog.find_oid ctx.catalog oid)
@@ -1635,11 +1632,7 @@ and exec_node ctx id (plan : Plan.t) : result =
 
 (** Evaluate a plan with this context; the root gets pre-order index 0.
     The root's rows are the query result, one batch per segment. *)
-let exec ctx (plan : Plan.t) : result =
-  if ctx.verify then
-    Mpp_verify.Verify.assert_valid ~catalog:ctx.catalog ~what:"executor input"
-      plan;
-  input ctx 0 plan
+let exec ctx (plan : Plan.t) : result = input ctx 0 plan
 
 (** Execute [plan] and gather all segments' output rows on the master. *)
 let run ?(params = [||]) ?(selection_enabled = true) ?(verify = false)

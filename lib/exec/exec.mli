@@ -49,12 +49,11 @@ type ctx = {
           recorded for EXPLAIN ANALYZE; [None] skips all bookkeeping *)
   pool : Dpool.t;  (** executes the per-segment loops *)
   verify : bool;
-      (** when set, {!exec} runs the {!Mpp_verify.Verify} static analysis
-          over the root plan and raises {!Mpp_verify.Verify.Rejected}
-          before interpreting an invalid plan (default [false]: unit tests
-          routinely execute ad-hoc plan fragments — ungathered scans,
-          bare joins — that are fine to interpret but are not complete
-          top-level plans) *)
+      (** when set, each built runtime join filter's min-max summary is
+          cross-checked against the static bounds of its build subtree
+          ({!Mpp_analysis.Analysis.minmax_violations}), failing on a key
+          outside them (default [false]).  The plan is not re-verified
+          here: both optimizers end with [Verify.assert_valid]. *)
   runtime_filters : bool;
       (** [false]: [Runtime_filter_build] / [Runtime_filter] nodes become
           pass-throughs — no filter is built, published, or applied (the

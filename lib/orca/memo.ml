@@ -235,22 +235,19 @@ let plan_get env ~scan_id ~rel name : annotated =
       }
 
 (* Statically-surviving partition count of the scan rooted at [root_oid]
-   under [pred], via the selection index: per-level [Expr.restriction] →
-   {!Mpp_catalog.Partition.Index.count_selected} (one bitset cardinality, no
-   leaf materialization).  [None] when the predicate restricts no
-   partitioning level — the count would just be the leaf total. *)
+   under [pred] (applied at every level), from
+   {!Mpp_catalog.Partition.select_static}.  [None] when the predicate
+   restricts no partitioning level — the count would just be the leaf
+   total. *)
 let indexed_nparts env ~root_oid ~keys pred =
   match (Mpp_catalog.Catalog.find_oid env.catalog root_oid).Table.partitioning with
   | None -> None
   | Some p ->
-      let restrictions =
-        Array.of_list (List.map (fun k -> Expr.restriction k pred) keys)
-      in
-      if Array.for_all Option.is_none restrictions then None
-      else begin
-        Obs.incr (Obs.current ()) "optimizer.indexed_part_counts";
-        Some (Mpp_catalog.Partition.Index.count_selected p.index restrictions)
-      end
+      Mpp_catalog.Partition.select_static p ~keys
+        (List.map (fun _ -> Some pred) keys)
+      |> Option.map (fun bits ->
+             Obs.incr (Obs.current ()) "optimizer.indexed_part_counts";
+             Mpp_catalog.Bitset.cardinal bits)
 
 let plan_select env pred (child : annotated) : annotated =
   let sel = selectivity_for env pred in

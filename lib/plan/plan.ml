@@ -65,7 +65,7 @@ type t =
           (** number of leaf partitions the optimizer expects this scan to
               open (after static pruning); [-1] = unknown / not accounted.
               The verifier's accounting pass cross-checks this against
-              [Partition.Index.count_selected] on the matching selector's
+              [Partition.select_static] on the matching selector's
               statically-analyzable predicates. *)
     }
   | Partition_selector of {

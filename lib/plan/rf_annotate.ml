@@ -63,11 +63,6 @@ let keys_subset keys part_keys =
        (fun k -> List.exists (Colref.equal k) part_keys)
        keys
 
-let root_of_leaf_or_self catalog oid =
-  match Mpp_catalog.Catalog.root_of_leaf catalog oid with
-  | Some r -> r
-  | None -> oid
-
 (* Highest existing rf_id, so re-annotation never reuses a live id. *)
 let max_rf_id plan =
   Plan.fold
@@ -101,7 +96,7 @@ let place_consumer ~catalog ~streaming ~rf_id ~keys probe =
         | Plan.Table_scan { rel; table_oid; guard; _ } when rel = krel ->
             (* the legacy planner's guarded leaf scan: when the guard's
                selector already routes on these keys, skip *)
-            let root = root_of_leaf_or_self catalog table_oid in
+            let root = Mpp_catalog.Catalog.root_of catalog table_oid in
             let part_keys = part_keys_of ~catalog ~root_oid:root ~rel in
             if guard <> None && keys_subset keys part_keys then None
             else Some (wrap node)
@@ -118,13 +113,12 @@ let place_consumer ~catalog ~streaming ~rf_id ~keys probe =
                       | Plan.Table_scan { rel; guard; table_oid; _ } ->
                           rel = krel
                           && (guard = None
-                             ||
-                             let root =
-                               root_of_leaf_or_self catalog table_oid
-                             in
-                             not
-                               (keys_subset keys
-                                  (part_keys_of ~catalog ~root_oid:root ~rel)))
+                             || not
+                                  (keys_subset keys
+                                     (part_keys_of ~catalog ~rel
+                                        ~root_oid:
+                                          (Mpp_catalog.Catalog.root_of catalog
+                                             table_oid))))
                       | _ -> false)
                     children ->
             (* plain (or non-redundantly guarded) leaf expansion: one

@@ -86,21 +86,16 @@ let finalize (s : sub) : Plan.t =
    constant restrictions derivable from [pred]. *)
 let static_exclusion (e : expansion) pred : expansion =
   let keys = Table.part_key_colrefs e.exp_table ~rel:e.exp_rel in
-  let restrictions =
-    Array.of_list (List.map (fun key -> Expr.restriction key pred) keys)
-  in
-  let surviving = Partition.select e.exp_partitioning restrictions in
-  let surviving_oids =
-    List.map (fun (lf : Partition.leaf) -> lf.Partition.leaf_oid) surviving
-  in
-  {
-    e with
-    exp_leaves =
-      List.filter
-        (fun (lf : Partition.leaf) ->
-          List.mem lf.Partition.leaf_oid surviving_oids)
-        e.exp_leaves;
-  }
+  let p = e.exp_partitioning in
+  match
+    Partition.select_static p ~keys (List.map (fun _ -> Some pred) keys)
+  with
+  | None -> e
+  | Some bits ->
+      let survives (lf : Partition.leaf) =
+        Partition.mem_oid p bits lf.Partition.leaf_oid
+      in
+      { e with exp_leaves = List.filter survives e.exp_leaves }
 
 let dist_of_table (table : Table.t) ~rel =
   match table.Table.distribution with
@@ -323,22 +318,12 @@ let rf_rows_est t (p : Plan.t) : int =
     Plan.fold
       (fun acc node ->
         match node with
-        | Plan.Table_scan { table_oid; _ } -> (
-            match Mpp_catalog.Catalog.root_of_leaf t.catalog table_oid with
-            | Some root ->
-                let tbl = Mpp_catalog.Catalog.find_oid t.catalog root in
-                let nparts =
-                  match tbl.Table.partitioning with
-                  | Some pt -> max 1 (Partition.nparts pt)
-                  | None -> 1
-                in
-                acc
-                + max 1
-                    ((Mpp_stats.Stats.defaults tbl).Mpp_stats.Stats.rowcount
-                    / nparts)
-            | None ->
-                let tbl = Mpp_catalog.Catalog.find_oid t.catalog table_oid in
-                acc + (Mpp_stats.Stats.defaults tbl).Mpp_stats.Stats.rowcount)
+        | Plan.Table_scan { table_oid; _ } ->
+            let root = Mpp_catalog.Catalog.root_of t.catalog table_oid in
+            let tbl = Mpp_catalog.Catalog.find_oid t.catalog root in
+            let rows = (Mpp_stats.Stats.defaults tbl).Mpp_stats.Stats.rowcount in
+            if root = table_oid then acc + rows
+            else acc + max 1 (rows / max 1 (Table.nparts tbl))
         | Plan.Dynamic_scan { root_oid; _ } ->
             let tbl = Mpp_catalog.Catalog.find_oid t.catalog root_oid in
             acc + (Mpp_stats.Stats.defaults tbl).Mpp_stats.Stats.rowcount

@@ -27,11 +27,31 @@ let render path =
 
 let seg i child = Child (i, child)
 
-let table_opt catalog oid =
-  try Some (Catalog.find_oid catalog oid) with Invalid_argument _ -> None
-
 (* A leaf scan's tuples use the root table's schema; the schema and
    distribution passes resolve leaf → root once and cache per root. *)
+
+module Bitset = Mpp_catalog.Bitset
+
+let partitioning_of catalog root_oid =
+  Option.bind (Catalog.find_oid_opt catalog root_oid) (fun t ->
+      t.Table.partitioning)
+
+(* The leaves of [part] an OID list names, as a bitset over positions. *)
+let bits_of_oids (part : Partition.t) oids =
+  let bits = Bitset.create (Partition.nparts part) in
+  List.iter
+    (fun o ->
+      Option.iter (Bitset.set bits) (Partition.Index.position part.index o))
+    oids;
+  bits
+
+(* OIDs of the leaves in [want] but not in [have], ascending. *)
+let missing_oids (part : Partition.t) ~have want =
+  Bitset.fold_right_set
+    (fun j acc ->
+      if Bitset.mem have j then acc
+      else part.Partition.leaves.(j).Partition.leaf_oid :: acc)
+    want []
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: structure                                                   *)
@@ -93,7 +113,7 @@ let structure_pass ~catalog (plan : Plan.t) : Diag.t list =
             (Printf.sprintf
                "PartitionSelector %d has %d keys but %d per-level predicates"
                part_scan_id (List.length keys) (List.length predicates));
-        (match table_opt catalog root_oid with
+        (match Catalog.find_oid_opt catalog root_oid with
         | None ->
             emit "structure/unknown-root" path
               (Printf.sprintf "PartitionSelector %d targets unknown OID %d"
@@ -343,9 +363,6 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
      column types and typecheck each distinct (oid, rel, filter) once, so a
      P-leaf expansion costs O(P) hash probes rather than P full
      typechecks. *)
-  let root_of oid =
-    match Catalog.root_of_leaf catalog oid with Some r -> r | None -> oid
-  in
   let layout_cache : (int, Value.datatype option array option) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -353,7 +370,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
     match Hashtbl.find_opt layout_cache root with
     | Some r -> r
     | None ->
-        let r = Option.map table_layout_types (table_opt catalog root) in
+        let r = Option.map table_layout_types (Catalog.find_oid_opt catalog root) in
         Hashtbl.add layout_cache root r;
         r
   in
@@ -384,12 +401,12 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
   let rec infer path (p : Plan.t) : layout =
     match p with
     | Plan.Table_scan { rel; table_oid; filter; guard = _ } ->
-        let root = root_of table_oid in
+        let root = Catalog.root_of catalog table_oid in
         let layout = scan_layout path ~rel root in
         check_scan_filter path layout ~rel ~root filter;
         layout
     | Plan.Dynamic_scan { rel; root_oid; filter; _ } ->
-        let root = root_of root_oid in
+        let root = Catalog.root_of catalog root_oid in
         let layout = scan_layout path ~rel root in
         check_scan_filter path layout ~rel ~root filter;
         layout
@@ -493,7 +510,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
     | Plan.Delete { rel; table_oid; child } ->
         dml path ~rel ~table_oid ~set_exprs:None child
     | Plan.Insert { table_oid; rows } ->
-        (match table_opt catalog table_oid with
+        (match Catalog.find_oid_opt catalog table_oid with
         | None ->
             emit "schema/unknown-oid" path
               (Printf.sprintf "INSERT into unknown table OID %d" table_oid)
@@ -525,7 +542,7 @@ let schema_pass ~catalog (plan : Plan.t) : Diag.t list =
         [ (-1, [| Some Value.Tint |]) ]
   and dml path ~rel ~table_oid ~set_exprs child : layout =
     let layout = infer (seg 0 child :: path) child in
-    (match table_opt catalog table_oid with
+    (match Catalog.find_oid_opt catalog table_oid with
     | None ->
         emit "schema/unknown-oid" path
           (Printf.sprintf "DML over unknown table OID %d" table_oid)
@@ -605,15 +622,13 @@ let distribution_pass ~catalog (plan : Plan.t) : Diag.t list =
      probes, not P catalog walks and colref allocations. *)
   let dist_cache : (int * int, dist) Hashtbl.t = Hashtbl.create 16 in
   let scan_dist ~rel oid =
-    let root =
-      match Catalog.root_of_leaf catalog oid with Some r -> r | None -> oid
-    in
+    let root = Catalog.root_of catalog oid in
     let key = (root, rel) in
     match Hashtbl.find_opt dist_cache key with
     | Some d -> d
     | None ->
         let d =
-          match table_opt catalog root with
+          match Catalog.find_oid_opt catalog root with
           | None -> Dany
           | Some tbl -> Mpp_plan.Dist.of_table tbl ~rel
         in
@@ -742,34 +757,23 @@ let selector_map (plan : Plan.t) :
        () plan);
   sels
 
-let expected_nparts ~catalog ~keys ~predicates root_oid : int option =
-  match table_opt catalog root_oid with
-  | None -> None
-  | Some tbl -> (
-      match tbl.Table.partitioning with
-      | None -> None
-      | Some part ->
-          if
-            List.length keys <> List.length predicates
-            || List.length keys <> Partition.nlevels part
-          then None
-          else
-            let restr =
-              Array.of_list
-                (List.map2
-                   (fun k po ->
-                     match po with
-                     | None -> None
-                     | Some pr -> Expr.restriction k pr)
-                   keys predicates)
-            in
-            Some
-              (Partition.Index.count_selected part.Partition.index restr))
-
-let total_nparts ~catalog root_oid =
-  match table_opt catalog root_oid with
-  | None -> None
-  | Some tbl -> Option.map Partition.nparts tbl.Table.partitioning
+(* The partition count a DynamicScan over [root_oid] declares: the leaves
+   static selection keeps under its selector's per-level predicates, or
+   every leaf when they restrict nothing or the selector is missing or
+   malformed (the structure pass reports those).  [None] when [root_oid]
+   is not a partitioned table. *)
+let expected_nparts ~catalog sels ~part_scan_id root_oid =
+  Option.map
+    (fun part ->
+      match
+        Option.bind (Hashtbl.find_opt sels part_scan_id)
+          (fun (sel_root, keys, predicates) ->
+            Option.bind (partitioning_of catalog sel_root) (fun sel_part ->
+                Partition.select_static sel_part ~keys predicates))
+      with
+      | Some bits -> Bitset.cardinal bits
+      | None -> Partition.nparts part)
+    (partitioning_of catalog root_oid)
 
 let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
   let diags = ref [] in
@@ -783,38 +787,26 @@ let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
     (match p with
     | Plan.Dynamic_scan { part_scan_id; root_oid; ds_nparts; _ }
       when ds_nparts >= 0 -> (
-        match total_nparts ~catalog root_oid with
+        match expected_nparts ~catalog sels ~part_scan_id root_oid with
         | None ->
             emit "accounting/not-partitioned" path
               (Printf.sprintf
                  "DynamicScan %d declares %d partitions over a table that \
                   is not partitioned"
                  part_scan_id ds_nparts)
-        | Some _ -> (
-            match Hashtbl.find_opt sels part_scan_id with
-            | None -> () (* the structure pass reports the missing selector *)
-            | Some (sel_root, keys, predicates) -> (
-                match
-                  expected_nparts ~catalog ~keys ~predicates sel_root
-                with
-                | None -> ()
-                | Some expect ->
-                    if ds_nparts <> expect then
-                      emit "accounting/nparts-mismatch" path
-                        (Printf.sprintf
-                           "DynamicScan %d declares %d partition(s); static \
-                            selection over its selector's predicates yields \
-                            %d"
-                           part_scan_id ds_nparts expect))))
+        | Some expect ->
+            (* a missing selector is the structure pass's report *)
+            if Hashtbl.mem sels part_scan_id && ds_nparts <> expect then
+              emit "accounting/nparts-mismatch" path
+                (Printf.sprintf
+                   "DynamicScan %d declares %d partition(s); static \
+                    selection over its selector's predicates yields %d"
+                   part_scan_id ds_nparts expect))
     | Plan.Table_scan { table_oid; guard = Some id; _ } -> (
         match Hashtbl.find_opt sels id with
         | None -> ()
         | Some (sel_root, _, _) ->
-            let root =
-              match Catalog.root_of_leaf catalog table_oid with
-              | Some r -> r
-              | None -> table_oid
-            in
+            let root = Catalog.root_of catalog table_oid in
             if root <> sel_root then
               emit "accounting/guard-foreign-leaf" path
                 (Printf.sprintf
@@ -829,72 +821,46 @@ let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
      restrictions of its own (common) filter — otherwise a qualifying
      partition was dropped at plan time. *)
   and check_append path cs =
-    let scan_info = function
-      | Plan.Table_scan { rel; table_oid; filter; _ } ->
-          Some (rel, table_oid, filter)
-      | _ -> None
-    in
-    match List.map scan_info cs with
-    | [] -> ()
-    | infos when List.for_all Option.is_some infos -> (
-        let infos = List.map Option.get infos in
-        let rel0, oid0, filter0 = List.hd infos in
-        let same_shape =
-          List.for_all
-            (fun (r, _, f) ->
-              r = rel0
-              &&
-              match (f, filter0) with
-              | None, None -> true
-              | Some a, Some b -> a == b || Expr.equal a b
-              | _ -> false)
-            infos
-        in
-        let root0 = Catalog.root_of_leaf catalog oid0 in
-        match (same_shape, root0) with
-        | true, Some root
-          when List.for_all
-                 (fun (_, oid, _) ->
-                   Catalog.root_of_leaf catalog oid = Some root)
-                 infos -> (
-            match table_opt catalog root with
-            | Some ({ Table.partitioning = Some part; _ } as tbl) ->
-                let scanned = Hashtbl.create (List.length infos) in
-                List.iter
-                  (fun (_, oid, _) -> Hashtbl.replace scanned oid ())
-                  infos;
-                (* Every scanned OID is a leaf of [root] (checked above),
-                   so an Append carrying all P distinct leaves covers any
-                   surviving set — skip the selection recomputation on
-                   this common full-expansion shape. *)
-                if Hashtbl.length scanned < Partition.nparts part then begin
-                  let keys = Table.part_key_colrefs tbl ~rel:rel0 in
-                  let restr =
-                    Array.of_list
-                      (List.map
-                         (fun k ->
-                           match filter0 with
-                           | None -> None
-                           | Some f -> Expr.restriction k f)
-                         keys)
-                  in
-                  let surviving =
-                    Partition.Index.select_oids part.Partition.index restr
-                  in
-                  let missing =
-                    List.filter
-                      (fun oid -> not (Hashtbl.mem scanned oid))
-                      surviving
-                  in
-                  if missing <> [] then
-                    emit "accounting/append-undercoverage" path
-                      (Printf.sprintf
-                         "Append over %s drops %d statically-surviving \
-                          leaf(s) (e.g. OID %d)"
-                         tbl.Table.name (List.length missing)
-                         (List.hd missing))
-                end
-            | _ -> ())
+    match cs with
+    | Plan.Table_scan { rel = rel0; table_oid = oid0; filter = filter0; _ }
+      :: _ -> (
+        match Catalog.find_oid_opt catalog (Catalog.root_of catalog oid0) with
+        | Some ({ Table.partitioning = Some part; _ } as tbl) ->
+            (* a leaf of [part] scanned like the first child, by position *)
+            let position = function
+              | Plan.Table_scan { rel; table_oid; filter; _ }
+                when rel = rel0
+                     &&
+                     match (filter, filter0) with
+                     | None, None -> true
+                     | Some a, Some b -> a == b || Expr.equal a b
+                     | _ -> false ->
+                  Partition.Index.position part.index table_oid
+              | _ -> None
+            in
+            let positions = List.map position cs in
+            let scanned = Bitset.create (Partition.nparts part) in
+            List.iter (Option.iter (Bitset.set scanned)) positions;
+            let keys = Table.part_key_colrefs tbl ~rel:rel0 in
+            (* an Append carrying all P distinct leaves covers any
+               surviving set: skip the selection on that common shape *)
+            if
+              List.for_all Option.is_some positions
+              && Bitset.cardinal scanned < Partition.nparts part
+            then
+              Option.iter
+                (fun surviving ->
+                  match missing_oids part ~have:scanned surviving with
+                  | [] -> ()
+                  | missing ->
+                      emit "accounting/append-undercoverage" path
+                        (Printf.sprintf
+                           "Append over %s drops %d statically-surviving \
+                            leaf(s) (e.g. OID %d)"
+                           tbl.Table.name (List.length missing)
+                           (List.hd missing)))
+                (Partition.select_static part ~keys
+                   (List.map (fun _ -> filter0) keys))
         | _ -> ())
     | _ -> ()
   in
@@ -1070,12 +1036,7 @@ let stamp_nparts ~catalog (plan : Plan.t) : Plan.t =
     match p with
     | Plan.Dynamic_scan s ->
         let nparts =
-          match Hashtbl.find_opt sels s.part_scan_id with
-          | Some (root, keys, predicates) -> (
-              match expected_nparts ~catalog ~keys ~predicates root with
-              | Some n -> Some n
-              | None -> total_nparts ~catalog s.root_oid)
-          | None -> total_nparts ~catalog s.root_oid
+          expected_nparts ~catalog sels ~part_scan_id:s.part_scan_id s.root_oid
         in
         Plan.Dynamic_scan
           { s with ds_nparts = Option.value nparts ~default:(-1) }
@@ -1103,11 +1064,6 @@ let path_of_indices plan idxs =
   in
   go plan [ Root plan ] idxs
 
-let partitioning_opt catalog root_oid =
-  match table_opt catalog root_oid with
-  | None -> None
-  | Some tbl -> tbl.Table.partitioning
-
 (* Re-derive, independently of the optimizer, the partitions each pruning
    site's reachable predicates permit, and check the plan's static pruning
    kept a superset (over-pruning = silently missing rows = Error).  Dead
@@ -1122,64 +1078,44 @@ let pruning_pass ~catalog (plan : Plan.t) : Diag.t list =
   let sels = selector_map plan in
   List.iter
     (fun (s : Analysis.pruning_site) ->
-      match partitioning_opt catalog s.Analysis.site_root with
+      match partitioning_of catalog s.Analysis.site_root with
       | None -> ()
       | Some part -> (
           let path = path_of_indices plan s.Analysis.site_path in
           let permitted =
-            Partition.select_oids part s.Analysis.site_permitted
+            Partition.Index.select_bits part.index s.Analysis.site_permitted
           in
           (* The statically selected partitions.  For a DynamicScan this is
-             the selector's per-level restriction (a [None] predicate is
-             runtime-only — selects everything statically); runtime
-             selection can only shrink it further, driven by actual join
-             values, which is sound by construction.  Malformed selectors
-             are the structure pass's report, not ours. *)
+             static selection over its selector's per-level predicates (a
+             [None] predicate is runtime-only — selects everything
+             statically); runtime selection can only shrink it further,
+             driven by actual join values, which is sound by construction.
+             A selector that restricts nothing keeps every leaf, and a
+             malformed one is the structure pass's report, not ours. *)
           let selected =
             match s.Analysis.site_kind with
-            | Analysis.Site_append present -> Some present
-            | Analysis.Site_scan psid -> (
-                match Hashtbl.find_opt sels psid with
-                | None -> None
-                | Some (_, keys, predicates) ->
-                    if
-                      List.length keys <> List.length predicates
-                      || List.length keys <> Partition.nlevels part
-                    then None
-                    else
-                      let restr =
-                        Array.of_list
-                          (List.map2
-                             (fun k po ->
-                               match po with
-                               | None -> None
-                               | Some pr -> Expr.restriction k pr)
-                             keys predicates)
-                      in
-                      Some (Partition.select_oids part restr))
+            | Analysis.Site_append present -> Some (bits_of_oids part present)
+            | Analysis.Site_scan psid ->
+                Option.bind (Hashtbl.find_opt sels psid)
+                  (fun (_, keys, predicates) ->
+                    Partition.select_static part ~keys predicates)
           in
           match selected with
           | None -> ()
-          | Some selected ->
-              let sel_tbl = Hashtbl.create (2 * List.length selected) in
-              List.iter (fun o -> Hashtbl.replace sel_tbl o ()) selected;
-              let missing =
-                List.filter
-                  (fun o -> not (Hashtbl.mem sel_tbl o))
-                  permitted
-              in
-              if missing <> [] then
-                emit "pruning/over-pruned" path
-                  (Printf.sprintf
-                     "%s prunes partition(s) [%s] that its reachable \
-                      predicates permit (%d selected, %d permitted)"
-                     (match s.Analysis.site_kind with
-                     | Analysis.Site_scan id ->
-                         Printf.sprintf "DynamicScan %d" id
-                     | Analysis.Site_append _ -> "Append expansion")
-                     (String.concat "; "
-                        (List.map string_of_int missing))
-                     (List.length selected) (List.length permitted))))
+          | Some selected -> (
+              match missing_oids part ~have:selected permitted with
+              | [] -> ()
+              | missing ->
+                  emit "pruning/over-pruned" path
+                    (Printf.sprintf
+                       "%s prunes partition(s) [%s] that its reachable \
+                        predicates permit (%d selected, %d permitted)"
+                       (match s.Analysis.site_kind with
+                       | Analysis.Site_scan id ->
+                           Printf.sprintf "DynamicScan %d" id
+                       | Analysis.Site_append _ -> "Append expansion")
+                       (String.concat "; " (List.map string_of_int missing))
+                       (Bitset.cardinal selected) (Bitset.cardinal permitted)))))
     (Analysis.pruning_sites ~catalog plan);
   List.rev !diags
 

@@ -29,8 +29,8 @@
       aggregation run over gathered input; that no Motion sits directly on
       another Motion; and that the plan root is gathered;
     - {b accounting} — cross-checks each DynamicScan's [ds_nparts] against
-      {!Mpp_catalog.Partition.Index.count_selected} over its selector's
-      statically-analyzable per-level restrictions, verifies that guarded
+      {!Mpp_catalog.Partition.select_static} over its selector's per-level
+      predicates, verifies that guarded
       leaf scans belong to their selector's table, and that a static-
       exclusion Append still covers every statically-surviving leaf;
     - {b filters} — runtime-join-filter placement legality: every
@@ -49,7 +49,6 @@
       rows).  Dead Append branches and contradictory filters are plan
       smells that {!Mpp_analysis.Analysis.Lint} reports. *)
 
-open Mpp_expr
 module Plan = Mpp_plan.Plan
 
 val check : catalog:Mpp_catalog.Catalog.t -> Plan.t -> Diag.t list
@@ -67,17 +66,6 @@ exception Rejected of string * Diag.t list
 val assert_valid :
   catalog:Mpp_catalog.Catalog.t -> what:string -> Plan.t -> unit
 (** Raise {!Rejected} when any pass reports an error. *)
-
-val expected_nparts :
-  catalog:Mpp_catalog.Catalog.t ->
-  keys:Colref.t list ->
-  predicates:Expr.t option list ->
-  int ->
-  int option
-(** Statically-surviving partition count of the table rooted at the given
-    OID under a selector's per-level predicates ([Expr.restriction] per
-    level; unanalyzable levels select everything).  [None] when the OID is
-    unknown, the table is not partitioned, or the arity is wrong. *)
 
 val stamp_nparts : catalog:Mpp_catalog.Catalog.t -> Plan.t -> Plan.t
 (** Set [ds_nparts] on every DynamicScan from its matching selector's

@@ -1,5 +1,5 @@
-(** Counted memory gates: the executor's row kernels, the stored data and
-    ANALYZE.
+(** Counted memory gates: the executor's row kernels, the stored data,
+    ANALYZE and plan simplification.
 
     Row kernels.  Five workload
     templates whose per-row path runs through a typed comparison, an IN
@@ -44,7 +44,14 @@
     (374 722 words for 95 036 values, repeating exactly) with one value
     array per column, radix-sorted by key for Int and Date columns.
     Consing every row into one list and mapping it into a value list per
-    column before a list sort read 48.37, and fails. *)
+    column before a list sort read 48.37, and fails.
+
+    Simplification.  The minor words [Analysis.simplify_plan] allocates
+    over Orca's 43 unsimplified template plans at scale 1 (a warm-up pass
+    first) must stay under [simplify_budget], 120 000: 86 411 words,
+    repeating exactly, when a root scan's base environment reads each
+    level's envelope from [Partition.t]; 166 976 when every derivation
+    re-folds all leaf constraints into it, which fails. *)
 
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
@@ -58,6 +65,8 @@ let budgets =
 let setup_budget = 280_000
 
 let analyze_budget = 4.5
+
+let simplify_budget = 120_000.
 
 let test_analyze_words () =
   let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
@@ -132,6 +141,32 @@ let test_budgets () =
     Alcotest.failf "minor words per scanned tuple over budget: %s"
       (String.concat "; " over)
 
+let test_simplify_words () =
+  let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
+  let plans =
+    List.map
+      (W.Runner.optimize_with ~simplify:false env W.Runner.Orca)
+      W.Queries.all
+  in
+  let simplify () =
+    List.iter
+      (fun plan ->
+        ignore
+          (Sys.opaque_identity
+             (Mpp_analysis.Analysis.simplify_plan
+                ~catalog:env.W.Runner.catalog plan)))
+      plans
+  in
+  simplify ();
+  let w0 = Gc.minor_words () in
+  simplify ();
+  let words = Gc.minor_words () -. w0 in
+  Printf.printf "simplify_plan over %d plans: %.0f minor words (budget %.0f)\n"
+    (List.length plans) words simplify_budget;
+  if words > simplify_budget then
+    Alcotest.failf "simplify_plan allocates %.0f minor words (budget %.0f)"
+      words simplify_budget
+
 let () =
   Alcotest.run "alloc"
     [ ("row kernels",
@@ -142,5 +177,8 @@ let () =
            test_setup_live_words ]);
       ("analyze",
        [ Alcotest.test_case "words per analyzed value" `Quick
-           test_analyze_words ])
+           test_analyze_words ]);
+      ("simplify",
+       [ Alcotest.test_case "minor words over the 43 Orca plans" `Quick
+           test_simplify_words ])
     ]

@@ -1,14 +1,13 @@
 (** Catalog and partition-metadata tests: the partitioning function f_T
     ({!Mpp_catalog.Partition.route}), the selection function f*_T
-    ({!Mpp_catalog.Partition.select}), multi-level layouts, default
-    partitions and the Table-1 builtins. *)
+    ({!Mpp_catalog.Partition.select_oids}), multi-level layouts, default
+    partitions, the per-level envelopes and the Table-1 builtins. *)
 
 open Mpp_expr
 module Cat = Mpp_catalog.Catalog
 module Part = Mpp_catalog.Partition
 module Dist = Mpp_catalog.Distribution
 module Table = Mpp_catalog.Table
-module Builtins = Mpp_catalog.Builtins
 
 let d = Value.date_of_string
 
@@ -176,9 +175,10 @@ let test_catalog_registry () =
   (* leaf → root mapping *)
   let p = Option.get orders.Table.partitioning in
   let leaf = Part.leaf_oids p |> List.hd in
-  Alcotest.(check (option int)) "leaf resolves to root"
-    (Some orders.Table.oid)
-    (Cat.root_of_leaf catalog leaf);
+  Alcotest.(check int) "leaf resolves to root" orders.Table.oid
+    (Cat.root_of catalog leaf);
+  Alcotest.(check int) "root resolves to itself" orders.Table.oid
+    (Cat.root_of catalog orders.Table.oid);
   Alcotest.check_raises "duplicate table rejected"
     (Invalid_argument "Catalog.add_table: duplicate table orders") (fun () ->
       ignore
@@ -197,26 +197,30 @@ let test_table_helpers () =
   | _ -> Alcotest.fail "one partitioning key");
   Alcotest.(check int) "nparts" 24 (Table.nparts orders)
 
+(* Paper Table 1's builtins are [Partition] functions: partition_expansion
+   is [leaf_oids], partition_selection is [route], and restriction-driven
+   selection is [select_oids] ([select_static] over a selector's
+   predicates).  The fourth, partition_propagation, is the executor's
+   channel push. *)
 let test_builtins () =
-  let catalog, orders = Support.orders_schema () in
-  let oid = orders.Table.oid in
+  let _, orders = Support.orders_schema () in
+  let p = Option.get orders.Table.partitioning in
   Alcotest.(check int) "partition_expansion yields all leaves" 24
-    (List.length (Builtins.partition_expansion catalog oid));
-  (match Builtins.partition_selection catalog oid [| d "2013-10-15" |] with
+    (List.length (Part.leaf_oids p));
+  (match Part.route p [| d "2013-10-15" |] with
   | Some leaf ->
       Alcotest.(check bool) "selection returns a leaf of the root" true
-        (List.mem leaf (Builtins.partition_expansion catalog oid))
+        (List.mem leaf.Part.leaf_oid (Part.leaf_oids p))
   | None -> Alcotest.fail "in-range value selects a partition");
   Alcotest.(check bool) "out-of-range selection is ⊥" true
-    (Builtins.partition_selection catalog oid [| d "2030-01-01" |] = None);
-  let constraints = Builtins.partition_constraints catalog oid in
-  Alcotest.(check int) "one constraint row per leaf" 24
-    (List.length constraints);
-  let first = List.hd constraints in
-  Alcotest.(check bool) "first partition starts at 2012-01-01 inclusive" true
-    (first.Builtins.min = Some (d "2012-01-01") && first.Builtins.min_incl);
-  Alcotest.(check bool) "first partition ends before 2012-02-01" true
-    (first.Builtins.max = Some (d "2012-02-01") && not first.Builtins.max_incl)
+    (Part.route p [| d "2030-01-01" |] = None);
+  let oct =
+    Interval.Set.of_list
+      [ Option.get (Interval.closed_open (d "2013-10-01") (d "2013-11-01")) ]
+  in
+  Alcotest.(check (list int)) "restricted selection: October 2013"
+    [ (Option.get (Part.route p [| d "2013-10-15" |])).Part.leaf_oid ]
+    (Part.select_oids p [| Some oct |])
 
 (* f*_T soundness: whatever leaf f_T routes a value to is among the leaves
    f*_T selects for any restriction containing that value. *)
@@ -259,6 +263,65 @@ let prop_route_deterministic =
    order scans used before only if every layout allocates its leaf OIDs in
    position order — pinned here for every partitioned table the workloads
    build, along with [Index.position] inverting the numbering. *)
+let tpch_scenarios = Mpp_workload.Tpch.[ Parts_42; Parts_84; Parts_169; Parts_361 ]
+
+let tpch_catalog scenario =
+  let catalog = Cat.create () in
+  let storage = Mpp_storage.Storage.create ~nsegments:4 in
+  let tbl = Mpp_workload.Tpch.setup ~catalog ~storage ~scenario ~rows:0 in
+  (catalog, tbl)
+
+(* The TPC-DS (scale 1), TPC-H and Biggen catalogs, by name. *)
+let workload_catalogs () =
+  ("tpcds", (Mpp_workload.Runner.setup_env ~scale:1 ()).Mpp_workload.Runner.catalog)
+  :: List.map
+       (fun sc -> (Mpp_workload.Tpch.scenario_name sc, fst (tpch_catalog sc)))
+       tpch_scenarios
+  @ List.map
+      (fun spec ->
+        let env = Mpp_workload.Biggen.generate spec in
+        (env.Mpp_workload.Biggen.name, env.Mpp_workload.Biggen.catalog))
+      (Mpp_workload.Biggen.default_suite ())
+
+(* Each level's envelope, built with the record, equals the fold over the
+   leaves' constraints that [Analysis.scan_env] used to redo per call:
+   full once a leaf is [Default] there, else the union of the [Cset]s. *)
+let test_envelopes () =
+  let fold (p : Part.t) l =
+    if Array.exists (fun (lf : Part.leaf) -> lf.Part.bounds.(l) = Part.Default) p.Part.leaves
+    then Interval.Set.full
+    else
+      Array.fold_left
+        (fun acc (lf : Part.leaf) ->
+          match lf.Part.bounds.(l) with
+          | Part.Cset s -> Interval.Set.union acc s
+          | Part.Default -> acc)
+        Interval.Set.empty p.Part.leaves
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (what, catalog) ->
+      List.iter
+        (fun (tbl : Table.t) ->
+          match tbl.Table.partitioning with
+          | None -> ()
+          | Some p ->
+              incr checked;
+              Alcotest.(check int)
+                (what ^ "." ^ tbl.Table.name ^ ": one envelope per level")
+                (Part.nlevels p) (Array.length p.Part.envelope);
+              Array.iteri
+                (fun l env ->
+                  if not (Interval.Set.equal env (fold p l)) then
+                    Alcotest.failf "%s.%s: level %d envelope %s, leaf fold %s"
+                      what tbl.Table.name l
+                      (Format.asprintf "%a" Interval.Set.pp env)
+                      (Format.asprintf "%a" Interval.Set.pp (fold p l)))
+                p.Part.envelope)
+        (Cat.tables catalog))
+    (workload_catalogs ());
+  Alcotest.(check bool) "partitioned tables checked" true (!checked > 10)
+
 let test_leaf_oids_ascend () =
   let check_table what (tbl : Table.t) =
     match tbl.Table.partitioning with
@@ -278,25 +341,15 @@ let test_leaf_oids_ascend () =
   let check_catalog what catalog =
     List.iter (check_table what) (Cat.tables catalog)
   in
-  let tpcds = Mpp_workload.Runner.setup_env ~scale:1 () in
-  check_catalog "tpcds" tpcds.Mpp_workload.Runner.catalog;
   List.iter
     (fun scenario ->
-      let catalog = Cat.create () in
-      let storage = Mpp_storage.Storage.create ~nsegments:4 in
-      let tbl = Mpp_workload.Tpch.setup ~catalog ~storage ~scenario ~rows:0 in
       Alcotest.(check int)
         (Mpp_workload.Tpch.scenario_name scenario ^ " partitions")
         (Mpp_workload.Tpch.scenario_parts scenario)
-        (Table.nparts tbl);
-      check_catalog (Mpp_workload.Tpch.scenario_name scenario) catalog)
-    Mpp_workload.Tpch.[ Parts_42; Parts_84; Parts_169; Parts_361 ];
-  List.iter
-    (fun spec ->
-      let env = Mpp_workload.Biggen.generate spec in
-      check_catalog env.Mpp_workload.Biggen.name
-        env.Mpp_workload.Biggen.catalog)
-    (Mpp_workload.Biggen.default_suite ());
+        (Table.nparts (snd (tpch_catalog scenario))))
+    tpch_scenarios;
+  List.iter (fun (what, catalog) -> check_catalog what catalog)
+    (workload_catalogs ());
   let multilevel, _ = Support.multilevel_schema () in
   check_catalog "multi-level" multilevel;
   let catalog = Cat.create () in
@@ -339,7 +392,9 @@ let () =
          Alcotest.test_case "three-level hierarchy" `Quick
            test_three_level_partitioning;
          Alcotest.test_case "leaf OIDs ascend with position" `Quick
-           test_leaf_oids_ascend ]);
+           test_leaf_oids_ascend;
+         Alcotest.test_case "level envelopes = leaf fold" `Quick
+           test_envelopes ]);
       ("catalog",
        [ Alcotest.test_case "registry" `Quick test_catalog_registry;
          Alcotest.test_case "table helpers" `Quick test_table_helpers;

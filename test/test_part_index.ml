@@ -14,6 +14,10 @@
     - the point lookup {!Partition.Index.add_point} against [select_bits]
       and the oracle with a point restriction at one level, on cuts, in
       gaps and outside every arm, over fixed and randomized layouts;
+    - static selection over per-level predicates
+      ({!Partition.select_static}) against the oracle over each level's
+      {!Expr.restriction}, with [None] when nothing is restricted or the
+      lengths do not match the levels;
     - {!Bitset} word-level invariants (ghost bits, ordering);
     - {!Channel} dedup: pushing the same leaf twice, alone or within a
       larger set, holds it once. *)
@@ -26,31 +30,23 @@ module Channel = Mpp_exec.Channel
 
 let d s = Value.Date (Date.of_string s)
 
-let oids_of leaves = List.map (fun (lf : Part.leaf) -> lf.Part.leaf_oid) leaves
-
 let leaf_oid_opt = Option.map (fun (lf : Part.leaf) -> lf.Part.leaf_oid)
 
-(* Indexed select / count / bits must agree with the legacy oracle on this
+let oids_of_bits (p : Part.t) bits =
+  List.map (fun j -> p.Part.leaves.(j).Part.leaf_oid) (Bitset.to_list bits)
+
+(* Indexed select / bits must agree with the legacy oracle on this
    restriction array, oid for oid. *)
 let check_select what p restrictions =
-  let ix = p.Part.index in
   let legacy = Part.select_oids_legacy p restrictions in
   Alcotest.(check (list int))
     (what ^ ": indexed select = legacy")
     legacy
-    (Part.Index.select_oids ix restrictions);
-  Alcotest.(check (list int))
-    (what ^ ": top-level select delegates to index")
-    legacy
     (Part.select_oids p restrictions);
-  Alcotest.(check int)
-    (what ^ ": count_selected")
-    (List.length legacy)
-    (Part.Index.count_selected ix restrictions);
-  let bits = Part.Index.select_bits ix restrictions in
-  Alcotest.(check int)
-    (what ^ ": select_bits cardinal")
-    (List.length legacy) (Bitset.cardinal bits)
+  Alcotest.(check (list int))
+    (what ^ ": select_bits = legacy")
+    legacy
+    (oids_of_bits p (Part.Index.select_bits p.Part.index restrictions))
 
 let check_route what p keys =
   Alcotest.(check (option int))
@@ -178,11 +174,8 @@ let add_point_agrees ?(pre = []) p ~level v =
   Part.Index.add_point ix ~level v into;
   let expected = Part.Index.select_bits ix restrictions in
   Bitset.set_list expected pre;
-  let oids bits =
-    List.map (fun j -> p.Part.leaves.(j).Part.leaf_oid) (Bitset.to_list bits)
-  in
   Bitset.equal into expected
-  && (pre <> [] || oids into = Part.select_oids_legacy p restrictions)
+  && (pre <> [] || oids_of_bits p into = Part.select_oids_legacy p restrictions)
 
 let check_add_point what p ~level v =
   Alcotest.(check bool)
@@ -299,11 +292,10 @@ let prop_select_matches_oracle =
     ~name:"indexed select = legacy oracle (randomized layouts)"
     layout_and_restrictions_gen
     (fun (p, restrictions) ->
-      let ix = p.Part.index in
       let legacy = Part.select_oids_legacy p restrictions in
-      Part.Index.select_oids ix restrictions = legacy
-      && Part.Index.count_selected ix restrictions = List.length legacy
-      && oids_of (Part.Index.select ix restrictions) = legacy)
+      Part.select_oids p restrictions = legacy
+      && oids_of_bits p (Part.Index.select_bits p.Part.index restrictions)
+         = legacy)
 
 let key_value_gen =
   QCheck2.Gen.(
@@ -337,6 +329,162 @@ let prop_add_point_matches_select =
       return (p, level, v, pre))
     (fun (p, level, v, pre) ->
       add_point_agrees p ~level v && add_point_agrees ~pre p ~level v)
+
+(* ---- static selection over per-level predicates ---- *)
+
+(* The oracle for [select_static]: each level's predicate analysed against
+   its own key by [Expr.restriction], then [select_oids_legacy]; [None]
+   when no level is restricted or a list does not have one entry per
+   level. *)
+let static_oracle p keys preds =
+  let n = Part.nlevels p in
+  if List.length keys <> n || List.length preds <> n then None
+  else
+    let restrictions =
+      Array.of_list
+        (List.map2 (fun k e -> Option.bind e (Expr.restriction k)) keys preds)
+    in
+    if Array.for_all Option.is_none restrictions then None
+    else Some (Part.select_oids_legacy p restrictions)
+
+let static_agrees p keys preds =
+  Option.map (oids_of_bits p) (Part.select_static p ~keys preds)
+  = static_oracle p keys preds
+
+(* Level [i]'s key as relation 0's column [i]. *)
+let key_colrefs (p : Part.t) =
+  Array.to_list
+    (Array.mapi
+       (fun i (lv : Part.level) ->
+         Colref.make ~rel:0 ~index:i ~name:lv.Part.key_name
+           ~dtype:Value.Tint)
+       p.Part.levels)
+
+let check_static what p keys preds =
+  Alcotest.(check (option (list int)))
+    (what ^ ": select_static = legacy over restrictions")
+    (static_oracle p keys preds)
+    (Option.map (oids_of_bits p) (Part.select_static p ~keys preds))
+
+let test_select_static () =
+  let _, orders = Support.orders_schema () in
+  let monthly = Option.get orders.Mpp_catalog.Table.partitioning in
+  let date = Colref.make ~rel:0 ~index:2 ~name:"date" ~dtype:Value.Tdate in
+  let c = Expr.col date in
+  List.iter
+    (fun (what, preds) -> check_static ("monthly " ^ what) monthly [ date ] preds)
+    [ ("range", [ Some (Expr.between c (Expr.date "2012-03-01") (Expr.date "2012-05-31")) ]);
+      ("point", [ Some (Expr.eq c (Expr.date "2013-10-15")) ]);
+      ("outside every arm", [ Some (Expr.lt c (Expr.date "2011-01-01")) ]);
+      ("negated", [ Some (Expr.Not (Expr.ge c (Expr.date "2012-02-01"))) ]);
+      ("false", [ Some Expr.false_ ]);
+      ("unanalysable", [ Some (Expr.eq (Expr.Func ("month", [ c ])) (Expr.int 3)) ]);
+      ("None", [ None ]) ];
+  Alcotest.(check bool) "monthly: no restriction is None" true
+    (Part.select_static monthly ~keys:[ date ] [ None ] = None);
+  Alcotest.(check bool) "monthly: too many predicates is None" true
+    (Part.select_static monthly ~keys:[ date ]
+       [ Some (Expr.eq c (Expr.date "2013-10-15")); None ]
+    = None);
+  Alcotest.(check bool) "monthly: no keys is None" true
+    (Part.select_static monthly ~keys:[]
+       [ Some (Expr.eq c (Expr.date "2013-10-15")) ]
+    = None);
+  (* categorical *)
+  let next = ref 0 in
+  let cat =
+    Part.single_level
+      ~alloc_oid:(fun () -> incr next; !next)
+      ~key_index:0 ~key_name:"c" ~scheme:Part.Categorical ~table_name:"c"
+      (Part.categorical [ [ Value.Int 1; Value.Int 5 ]; [ Value.Int 2 ]; [ Value.Int 9 ] ])
+  in
+  let ck = key_colrefs cat in
+  let kc = Expr.col (List.hd ck) in
+  List.iter
+    (fun (what, e) -> check_static ("categorical " ^ what) cat ck [ Some e ])
+    [ ("IN", Expr.In_list (kc, [ Value.Int 5; Value.Int 9 ]));
+      ("point", Expr.eq kc (Expr.int 2));
+      ("absent", Expr.eq kc (Expr.int 3));
+      ("OR", Expr.Or [ Expr.eq kc (Expr.int 1); Expr.gt kc (Expr.int 8) ]) ];
+  (* two levels: month x region *)
+  let _, two = Support.multilevel_schema () in
+  let two = Option.get two.Mpp_catalog.Table.partitioning in
+  let tk =
+    List.map
+      (fun (lv : Part.level) ->
+        Colref.make ~rel:0 ~index:lv.Part.key_index ~name:lv.Part.key_name
+          ~dtype:(if lv.Part.scheme = Part.Range then Value.Tdate else Value.Tstring))
+      (Array.to_list two.Part.levels)
+  in
+  let dk = Expr.col (List.nth tk 0) and rk = Expr.col (List.nth tk 1) in
+  let both =
+    Expr.conj
+      [ Expr.ge dk (Expr.date "2012-02-01"); Expr.lt dk (Expr.date "2012-04-01");
+        Expr.eq rk (Expr.str "east") ]
+  in
+  List.iter
+    (fun (what, preds) -> check_static ("two-level " ^ what) two tk preds)
+    [ ("one filter at every level", [ Some both; Some both ]);
+      ("level 1 only", [ Some both; None ]);
+      ("level 2 only", [ None; Some (Expr.eq rk (Expr.str "west")) ]);
+      ("level predicate on the other key", [ Some (Expr.eq rk (Expr.str "west")); None ]);
+      ("both None", [ None; None ]) ];
+  Alcotest.(check bool) "two-level: one predicate for two levels is None" true
+    (Part.select_static two ~keys:tk [ Some both ] = None);
+  (* default arms at both levels *)
+  let def = default_layout () in
+  let dks = key_colrefs def in
+  let a = Expr.col (List.nth dks 0) and b = Expr.col (List.nth dks 1) in
+  List.iter
+    (fun (what, preds) -> check_static ("default arms " ^ what) def dks preds)
+    [ ("into the default", [ Some (Expr.ge a (Expr.int 35)); None ]);
+      ("covered only", [ Some (Expr.lt a (Expr.int 40)); Some (Expr.eq b (Expr.int 2)) ]);
+      ("uncovered point", [ Some (Expr.eq a (Expr.int 99)); Some (Expr.eq b (Expr.int 7)) ]) ]
+
+(* Per-level predicates over the level keys (and one foreign column),
+   valued around the generated layouts' arms. *)
+let predicates_gen keys =
+  let open QCheck2.Gen in
+  let other = Colref.make ~rel:0 ~index:9 ~name:"other" ~dtype:Value.Tint in
+  let small = map (fun i -> Value.Int i) (int_range (-12) 38) in
+  let atom =
+    let* k = oneofl (other :: keys) in
+    let c = Expr.col k in
+    oneof
+      [ map2 (fun op v -> Expr.Cmp (op, c, Expr.Const v))
+          (oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ]) small;
+        map (fun vs -> Expr.In_list (c, vs)) (list_size (int_range 1 3) small);
+        map2 (fun lo hi -> Expr.between c (Expr.Const lo) (Expr.Const hi)) small small;
+        return Expr.false_ ]
+  in
+  let pred =
+    oneof
+      [ atom;
+        map (fun es -> Expr.And es) (list_size (int_range 2 3) atom);
+        map (fun es -> Expr.Or es) (list_size (int_range 2 3) atom);
+        map (fun e -> Expr.Not e) atom ]
+  in
+  list_size (return (List.length keys)) (opt pred)
+
+let prop_select_static_matches_oracle =
+  QCheck2.Test.make ~count:1500
+    ~name:"select_static = legacy over per-level restrictions (randomized)"
+    QCheck2.Gen.(
+      let* p, _ = layout_and_restrictions_gen in
+      let keys = key_colrefs p in
+      let* preds = predicates_gen keys in
+      (* now and then a list one short or one long *)
+      let* skew = frequency [ (8, return 0); (1, return (-1)); (1, return 1) ] in
+      let preds =
+        if skew < 0 then List.tl preds
+        else if skew > 0 then preds @ [ None ]
+        else preds
+      in
+      return (p, keys, preds))
+    (fun (p, keys, preds) ->
+      static_agrees p keys preds
+      && (List.length preds = Part.nlevels p
+         || Part.select_static p ~keys preds = None))
 
 (* ---- bitsets ---- *)
 
@@ -403,11 +551,13 @@ let () =
            test_two_level_equivalence;
          Alcotest.test_case "default arms" `Quick test_default_arm_equivalence;
          Alcotest.test_case "find_leaf OID hash" `Quick test_find_leaf_hash;
-         Alcotest.test_case "point lookup" `Quick test_add_point ]);
+         Alcotest.test_case "point lookup" `Quick test_add_point;
+         Alcotest.test_case "static selection over predicates" `Quick
+           test_select_static ]);
       ("oracle properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_select_matches_oracle; prop_route_matches_oracle;
-           prop_add_point_matches_select ]);
+           prop_add_point_matches_select; prop_select_static_matches_oracle ]);
       ("bitset", [ Alcotest.test_case "word-level ops" `Quick test_bitset_basics ]);
       ("channel",
        [ Alcotest.test_case "leaf dedup" `Quick test_channel_dedup ]) ]
