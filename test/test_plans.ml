@@ -2,9 +2,11 @@
     workload templates at scale 1 (with partition selection on and off),
     the 27 large join graphs of the [bigjoin_plan] serving workload (star,
     chain and clique at 10–24 relations, with that workload's seed
-    formula) and {!Mpp_workload.Biggen.default_suite} must equal
-    [plans.golden] byte for byte.  It pins the physical planner: a
-    refactor of join planning or costing must not move a single plan.  On
+    formula) and {!Mpp_workload.Biggen.default_suite}, then of every plan
+    the legacy Planner emits for the 43 templates and the default suite,
+    must equal [plans.golden] byte for byte.  It pins both physical
+    planners: a refactor of join planning, costing or the Planner's Append
+    expansion must not move a single plan.  On
     a mismatch the rendering is written to [plans.actual] beside the test
     (under [_build/default/test]); a change that means to move plans
     replaces the golden file with it and says why. *)
@@ -41,6 +43,19 @@ let render () =
       Printf.bprintf b "== %s\n%s\n" e.W.Biggen.name
         (Plan.to_string (Orca.Optimizer.optimize opt e.W.Biggen.logical)))
     (bigjoin_specs @ W.Biggen.default_suite ());
+  List.iter
+    (fun (qu : W.Queries.query) ->
+      Printf.bprintf b "== %s planner\n%s\n" qu.W.Queries.name
+        (Plan.to_string (W.Runner.optimize_with env W.Runner.Legacy_planner qu)))
+    W.Queries.all;
+  List.iter
+    (fun (spec : W.Biggen.spec) ->
+      let e = W.Biggen.generate ~nsegments:4 spec in
+      Printf.bprintf b "== %s planner\n%s\n" e.W.Biggen.name
+        (Plan.to_string
+           (W.Runner.optimize_logical ~catalog:e.W.Biggen.catalog ~nsegments:4
+              W.Runner.Legacy_planner e.W.Biggen.logical)))
+    (W.Biggen.default_suite ());
   Buffer.contents b
 
 let check_golden () =
