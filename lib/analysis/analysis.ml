@@ -16,6 +16,7 @@
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
+module Expansion = Mpp_plan.Expansion
 module Catalog = Mpp_catalog.Catalog
 module Table = Mpp_catalog.Table
 module Partition = Mpp_catalog.Partition
@@ -571,8 +572,9 @@ let rec harvest (p : Plan.t) : Expr.t list =
       []
 
 (* Context to push to each child: conjuncts every row the child contributes
-   to the result must satisfy.  Must stay in lock-step with the verifier's
-   pruning pass, which re-runs the same collection. *)
+   to the result must satisfy.  The one rule both site walks use: the
+   strengthen pass rewrites sites under it and {!pruning_sites} (the
+   verifier's pruning pass) re-checks them under it. *)
 let child_ctxs (p : Plan.t) (ctx : Expr.t list) : Expr.t list list =
   match p with
   | Plan.Filter { pred; _ } -> [ ctx @ Expr.conjuncts pred ]
@@ -649,129 +651,58 @@ let implied_restrictions ~keys conjs =
        keys)
 
 (* ------------------------------------------------------------------ *)
-(* Uniform Append expansions (the Planner's partitioned-table shape).   *)
-
-type expansion = {
-  x_rel : int;
-  x_root : int;
-  x_table : Table.t;
-  x_part : Partition.t;
-  x_scans : (int * Expr.t option * int option) list;
-      (** (leaf oid, filter, guard) per child, in child order *)
-}
-
-let expansion_of cat (cs : Plan.t list) : expansion option =
-  match cs with
-  | Plan.Table_scan { rel; table_oid; _ } :: _ -> (
-      let root = Catalog.root_of cat table_oid in
-      match Catalog.find_oid_opt cat root with
-      | Some ({ Table.partitioning = Some part; _ } as tbl) ->
-          let scans =
-            List.filter_map
-              (function
-                | Plan.Table_scan { rel = r; table_oid = o; filter; guard }
-                  when r = rel
-                       && Partition.Index.position part.Partition.index o
-                          <> None ->
-                    Some (o, filter, guard)
-                | _ -> None)
-              cs
-          in
-          if List.length scans = List.length cs then
-            Some { x_rel = rel; x_root = root; x_table = tbl; x_part = part; x_scans = scans }
-          else None
-      | _ -> None)
-  | _ -> None
-
-let is_lit_false_opt = function
-  | Some f -> Expr.equal f Expr.false_
-  | None -> false
-
-(* Filter layout of an expansion: [`Shared f] when every live (non-false)
-   child carries the same filter, physically or structurally. *)
-let shared_filter (scans : (int * Expr.t option * int option) list) =
-  let live = List.filter (fun (_, f, _) -> not (is_lit_false_opt f)) scans in
-  match live with
-  | [] -> `All_false
-  | (_, f0, _) :: rest ->
-      if
-        List.for_all
-          (fun (_, f, _) ->
-            match (f0, f) with
-            | None, None -> true
-            | Some a, Some b -> a == b || Expr.equal a b
-            | _ -> false)
-          rest
-      then `Shared f0
-      else `Mixed
-
-(* ------------------------------------------------------------------ *)
 (* Pruning sites — the currency of the verifier's sixth pass.           *)
 
-type site_kind = Site_scan of int | Site_append of int list
+type site_kind = Site_scan of int | Site_append of Expansion.t
 
 type pruning_site = {
   site_path : int list;
   site_kind : site_kind;
   site_rel : int;
   site_root : int;
+  site_keys : Colref.t list;
   site_permitted : Interval.Set.t option array;
 }
 
 let conjuncts_opt = function Some f -> Expr.conjuncts f | None -> []
 
+(* The one match both site walks ({!pruning_sites} and the strengthen
+   pass) use: a DynamicScan over a partitioned table or an expansion with
+   a live leaf, with the restrictions [ctx] and its own filter imply on
+   each partitioning key.  The statically empty expansion is no site: the
+   predicate that proved it empty is gone, nothing is left to re-check. *)
+let site_at ~catalog ctx (p : Plan.t) : pruning_site option =
+  let site kind ~rel (table : Table.t) filter =
+    let keys = Table.part_key_colrefs table ~rel in
+    Some
+      {
+        site_path = [];
+        site_kind = kind;
+        site_rel = rel;
+        site_root = table.oid;
+        site_keys = keys;
+        site_permitted = implied_restrictions ~keys (ctx @ conjuncts_opt filter);
+      }
+  in
+  match p with
+  | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } -> (
+      match Catalog.find_oid_opt catalog root_oid with
+      | Some ({ partitioning = Some _; _ } as table) ->
+          site (Site_scan part_scan_id) ~rel table filter
+      | _ -> None)
+  | Plan.Append _ -> (
+      match Expansion.of_append catalog p with
+      | Some ({ leaves = _ :: _; _ } as x) ->
+          site (Site_append x) ~rel:x.rel x.table x.filter
+      | _ -> None)
+  | _ -> None
+
 let pruning_sites ~catalog plan =
   let sites = ref [] in
   let rec walk path ctx (p : Plan.t) =
-    (match p with
-    | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } -> (
-        match Catalog.find_oid_opt catalog root_oid with
-        | Some ({ Table.partitioning = Some _; _ } as tbl) ->
-            let keys = Table.part_key_colrefs tbl ~rel in
-            let permitted =
-              implied_restrictions ~keys (ctx @ conjuncts_opt filter)
-            in
-            sites :=
-              {
-                site_path = List.rev path;
-                site_kind = Site_scan part_scan_id;
-                site_rel = rel;
-                site_root = root_oid;
-                site_permitted = permitted;
-              }
-              :: !sites
-        | _ -> ())
-    | Plan.Append cs -> (
-        match expansion_of catalog cs with
-        | Some x -> (
-            match shared_filter x.x_scans with
-            | `All_false ->
-                (* the sanctioned statically-empty shape: the predicate that
-                   proved emptiness is gone, nothing to re-check *)
-                ()
-            | `Mixed -> ()
-            | `Shared fopt ->
-                let present =
-                  List.filter_map
-                    (fun (o, f, _) ->
-                      if is_lit_false_opt f then None else Some o)
-                    x.x_scans
-                in
-                let keys = Table.part_key_colrefs x.x_table ~rel:x.x_rel in
-                let permitted =
-                  implied_restrictions ~keys (ctx @ conjuncts_opt fopt)
-                in
-                sites :=
-                  {
-                    site_path = List.rev path;
-                    site_kind = Site_append present;
-                    site_rel = x.x_rel;
-                    site_root = x.x_root;
-                    site_permitted = permitted;
-                  }
-                  :: !sites)
-        | None -> ())
-    | _ -> ());
+    Option.iter
+      (fun s -> sites := { s with site_path = List.rev path } :: !sites)
+      (site_at ~catalog ctx p);
     List.iteri
       (fun i (c, cx) -> walk (i :: path) cx c)
       (List.combine (Plan.children p) (child_ctxs p ctx))
@@ -795,40 +726,21 @@ let rec s1 cat (p : Plan.t) : Plan.t =
       else if child' == child && pred' == pred then p
       else Plan.Filter { pred = pred'; child = child' }
   | Plan.Append cs -> (
-      match expansion_of cat cs with
-      | Some x -> (
-          match shared_filter x.x_scans with
-          | `Shared (Some f) ->
-              let env = scan_base_env cat ~rel:x.x_rel x.x_root in
-              let f' = simplify env f in
-              if f' == f then p
-              else if
-                Expr.equal f' Expr.false_
-                && List.for_all (fun (_, _, g) -> g = None) x.x_scans
-              then
-                (* statically empty: collapse to the single-false-leaf shape *)
-                Plan.Append
-                  [
-                    Plan.table_scan ~filter:Expr.false_ ~rel:x.x_rel
-                      x.x_part.Partition.leaves.(0).Partition.leaf_oid;
-                  ]
-              else
-                let fopt' =
-                  if Expr.equal f' Expr.true_ then None else Some f'
-                in
-                Plan.Append
-                  (List.map
-                     (fun (c : Plan.t) ->
-                       match c with
-                       | Plan.Table_scan ({ filter; _ } as s) ->
-                           if is_lit_false_opt filter then c
-                           else Plan.Table_scan { s with filter = fopt' }
-                       | _ -> c)
-                     cs)
-          | `Shared None | `All_false | `Mixed ->
-              let cs' = List.map (s1 cat) cs in
-              if List.for_all2 ( == ) cs cs' then p else Plan.Append cs')
-      | None ->
+      match Expansion.of_append cat p with
+      | Some ({ leaves = _ :: _; filter = Some f; _ } as x) ->
+          let env = scan_base_env cat ~rel:x.rel x.table.oid in
+          let f' = simplify env f in
+          if f' == f then p
+          else if Expr.equal f' Expr.false_ && x.guard = None then
+            (* statically empty: collapse to the single-false-leaf shape *)
+            Expansion.to_plan { x with leaves = [] }
+          else
+            Expansion.to_plan
+              {
+                x with
+                filter = (if Expr.equal f' Expr.true_ then None else Some f');
+              }
+      | _ ->
           let cs' = List.map (s1 cat) cs in
           if List.for_all2 ( == ) cs cs' then p else Plan.Append cs')
   | Plan.Table_scan ({ rel; table_oid; filter = Some f; _ } as s) ->
@@ -858,89 +770,51 @@ let rec s1 cat (p : Plan.t) : Plan.t =
       let cs' = List.map (s1 cat) cs in
       if List.for_all2 ( == ) cs cs' then p else Plan.with_children p cs'
 
-(* Phase 2: context-aware strengthening.  Walks the simplified plan
-   collecting reachable predicates (the same rules the verifier's pruning
-   pass replays), conjoins implied partition-key restrictions onto
-   partition-selector predicates, and re-runs static exclusion on unguarded
-   uniform Append expansions. *)
+(* The conjunct to add to [pred] so key [k] is restricted to the implied
+   set, when the implication tightens [pred]'s own restriction of [k]. *)
+let tighten k pred implied =
+  Option.bind implied (fun s_imp ->
+      let own =
+        Option.value ~default:Interval.Set.full
+          (Option.bind pred (Expr.restriction k))
+      in
+      if Interval.Set.is_subset own s_imp then None
+      else Some (expr_of_set k s_imp))
+
+(* Phase 2: context-aware strengthening.  Walks the simplified plan as
+   {!pruning_sites} does (same sites, same context rule), conjoins implied
+   partition-key restrictions onto partition-selector predicates, and
+   re-runs static exclusion on unguarded Append expansions. *)
 let strengthen_pass cat (plan : Plan.t) : Plan.t =
   let scan_implied : (int, Interval.Set.t option array) Hashtbl.t =
     Hashtbl.create 8
   in
   let rec go ctx (p : Plan.t) : Plan.t =
-    match p with
-    | Plan.Dynamic_scan { rel; part_scan_id; root_oid; filter; _ } ->
-        (match Catalog.find_oid_opt cat root_oid with
-        | Some ({ Table.partitioning = Some _; _ } as tbl) ->
-            let keys = Table.part_key_colrefs tbl ~rel in
-            let imp =
-              implied_restrictions ~keys (ctx @ conjuncts_opt filter)
-            in
-            if Array.exists Option.is_some imp then
-              Hashtbl.replace scan_implied part_scan_id imp
-        | _ -> ());
+    match (p, site_at ~catalog:cat ctx p) with
+    | _, Some { site_kind = Site_scan part_scan_id; site_permitted = imp; _ } ->
+        if Array.exists Option.is_some imp then
+          Hashtbl.replace scan_implied part_scan_id imp;
         p
-    | Plan.Append cs -> (
-        match expansion_of cat cs with
-        | Some x
-          when List.for_all (fun (_, _, g) -> g = None) x.x_scans -> (
-            match shared_filter x.x_scans with
-            | `All_false | `Mixed -> p
-            | `Shared fopt -> (
-                let keys = Table.part_key_colrefs x.x_table ~rel:x.x_rel in
-                let imp =
-                  implied_restrictions ~keys (ctx @ conjuncts_opt fopt)
-                in
-                (* synthesize a conjunct for each level the implication
-                   tightens beyond the filter's own restriction *)
-                let synths =
-                  List.concat
-                    (List.mapi
-                       (fun l k ->
-                         match imp.(l) with
-                         | None -> []
-                         | Some s_imp ->
-                             let own =
-                               match fopt with
-                               | None -> Interval.Set.full
-                               | Some f -> (
-                                   match Expr.restriction k f with
-                                   | Some r -> r
-                                   | None -> Interval.Set.full)
-                             in
-                             if Interval.Set.is_subset own s_imp then []
-                             else [ expr_of_set k s_imp ])
-                       keys)
-                in
-                match synths with
-                | [] -> p
-                | _ ->
-                    let f' = Expr.conj (conjuncts_opt fopt @ synths) in
-                    let bits =
-                      Partition.select_static x.x_part ~keys
-                        (List.map (fun _ -> Some f') keys)
-                    in
-                    let kept o =
-                      Option.fold ~none:true
-                        ~some:(fun b -> Partition.mem_oid x.x_part b o)
-                        bits
-                    in
-                    let children' =
-                      List.filter_map
-                        (fun (o, _, _) ->
-                          if kept o then
-                            Some (Plan.table_scan ~filter:f' ~rel:x.x_rel o)
-                          else None)
-                        x.x_scans
-                    in
-                    if children' = [] then
-                      Plan.Append
-                        [
-                          Plan.table_scan ~filter:Expr.false_ ~rel:x.x_rel
-                            x.x_part.Partition.leaves.(0).Partition.leaf_oid;
-                        ]
-                    else Plan.Append children'))
-        | _ -> p)
+    | ( _,
+        Some
+          {
+            site_kind = Site_append ({ guard = None; _ } as x);
+            site_keys = keys;
+            site_permitted = imp;
+            _;
+          } ) -> (
+        let synths =
+          List.concat
+            (List.mapi
+               (fun l k -> Option.to_list (tighten k x.filter imp.(l)))
+               keys)
+        in
+        match synths with
+        | [] -> p
+        | _ ->
+            let f' = Expr.conj (conjuncts_opt x.filter @ synths) in
+            Expansion.to_plan (Expansion.exclude { x with filter = Some f' } f'))
+    | (Plan.Append _ | Plan.Dynamic_scan _), _ -> p
     | _ ->
         let cs = Plan.children p in
         let cs' = List.map2 (fun c cx -> go cx c) cs (child_ctxs p ctx) in
@@ -968,25 +842,13 @@ let strengthen_pass cat (plan : Plan.t) : Plan.t =
               let preds' =
                 List.mapi
                   (fun l pe ->
-                    match imp.(l) with
+                    match tighten (List.nth keys l) pe imp.(l) with
                     | None -> pe
-                    | Some s_imp ->
-                        let k = List.nth keys l in
-                        let cur =
-                          match pe with
-                          | None -> Interval.Set.full
-                          | Some e -> (
-                              match Expr.restriction k e with
-                              | Some r -> r
-                              | None -> Interval.Set.full)
-                        in
-                        if Interval.Set.is_subset cur s_imp then pe
-                        else (
-                          changed := true;
-                          let synth = expr_of_set k s_imp in
-                          match pe with
-                          | None -> Some synth
-                          | Some e -> Some (Expr.conj [ e; synth ])))
+                    | Some synth -> (
+                        changed := true;
+                        match pe with
+                        | None -> Some synth
+                        | Some e -> Some (Expr.conj [ e; synth ])))
                   predicates
               in
               if !changed then
@@ -1071,7 +933,7 @@ module Lint = struct
             (fun i c ->
               match c with
               | Plan.Table_scan { rel; table_oid; filter; _ }
-                when not (is_lit_false_opt filter) ->
+                when not (Expansion.dead c) ->
                   let env = scan_env ~catalog ~rel table_oid in
                   let dead =
                     match filter with

@@ -25,7 +25,6 @@
     guarded-Append expansion. *)
 
 open Mpp_expr
-module Partition = Mpp_catalog.Partition
 module Table = Mpp_catalog.Table
 
 (* Equi-join (build column, probe column) pairs of [pred]: the column =
@@ -106,31 +105,14 @@ let place_consumer ~catalog ~streaming ~rf_id ~keys probe =
             if List.mem part_scan_id streaming && keys_subset keys part_keys
             then None (* streaming DPE already routes this scan *)
             else Some (wrap node)
-        | Plan.Append children
-          when children <> []
-               && List.for_all
-                    (function
-                      | Plan.Table_scan { rel; guard; table_oid; _ } ->
-                          rel = krel
-                          && (guard = None
-                             || not
-                                  (keys_subset keys
-                                     (part_keys_of ~catalog ~rel
-                                        ~root_oid:
-                                          (Mpp_catalog.Catalog.root_of catalog
-                                             table_oid))))
-                      | _ -> false)
-                    children ->
-            (* plain (or non-redundantly guarded) leaf expansion: one
-               consumer over the Append output *)
-            Some (wrap node)
-        | Plan.Append children
-          when List.for_all
-                 (function
-                   | Plan.Table_scan { rel; guard = Some _; _ } -> rel = krel
-                   | _ -> false)
-                 children ->
-            None (* guarded expansion already routed on these keys *)
+        | Plan.Append _ -> (
+            (* the legacy planner's expansion: when its guard's selector
+               already routes on these keys, skip *)
+            match Expansion.of_append catalog node with
+            | Some ({ rel; guard = Some _; _ } as x)
+              when rel = krel && keys_subset keys (Expansion.keys x) ->
+                None
+            | _ -> Some (wrap node))
         | Plan.Filter f -> Option.map (fun c -> Plan.Filter { f with child = c }) (go f.child)
         | Plan.Runtime_filter_build b ->
             Option.map

@@ -18,10 +18,16 @@
     - join orientation is as written (no cost-based flip), with a broadcast
       of the build side when not co-located;
     - DML over partitioned tables enumerates the join per target leaf,
-      which makes DML plan size quadratic in the partition count (§4.4.3). *)
+      which makes DML plan size quadratic in the partition count (§4.4.3).
+
+    The expansion itself — its record, the Append it becomes and
+    constraint exclusion over it — is {!Mpp_plan.Expansion}, which the
+    simplifier, the runtime-filter annotation and the verifier read plans
+    back through. *)
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
+module Expansion = Mpp_plan.Expansion
 module Table = Mpp_catalog.Table
 module Partition = Mpp_catalog.Partition
 module Distribution = Mpp_catalog.Distribution
@@ -41,61 +47,17 @@ let fresh_scan_id t =
   t.next_scan_id <- id + 1;
   id
 
-(* Information about a subtree that is still a plain expansion of one
-   partitioned table — the only shape the legacy planner can apply dynamic
-   elimination to. *)
-type expansion = {
-  exp_rel : int;
-  exp_table : Table.t;
-  exp_partitioning : Partition.t;
-  exp_leaves : Partition.leaf list;  (** survivors of static exclusion *)
-  exp_filter : Expr.t option;
-}
-
 type sub = {
   plan : Plan.t;
   dist : [ `Hashed of Colref.t list | `Replicated | `Other ];
-  expansion : expansion option;
+  expansion : Expansion.t option;
+      (** a subtree that is still a plain expansion of one partitioned
+          table: the only shape the legacy planner can apply dynamic
+          elimination to *)
 }
 
-let append_of_expansion ?guard (e : expansion) : Plan.t =
-  match e.exp_leaves with
-  | [] ->
-      (* Static exclusion eliminated every partition.  An empty Append has
-         no output layout, so any parent operator that references the
-         table's columns (a measure aggregate, a join key) would fail to
-         compile at run time — a latent crash the plan verifier's schema
-         pass rejects.  Scan a single leaf under an always-false filter
-         instead: same empty result, correct tuple layout, nothing read. *)
-      let lf = e.exp_partitioning.Partition.leaves.(0) in
-      Plan.Append
-        [ Plan.table_scan ~filter:Expr.false_ ?guard ~rel:e.exp_rel
-            lf.Partition.leaf_oid ]
-  | leaves ->
-      Plan.Append
-        (List.map
-           (fun (lf : Partition.leaf) ->
-             Plan.table_scan ?filter:e.exp_filter ?guard ~rel:e.exp_rel
-               lf.Partition.leaf_oid)
-           leaves)
-
 let finalize (s : sub) : Plan.t =
-  match s.expansion with Some e -> append_of_expansion e | None -> s.plan
-
-(* Constraint exclusion: drop the leaves whose constraints contradict the
-   constant restrictions derivable from [pred]. *)
-let static_exclusion (e : expansion) pred : expansion =
-  let keys = Table.part_key_colrefs e.exp_table ~rel:e.exp_rel in
-  let p = e.exp_partitioning in
-  match
-    Partition.select_static p ~keys (List.map (fun _ -> Some pred) keys)
-  with
-  | None -> e
-  | Some bits ->
-      let survives (lf : Partition.leaf) =
-        Partition.mem_oid p bits lf.Partition.leaf_oid
-      in
-      { e with exp_leaves = List.filter survives e.exp_leaves }
+  match s.expansion with Some e -> Expansion.to_plan e | None -> s.plan
 
 let dist_of_table (table : Table.t) ~rel =
   match table.Table.distribution with
@@ -114,34 +76,34 @@ let plan_get t ~rel name : sub =
   let dist = dist_of_table table ~rel in
   match table.Table.partitioning with
   | None -> { plan = Plan.table_scan ~rel table.Table.oid; dist; expansion = None }
-  | Some p ->
+  | Some part ->
       {
         plan = Plan.Append [] (* replaced by [finalize] *);
         dist;
         expansion =
           Some
             {
-              exp_rel = rel;
-              exp_table = table;
-              exp_partitioning = p;
-              exp_leaves = Array.to_list p.Partition.leaves;
-              exp_filter = None;
+              Expansion.rel;
+              table;
+              part;
+              leaves = Array.to_list part.Partition.leaves;
+              filter = None;
+              guard = None;
             };
       }
 
 let plan_select pred (child : sub) : sub =
   match child.expansion with
   | Some e ->
-      let e =
-        {
-          e with
-          exp_filter =
-            (match e.exp_filter with
-            | None -> Some pred
-            | Some f -> Some (Expr.conj [ f; pred ]));
-        }
+      let filter =
+        match e.filter with
+        | None -> pred
+        | Some f -> Expr.conj [ f; pred ]
       in
-      { child with expansion = Some (static_exclusion e pred) }
+      (* constraint exclusion by the new predicate: the leaves left already
+         survive the earlier ones *)
+      let e = Expansion.exclude { e with filter = Some filter } pred in
+      { child with expansion = Some e }
   | None -> (
       match child.plan with
       | Plan.Table_scan ({ filter = None; _ } as s) ->
@@ -151,8 +113,8 @@ let plan_select pred (child : sub) : sub =
 (* The single pattern the legacy planner's dynamic elimination handles:
    equality between the probe expansion's level-0 partitioning key and an
    expression over the build side. *)
-let planner_dpe_predicate ~(probe : expansion) ~build_rels pred =
-  match Table.part_key_colrefs probe.exp_table ~rel:probe.exp_rel with
+let planner_dpe_predicate ~(probe : Expansion.t) ~build_rels pred =
+  match Expansion.keys probe with
   | [ key ] -> (
       match
         List.find_opt
@@ -202,10 +164,12 @@ let plan_join t ~kind ~pred (left : sub) (right : sub) : sub =
             let part_scan_id = fresh_scan_id t in
             let selector =
               Plan.partition_selector ~child:build_plan ~part_scan_id
-                ~root_oid:e.exp_table.Table.oid ~keys:[ key ]
+                ~root_oid:e.table.Table.oid ~keys:[ key ]
                 ~predicates:[ Some key_pred ] ()
             in
-            let guarded = append_of_expansion ~guard:part_scan_id e in
+            let guarded =
+              Expansion.to_plan { e with guard = Some part_scan_id }
+            in
             Plan.Hash_join { kind; pred; left = selector; right = guarded }
         | None ->
             Plan.Hash_join

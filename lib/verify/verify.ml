@@ -5,6 +5,7 @@ module Plan = Mpp_plan.Plan
 module Catalog = Mpp_catalog.Catalog
 module Table = Mpp_catalog.Table
 module Partition = Mpp_catalog.Partition
+module Expansion = Mpp_plan.Expansion
 module Obs = Mpp_obs.Obs
 
 (* ------------------------------------------------------------------ *)
@@ -36,14 +37,23 @@ let partitioning_of catalog root_oid =
   Option.bind (Catalog.find_oid_opt catalog root_oid) (fun t ->
       t.Table.partitioning)
 
-(* The leaves of [part] an OID list names, as a bitset over positions. *)
-let bits_of_oids (part : Partition.t) oids =
+(* An expansion's leaves as a bitset over [part]'s positions, and the
+   leaves it lists more than once. *)
+let scanned_leaves (x : Expansion.t) =
+  let part = x.part in
   let bits = Bitset.create (Partition.nparts part) in
-  List.iter
-    (fun o ->
-      Option.iter (Bitset.set bits) (Partition.Index.position part.index o))
-    oids;
-  bits
+  let dups =
+    List.filter
+      (fun (lf : Partition.leaf) ->
+        match Partition.Index.position part.index lf.leaf_oid with
+        | Some j when Bitset.mem bits j -> true
+        | Some j ->
+            Bitset.set bits j;
+            false
+        | None -> false)
+      x.leaves
+  in
+  (bits, dups)
 
 (* OIDs of the leaves in [want] but not in [have], ascending. *)
 let missing_oids (part : Partition.t) ~have want =
@@ -813,56 +823,37 @@ let accounting_pass ~catalog (plan : Plan.t) : Diag.t list =
                    "guarded scan of OID %d (root %d) consumes channel %d of \
                     a selector over root %d"
                    table_oid root id sel_root))
-    | Plan.Append cs -> check_append path cs
+    | Plan.Append _ ->
+        Option.iter (check_expansion path)
+          (Expansion.of_append catalog p)
     | _ -> ());
     List.iteri (fun i c -> walk (seg i c :: path) c) (Plan.children p)
-  (* Static-exclusion coverage: an Append expansion of one partitioned
-     table must still contain every leaf that survives the per-level
-     restrictions of its own (common) filter — otherwise a qualifying
-     partition was dropped at plan time. *)
-  and check_append path cs =
-    match cs with
-    | Plan.Table_scan { rel = rel0; table_oid = oid0; filter = filter0; _ }
-      :: _ -> (
-        match Catalog.find_oid_opt catalog (Catalog.root_of catalog oid0) with
-        | Some ({ Table.partitioning = Some part; _ } as tbl) ->
-            (* a leaf of [part] scanned like the first child, by position *)
-            let position = function
-              | Plan.Table_scan { rel; table_oid; filter; _ }
-                when rel = rel0
-                     &&
-                     match (filter, filter0) with
-                     | None, None -> true
-                     | Some a, Some b -> a == b || Expr.equal a b
-                     | _ -> false ->
-                  Partition.Index.position part.index table_oid
-              | _ -> None
-            in
-            let positions = List.map position cs in
-            let scanned = Bitset.create (Partition.nparts part) in
-            List.iter (Option.iter (Bitset.set scanned)) positions;
-            let keys = Table.part_key_colrefs tbl ~rel:rel0 in
-            (* an Append carrying all P distinct leaves covers any
-               surviving set: skip the selection on that common shape *)
-            if
-              List.for_all Option.is_some positions
-              && Bitset.cardinal scanned < Partition.nparts part
-            then
-              Option.iter
-                (fun surviving ->
-                  match missing_oids part ~have:scanned surviving with
-                  | [] -> ()
-                  | missing ->
-                      emit "accounting/append-undercoverage" path
-                        (Printf.sprintf
-                           "Append over %s drops %d statically-surviving \
-                            leaf(s) (e.g. OID %d)"
-                           tbl.Table.name (List.length missing)
-                           (List.hd missing)))
-                (Partition.select_static part ~keys
-                   (List.map (fun _ -> filter0) keys))
-        | _ -> ())
-    | _ -> ()
+  (* An Append expansion scans each leaf once, and still contains every
+     leaf that survives static selection by its own filter — otherwise a
+     leaf's rows are counted twice, or a qualifying partition was dropped
+     at plan time. *)
+  and check_expansion path (x : Expansion.t) =
+    let scanned, dups = scanned_leaves x in
+    List.iter
+      (fun (lf : Partition.leaf) ->
+        emit "accounting/append-duplicate-leaf" path
+          (Printf.sprintf "Append over %s scans leaf OID %d more than once"
+             x.table.Table.name lf.leaf_oid))
+      dups;
+    (* an Append carrying all P distinct leaves covers any surviving set:
+       skip the selection on that common shape *)
+    if Bitset.cardinal scanned < Partition.nparts x.part then
+      Option.iter
+        (fun surviving ->
+          match missing_oids x.part ~have:scanned surviving with
+          | [] -> ()
+          | missing ->
+              emit "accounting/append-undercoverage" path
+                (Printf.sprintf
+                   "Append over %s drops %d statically-surviving leaf(s) \
+                    (e.g. OID %d)"
+                   x.table.Table.name (List.length missing) (List.hd missing)))
+        (Option.bind x.filter (Expansion.select x))
   in
   walk [ Root plan ] plan;
   List.rev !diags
@@ -1094,7 +1085,7 @@ let pruning_pass ~catalog (plan : Plan.t) : Diag.t list =
              malformed one is the structure pass's report, not ours. *)
           let selected =
             match s.Analysis.site_kind with
-            | Analysis.Site_append present -> Some (bits_of_oids part present)
+            | Analysis.Site_append x -> Some (fst (scanned_leaves x))
             | Analysis.Site_scan psid ->
                 Option.bind (Hashtbl.find_opt sels psid)
                   (fun (_, keys, predicates) ->

@@ -47,6 +47,57 @@ let test_constraint_exclusion () =
     (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid);
   Alcotest.(check bool) "rows produced" true (List.length rows > 0)
 
+(* [Expansion.of_append] reads back what [to_plan] writes — the full, the
+   statically excluded, the guarded and the statically empty expansion —
+   keeps a repeated leaf, and rejects children with different filters. *)
+let test_expansion_round_trip () =
+  let module X = Mpp_plan.Expansion in
+  let catalog, _, orders, _ = env () in
+  let part = Option.get orders.Mpp_catalog.Table.partitioning in
+  let full =
+    { X.rel = 0; table = orders; part;
+      leaves = Array.to_list part.Mpp_catalog.Partition.leaves;
+      filter = None; guard = None }
+  in
+  let pred =
+    Expr.between
+      (Expr.col (Mpp_catalog.Table.colref orders ~rel:0 "date"))
+      (Expr.date "2013-10-01") (Expr.date "2013-12-31")
+  in
+  let oids (x : X.t) =
+    List.map (fun (lf : Mpp_catalog.Partition.leaf) -> lf.leaf_oid) x.leaves
+  in
+  let read what p =
+    match X.of_append catalog p with
+    | Some x -> x
+    | None -> Alcotest.failf "%s: not recognized" what
+  in
+  List.iter
+    (fun (what, (x : X.t), nleaves) ->
+      let p = X.to_plan x in
+      let y = read what p in
+      Alcotest.(check int) (what ^ ": live leaves") nleaves
+        (List.length y.leaves);
+      Alcotest.(check (list int)) (what ^ ": leaves") (oids x) (oids y);
+      Alcotest.(check (option int)) (what ^ ": guard") x.guard y.guard;
+      Alcotest.(check string) (what ^ ": rebuilt") (Plan.to_string p)
+        (Plan.to_string (X.to_plan y)))
+    [ ("full", full, 24);
+      ("excluded", X.exclude { full with filter = Some pred } pred, 3);
+      ("guarded", { full with guard = Some 7 }, 24);
+      ("empty", { full with leaves = [] }, 0) ];
+  let scans = Plan.children (X.to_plan full) in
+  let twice = read "repeated leaf" (Plan.Append (List.hd scans :: scans)) in
+  Alcotest.(check int) "repeated leaf kept" 25 (List.length twice.leaves);
+  let refiltered =
+    match scans with
+    | Plan.Table_scan s :: rest ->
+        Plan.Append (Plan.Table_scan { s with filter = Some pred } :: rest)
+    | _ -> Alcotest.fail "expansion of no scans"
+  in
+  Alcotest.(check bool) "mixed filters rejected" true
+    (Option.is_none (X.of_append catalog refiltered))
+
 let dpe_logical catalog =
   let orders = Mpp_catalog.Catalog.find catalog "orders" in
   let date_dim = Mpp_catalog.Catalog.find catalog "date_dim" in
@@ -207,7 +258,9 @@ let () =
     [ ("expansion",
        [ Alcotest.test_case "inheritance expansion" `Quick test_expansion;
          Alcotest.test_case "constraint exclusion" `Quick
-           test_constraint_exclusion ]);
+           test_constraint_exclusion;
+         Alcotest.test_case "recognized as built" `Quick
+           test_expansion_round_trip ]);
       ("dynamic elimination",
        [ Alcotest.test_case "rudimentary DPE with guards" `Quick
            test_rudimentary_dpe;

@@ -10,10 +10,14 @@
     Each of the 43 templates is bound and the operators above its join
     tree (Aggregate, Project, Sort, Limit) are stripped, so the identity is
     a plain multiset union; a Project of every output column in bound
-    order fixes the row layout whatever join order is chosen.  The fact table's [Get] is wrapped in a
-    [Select] on [p], which compares its first partition key with a constant
-    drawn from that table's bounds: on a cut, just inside an arm, and
-    outside every arm, each with a seeded comparison operator.  Every plan
+    order fixes the row layout whatever join order is chosen.  The fact
+    table's [Get] is wrapped in a [Select] on [p], which compares one of its
+    partition keys — each level in turn, so a two-level table's categorical
+    second level is drawn too — with a constant from that level's bounds:
+    on a cut, just inside an arm, and outside every arm, each with a seeded
+    comparison operator.  Each partitioned table is also checked bare
+    ([Q] a plain scan of it): every template restricts its fact table, and
+    a selection bug that empties [Q] empties each arm alike.  Every plan
     comes from [Runner.optimize_logical] under Orca, Orca with selection
     off and the legacy Planner, and runs on the scale-1 cluster. *)
 
@@ -101,18 +105,22 @@ let rec wrap ~rel pred (lg : Logical.t) : Logical.t =
 let succ = function
   | Value.Int i -> Value.Int (i + 1)
   | Value.Date d -> Value.Date (Date.add_days d 1)
+  | Value.String s -> Value.String (s ^ "\000")
   | v -> Alcotest.failf "no successor for %s" (Value.to_string v)
 
+(* A value of the key's domain before [v]: the previous one, or for a
+   string the empty string. *)
 let pred_value = function
   | Value.Int i -> Value.Int (i - 1)
   | Value.Date d -> Value.Date (Date.add_days d (-1))
+  | Value.String s when s <> "" -> Value.String ""
   | v -> Alcotest.failf "no predecessor for %s" (Value.to_string v)
 
-(* Level 0's arms and their sorted bound values. *)
-let arms (p : Part.t) =
+(* A level's arms and their sorted bound values. *)
+let arms (p : Part.t) level =
   Array.to_list p.Part.leaves
   |> List.concat_map (fun (lf : Part.leaf) ->
-         match lf.Part.bounds.(0) with
+         match lf.Part.bounds.(level) with
          | Part.Cset s -> Interval.Set.to_list s
          | Part.Default -> [])
 
@@ -129,8 +137,8 @@ let cuts arms =
 (* One constant of each kind: on a cut, just inside an arm (one step past
    its lower bound), and outside every arm (below the first cut or past
    the last). *)
-let constants rng (p : Part.t) =
-  let arms = Array.of_list (arms p) in
+let constants rng (p : Part.t) level =
+  let arms = Array.of_list (arms p level) in
   let cuts = cuts (Array.to_list arms) in
   let on_cut = W.Rng.pick rng cuts in
   let inside =
@@ -181,21 +189,27 @@ let rows kind lg =
 
 let ops = Expr.[| Lt; Le; Eq; Neq; Ge; Gt |]
 
-let check_template i (qu : W.Queries.query) () =
-  let env = Lazy.force env in
-  let catalog = env.W.Runner.catalog in
-  let q = strip (Mpp_sql.Sql.to_logical catalog qu.W.Queries.sql) in
+(* The TLP identity for join tree [q] (built on the scale-1 catalog),
+   named [name], with the constants and operators drawn from [seed]. *)
+let check name seed q () =
+  let catalog = (Lazy.force env).W.Runner.catalog in
+  let q = q catalog in
   let rel, tbl, part =
     match fact_get catalog q with
     | Some f -> f
-    | None -> Alcotest.failf "%s: no fact table Get" qu.W.Queries.name
+    | None -> Alcotest.failf "%s: no fact table Get" name
   in
-  let key = Expr.col (List.hd (Table.part_key_colrefs tbl ~rel)) in
-  let rng = W.Rng.create ~seed:(Int64.of_int (7919 * (i + 1))) () in
+  let rng = W.Rng.create ~seed:(Int64.of_int seed) () in
   let cases =
-    List.map
-      (fun (what, c) -> (what, Expr.Cmp (W.Rng.pick rng ops, key, Expr.Const c)))
-      (constants rng part)
+    List.concat
+      (List.mapi
+         (fun level key ->
+           List.map
+             (fun (what, c) ->
+               ( Printf.sprintf "level %d, %s" level what,
+                 Expr.Cmp (W.Rng.pick rng ops, Expr.col key, Expr.Const c) ))
+             (constants rng part level))
+         (Table.part_key_colrefs tbl ~rel))
   in
   List.iter
     (fun kind ->
@@ -209,16 +223,32 @@ let check_template i (qu : W.Queries.query) () =
           in
           if not (List.equal (fun a b -> compare_rows a b = 0) whole union) then
             Alcotest.failf "%s under %s, p = %s (%s): %d rows, arms give %d"
-              qu.W.Queries.name
+              name
               (W.Runner.optimizer_kind_to_string kind)
               (Expr.to_string p) what (List.length whole) (List.length union))
         cases)
     kinds
 
 let () =
+  let tables =
+    List.filter Table.is_partitioned
+      (Mpp_catalog.Catalog.tables (Lazy.force env).W.Runner.catalog)
+  in
   Alcotest.run "tlp"
     [ ("ternary logic partitioning",
        List.mapi
          (fun i (qu : W.Queries.query) ->
-           Alcotest.test_case qu.W.Queries.name `Quick (check_template i qu))
-         W.Queries.all) ]
+           Alcotest.test_case qu.W.Queries.name `Quick
+             (check qu.W.Queries.name
+                (7919 * (i + 1))
+                (fun catalog ->
+                  strip (Mpp_sql.Sql.to_logical catalog qu.W.Queries.sql))))
+         W.Queries.all
+       @ List.mapi
+           (fun i (t : Table.t) ->
+             let name = "bare " ^ t.Table.name in
+             Alcotest.test_case name `Quick
+               (check name
+                  (104729 * (i + 1))
+                  (fun _ -> Logical.Get { rel = 0; table_name = t.Table.name })))
+           tables) ]

@@ -272,6 +272,17 @@ let mutations :
                 Some (Plan.Append rest)
             | _ -> None)
           (static_planner ()) );
+    ( "surviving leaf scanned twice by the Append",
+      "accounting/append-duplicate-leaf",
+      fun () ->
+        (* one month survives constraint exclusion; listing its scan twice
+           doubles the count *)
+        once
+          (function
+            | Plan.Append [ (Plan.Table_scan _ as c) ] ->
+                Some (Plan.Append [ c; c ])
+            | _ -> None)
+          (plan_for W.Runner.Legacy_planner "ss_static_month") );
     ( "guarded leaf of a foreign table",
       "accounting/guard-foreign-leaf",
       fun () ->
