@@ -30,9 +30,10 @@
       another Motion; and that the plan root is gathered;
     - {b accounting} — cross-checks each DynamicScan's [ds_nparts] against
       {!Mpp_catalog.Partition.select_static} over its selector's per-level
-      predicates, verifies that guarded
-      leaf scans belong to their selector's table, and that a static-
-      exclusion Append still covers every statically-surviving leaf;
+      predicates, verifies that guarded leaf scans belong to their
+      selector's table, and that an Append expansion
+      ({!Mpp_plan.Expansion.of_append}) scans no leaf twice and still
+      covers every leaf that survives static selection by its filter;
     - {b filters} — runtime-join-filter placement legality: every
       [Runtime_filter] pairs with exactly one [Runtime_filter_build] of the
       same [rf_id], builder on the build (left) side and consumer(s) on the
@@ -40,7 +41,7 @@
       consumer sits directly below a Redistribute/Broadcast send, and no
       filter crosses a Gather above its join;
     - {b pruning} — partition-pruning soundness: for every DynamicScan and
-      uniform leaf-expansion Append, the partitions {e permitted} by the
+      Append expansion, the partitions {e permitted} by the
       site's reachable predicates (its own filter, enclosing filters, and
       join conjuncts propagated across equi-join equivalence classes — see
       {!Mpp_analysis.Analysis.pruning_sites}) are re-derived independently
