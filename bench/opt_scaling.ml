@@ -3,9 +3,11 @@
 open Harness
 
 (* How optimize time grows with relation count on generated star/chain/
-   clique graphs.  Each point also records [joinorder_states], the
-   join-order search's kept states summed over its levels: a count that
-   moves only when the beam or the search space changes, which
+   clique graphs.  Each point also records, from one traced optimize,
+   [join_reorder_ms], the time of its [optimize.join_reorder] span (the
+   join-order search and the region rebuild), and [joinorder_states],
+   the search's kept states summed over its levels: a count that moves
+   only when the beam or the search space changes, which
    check-regression pins for the smoke graphs (14 relations is past the
    point where the beam binds).  [~smoke] runs small graphs and checks
    the schema only. *)
@@ -29,14 +31,19 @@ let run ~smoke =
   let timed benv =
     median (samples reps (fun () -> optimize_once benv)) *. 1000.0
   in
-  let states benv =
+  let traced benv =
     let sink = Obs.create () in
     Obs.install sink;
     Fun.protect ~finally:Obs.uninstall (fun () -> ignore (optimize_once benv));
-    Obs.counter sink "joinorder.states"
+    let reorder_ms =
+      match Obs.find_span sink "optimize.join_reorder" with
+      | Some sp -> sp.Obs.span_elapsed *. 1000.0
+      | None -> failwith "opt_scaling: no optimize.join_reorder span"
+    in
+    (reorder_ms, Obs.counter sink "joinorder.states")
   in
-  Printf.printf "%-10s %8s %14s %8s\n" "shape" "#rels" "optimize (ms)"
-    "states";
+  Printf.printf "%-10s %8s %14s %13s %8s\n" "shape" "#rels" "optimize (ms)"
+    "reorder (ms)" "states";
   let points =
     List.concat_map
       (fun (shape, sname) ->
@@ -44,12 +51,14 @@ let run ~smoke =
           (fun nrels ->
             let benv = W.Biggen.generate { W.Biggen.shape; nrels; seed = 1 } in
             let ms = timed benv in
-            let st = states benv in
-            Printf.printf "%-10s %8d %14.2f %8d\n" sname nrels ms st;
+            let reorder_ms, st = traced benv in
+            Printf.printf "%-10s %8d %14.2f %13.2f %8d\n" sname nrels ms
+              reorder_ms st;
             Json.Obj
               [ ("shape", Json.String sname);
                 ("nrels", Json.Int nrels);
                 ("optimize_ms", Json.Float ms);
+                ("join_reorder_ms", Json.Float reorder_ms);
                 ("joinorder_states", Json.Int st) ])
           sizes)
       shapes
@@ -59,4 +68,12 @@ let run ~smoke =
        [ ("smoke", Json.Bool smoke);
          ("reps", Json.Int reps);
          ("points", Json.List points) ]);
-  if smoke then print_endline "smoke OK: opt_scaling schema valid"
+  if smoke then begin
+    List.iter
+      (fun p ->
+        match field ~what:"opt_scaling" p "join_reorder_ms" with
+        | Json.Float ms when ms >= 0.0 -> ()
+        | _ -> failwith "opt_scaling smoke: join_reorder_ms not a duration")
+      points;
+    print_endline "smoke OK: opt_scaling schema valid"
+  end

@@ -8,10 +8,14 @@
     reachable [k+1]-relation subset.
 
     Data layout.  Nothing is allocated per candidate:
-    - each leaf carries its incident edges as two arrays (masks and
-      selectivities, ascending edge index) plus a neighbour bitmask, so
-      without cross products an extension that cannot connect is rejected
-      with one [land] before any edge is looked at;
+    - each leaf carries its incident edges (ascending edge index) as a
+      mask array and a pair array [[|1.0; s0; 1.0; s1; ...|]], plus a
+      neighbour bitmask, so without cross products an extension that
+      cannot connect is rejected with one [land] before any edge is
+      looked at.  The edge loop has no data-dependent branch: it turns
+      "edge [e] is covered" into an int [c] of 0 or 1 by arithmetic,
+      multiplies the selectivity product by [pair.(2e + c)] and ORs [c]
+      into the "connected" flag;
     - each level's candidates live in an open-addressing table from subset
       mask to [rows]/[cost]/[last]/[prev], kept as parallel unboxed [int]
       and [float] arrays, sized up front from (states x remaining leaves)
@@ -28,7 +32,12 @@
     order the selection leaves them in.  Selectivity products multiply in
     ascending edge-index order, rows are clamped with [Float.max 1.0] and
     the cost is [(prefix cost + leaf rows) + rows], so float rounding is
-    fixed.  [test/joinorder_ref.ml] keeps the earlier
+    fixed.  The edge loop also multiplies by 1.0 for each uncovered edge;
+    [x *. 1.0] is exactly [x] for every float the product can hold
+    (zeros, subnormals and infinities included), so the sequence of
+    values the product takes over the covered edges, and with it every
+    rows, cost and tie-break, is the one that multiplying only the
+    covered selectivities gives.  [test/joinorder_ref.ml] keeps the earlier
     [Hashtbl]-and-full-sort search as a frozen reference, and the test
     suite checks both return the same order.
 
@@ -63,14 +72,17 @@ let make ~leaf_rows ~edges =
     incident = Array.map List.rev incident;
   }
 
-(* Per-leaf flat view of [g.incident], built once per search.  [nbr.(j)]
-   is every other leaf that an edge incident to [j] mentions: a prefix
-   disjoint from it covers none of [j]'s edges.  An edge on [j] alone is
-   covered by every extension by [j], so such a leaf gets [nbr = -1]. *)
+(* Per-leaf flat view of [g.incident], built once per search.  [pair.(j)]
+   holds [1.0; s] for each incident edge of [j] in ascending edge index,
+   so the edge loop multiplies by [pair.(2e + covered)] without a branch.
+   [nbr.(j)] is every other leaf that an edge incident to [j] mentions: a
+   prefix disjoint from it covers none of [j]'s edges.  An edge on [j]
+   alone is covered by every extension by [j], so such a leaf gets
+   [nbr = -1]. *)
 type leaves = {
   rows : float array;
   inc_mask : int array array;  (** leaf -> incident edge masks *)
-  inc_sel : float array array;  (** leaf -> their selectivities *)
+  pair : float array array;  (** leaf -> [1.0; selectivity] per edge *)
   nbr : int array;
 }
 
@@ -80,9 +92,12 @@ let leaves_of g =
       (fun l -> Array.of_list (List.map (fun ei -> fst g.edges.(ei)) l))
       g.incident
   in
-  let inc_sel =
+  let pair =
     Array.map
-      (fun l -> Array.of_list (List.map (fun ei -> snd g.edges.(ei)) l))
+      (fun l ->
+        let a = Array.make (2 * List.length l) 1.0 in
+        List.iteri (fun e ei -> a.((2 * e) + 1) <- snd g.edges.(ei)) l;
+        a)
       g.incident
   in
   let nbr =
@@ -95,7 +110,7 @@ let leaves_of g =
           0 masks)
       inc_mask
   in
-  { rows = g.leaf_rows; inc_mask; inc_sel; nbr }
+  { rows = g.leaf_rows; inc_mask; pair; nbr }
 
 (* One level's candidates: open addressing (linear probing) from subset
    mask to the best prefix found for it.  Mask 0 marks an empty slot —
@@ -203,22 +218,26 @@ type level = {
 
 (* Offer every one-leaf extension of state [si] of [lv] to [t].  Newly
    covered edges are exactly the incident edges of [j] whose mask is a
-   subset of the extended mask; their selectivities multiply in edge-index
-   order (fixed — float determinism). *)
+   subset of the extended mask.  Every incident edge multiplies in, in
+   edge-index order (fixed — float determinism): by its selectivity when
+   covered, by 1.0 (exact) when not, so no branch depends on the data. *)
 let extend lf ~n ~cross t lv si =
   let sm = lv.masks.(si) in
   for j = 0 to n - 1 do
     if sm land (1 lsl j) = 0 && (cross || sm land lf.nbr.(j) <> 0) then begin
       let nm = sm lor (1 lsl j) in
-      let em = lf.inc_mask.(j) and es = lf.inc_sel.(j) in
-      let sel = ref 1.0 and connected = ref false in
+      let em = lf.inc_mask.(j) and pair = lf.pair.(j) in
+      let sel = ref 1.0 and connected = ref 0 in
       for e = 0 to Array.length em - 1 do
-        if em.(e) land lnot nm = 0 then begin
-          sel := !sel *. es.(e);
-          connected := true
-        end
+        (* 1 when edge [e] lies inside [nm], else 0: the uncovered bits
+           are below 2^60, so less one they are negative exactly when
+           there are none, and the sign bit is bit 62.  [pair] has two
+           slots per entry of [em], so both reads are in bounds. *)
+        let covered = ((Array.unsafe_get em e land lnot nm) - 1) lsr 62 in
+        sel := !sel *. Array.unsafe_get pair ((2 * e) + covered);
+        connected := !connected lor covered
       done;
-      if !connected || cross then begin
+      if !connected <> 0 || cross then begin
         let jr = lf.rows.(j) in
         let rows = Float.max 1.0 (lv.lrows.(si) *. jr *. !sel) in
         (* C_out-style: pay each leaf's scan once plus every intermediate

@@ -1,5 +1,5 @@
 (** Counted memory gates: the executor's row kernels, the stored data,
-    ANALYZE and plan simplification.
+    ANALYZE, plan simplification and the join-order search.
 
     Row kernels.  Five workload
     templates whose per-row path runs through a typed comparison, an IN
@@ -51,7 +51,19 @@
     first) must stay under [simplify_budget], 120 000: 86 411 words,
     repeating exactly, when a root scan's base environment reads each
     level's envelope from [Partition.t]; 166 976 when every derivation
-    re-folds all leaf constraints into it, which fails. *)
+    re-folds all leaf constraints into it, which fails.
+
+    Join order.  The minor words of one [Joinorder.order] call on a
+    24-relation clique and a 24-relation star (seeded rows and
+    selectivities; one warm-up call first) must stay under
+    [join_order_budget], 20 000 each.  The search allocates only per
+    level and per graph, never per candidate (the level tables are
+    sized up front and go straight to the major heap): 6 958 and 4 264
+    words with one mask array and one selectivity array per leaf, and
+    5 782 and 4 100 with one mask array and one [[1.0; s]] pair array
+    per leaf.  Passing each candidate's cost to a helper that is not
+    inlined boxes one float per candidate: 963 106 and 872 500 words,
+    which fails. *)
 
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
@@ -67,6 +79,8 @@ let setup_budget = 280_000
 let analyze_budget = 4.5
 
 let simplify_budget = 120_000.
+
+let join_order_budget = 20_000.
 
 let test_analyze_words () =
   let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
@@ -167,6 +181,55 @@ let test_simplify_words () =
     Alcotest.failf "simplify_plan allocates %.0f minor words (budget %.0f)"
       words simplify_budget
 
+(* A [shape] graph on [n] leaves, rows and selectivities drawn from a
+   fixed linear congruential sequence. *)
+let join_graph shape n =
+  let rng = ref 24 in
+  let next () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    !rng
+  in
+  let leaf_rows =
+    Array.init n (fun _ -> float_of_int (1 + (next () mod 100_000)))
+  in
+  let pairs =
+    match shape with
+    | `Star -> List.init (n - 1) (fun i -> (0, i + 1))
+    | `Clique ->
+        List.concat_map
+          (fun i -> List.init (n - i - 1) (fun d -> (i, i + d + 1)))
+          (List.init n Fun.id)
+  in
+  let edges =
+    Array.of_list
+      (List.map
+         (fun (a, b) ->
+           ( (1 lsl a) lor (1 lsl b),
+             1.0 /. float_of_int (1 + (next () mod 1000)) ))
+         pairs)
+  in
+  Orca.Joinorder.make ~leaf_rows ~edges
+
+let test_join_order_words () =
+  let over =
+    List.filter_map
+      (fun (name, shape) ->
+        let g = join_graph shape 24 in
+        ignore (Orca.Joinorder.order g);
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Orca.Joinorder.order g));
+        let words = Gc.minor_words () -. w0 in
+        Printf.printf "join order, %s: %.0f minor words (budget %.0f)\n" name
+          words join_order_budget;
+        if words > join_order_budget then
+          Some (Printf.sprintf "%s: %.0f" name words)
+        else None)
+      [ ("clique24", `Clique); ("star24", `Star) ]
+  in
+  if over <> [] then
+    Alcotest.failf "Joinorder.order allocates over %.0f minor words: %s"
+      join_order_budget (String.concat "; " over)
+
 let () =
   Alcotest.run "alloc"
     [ ("row kernels",
@@ -180,5 +243,8 @@ let () =
            test_analyze_words ]);
       ("simplify",
        [ Alcotest.test_case "minor words over the 43 Orca plans" `Quick
-           test_simplify_words ])
+           test_simplify_words ]);
+      ("join order",
+       [ Alcotest.test_case "minor words of one 24-relation search" `Quick
+           test_join_order_words ])
     ]

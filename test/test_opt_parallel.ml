@@ -156,8 +156,10 @@ let test_joinorder_matches_brute_force () =
    up to three disconnected components (the cross-product redo), integer
    rows and power-of-two selectivities (cost ties, so the beam's mask and
    the merge's prev tie-breaks decide), rows below 1 (the
-   [Float.max 1.0] clamp), and beams of 1, 3, 64 and 1024; the
-   production order must equal the reference order. *)
+   [Float.max 1.0] clamp), leaves of 0 rows, selectivities of 0, 1 and a
+   subnormal (where a product that multiplied in other factors, or in
+   another order, would round differently), and beams of 1, 3, 64 and
+   1024; the production order must equal the reference order. *)
 type jo_case = { rows : float array; edges : (int * float) array; beam : int }
 
 let jo_case_gen =
@@ -171,10 +173,14 @@ let jo_case_gen =
         float_range 0.01 2.0;
         map float_of_int (int_range 1 1_000_000) ]
   in
-  let* rows = array_size (return n) row in
+  let* rows =
+    array_size (return n) (frequency [ (5, row); (1, return 0.0) ])
+  in
   let sel =
     frequency
-      [ (2, oneofl [ 1.0; 0.5; 0.25; 0.125 ]); (1, float_range 1e-4 1.0) ]
+      [ (4, oneofl [ 1.0; 0.5; 0.25; 0.125 ]);
+        (2, float_range 1e-4 1.0);
+        (1, oneofl [ 0.0; 1.0; 0x1p-1070 ]) ]
   in
   (* one edge: leaf [a] plus 0-2 distinct partners from [a]'s component *)
   let edge =
