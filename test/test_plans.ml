@@ -6,13 +6,39 @@
     the legacy Planner emits for the 43 templates and the default suite,
     must equal [plans.golden] byte for byte.  It pins both physical
     planners: a refactor of join planning, costing or the Planner's Append
-    expansion must not move a single plan.  On
+    expansion must not move a single plan.  A last section pins the plan
+    cache's normalization ({!Mpp_serve.Normalize.of_logical}) of the 43
+    templates and of one UPDATE … FROM, one DELETE and one INSERT: the
+    fingerprint, the first lifted slot, the parameter defaults and each
+    slot's class, so a rewrite of literal lifting cannot renumber a slot.  On
     a mismatch the rendering is written to [plans.actual] beside the test
     (under [_build/default/test]); a change that means to move plans
     replaces the golden file with it and says why. *)
 
 module W = Mpp_workload
 module Plan = Mpp_plan.Plan
+module Normalize = Mpp_serve.Normalize
+
+let dml =
+  [ ("update_from",
+     "UPDATE store_returns SET sr_qty = sr_qty + 1 FROM item WHERE sr_item \
+      = i_id AND sr_qty < i_id + 5 AND i_category = 'Books' AND \
+      sr_returned_date >= '2013-06-01' AND sr_returned_date < '2013-07-01'");
+    ("delete",
+     "DELETE FROM store_sales WHERE ss_sold_date >= '2013-03-01' AND ss_qty \
+      > $1 AND ss_price < 2.5");
+    ("insert",
+     "INSERT INTO store_returns VALUES ('2013-05-05', 7, 2, 'damaged')") ]
+
+let normalization catalog sql =
+  let n = Normalize.of_logical ~catalog (Mpp_sql.Sql.to_logical catalog sql) in
+  let list f a = String.concat "; " (Array.to_list (Array.map f a)) in
+  Printf.sprintf "fingerprint: %s\nfirst_lifted: %d\ndefaults: [%s]\nclasses: [%s]"
+    n.Normalize.fingerprint n.Normalize.first_lifted
+    (list Mpp_expr.Value.to_string n.Normalize.defaults)
+    (list
+       (function Normalize.Pruning -> "pruning" | Normalize.Shape -> "shape")
+       n.Normalize.classes)
 
 let bigjoin_specs =
   List.concat_map
@@ -56,6 +82,13 @@ let render () =
            (W.Runner.optimize_logical ~catalog:e.W.Biggen.catalog ~nsegments:4
               W.Runner.Legacy_planner e.W.Biggen.logical)))
     (W.Biggen.default_suite ());
+  List.iter
+    (fun (name, sql) ->
+      Printf.bprintf b "== %s normalize\n%s\n" name
+        (normalization env.W.Runner.catalog sql))
+    (List.map (fun (qu : W.Queries.query) -> (qu.W.Queries.name, qu.W.Queries.sql))
+       W.Queries.all
+    @ dml);
   Buffer.contents b
 
 let check_golden () =
