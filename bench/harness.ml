@@ -89,6 +89,14 @@ let median l =
   let s = List.sort Float.compare l in
   List.nth s (List.length s / 2)
 
+(* The interquartile range: the spread of the middle half, by nearest
+   rank ({!median}'s rule at a quarter and three quarters); 0 for one
+   sample. *)
+let iqr l =
+  let s = Array.of_list (List.sort Float.compare l) in
+  let n = Array.length s in
+  s.(3 * n / 4) -. s.(n / 4)
+
 let minimum l = List.fold_left Float.min Float.infinity l
 
 (* Wall time of one call, in seconds, with its result. *)

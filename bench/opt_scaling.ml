@@ -3,14 +3,15 @@
 open Harness
 
 (* How optimize time grows with relation count on generated star/chain/
-   clique graphs.  Each point also records, from one traced optimize,
-   [join_reorder_ms], the time of its [optimize.join_reorder] span (the
-   join-order search and the region rebuild), and [joinorder_states],
-   the search's kept states summed over its levels: a count that moves
-   only when the beam or the search space changes, which
-   check-regression pins for the smoke graphs (14 relations is past the
-   point where the beam binds).  [~smoke] runs small graphs and checks
-   the schema only. *)
+   clique graphs.  Each point times [reps] optimizes, and [reps] traced
+   ones give [join_reorder_ms], the time of the [optimize.join_reorder]
+   span (the join-order search and the region rebuild); both cells report
+   their median and their interquartile range ([_iqr_ms]), so one run
+   shows how far a cell wobbles.  [joinorder_states] is the search's kept
+   states summed over its levels: a count that moves only when the beam
+   or the search space changes, which check-regression pins for the smoke
+   graphs (14 relations is past the point where the beam binds).
+   [~smoke] runs small graphs and checks the schema only. *)
 let run ~smoke =
   header
     (if smoke then "Bench: optimize-time scaling (smoke mode, tiny graphs)"
@@ -29,7 +30,7 @@ let run ~smoke =
   in
   (* the warm-up call warms the stats caches *)
   let timed benv =
-    median (samples reps (fun () -> optimize_once benv)) *. 1000.0
+    List.map (( *. ) 1000.0) (samples reps (fun () -> optimize_once benv))
   in
   let traced benv =
     let sink = Obs.create () in
@@ -42,8 +43,8 @@ let run ~smoke =
     in
     (reorder_ms, Obs.counter sink "joinorder.states")
   in
-  Printf.printf "%-10s %8s %14s %13s %8s\n" "shape" "#rels" "optimize (ms)"
-    "reorder (ms)" "states";
+  Printf.printf "%-10s %6s %13s %8s %13s %8s %8s\n" "shape" "#rels"
+    "optimize (ms)" "IQR" "reorder (ms)" "IQR" "states";
   let points =
     List.concat_map
       (fun (shape, sname) ->
@@ -51,14 +52,18 @@ let run ~smoke =
           (fun nrels ->
             let benv = W.Biggen.generate { W.Biggen.shape; nrels; seed = 1 } in
             let ms = timed benv in
-            let reorder_ms, st = traced benv in
-            Printf.printf "%-10s %8d %14.2f %13.2f %8d\n" sname nrels ms
-              reorder_ms st;
+            let traces = List.init reps (fun _ -> traced benv) in
+            let reorder_ms = List.map fst traces and st = snd (List.hd traces) in
+            Printf.printf "%-10s %6d %13.2f %8.2f %13.2f %8.2f %8d\n" sname
+              nrels (median ms) (iqr ms) (median reorder_ms) (iqr reorder_ms)
+              st;
             Json.Obj
               [ ("shape", Json.String sname);
                 ("nrels", Json.Int nrels);
-                ("optimize_ms", Json.Float ms);
-                ("join_reorder_ms", Json.Float reorder_ms);
+                ("optimize_ms", Json.Float (median ms));
+                ("optimize_iqr_ms", Json.Float (iqr ms));
+                ("join_reorder_ms", Json.Float (median reorder_ms));
+                ("join_reorder_iqr_ms", Json.Float (iqr reorder_ms));
                 ("joinorder_states", Json.Int st) ])
           sizes)
       shapes
@@ -71,9 +76,13 @@ let run ~smoke =
   if smoke then begin
     List.iter
       (fun p ->
-        match field ~what:"opt_scaling" p "join_reorder_ms" with
-        | Json.Float ms when ms >= 0.0 -> ()
-        | _ -> failwith "opt_scaling smoke: join_reorder_ms not a duration")
+        List.iter
+          (fun name ->
+            match field ~what:"opt_scaling" p name with
+            | Json.Float ms when ms >= 0.0 -> ()
+            | _ -> failwith ("opt_scaling smoke: " ^ name ^ " not a duration"))
+          [ "optimize_ms"; "optimize_iqr_ms"; "join_reorder_ms";
+            "join_reorder_iqr_ms" ])
       points;
     print_endline "smoke OK: opt_scaling schema valid"
   end

@@ -87,55 +87,61 @@ let conj es =
   | [ e ] -> e
   | es -> And es
 
-let rec fold_cols f acc = function
-  | Col c -> f acc c
-  | Const _ | Param _ -> acc
-  | Cmp (_, a, b) | Arith (_, a, b) -> fold_cols f (fold_cols f acc a) b
-  | And es | Or es | Func (_, es) -> List.fold_left (fold_cols f) acc es
-  | Not e | Is_null e | In_list (e, _) -> fold_cols f acc e
+let rec fold f acc e =
+  let acc = f acc e in
+  match e with
+  | Const _ | Col _ | Param _ -> acc
+  | Cmp (_, a, b) | Arith (_, a, b) -> fold f (fold f acc a) b
+  | And es | Or es | Func (_, es) -> fold_list f acc es
+  | Not e | Is_null e | In_list (e, _) -> fold f acc e
 
-let free_cols e = List.rev (fold_cols (fun acc c -> c :: acc) [] e)
+and fold_list f acc = function
+  | [] -> acc
+  | e :: es -> fold_list f (fold f acc e) es
+
+let free_cols e =
+  List.rev (fold (fun acc -> function Col c -> c :: acc | _ -> acc) [] e)
 
 (** Relation instances referenced by [e]. *)
 let rels e =
-  fold_cols (fun acc (c : Colref.t) ->
-      if List.mem c.rel acc then acc else c.rel :: acc)
+  fold
+    (fun acc -> function
+      | Col c -> if List.mem c.Colref.rel acc then acc else c.rel :: acc
+      | _ -> acc)
     [] e
 
-let rec has_param = function
-  | Param _ -> true
-  | Const _ | Col _ -> false
-  | Cmp (_, a, b) | Arith (_, a, b) -> has_param a || has_param b
-  | And es | Or es | Func (_, es) -> List.exists has_param es
-  | Not e | Is_null e | In_list (e, _) -> has_param e
+(* A binary node's right operand is rebuilt first: the interface
+   documents the order, since a stateful [f] sees it. *)
+let rec map f e =
+  f
+    (match e with
+    | Const _ | Col _ | Param _ -> e
+    | Cmp (o, a, b) ->
+        let b = map f b in
+        Cmp (o, map f a, b)
+    | Arith (o, a, b) ->
+        let b = map f b in
+        Arith (o, map f a, b)
+    | And es -> And (List.map (map f) es)
+    | Or es -> Or (List.map (map f) es)
+    | Not e -> Not (map f e)
+    | Is_null e -> Is_null (map f e)
+    | In_list (e, vs) -> In_list (map f e, vs)
+    | Func (name, es) -> Func (name, List.map (map f) es))
 
 (** Replace column references for which [lookup] yields a value with
     constants.  Used at run time to specialize a join predicate with the
     values of the current outer tuple before partition selection. *)
-let rec subst_cols lookup = function
-  | Col c as e -> ( match lookup c with Some v -> Const v | None -> e)
-  | (Const _ | Param _) as e -> e
-  | Cmp (o, a, b) -> Cmp (o, subst_cols lookup a, subst_cols lookup b)
-  | Arith (o, a, b) -> Arith (o, subst_cols lookup a, subst_cols lookup b)
-  | And es -> And (List.map (subst_cols lookup) es)
-  | Or es -> Or (List.map (subst_cols lookup) es)
-  | Not e -> Not (subst_cols lookup e)
-  | Is_null e -> Is_null (subst_cols lookup e)
-  | In_list (e, vs) -> In_list (subst_cols lookup e, vs)
-  | Func (f, es) -> Func (f, List.map (subst_cols lookup) es)
+let subst_cols lookup =
+  map (function
+    | Col c as e -> ( match lookup c with Some v -> Const v | None -> e)
+    | e -> e)
 
 (** Replace bound parameters with constants (prepared-statement execution). *)
-let rec bind_params lookup = function
-  | Param i as e -> ( match lookup i with Some v -> Const v | None -> e)
-  | (Const _ | Col _) as e -> e
-  | Cmp (o, a, b) -> Cmp (o, bind_params lookup a, bind_params lookup b)
-  | Arith (o, a, b) -> Arith (o, bind_params lookup a, bind_params lookup b)
-  | And es -> And (List.map (bind_params lookup) es)
-  | Or es -> Or (List.map (bind_params lookup) es)
-  | Not e -> Not (bind_params lookup e)
-  | Is_null e -> Is_null (bind_params lookup e)
-  | In_list (e, vs) -> In_list (bind_params lookup e, vs)
-  | Func (f, es) -> Func (f, List.map (bind_params lookup) es)
+let bind_params lookup =
+  map (function
+    | Param i as e -> ( match lookup i with Some v -> Const v | None -> e)
+    | e -> e)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)

@@ -56,19 +56,31 @@ val conjuncts : t -> t list
 val conj : t list -> t
 (** The paper's [Conj]: conjunction with [true] as unit. *)
 
-val fold_cols : ('a -> Colref.t -> 'a) -> 'a -> t -> 'a
+val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
+(** The one read-only walk: pre-order, [f] on a node before its operands,
+    the operands left to right ([Cmp]'s and [Arith]'s left before right,
+    list members in order).  Builds no list per node. *)
+
+val map : (t -> t) -> t -> t
+(** The one rebuilding walk: bottom-up, a node's operands are rebuilt
+    first and [f] is then applied to the rebuilt node (leaves included).
+    Operands are visited right to left on [Cmp] and [Arith] (the right
+    operand first) and in order in lists; a stateful [f] sees them in
+    that order — the plan cache numbers lifted literals by it.  IN-list
+    members are values, not expressions, and are not visited. *)
+
 val free_cols : t -> Colref.t list
+(** Column references in {!fold} order, repeats kept. *)
 
 val rels : t -> int list
 (** Relation instances referenced. *)
-
-val has_param : t -> bool
 
 val subst_cols : (Colref.t -> Value.t option) -> t -> t
 (** Replace known columns with constants — the run-time specialization of a
     join predicate with the current outer tuple before selection. *)
 
 val bind_params : (int -> Value.t option) -> t -> t
+(** Replace bound parameters with constants. *)
 
 (** {2 Evaluation} *)
 

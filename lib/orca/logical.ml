@@ -47,6 +47,19 @@ let children = function
   | Join { left; right; _ } -> [ left; right ]
   | Insert _ -> []
 
+let with_children t cs =
+  match (t, cs) with
+  | (Get _ | Insert _), [] -> t
+  | Select s, [ child ] -> Select { s with child }
+  | Aggregate a, [ child ] -> Aggregate { a with child }
+  | Project p, [ child ] -> Project { p with child }
+  | Sort s, [ child ] -> Sort { s with child }
+  | Limit l, [ child ] -> Limit { l with child }
+  | Update u, [ child ] -> Update { u with child }
+  | Delete d, [ child ] -> Delete { d with child }
+  | Join j, [ left; right ] -> Join { j with left; right }
+  | _ -> invalid_arg "Logical.with_children: arity mismatch"
+
 let rec fold f acc t = List.fold_left (fold f) (f acc t) (children t)
 
 (** All (rel, table_name) base accesses in the tree. *)

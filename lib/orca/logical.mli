@@ -34,7 +34,17 @@ val aggregate :
   ?group_by:Expr.t list -> (string * Plan.agg_fun) list -> t -> t
 
 val children : t -> t list
+(** A Join's are [[left; right]]; Get and Insert have none. *)
+
+val with_children : t -> t list -> t
+(** Rebuild a node with new children, in {!children}'s order and arity,
+    every other field kept; raises [Invalid_argument] on an arity
+    mismatch.  With {!children} it is the one structural walk over the
+    tree: a rewrite matches the nodes it changes and rebuilds the rest
+    through this. *)
+
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
+(** Pre-order over the whole tree. *)
 
 val base_tables : t -> (int * string) list
 (** All (rel, table_name) base accesses, in tree order. *)

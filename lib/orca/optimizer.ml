@@ -370,15 +370,8 @@ let reorder_joins t ~env (lg : Logical.t) : Logical.t =
     | _ -> descend lg
   and descend lg =
     match lg with
-    | Logical.Get _ | Logical.Insert _ | Logical.Update _ | Logical.Delete _
-      ->
-        lg
-    | Logical.Select s -> Logical.Select { s with child = go s.child }
-    | Logical.Join j -> Logical.Join { j with left = go j.left; right = go j.right }
-    | Logical.Aggregate a -> Logical.Aggregate { a with child = go a.child }
-    | Logical.Project p -> Logical.Project { p with child = go p.child }
-    | Logical.Sort s -> Logical.Sort { s with child = go s.child }
-    | Logical.Limit l -> Logical.Limit { l with child = go l.child }
+    | Logical.Update _ | Logical.Delete _ -> lg
+    | _ -> Logical.with_children lg (List.map go (Logical.children lg))
   in
   go lg
 

@@ -17,8 +17,9 @@
       the plan still lists {e every} surviving leaf (paper §4.4.2);
     - join orientation is as written (no cost-based flip), with a broadcast
       of the build side when not co-located;
-    - DML over partitioned tables enumerates the join per target leaf,
-      which makes DML plan size quadratic in the partition count (§4.4.3).
+    - DML over partitioned tables enumerates the join per target leaf that
+      the target's own predicate does not exclude, which makes DML plan
+      size quadratic in the partition count (§4.4.3).
 
     The expansion itself — its record, the Append it becomes and
     constraint exclusion over it — is {!Mpp_plan.Expansion}, which the
@@ -27,10 +28,10 @@
 
 open Mpp_expr
 module Plan = Mpp_plan.Plan
+module Dist = Mpp_plan.Dist
 module Expansion = Mpp_plan.Expansion
 module Table = Mpp_catalog.Table
 module Partition = Mpp_catalog.Partition
-module Distribution = Mpp_catalog.Distribution
 module Logical = Orca.Logical
 
 type t = {
@@ -49,7 +50,7 @@ let fresh_scan_id t =
 
 type sub = {
   plan : Plan.t;
-  dist : [ `Hashed of Colref.t list | `Replicated | `Other ];
+  dist : Dist.t;
   expansion : Expansion.t option;
       (** a subtree that is still a plain expansion of one partitioned
           table: the only shape the legacy planner can apply dynamic
@@ -59,21 +60,9 @@ type sub = {
 let finalize (s : sub) : Plan.t =
   match s.expansion with Some e -> Expansion.to_plan e | None -> s.plan
 
-let dist_of_table (table : Table.t) ~rel =
-  match table.Table.distribution with
-  | Distribution.Hashed cols ->
-      `Hashed
-        (List.map
-           (fun i ->
-             let name, dtype = table.Table.columns.(i) in
-             Colref.make ~rel ~index:i ~name ~dtype)
-           cols)
-  | Distribution.Replicated -> `Replicated
-  | Distribution.Random | Distribution.Singleton -> `Other
-
 let plan_get t ~rel name : sub =
   let table = Mpp_catalog.Catalog.find t.catalog name in
-  let dist = dist_of_table table ~rel in
+  let dist = Dist.of_table table ~rel in
   match table.Table.partitioning with
   | None -> { plan = Plan.table_scan ~rel table.Table.oid; dist; expansion = None }
   | Some part ->
@@ -147,12 +136,12 @@ let plan_join t ~kind ~pred (left : sub) (right : sub) : sub =
      planner otherwise broadcasts the build side *)
   let build_plan =
     match (build.dist, probe.dist) with
-    | `Replicated, _ -> build_plan
-    | _, `Replicated ->
+    | Dist.Dreplicated, _ -> build_plan
+    | _, Dist.Dreplicated ->
         (* the probe side lives everywhere: the distributed build side can
            stay in place *)
         build_plan
-    | (`Hashed _ | `Other), _ -> Plan.motion Plan.Broadcast build_plan
+    | _ -> Plan.motion Plan.Broadcast build_plan
   in
   let join_plan =
     match probe.expansion with
@@ -179,43 +168,43 @@ let plan_join t ~kind ~pred (left : sub) (right : sub) : sub =
   in
   {
     plan = join_plan;
-    dist =
-      (match (probe.dist, build.dist) with
-      | `Replicated, ((`Hashed _ | `Other) as d) -> d
-      | d, _ -> d);
+    dist = Dist.join ~build:build.dist ~probe:probe.dist;
     expansion = None;
   }
 
+(* Unlike Orca's, this gathers a singleton stream too. *)
 let gather (s : sub) : Plan.t =
   let p = finalize s in
   match s.dist with
-  | `Other | `Hashed _ -> Plan.motion Plan.Gather p
-  | `Replicated -> Plan.motion Plan.Gather_one p
+  | Dist.Dreplicated -> Plan.motion Plan.Gather_one p
+  | Dist.Dsingleton | Dist.Dhashed _ | Dist.Dany -> Plan.motion Plan.Gather p
 
-let rec build t (lg : Logical.t) : sub =
+(* [get] plans a base-table access: {!plan_get}, except in a DML body,
+   where the target becomes one leaf's scan. *)
+let rec build t ~get (lg : Logical.t) : sub =
   match lg with
-  | Logical.Get { rel; table_name } -> plan_get t ~rel table_name
-  | Logical.Select { pred; child } -> plan_select pred (build t child)
+  | Logical.Get { rel; table_name } -> get ~rel table_name
+  | Logical.Select { pred; child } -> plan_select pred (build t ~get child)
   | Logical.Join { kind; pred; left; right } ->
-      plan_join t ~kind ~pred (build t left) (build t right)
+      plan_join t ~kind ~pred (build t ~get left) (build t ~get right)
   | Logical.Aggregate { group_by; aggs; child } ->
-      let c = build t child in
+      let c = build t ~get child in
       {
         plan = Plan.agg ~group_by ~aggs (gather c);
-        dist = `Other;
+        dist = Dist.Dany;
         expansion = None;
       }
   | Logical.Project { exprs; child } ->
-      let c = build t child in
+      let c = build t ~get child in
       { plan = Plan.Project { exprs; child = finalize c }; dist = c.dist;
         expansion = None }
   | Logical.Sort { keys; child } ->
-      let c = build t child in
-      { plan = Plan.Sort { keys; child = gather c }; dist = `Other;
+      let c = build t ~get child in
+      { plan = Plan.Sort { keys; child = gather c }; dist = Dist.Dany;
         expansion = None }
   | Logical.Limit { rows; child } ->
-      let c = build t child in
-      { plan = Plan.Limit { rows; child = gather c }; dist = `Other;
+      let c = build t ~get child in
+      { plan = Plan.Limit { rows; child = gather c }; dist = Dist.Dany;
         expansion = None }
   | Logical.Update { rel; table_name; set_cols; child } ->
       plan_dml t ~rel ~table_name ~set_cols:(Some set_cols) child
@@ -224,11 +213,16 @@ let rec build t (lg : Logical.t) : sub =
   | Logical.Insert { table_name; rows } ->
       let table = Mpp_catalog.Catalog.find t.catalog table_name in
       { plan = Plan.Insert { table_oid = table.Table.oid; rows };
-        dist = `Other; expansion = None }
+        dist = Dist.Dany; expansion = None }
 
 (* DML: the legacy planner plans the (join) child once per leaf of the
    target table — each target leaf joined against the full expansion of the
-   other side — which is the quadratic plan growth of paper §4.4.3. *)
+   other side — which is the quadratic plan growth of paper §4.4.3.  As in
+   PostgreSQL's inheritance planner, the target's leaves are first
+   excluded by the target's own predicate (the binder's Select directly
+   above its Get).  When none survives, the first leaf's body is kept: an
+   empty Append has no output layout, and that body's filter contradicts
+   its leaf, so it updates nothing. *)
 and plan_dml t ~rel ~table_name ~set_cols child : sub =
   let table = Mpp_catalog.Catalog.find t.catalog table_name in
   let set_exprs =
@@ -243,34 +237,36 @@ and plan_dml t ~rel ~table_name ~set_cols child : sub =
         Plan.Update { rel; table_oid = table.Table.oid; set_exprs; child = body }
     | None -> Plan.Delete { rel; table_oid = table.Table.oid; child = body }
   in
-  match table.Table.partitioning with
+  let body get = finalize (build t ~get child) in
+  match (plan_get t ~rel table_name).expansion with
   | None ->
-      let c = build t child in
-      { plan = dml_node (finalize c); dist = `Other; expansion = None }
-  | Some p ->
-      (* Rebuild the child once per target leaf, with the target Get
-         replaced by a scan of that leaf. *)
-      let leaves = Array.to_list p.Partition.leaves in
+      { plan = dml_node (body (plan_get t)); dist = Dist.Dany; expansion = None }
+  | Some all ->
+      let own =
+        Logical.fold
+          (fun acc n ->
+            match n with
+            | Logical.Select { pred; child = Logical.Get { rel = r; _ } }
+              when r = rel ->
+                Expansion.exclude all pred
+            | _ -> acc)
+          all child
+      in
       let per_leaf (lf : Partition.leaf) =
-        let rec subst (lg : Logical.t) : sub =
-          match lg with
-          | Logical.Get { rel = r; table_name = n } when r = rel && n = table_name
-            ->
+        body (fun ~rel:r n ->
+            if r = rel && n = table_name then
               {
                 plan = Plan.table_scan ~rel:r lf.Partition.leaf_oid;
-                dist = dist_of_table table ~rel:r;
+                dist = Dist.of_table table ~rel:r;
                 expansion = None;
               }
-          | Logical.Get { rel = r; table_name = n } -> plan_get t ~rel:r n
-          | Logical.Select { pred; child } -> plan_select pred (subst child)
-          | Logical.Join { kind; pred; left; right } ->
-              plan_join t ~kind ~pred (subst left) (subst right)
-          | _ -> { plan = finalize (build t lg); dist = `Other; expansion = None }
-        in
-        finalize (subst child)
+            else plan_get t ~rel:r n)
       in
-      let body = Plan.Append (List.map per_leaf leaves) in
-      { plan = dml_node body; dist = `Other; expansion = None }
+      let leaves =
+        match own.Expansion.leaves with [] -> [ List.hd all.leaves ] | l -> l
+      in
+      { plan = dml_node (Plan.Append (List.map per_leaf leaves));
+        dist = Dist.Dany; expansion = None }
 
 (* Build-side cardinality for sizing a runtime join filter: textbook
    default rowcounts of the base relations in the subtree (the legacy
@@ -306,7 +302,7 @@ let rf_decide t ~build ~probe:_ ~build_keys:_ ~probe_keys:_ =
 (** Plan a logical tree with the legacy planner. *)
 let plan t (lg : Logical.t) : Plan.t =
   t.next_scan_id <- 1;
-  let s = build t lg in
+  let s = build t ~get:(plan_get t) lg in
   let p =
     match lg with
     | Logical.Update _ | Logical.Delete _ | Logical.Insert _

@@ -8,7 +8,8 @@
       against the level-0 key of a plain expansion, realized as a run-time
       parameter (a selector feeding the leaf scans' [guard]s) while the plan
       still lists every surviving leaf (§4.4.2);
-    - join orientation is as written; DML expands the join per target leaf,
+    - join orientation is as written; DML expands the join per target leaf
+      that survives constraint exclusion by the target's own predicate,
       making DML plans quadratic in the partition count (§4.4.3). *)
 
 type t

@@ -52,23 +52,12 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Expression walks                                                    *)
 
-let rec max_param_expr acc = function
-  | Expr.Const _ | Expr.Col _ -> acc
-  | Expr.Param i -> max acc i
-  | Expr.Cmp (_, a, b) | Expr.Arith (_, a, b) ->
-      max_param_expr (max_param_expr acc a) b
-  | Expr.And es | Expr.Or es | Expr.Func (_, es) ->
-      List.fold_left max_param_expr acc es
-  | Expr.Not e | Expr.Is_null e | Expr.In_list (e, _) -> max_param_expr acc e
+let max_param_expr =
+  Expr.fold (fun acc -> function Expr.Param i -> max acc i | _ -> acc)
 
-let rec param_occurs p = function
-  | Expr.Const _ | Expr.Col _ -> false
-  | Expr.Param i -> i = p
-  | Expr.Cmp (_, a, b) | Expr.Arith (_, a, b) ->
-      param_occurs p a || param_occurs p b
-  | Expr.And es | Expr.Or es | Expr.Func (_, es) ->
-      List.exists (param_occurs p) es
-  | Expr.Not e | Expr.Is_null e | Expr.In_list (e, _) -> param_occurs p e
+let param_occurs p =
+  Expr.fold (fun found -> function Expr.Param i -> found || i = p | _ -> found)
+    false
 
 (** Every expression embedded in a logical node, for whole-tree folds. *)
 let node_exprs = function
@@ -104,55 +93,35 @@ let liftable = function
   | Value.Int _ | Value.Float _ | Value.String _ | Value.Date _ -> true
   | Value.Null | Value.Bool _ -> false
 
+(* [lg] with [f] applied to each Select and Join predicate, bottom-up: a
+   node's children, the last one first, then its own predicate.  So
+   lifting numbers a Join's right subtree, then its left subtree, then its
+   predicate, in {!Expr.map}'s order. *)
+let rec map_preds f lg =
+  match
+    Logical.with_children lg
+      (List.rev_map (map_preds f) (List.rev (Logical.children lg)))
+  with
+  | Logical.Select s -> Logical.Select { s with pred = f s.pred }
+  | Logical.Join j -> Logical.Join { j with pred = f j.pred }
+  | lg -> lg
+
 (* IN-list members are [Value.t]s, not sub-expressions — they stay, which
    also matches the binder's literals-only rule for IN. *)
-let lift_expr ~next ~acc e =
-  let rec go = function
-    | Expr.Const v when liftable v ->
-        let i = !next in
-        incr next;
-        acc := v :: !acc;
-        Expr.Param i
-    | (Expr.Const _ | Expr.Col _ | Expr.Param _) as e -> e
-    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
-    | Expr.And es -> Expr.And (List.map go es)
-    | Expr.Or es -> Expr.Or (List.map go es)
-    | Expr.Not e -> Expr.Not (go e)
-    | Expr.Arith (op, a, b) -> Expr.Arith (op, go a, go b)
-    | Expr.In_list (e, vs) -> Expr.In_list (go e, vs)
-    | Expr.Is_null e -> Expr.Is_null (go e)
-    | Expr.Func (f, es) -> Expr.Func (f, List.map go es)
-  in
-  go e
-
 let lift lg =
   let first = max_param_tree lg + 1 in
   let next = ref first and acc = ref [] in
-  let rec go = function
-    | (Logical.Get _ | Logical.Insert _) as n -> n
-    | Logical.Select { pred; child } ->
-        Logical.Select { pred = lift_expr ~next ~acc pred; child = go child }
-    | Logical.Join { kind; pred; left; right } ->
-        Logical.Join
-          {
-            kind;
-            pred = lift_expr ~next ~acc pred;
-            left = go left;
-            right = go right;
-          }
-    | Logical.Aggregate { group_by; aggs; child } ->
-        Logical.Aggregate { group_by; aggs; child = go child }
-    | Logical.Project { exprs; child } ->
-        Logical.Project { exprs; child = go child }
-    | Logical.Sort { keys; child } -> Logical.Sort { keys; child = go child }
-    | Logical.Limit { rows; child } ->
-        Logical.Limit { rows; child = go child }
-    | Logical.Update { rel; table_name; set_cols; child } ->
-        Logical.Update { rel; table_name; set_cols; child = go child }
-    | Logical.Delete { rel; table_name; child } ->
-        Logical.Delete { rel; table_name; child = go child }
+  let tree =
+    map_preds
+      (Expr.map (function
+        | Expr.Const v when liftable v ->
+            let i = !next in
+            incr next;
+            acc := v :: !acc;
+            Expr.Param i
+        | e -> e))
+      lg
   in
-  let tree = go lg in
   (tree, List.rev !acc, first)
 
 (* ------------------------------------------------------------------ *)
@@ -327,23 +296,4 @@ let specialize t values =
     then Some values.(i)
     else None
   in
-  let sub = Expr.bind_params lookup in
-  let rec go = function
-    | (Logical.Get _ | Logical.Insert _) as n -> n
-    | Logical.Select { pred; child } ->
-        Logical.Select { pred = sub pred; child = go child }
-    | Logical.Join { kind; pred; left; right } ->
-        Logical.Join { kind; pred = sub pred; left = go left; right = go right }
-    | Logical.Aggregate { group_by; aggs; child } ->
-        Logical.Aggregate { group_by; aggs; child = go child }
-    | Logical.Project { exprs; child } ->
-        Logical.Project { exprs; child = go child }
-    | Logical.Sort { keys; child } -> Logical.Sort { keys; child = go child }
-    | Logical.Limit { rows; child } ->
-        Logical.Limit { rows; child = go child }
-    | Logical.Update { rel; table_name; set_cols; child } ->
-        Logical.Update { rel; table_name; set_cols; child = go child }
-    | Logical.Delete { rel; table_name; child } ->
-        Logical.Delete { rel; table_name; child = go child }
-  in
-  go t.tree
+  map_preds (Expr.bind_params lookup) t.tree

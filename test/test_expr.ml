@@ -112,7 +112,51 @@ let test_subst_and_params () =
   let q = Expr.lt (Expr.col key) (Expr.Param 1) in
   let q' = Expr.bind_params (fun i -> if i = 1 then Some (Value.Int 4) else None) q in
   Alcotest.(check bool) "param bound" true
-    (Expr.equal q' (Expr.lt (Expr.col key) (Expr.int 4)))
+    (Expr.equal q' (Expr.lt (Expr.col key) (Expr.int 4)));
+  (* literals on both sides of a comparison are left as they are *)
+  let lits = Expr.lt (Expr.int 1) (Expr.int 2) in
+  Alcotest.(check bool) "literal comparison kept by subst_cols" true
+    (Expr.equal
+       (Expr.subst_cols (fun _ -> Some (Value.Int 9))
+          (Expr.And [ lits; Expr.eq (Expr.col remote) (Expr.int 3) ]))
+       (Expr.And [ lits; Expr.eq (Expr.int 9) (Expr.int 3) ]));
+  Alcotest.(check bool) "literal comparison kept by bind_params" true
+    (Expr.equal
+       (Expr.bind_params (fun _ -> Some (Value.Int 4))
+          (Expr.Or [ lits; Expr.Param 2 ]))
+       (Expr.Or [ lits; Expr.int 4 ]))
+
+(* The documented visiting orders: [map] rebuilds a comparison's right
+   operand before its left, list members in order, and a node after its
+   operands; [fold] is pre-order, left to right. *)
+let test_walk_orders () =
+  let e =
+    Expr.And
+      [ Expr.lt (Expr.int 1) (Expr.int 2); Expr.Not (Expr.int 3); Expr.int 4 ]
+  in
+  let seen = ref [] in
+  ignore
+    (Expr.map
+       (fun e ->
+         (match e with
+         | Expr.Const v -> seen := Value.to_int v :: !seen
+         | _ -> ());
+         e)
+       e);
+  Alcotest.(check (list int)) "map order" [ 2; 1; 3; 4 ] (List.rev !seen);
+  Alcotest.(check (list string)) "fold order"
+    [ "and"; "cmp"; "1"; "2"; "not"; "3"; "4" ]
+    (List.rev
+       (Expr.fold
+          (fun acc e ->
+            (match e with
+            | Expr.And _ -> "and"
+            | Expr.Cmp _ -> "cmp"
+            | Expr.Not _ -> "not"
+            | Expr.Const v -> Value.to_string v
+            | _ -> "?")
+            :: acc)
+          [] e))
 
 let test_restriction_shapes () =
   let restr p = Expr.restriction key p in
@@ -392,7 +436,8 @@ let () =
          Alcotest.test_case "FindPredOnKey" `Quick test_find_pred_on_key;
          Alcotest.test_case "multi-level FindPredOnKey" `Quick
            test_find_preds_on_keys_multilevel;
-         Alcotest.test_case "subst and params" `Quick test_subst_and_params ]);
+         Alcotest.test_case "subst and params" `Quick test_subst_and_params;
+         Alcotest.test_case "map and fold orders" `Quick test_walk_orders ]);
       ("restriction",
        [ Alcotest.test_case "shapes" `Quick test_restriction_shapes ]);
       ("properties",

@@ -49,6 +49,47 @@ let test_with_children () =
       ()
   | _ -> Alcotest.fail "children replaced"
 
+(* One node of each logical constructor, over the children [cs]. *)
+let logical_nodes (cs : Orca.Logical.t list) =
+  let module L = Orca.Logical in
+  let c = List.hd cs
+  and x = Expr.col (Colref.make ~rel:1 ~index:0 ~name:"x" ~dtype:Value.Tint) in
+  [ L.get ~rel:4 "t";
+    L.select (Expr.lt x (Expr.int 3)) c;
+    L.join ~kind:Plan.Semi x c (List.nth cs 1);
+    L.aggregate ~group_by:[ x ] [ ("n", Plan.Count_star) ] c;
+    L.Project { exprs = [ ("y", x) ]; child = c };
+    L.Sort { keys = [ x ]; child = c };
+    L.Limit { rows = 5; child = c };
+    L.Update { rel = 1; table_name = "t"; set_cols = [ ("x", Expr.int 0) ];
+               child = c };
+    L.Delete { rel = 1; table_name = "t"; child = c };
+    L.Insert { table_name = "t"; rows = [ [ Expr.int 1 ] ] } ]
+
+(* [Logical.with_children] puts back what [children] took out, replaces
+   exactly the children, and rejects any other arity. *)
+let test_logical_with_children () =
+  let module L = Orca.Logical in
+  let olds = [ L.get ~rel:1 "a"; L.get ~rel:2 "b" ]
+  and news = [ L.get ~rel:7 "c"; L.get ~rel:8 "d" ] in
+  List.iter2
+    (fun n n' ->
+      let what = L.describe n in
+      let k = List.length (L.children n) in
+      Alcotest.(check bool) (what ^ ": round trip") true
+        (L.with_children n (L.children n) = n);
+      let replaced = L.with_children n (List.filteri (fun i _ -> i < k) news) in
+      Alcotest.(check bool) (what ^ ": children replaced, fields kept") true
+        (replaced = n');
+      List.iter
+        (fun cs ->
+          match L.with_children n cs with
+          | _ -> Alcotest.failf "%s: %d children accepted" what (List.length cs)
+          | exception Invalid_argument _ -> ())
+        ((L.get ~rel:9 "e" :: L.children n)
+        :: (if k > 0 then [ List.tl (L.children n) ] else [])))
+    (logical_nodes olds) (logical_nodes news)
+
 let test_output_rels () =
   let p =
     join
@@ -133,6 +174,8 @@ let () =
          Alcotest.test_case "guarded scans are consumers" `Quick
            test_guarded_scan_is_consumer;
          Alcotest.test_case "with_children" `Quick test_with_children;
+         Alcotest.test_case "logical with_children" `Quick
+           test_logical_with_children;
          Alcotest.test_case "output rels" `Quick test_output_rels ]);
       ("size model",
        [ Alcotest.test_case "append grows linearly" `Quick

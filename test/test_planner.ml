@@ -158,7 +158,9 @@ let test_no_dpe_for_multilevel () =
   Alcotest.(check int) "planner scans all multilevel leaves" 24
     (Metrics.parts_scanned_of m ~root_oid:orders.Mpp_catalog.Table.oid)
 
-let test_dml_quadratic_expansion () =
+(* Two 6-leaf tables [r] and [s] over (a, b), range-partitioned on [b] in
+   widths of 10 and hashed on [a]; with [rows], each holds b = 0..59. *)
+let rs_env ?(rows = false) () =
   let catalog = Mpp_catalog.Catalog.create () in
   let mk name =
     let partitioning =
@@ -174,22 +176,91 @@ let test_dml_quadratic_expansion () =
       ~partitioning ()
   in
   let r = mk "r" and s = mk "s" in
-  let r_a = Mpp_catalog.Table.colref r ~rel:0 "a" in
-  let s_a = Mpp_catalog.Table.colref s ~rel:1 "a" in
-  let s_b = Mpp_catalog.Table.colref s ~rel:1 "b" in
+  let storage = Storage.create ~nsegments:4 in
+  if rows then
+    List.iter
+      (fun tbl ->
+        Storage.load storage tbl
+          (List.init 60 (fun b -> [| Value.Int (b mod 7); Value.Int b |])))
+      [ r; s ];
+  (catalog, storage, r, s)
+
+(* UPDATE r SET b = s.b FROM r JOIN s ON r.<on> = s.<on>, with [where] as
+   r's own predicate when given. *)
+let rs_update ?where ~on (r, s) =
+  let col t rel c = Expr.col (Mpp_catalog.Table.colref t ~rel c) in
+  let target = Logical.get ~rel:0 "r" in
+  Logical.Update
+    { rel = 0; table_name = "r";
+      set_cols = [ ("b", col s 1 "b") ];
+      child =
+        Logical.join
+          (Expr.eq (col r 0 on) (col s 1 on))
+          (match where with
+          | None -> target
+          | Some w -> Logical.select (w (col r 0 "b")) target)
+          (Logical.get ~rel:1 "s") }
+
+let dml_bodies = function
+  | Plan.Update { child = Plan.Append bodies; _ }
+  | Plan.Delete { child = Plan.Append bodies; _ } ->
+      List.length bodies
+  | p -> Alcotest.failf "not a per-leaf DML plan: %s" (Plan.to_string p)
+
+let test_dml_quadratic_expansion () =
+  let catalog, _, r, s = rs_env () in
+  let p = plan_with catalog (rs_update ~on:"a" (r, s)) in
+  (* 6 target leaves × (1 target scan + 6 other-side leaves) = 42 scans *)
+  Alcotest.(check int) "one body per target leaf" 6 (dml_bodies p);
+  Alcotest.(check int) "quadratic expansion" 42 (scan_count p)
+
+(* Updates [lg] with the Planner and with Orca, each on its own copy of
+   the data: the counts updated, and [r] afterwards, must agree. *)
+let dml_agrees lg =
+  let run plan_of =
+    let catalog, storage, _, _ = rs_env ~rows:true () in
+    let rows, _ = Mpp_exec.Exec.run ~catalog ~storage (plan_of catalog lg) in
+    let after, _ =
+      Mpp_exec.Exec.run ~catalog ~storage
+        (plan_with catalog (Logical.get ~rel:0 "r"))
+    in
+    (List.map (fun row -> Value.to_int row.(0)) rows, after)
+  in
+  let orca catalog = Orca.Optimizer.optimize (Orca.Optimizer.create ~catalog ()) in
+  let n_planner, r_planner = run plan_with and n_orca, r_orca = run orca in
+  Alcotest.(check (list int)) "rows updated: planner = orca" n_orca n_planner;
+  Support.check_rows_equal "r after the update" r_orca r_planner;
+  (n_planner, r_planner)
+
+(* Constraint exclusion on the target: [r.b < 10] contradicts all of r's
+   leaves but the first, so one body is planned, not six. *)
+let test_dml_target_exclusion () =
+  let catalog, _, r, s = rs_env () in
   let lg =
-    Logical.Update
-      { rel = 0; table_name = "r";
-        set_cols = [ ("b", Expr.col s_b) ];
-        child =
-          Logical.join
-            (Expr.eq (Expr.col r_a) (Expr.col s_a))
-            (Logical.get ~rel:0 "r")
-            (Logical.get ~rel:1 "s") }
+    rs_update ~on:"b" ~where:(fun b -> Expr.lt b (Expr.int 10)) (r, s)
   in
   let p = plan_with catalog lg in
-  (* 6 target leaves × (1 target scan + 6 other-side leaves) = 42 scans *)
-  Alcotest.(check int) "quadratic expansion" 42 (scan_count p)
+  Alcotest.(check int) "one body" 1 (dml_bodies p);
+  Alcotest.(check int) "1 target scan + 6 other-side leaves" 7 (scan_count p);
+  let updated, _ = dml_agrees lg in
+  Alcotest.(check (list int)) "b = 0..9 updated" [ 10 ] updated
+
+(* A target predicate no leaf satisfies still plans one body: the plan
+   verifies (the Planner verifies what it emits) and updates nothing. *)
+let test_dml_every_leaf_excluded () =
+  let catalog, _, r, s = rs_env () in
+  let lg =
+    rs_update ~on:"b" ~where:(fun b -> Expr.ge b (Expr.int 60)) (r, s)
+  in
+  Alcotest.(check int) "one body kept" 1 (dml_bodies (plan_with catalog lg));
+  let updated, after = dml_agrees lg in
+  Alcotest.(check (list int)) "nothing updated" [ 0 ] updated;
+  let catalog, storage, _, _ = rs_env ~rows:true () in
+  let before, _ =
+    Mpp_exec.Exec.run ~catalog ~storage
+      (plan_with catalog (Logical.get ~rel:0 "r"))
+  in
+  Support.check_rows_equal "r unchanged" before after
 
 let test_parity_with_orca () =
   let catalog, storage, _, _ = env () in
@@ -268,7 +339,11 @@ let () =
            test_no_dpe_for_multilevel ]);
       ("dml",
        [ Alcotest.test_case "quadratic expansion" `Quick
-           test_dml_quadratic_expansion ]);
+           test_dml_quadratic_expansion;
+         Alcotest.test_case "target constraint exclusion" `Quick
+           test_dml_target_exclusion;
+         Alcotest.test_case "every target leaf excluded" `Quick
+           test_dml_every_leaf_excluded ]);
       ("comparison",
        [ Alcotest.test_case "result parity with orca" `Quick
            test_parity_with_orca;

@@ -232,15 +232,17 @@ let test_bind_params () =
   let lg =
     Sql.to_logical (catalog ()) "SELECT count(*) FROM orders WHERE date >= $1"
   in
-  let has_param = ref false in
-  let rec walk (l : Logical.t) =
-    (match l with
-    | Logical.Select { pred; _ } -> if Expr.has_param pred then has_param := true
-    | _ -> ());
-    List.iter walk (Logical.children l)
+  let has_param =
+    Logical.fold
+      (fun found -> function
+        | Logical.Select { pred; _ } ->
+            Expr.fold
+              (fun found -> function Expr.Param _ -> true | _ -> found)
+              found pred
+        | _ -> found)
+      false lg
   in
-  walk lg;
-  Alcotest.(check bool) "param survives binding" true !has_param
+  Alcotest.(check bool) "param survives binding" true has_param
 
 let test_workload_queries_all_bind () =
   (* every workload query template parses, binds, optimizes and validates *)

@@ -88,18 +88,8 @@ let rec fact_get catalog (lg : Logical.t) =
 let rec wrap ~rel pred (lg : Logical.t) : Logical.t =
   match lg with
   | Logical.Get { rel = r; _ } when r = rel -> Logical.select pred lg
-  | Logical.Get _ | Logical.Insert _ -> lg
-  | Logical.Select s -> Logical.Select { s with child = wrap ~rel pred s.child }
-  | Logical.Join j ->
-      Logical.Join
-        { j with left = wrap ~rel pred j.left; right = wrap ~rel pred j.right }
-  | Logical.Aggregate a ->
-      Logical.Aggregate { a with child = wrap ~rel pred a.child }
-  | Logical.Project p -> Logical.Project { p with child = wrap ~rel pred p.child }
-  | Logical.Sort s -> Logical.Sort { s with child = wrap ~rel pred s.child }
-  | Logical.Limit l -> Logical.Limit { l with child = wrap ~rel pred l.child }
-  | Logical.Update u -> Logical.Update { u with child = wrap ~rel pred u.child }
-  | Logical.Delete d -> Logical.Delete { d with child = wrap ~rel pred d.child }
+  | _ ->
+      Logical.with_children lg (List.map (wrap ~rel pred) (Logical.children lg))
 
 (* The next value of the key's domain after [v]. *)
 let succ = function

@@ -58,22 +58,6 @@ let once f plan =
   if not !hit then Alcotest.fail "mutation did not apply to the base plan";
   p'
 
-(* Bottom-up expression map. *)
-let rec emap f (e : Expr.t) : Expr.t =
-  let e' =
-    match e with
-    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, emap f a, emap f b)
-    | Expr.And es -> Expr.And (List.map (emap f) es)
-    | Expr.Or es -> Expr.Or (List.map (emap f) es)
-    | Expr.Not x -> Expr.Not (emap f x)
-    | Expr.Arith (op, a, b) -> Expr.Arith (op, emap f a, emap f b)
-    | Expr.In_list (x, vs) -> Expr.In_list (emap f x, vs)
-    | Expr.Is_null x -> Expr.Is_null (emap f x)
-    | Expr.Func (n, args) -> Expr.Func (n, List.map (emap f) args)
-    | Expr.Const _ | Expr.Col _ | Expr.Param _ -> e
-  in
-  f e'
-
 let is_selector = function Plan.Partition_selector _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -209,7 +193,7 @@ let mutations :
                      { s with
                        filter =
                          Some
-                           (emap
+                           (Expr.map
                               (function
                                 | Expr.Col c ->
                                     Expr.Col
@@ -229,7 +213,7 @@ let mutations :
                      { s with
                        filter =
                          Some
-                           (emap
+                           (Expr.map
                               (function
                                 | Expr.Const (Value.Date _) ->
                                     Expr.Const (Value.String "oops")
@@ -509,7 +493,7 @@ let mutations :
                      { s with
                        filter =
                          Some
-                           (emap
+                           (Expr.map
                               (function
                                 | Expr.Const (Value.Date d) ->
                                     Expr.Const
