@@ -9,9 +9,12 @@ open Harness
    on [ss_sr_transitive_date] the range predicate sits on store_returns
    and only the equi-join equivalence class carries it onto the
    store_sales partition key; the strengthening pass cuts the partitions
-   the Planner opens from 36 to 3 (Orca's runtime DPE already recovers
-   the pruning, so its delta shows at plan time, not scan time), with
-   the result rows asserted identical in every configuration.  [~smoke]
+   the Planner opens from 36 to 3 (Orca's join-driven selector reaches
+   the same 3 by the join keys alone; with the pass on, its level holds
+   the strengthened range as well and the compiled selector intersects
+   both per build row, so Orca's delta shows at plan time, not scan
+   time), with the result rows asserted identical in every
+   configuration.  [~smoke]
    runs assertions (b) and the JSON schema only — timing at tiny inputs
    is noise. *)
 let run ~smoke =

@@ -5,18 +5,22 @@ open Harness
 (* The index layer's claim, measured directly: selection cost must stay
    near-flat as the partition count P grows into the tens of thousands,
    where the legacy implementation (a scan of every leaf, plus an O(P)
-   sibling rescan per default-arm check) grows linearly.  Four cases per P:
+   sibling rescan per default-arm check) grows linearly.  Five cases per P:
 
    - static:      a range restriction selecting ~P/8 leaves — the leaf
                   selector of Figure 5(a-c), once per query;
    - point:       a single-value restriction — one leaf survives;
    - streaming:   point restrictions cycling over distinct join keys — one
                   select per join key on the DPE path (Figure 5(d));
+   - streaming-range: a half-line per join key ([< <= > >=] in turn), the
+                  streaming selector's range path: the indexed side is
+                  [Index.add_range] into a cleared bitset, as the selector
+                  runs it per row;
    - default-arm: a range restriction on a layout with a Default partition,
                   forcing the covered-set check on every select.
 
    Each case times the legacy oracle against the indexed implementation
-   (same restriction arrays, ns/select) and asserts they agree oid-for-oid
+   (same restrictions, ns/select) and asserts they agree oid-for-oid
    before timing.  [~smoke] runs tiny P values and checks only the JSON
    schema, so it is safe under [dune runtest]. *)
 
@@ -40,9 +44,9 @@ let run ~smoke =
     (if smoke then "Bench: partition-selection scaling (smoke mode, tiny P)"
      else "Bench: partition-selection scaling, legacy scan vs index");
   let min_time = if smoke then 0.002 else 0.05 in
-  let ns_per_op = ns_per_op ~min_time in
+  let ns_per_op f = ns_per_op ~min_time f in
   let ps = if smoke then [ 16; 64 ] else [ 16; 128; 1024; 8192; 32768 ] in
-  Printf.printf "%-8s %-12s %14s %14s %10s\n" "P" "case" "legacy ns"
+  Printf.printf "%-8s %-16s %14s %14s %10s\n" "P" "case" "legacy ns"
     "indexed ns" "speedup";
   let static_speedup_8k = ref None in
   let points =
@@ -87,6 +91,18 @@ let run ~smoke =
                            (Value.Int (domain + 250))))
           |]
         in
+        let report name ~legacy ~indexed =
+          let speedup = legacy /. indexed in
+          Printf.printf "%-8d %-16s %14.0f %14.0f %9.1fx\n" nparts name legacy
+            indexed speedup;
+          if name = "static" && nparts = 8192 then
+            static_speedup_8k := Some speedup;
+          ( name,
+            Json.Obj
+              [ ("legacy_ns", Json.Float legacy);
+                ("indexed_ns", Json.Float indexed);
+                ("speedup", Json.Float speedup) ] )
+        in
         let case name part restriction =
           (match restriction with
           | Some r ->
@@ -102,25 +118,58 @@ let run ~smoke =
           let arg () =
             match restriction with Some r -> r | None -> next_stream ()
           in
-          let legacy = ns_per_op (fun () -> Part.select_oids_legacy part (arg ()))
-          and indexed = ns_per_op (fun () -> Part.select_oids part (arg ())) in
-          let speedup = legacy /. indexed in
-          Printf.printf "%-8d %-12s %14.0f %14.0f %9.1fx\n" nparts name legacy
-            indexed speedup;
-          if name = "static" && nparts = 8192 then
-            static_speedup_8k := Some speedup;
-          ( name,
-            Json.Obj
-              [ ("legacy_ns", Json.Float legacy);
-                ("indexed_ns", Json.Float indexed);
-                ("speedup", Json.Float speedup) ] )
+          report name
+            ~legacy:(ns_per_op (fun () -> Part.select_oids_legacy part (arg ())))
+            ~indexed:(ns_per_op (fun () -> Part.select_oids part (arg ())))
+        in
+        let range_case () =
+          let ops = [| Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |] in
+          let bounds =
+            Array.init nkeys (fun i ->
+                (ops.(i mod 4), Value.Int (W.Rng.int rng domain)))
+          in
+          let half_line (op, v) =
+            [| Some
+                 (Interval.Set.singleton
+                    (match op with
+                    | Expr.Lt -> Interval.less_than v
+                    | Expr.Le -> Interval.at_most v
+                    | Expr.Gt -> Interval.greater_than v
+                    | _ -> Interval.at_least v)) |]
+          in
+          let rs = Array.map half_line bounds in
+          let into = Mpp_catalog.Bitset.create nparts in
+          let add_range i =
+            let op, v = bounds.(i) in
+            Mpp_catalog.Bitset.clear into;
+            Part.Index.add_range p.Part.index ~level:0 op v into
+          in
+          Array.iteri
+            (fun i r ->
+              add_range i;
+              assert (
+                List.map
+                  (fun j -> p.Part.leaves.(j).Part.leaf_oid)
+                  (Mpp_catalog.Bitset.to_list into)
+                = Part.select_oids_legacy p r))
+            rs;
+          let i = ref 0 in
+          let next () =
+            let j = !i in
+            i := (j + 1) mod nkeys;
+            j
+          in
+          report "streaming-range"
+            ~legacy:(ns_per_op (fun () -> Part.select_oids_legacy p rs.(next ())))
+            ~indexed:(ns_per_op (fun () -> add_range (next ())))
         in
         (* force left-to-right evaluation so the table prints in order *)
         let c_static = case "static" p (Some static_r) in
         let c_point = case "point" p (Some point_r) in
         let c_stream = case "streaming" p None in
+        let c_range = range_case () in
         let c_default = case "default-arm" pd (Some default_r) in
-        let cases = [ c_static; c_point; c_stream; c_default ] in
+        let cases = [ c_static; c_point; c_stream; c_range; c_default ] in
         Json.Obj
           [ ("nparts", Json.Int nparts);
             ("index_build_ms", Json.Float (build_s *. 1000.0));
@@ -154,7 +203,8 @@ let run ~smoke =
             | Json.Obj cases ->
                 assert (
                   List.map fst cases
-                  = [ "static"; "point"; "streaming"; "default-arm" ]);
+                  = [ "static"; "point"; "streaming"; "streaming-range";
+                      "default-arm" ]);
                 List.iter
                   (fun (_, c) ->
                     assert (measured (field c "legacy_ns"));

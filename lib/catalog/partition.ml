@@ -65,6 +65,10 @@ module VH = Value.Tbl
 type default_class = {
   dc_covered : Interval.Set.t;
   dc_members : int array;  (** leaf indices of the class's default leaves *)
+  dc_outside : int array;
+      (** [dc_outside.(r)]: how many regions before region [r] lie outside
+          [dc_covered] (length regions + 1).  Every covered bound is a cut,
+          so each region is wholly inside or wholly outside. *)
 }
 
 (* Per-level selection structures.  The value line is cut at every bound
@@ -315,12 +319,29 @@ module Index = struct
         | None -> classes := (lf.bounds, ref [ j ]) :: !classes
       end
     done;
+    let outside_counts covered =
+      let inside = Array.make nregions false in
+      List.iter
+        (fun (iv : Interval.t) ->
+          for r = region_of_lo cuts iv.Interval.lo
+              to region_of_hi cuts iv.Interval.hi do
+            inside.(r) <- true
+          done)
+        (Interval.Set.to_list covered);
+      let counts = Array.make (nregions + 1) 0 in
+      for r = 0 to nregions - 1 do
+        counts.(r + 1) <- (counts.(r) + if inside.(r) then 0 else 1)
+      done;
+      counts
+    in
     let defaults =
       List.map
         (fun (prefix, cell) ->
+          let covered = covered_at leaves ~level:lvl ~prefix in
           {
-            dc_covered = covered_at leaves ~level:lvl ~prefix;
+            dc_covered = covered;
             dc_members = Array.of_list !cell;
+            dc_outside = outside_counts covered;
           })
         !classes
       |> Array.of_list
@@ -409,6 +430,41 @@ module Index = struct
     for d = 0 to Array.length defaults - 1 do
       let dc = defaults.(d) in
       if not (Interval.Set.contains dc.dc_covered v) then
+        Bitset.set_array into dc.dc_members
+    done
+
+  (* OR into [into] the leaves the half-line [{x | x op v}] selects at one
+     level, [op] one of [< <= > >=] and [v] not NULL: [level_bits] of that
+     half-line without building it.  The half-line covers the run of
+     regions from one end of the value line to [v]'s region, found by one
+     binary search; the run's member arrays are OR-ed in, and a default
+     class joins when a region of the run lies outside its covered set (a
+     per-region fact, read from [dc_outside]).  Allocates nothing. *)
+  let add_range (ix : t) ~level (op : Expr.cmp_op) v into =
+    let li = ix.ix_levels.(level) in
+    let cuts = li.li_cuts in
+    let k = lower_bound cuts v in
+    let on_cut = k < Array.length cuts && Value.equal cuts.(k) v in
+    let first =
+      match op with
+      | Expr.Gt -> if on_cut then (2 * k) + 2 else 2 * k
+      | Expr.Ge -> if on_cut then (2 * k) + 1 else 2 * k
+      | Expr.Lt | Expr.Le -> 0
+      | Expr.Eq | Expr.Neq ->
+          invalid_arg "Partition.Index.add_range: not a half-line"
+    and last =
+      match op with
+      | Expr.Le when on_cut -> (2 * k) + 1
+      | Expr.Lt | Expr.Le -> 2 * k
+      | _ -> 2 * Array.length cuts
+    in
+    for reg = first to last do
+      Bitset.set_array into li.li_regions.(reg)
+    done;
+    let defaults = li.li_defaults in
+    for d = 0 to Array.length defaults - 1 do
+      let dc = defaults.(d) in
+      if dc.dc_outside.(last + 1) > dc.dc_outside.(first) then
         Bitset.set_array into dc.dc_members
     done
 

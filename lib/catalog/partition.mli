@@ -127,6 +127,17 @@ module Index : sig
       each default class whose covered set does not hold [v].  The
       streaming selector's equality fast path (paper Figure 15(a)), and the
       non-NULL arm of {!route}. *)
+
+  val add_range : t -> level:int -> Expr.cmp_op -> Value.t -> Bitset.t -> unit
+  (** [add_range ix ~level op v into], [op] one of [< <= > >=], ORs into
+      [into] the leaves that the half-line [{x | x op v}] selects at
+      [level] — exactly [select_bits]'s survivors of that one level under
+      that half-line — for a non-NULL [v], without building a restriction
+      or allocating: the members of the run of regions the half-line
+      covers (one binary search), plus each default class with a region of
+      the run outside its covered set.  The streaming selector's range
+      path (paper Figure 15(b)).  Raises [Invalid_argument] on [=] and
+      [<>]. *)
 end
 
 (** {2 Constructors for common layouts} *)

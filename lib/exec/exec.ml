@@ -48,7 +48,8 @@
       the entry's value; a grouped aggregation's groups are the table's
       entries, in first-seen order.  Aggregates pick their per-row feeder
       at compile time.  The streaming partition selector keys on nothing:
-      a row costs one {!Index.add_point} per equality level.
+      a row costs one {!Index.add_point} per point conjunct and one
+      {!Index.add_range} per half-line conjunct.
     - {b Segment parallelism.}  Each breaker's per-segment work fans out
       across a {!Dpool} domain pool (knob: [MPP_DOMAINS] / [?domains]).  The
       plan walk itself stays on the coordinating domain; {!Channel} and
@@ -321,13 +322,6 @@ let compile_expr ctx layout e =
 let compile_filter ctx layout e =
   Expr.compile_pred ~resolve:(resolver layout) ~params:ctx.params e
 
-(* Column lookup that yields [None] for out-of-scope relations; used to
-   specialize selector predicates with the columns that are in scope. *)
-let partial_lookup layout (tuple : row) (c : Colref.t) =
-  match offset_of layout c.Colref.rel with
-  | Some off -> Some tuple.(off + c.Colref.index)
-  | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Scans                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -448,167 +442,128 @@ let stream_dynamic_scan ctx ?rf ~rel ~part_scan_id ~root_oid ~filter () =
 (* Partition selection                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled per-level selection behaviour.  Real systems generate a
-   specialized partition-selection function per selector (paper §3.2,
-   Figure 15); interpreting the predicate per input row would make the
-   selector cost visible at run time, so we compile each level once:
-   - [Sel_none]: no predicate (or selection disabled) — no restriction;
-   - [Sel_static]: the restriction is row-independent (static elimination
-     and prepared-statement parameters);
-   - [Sel_point]: the predicate is [key = e] with [e] over the input row —
-     the equality fast path of Figure 15(a);
-   - [Sel_dynamic]: general fallback — substitute the row and re-analyze. *)
-type level_selector =
-  | Sel_none
-  | Sel_static of Interval.Set.t
-  | Sel_point of Expr.t
-  | Sel_dynamic of Expr.t
-
-(* [key = e] where e does not mention the key itself. *)
-let point_equality (key : Colref.t) p =
-  match Expr.conjuncts p with
-  | [ Expr.Cmp (Expr.Eq, Expr.Col k, e) ] when Colref.equal k key
-    && not (List.exists (Colref.equal key) (Expr.free_cols e)) ->
-      Some e
-  | [ Expr.Cmp (Expr.Eq, e, Expr.Col k) ] when Colref.equal k key
-    && not (List.exists (Colref.equal key) (Expr.free_cols e)) ->
-      Some e
-  | _ -> None
+(* One compiled selector level (paper §3.2, Figure 15: real systems
+   generate a selection function per selector; we compile each level
+   once, never re-analyzing a predicate per row).  The level's conjuncts,
+   parameters bound, split in two:
+   - [static]: the row-independent conjuncts intersected into one
+     restriction ({!Expr.restriction}); [None] when none restricts;
+   - [bounds]: the row conjuncts [key op e], [op] one of [= < <= > >=] and
+     [e] over the input row (no partitioning key, not a constant) — a
+     point (Figure 15(a)) or a half-line (15(b)) per row.
+   Any other conjunct restricts nothing: over-selection only costs
+   partition opens.  With selection disabled every level is unrestricted. *)
+type level_selector = {
+  static : Interval.Set.t option;
+  bounds : (Expr.cmp_op * Expr.t) list;
+}
 
 let compile_selector ctx ~keys ~predicates : level_selector array =
+  let row_bound (key : Colref.t) c =
+    let over_row e =
+      (match e with Expr.Const _ -> false | _ -> true)
+      && not
+           (List.exists
+              (fun c -> List.exists (Colref.equal c) keys)
+              (Expr.free_cols e))
+    in
+    match c with
+    | Expr.Cmp (((Eq | Lt | Le | Gt | Ge) as op), Expr.Col k, e)
+      when Colref.equal k key && over_row e ->
+        Some (op, e)
+    | Expr.Cmp (((Eq | Lt | Le | Gt | Ge) as op), e, Expr.Col k)
+      when Colref.equal k key && over_row e ->
+        Some (Expr.flip_cmp op, e)
+    | _ -> None
+  in
   List.map2
     (fun key pred ->
-      if not ctx.selection_enabled then Sel_none
-      else
-        match pred with
-        | None -> Sel_none
-        | Some p -> (
-            let p =
-              Expr.bind_params
-                (fun i ->
-                  if i < Array.length ctx.params then Some ctx.params.(i)
-                  else None)
-                p
-            in
-            match Expr.restriction key p with
-            | Some set -> Sel_static set
-            | None -> (
-                match point_equality key p with
-                | Some e -> Sel_point e
-                | None -> Sel_dynamic p)))
+      match pred with
+      | Some p when ctx.selection_enabled ->
+          let p =
+            Expr.bind_params
+              (fun i ->
+                if i < Array.length ctx.params then Some ctx.params.(i)
+                else None)
+              p
+          in
+          {
+            static = Expr.restriction key p;
+            bounds = List.filter_map (row_bound key) (Expr.conjuncts p);
+          }
+      | _ -> { static = None; bounds = [] })
     keys predicates
   |> Array.of_list
 
 (* Row-independent selection (leaf selectors, Figure 5(a–c)): compute the
-   leaf set once and push it on every segment. *)
+   leaf set once and push it on every segment.  With no input rows to
+   evaluate them, row conjuncts fail open. *)
 let run_static_selection ctx ~part_scan_id ~root_oid
     (selectors : level_selector array) =
-  let index = index_of ctx root_oid in
-  let restrictions =
-    Array.map
-      (function
-        | Sel_none -> None
-        | Sel_static set -> Some set
-        | Sel_point _ | Sel_dynamic _ ->
-            (* no input rows to specialize with: fail open *)
-            None)
-      selectors
+  let bits =
+    Index.select_bits (index_of ctx root_oid)
+      (Array.map (fun l -> l.static) selectors)
   in
-  let bits = Index.select_bits index restrictions in
   for segment = 0 to nsegments ctx - 1 do
     Channel.propagate ctx.channel ~segment ~part_scan_id bits
   done
 
 (* Row-driven selection (the DPE case, Figure 5(d)).  Selection goes
    through the table's index, resolved here on the coordinating domain and
-   then read-only inside the parallel section.
-
-   With no [Sel_dynamic] level this is the equality fast path of
-   Figure 15(a), and it allocates nothing per row.  The static levels'
-   survivors are computed once.  Each row costs one {!Index.add_point} per
-   point level (a binary search or a hash hit); the row's set is the
-   static survivors intersected with each level's, and it is unioned into
-   the segment's accumulator.  A NULL point selects nothing.  The
-   accumulator is pushed once per segment that has input rows, so the
-   channel slot is the union of the rows' leaf sets; a segment without
-   rows pushes nothing.
-
-   A [Sel_dynamic] level re-analyzes the predicate with the row
-   substituted, and pushes each row's leaf set. *)
-let run_streaming_selection ctx ~part_scan_id ~root_oid ~keys
+   then read-only inside the parallel section, and allocates nothing per
+   row.  The static survivors are computed once and every row conjunct's
+   operand is compiled once.  A row's set is the static survivors
+   intersected with each row conjunct's leaves: one {!Index.add_point} for
+   a point, one {!Index.add_range} for a half-line.  A NULL operand selects
+   nothing.  The row's set is unioned into the segment's accumulator,
+   which is pushed once per segment that has input rows, so the channel
+   slot is the union of the rows' leaf sets; a segment without rows pushes
+   nothing. *)
+let run_streaming_selection ctx ~part_scan_id ~root_oid
     (selectors : level_selector array) (child : result) =
   let index = index_of ctx root_oid in
-  let resolve = resolver child.layout in
-  (* compile the per-level point expressions once, not per row *)
-  let points =
-    Array.map
-      (function
-        | Sel_point e -> Some (Expr.compile ~resolve ~params:ctx.params e)
-        | Sel_none | Sel_static _ | Sel_dynamic _ -> None)
-      selectors
+  let static_bits =
+    Index.select_bits index (Array.map (fun l -> l.static) selectors)
   in
-  let push segment bits =
-    Channel.propagate ctx.channel ~segment ~part_scan_id bits
+  (* every level's row conjuncts: level, operator, compiled operand *)
+  let bounds =
+    Array.to_list selectors
+    |> List.mapi (fun level l ->
+           List.map
+             (fun (op, e) -> (level, op, compile_expr ctx child.layout e))
+             l.bounds)
+    |> List.concat |> Array.of_list
   in
-  if Array.exists (function Sel_dynamic _ -> true | _ -> false) selectors
-  then begin
-    let keys = Array.of_list keys in
-    let leaves_for row =
-      Index.select_bits index
-        (Array.mapi
-           (fun i sel ->
-             match sel with
-             | Sel_none -> None
-             | Sel_static set -> Some set
-             | Sel_point _ -> (
-                 match (Option.get points.(i)) row with
-                 | Value.Null -> Some Interval.Set.empty
-                 | v -> Some (Interval.Set.point v))
-             | Sel_dynamic p ->
-                 Expr.restriction keys.(i)
-                   (Expr.subst_cols (partial_lookup child.layout row) p))
-           selectors)
-    in
-    ignore
-      (par_init ctx (fun segment ->
-           Vec.iter (fun row -> push segment (leaves_for row))
-             child.rows.(segment)))
-  end
-  else begin
-    let static_bits =
-      Index.select_bits index
-        (Array.map (function Sel_static set -> Some set | _ -> None) selectors)
-    in
-    let nleaves = Index.nparts index in
-    ignore
-      (par_init ctx (fun segment ->
-           let rows = child.rows.(segment) in
-           if Vec.length rows > 0 then begin
-             (* the segment's union, the current row's set, one level's *)
-             let acc = Bitset.create nleaves
-             and row_bits = Bitset.create nleaves
-             and level_bits = Bitset.create nleaves in
-             Vec.iter
-               (fun row ->
-                 Bitset.clear row_bits;
-                 Bitset.union_into ~into:row_bits static_bits;
-                 let live = ref true in
-                 for level = 0 to Array.length points - 1 do
-                   match points.(level) with
-                   | Some f when !live -> (
-                       match f row with
-                       | Value.Null -> live := false
-                       | v ->
-                           Bitset.clear level_bits;
-                           Index.add_point index ~level v level_bits;
-                           Bitset.inter_into ~into:row_bits level_bits)
-                   | _ -> ()
-                 done;
-                 if !live then Bitset.union_into ~into:acc row_bits)
-               rows;
-             push segment acc
-           end))
-  end
+  let nleaves = Index.nparts index in
+  ignore
+    (par_init ctx (fun segment ->
+         let rows = child.rows.(segment) in
+         if Vec.length rows > 0 then begin
+           (* the segment's union, the current row's set, one conjunct's *)
+           let acc = Bitset.create nleaves
+           and row_bits = Bitset.create nleaves
+           and bound_bits = Bitset.create nleaves in
+           Vec.iter
+             (fun row ->
+               Bitset.clear row_bits;
+               Bitset.union_into ~into:row_bits static_bits;
+               let live = ref true in
+               for i = 0 to Array.length bounds - 1 do
+                 let level, op, f = bounds.(i) in
+                 if !live then
+                   match f row with
+                   | Value.Null -> live := false
+                   | v ->
+                       Bitset.clear bound_bits;
+                       (match op with
+                       | Expr.Eq -> Index.add_point index ~level v bound_bits
+                       | _ -> Index.add_range index ~level op v bound_bits);
+                       Bitset.inter_into ~into:row_bits bound_bits
+               done;
+               if !live then Bitset.union_into ~into:acc row_bits)
+             rows;
+           Channel.propagate ctx.channel ~segment ~part_scan_id acc
+         end))
 
 (* ------------------------------------------------------------------ *)
 (* Runtime join filters                                                *)
@@ -1553,7 +1508,7 @@ and exec_node ctx id (plan : Plan.t) : result =
       { part_scan_id; root_oid; keys; predicates; child = Some c } ->
       let child = kid 0 c in
       let selectors = compile_selector ctx ~keys ~predicates in
-      run_streaming_selection ctx ~part_scan_id ~root_oid ~keys selectors child;
+      run_streaming_selection ctx ~part_scan_id ~root_oid selectors child;
       child
   | Plan.Agg { group_by; aggs; child; output_rel } ->
       (* consumes its input as it streams: no batch below an aggregate *)

@@ -129,14 +129,6 @@ let rec map f e =
     | In_list (e, vs) -> In_list (map f e, vs)
     | Func (name, es) -> Func (name, List.map (map f) es))
 
-(** Replace column references for which [lookup] yields a value with
-    constants.  Used at run time to specialize a join predicate with the
-    values of the current outer tuple before partition selection. *)
-let subst_cols lookup =
-  map (function
-    | Col c as e -> ( match lookup c with Some v -> Const v | None -> e)
-    | e -> e)
-
 (** Replace bound parameters with constants (prepared-statement execution). *)
 let bind_params lookup =
   map (function

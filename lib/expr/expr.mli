@@ -48,6 +48,9 @@ val between : t -> t -> t -> t
 
 val equal : t -> t -> bool
 
+val flip_cmp : cmp_op -> cmp_op
+(** The operator with its operands swapped: [a op b] iff [b (flip_cmp op) a]. *)
+
 (** {2 Structure} *)
 
 val conjuncts : t -> t list
@@ -74,10 +77,6 @@ val free_cols : t -> Colref.t list
 
 val rels : t -> int list
 (** Relation instances referenced. *)
-
-val subst_cols : (Colref.t -> Value.t option) -> t -> t
-(** Replace known columns with constants — the run-time specialization of a
-    join predicate with the current outer tuple before selection. *)
 
 val bind_params : (int -> Value.t option) -> t -> t
 (** Replace bound parameters with constants. *)

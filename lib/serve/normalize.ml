@@ -20,9 +20,10 @@
       equi-join equivalence classes of {!Mpp_analysis.Analysis.equiv_class}.
       Such parameters stay [Param]s in the cached plan: the executor
       re-runs partition selection with the fresh bindings
-      ([Exec.compile_selector] binds parameters before deriving the
-      restriction), so reuse is sound for {e any} value, merely not
-      re-costed.
+      ([Exec.compile_selector] binds parameters before it splits each
+      level into its static set and its row conjuncts, so a bound
+      parameter joins the static set), so reuse is sound for {e any}
+      value, merely not re-costed.
     - every other parameter is {e shape-relevant}: its value feeds only
       selectivity and cost, so it is substituted back as a constant before
       optimization and becomes part of the cache key — a different value

@@ -1,5 +1,6 @@
-(** Counted memory gates: the executor's row kernels, the stored data,
-    ANALYZE, plan simplification and the join-order search.
+(** Counted memory gates: the executor's row kernels, the streaming
+    partition selector, the stored data, ANALYZE, plan simplification and
+    the join-order search.
 
     Row kernels.  Five workload
     templates whose per-row path runs through a typed comparison, an IN
@@ -28,6 +29,16 @@
       index point lookup per selector input row; 9.96, 53 648 words, when
       the streaming selector builds a restriction, an interval set and two
       bitsets per distinct join key).
+
+    Streaming selector.  A selector on store_sales' date level over
+    20 000 input rows of dates on a one-domain pool, once per level shape
+    — a point ([key = d]), a half-line ([key >= d]) and a mixed level
+    ([key = d AND key >= '2012-06-01']) — must stay under
+    [selector_budget], 0.5 minor words per input row: 0.08, 0.08 and 0.09
+    (about 1 650 words per execution, all of it fixed cost) with one
+    compiled form per level.  Re-analyzing the half-line per row (a
+    substituted predicate, a restriction and a leaf set per row) read
+    88.07, which fails.
 
     Stored data.  The live major-heap words that [Runner.setup_env
     ~scale:1] adds — a full major collection before and after, the env
@@ -68,6 +79,7 @@
 module W = Mpp_workload
 module Exec = Mpp_exec.Exec
 module Metrics = Mpp_exec.Metrics
+open Mpp_expr
 
 let budgets =
   [ ("ss_customer_rf_scan", 2.5); ("cs_group_by_month", 4.0);
@@ -77,6 +89,8 @@ let budgets =
 let setup_budget = 280_000
 
 let analyze_budget = 4.5
+
+let selector_budget = 0.5
 
 let simplify_budget = 120_000.
 
@@ -154,6 +168,71 @@ let test_budgets () =
   if over <> [] then
     Alcotest.failf "minor words per scanned tuple over budget: %s"
       (String.concat "; " over)
+
+(* A streaming selector on store_sales' date level, driven by
+   [selector_rows] input rows of dates (every 97th NULL) over 8 segments,
+   each level shape once: the minor words of one execution over the input
+   rows. *)
+let selector_rows = 20_000
+
+let test_selector_words () =
+  let module Cat = Mpp_catalog.Catalog in
+  let module Table = Mpp_catalog.Table in
+  let module Plan = Mpp_plan.Plan in
+  let catalog = Cat.create () in
+  let storage = Mpp_storage.Storage.create ~nsegments:8 in
+  let ss = (W.Tpcds.setup ~catalog ~storage ()).W.Tpcds.store_sales in
+  let input =
+    Cat.add_table catalog ~name:"selector_input"
+      ~columns:[ ("i", Value.Tint); ("d", Value.Tdate) ]
+      ~distribution:(Mpp_catalog.Distribution.Hashed [ 0 ]) ()
+  in
+  let first = Date.of_ymd 2010 12 1 in
+  Mpp_storage.Storage.load storage input
+    (List.init selector_rows (fun i ->
+         [| Value.Int i;
+            (if i mod 97 = 0 then Value.Null
+             else Value.Date (Date.add_days first (i mod 1200))) |]));
+  let key = Table.colref ss ~rel:1 "ss_sold_date" in
+  let k = Expr.col key and d = Expr.col (Table.colref input ~rel:0 "d") in
+  let pool = Mpp_exec.Dpool.create 1 in
+  let over =
+    List.filter_map
+      (fun (name, pred) ->
+        let plan =
+          Plan.partition_selector
+            ~child:(Plan.table_scan ~rel:0 input.Table.oid)
+            ~part_scan_id:1 ~root_oid:ss.Table.oid ~keys:[ key ]
+            ~predicates:[ Some pred ] ()
+        in
+        let run () =
+          Exec.exec (Exec.create_ctx ~pool ~catalog ~storage ()) plan
+        in
+        ignore (run ());
+        let w0 = Gc.minor_words () in
+        let r = run () in
+        let words = Gc.minor_words () -. w0 in
+        let rows =
+          Array.fold_left
+            (fun n v -> n + Mpp_storage.Vec.length v)
+            0 r.Exec.rows
+        in
+        let per = words /. float_of_int (max 1 rows) in
+        Printf.printf
+          "streaming selector, %-6s %8.0f minor words / %6d rows = %5.2f \
+           (budget %.2f)\n"
+          name words rows per selector_budget;
+        if rows <> selector_rows || per > selector_budget then
+          Some (Printf.sprintf "%s: %.2f over %d rows" name per rows)
+        else None)
+      [ ("point", Expr.eq k d); ("range", Expr.ge k d);
+        ("mixed", Expr.conj [ Expr.eq k d; Expr.ge k (Expr.date "2012-06-01") ])
+      ]
+  in
+  Mpp_exec.Dpool.shutdown pool;
+  if over <> [] then
+    Alcotest.failf "streaming selector words per input row over %.2f: %s"
+      selector_budget (String.concat "; " over)
 
 let test_simplify_words () =
   let env = W.Runner.setup_env ~scale:1 ~nsegments:4 () in
@@ -235,6 +314,9 @@ let () =
     [ ("row kernels",
        [ Alcotest.test_case "minor words per scanned tuple" `Quick
            test_budgets ]);
+      ("streaming selector",
+       [ Alcotest.test_case "minor words per input row" `Quick
+           test_selector_words ]);
       ("stored data",
        [ Alcotest.test_case "live words after scale-1 setup" `Quick
            test_setup_live_words ]);

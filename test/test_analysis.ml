@@ -322,6 +322,32 @@ let test_transitive_pruning () =
     (Mpp_exec.Metrics.parts_scanned_of metrics ~root_oid:ss_oid);
   Support.check_rows_equal "pruning preserves the answer" !baseline rows
 
+(* A selector level that mixes a row-independent conjunct with a row
+   conjunct keeps both: adding a fact-side filter on the partitioning key
+   to [ss_datedim_month] leaves [ss_sold_date = d_date AND ss_sold_date >=
+   '2011-06-01'] on one level, which must still select by the join key, so
+   Orca scans 1 of 36 store_sales partitions, as without the filter, and
+   the count is unchanged (every November-2013 date passes the filter). *)
+let test_mixed_selector_level () =
+  let env = Lazy.force wenv in
+  let base = W.Queries.find "ss_datedim_month" in
+  let filtered =
+    { base with
+      W.Queries.name = "ss_datedim_month_filtered";
+      sql = base.W.Queries.sql ^ " AND s.ss_sold_date >= '2011-06-01'" }
+  in
+  let run qu = W.Runner.run env W.Runner.Orca qu in
+  let plain = run base and mixed = run filtered in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check int)
+        (what ^ ": store_sales 1 of 36")
+        1
+        (List.assoc "store_sales" r.W.Runner.parts_scanned))
+    [ ("unfiltered", plain); ("filtered", mixed) ];
+  Support.check_rows_equal "the filter keeps every row" plain.W.Runner.rows
+    mixed.W.Runner.rows
+
 let () =
   Alcotest.run "analysis"
     [ ("units",
@@ -341,4 +367,6 @@ let () =
          Alcotest.test_case "big joins, simplify on/off" `Slow
            test_biggen_simplify_equivalence;
          Alcotest.test_case "transitive pruning (36 -> 3)" `Quick
-           test_transitive_pruning ]) ]
+           test_transitive_pruning;
+         Alcotest.test_case "mixed selector level (1 of 36)" `Quick
+           test_mixed_selector_level ]) ]

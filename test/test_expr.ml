@@ -100,26 +100,13 @@ let test_find_preds_on_keys_multilevel () =
   | Some [ Some _; Some _ ] -> ()
   | _ -> Alcotest.fail "expected predicates on both levels"
 
-let test_subst_and_params () =
-  let p = Expr.eq (Expr.col key) (Expr.col remote) in
-  let p' =
-    Expr.subst_cols
-      (fun c -> if Colref.equal c remote then Some (Value.Int 9) else None)
-      p
-  in
-  Alcotest.(check bool) "remote col replaced" true
-    (Expr.equal p' (Expr.eq (Expr.col key) (Expr.int 9)));
+let test_bind_params () =
   let q = Expr.lt (Expr.col key) (Expr.Param 1) in
   let q' = Expr.bind_params (fun i -> if i = 1 then Some (Value.Int 4) else None) q in
   Alcotest.(check bool) "param bound" true
     (Expr.equal q' (Expr.lt (Expr.col key) (Expr.int 4)));
   (* literals on both sides of a comparison are left as they are *)
   let lits = Expr.lt (Expr.int 1) (Expr.int 2) in
-  Alcotest.(check bool) "literal comparison kept by subst_cols" true
-    (Expr.equal
-       (Expr.subst_cols (fun _ -> Some (Value.Int 9))
-          (Expr.And [ lits; Expr.eq (Expr.col remote) (Expr.int 3) ]))
-       (Expr.And [ lits; Expr.eq (Expr.int 9) (Expr.int 3) ]));
   Alcotest.(check bool) "literal comparison kept by bind_params" true
     (Expr.equal
        (Expr.bind_params (fun _ -> Some (Value.Int 4))
@@ -436,7 +423,7 @@ let () =
          Alcotest.test_case "FindPredOnKey" `Quick test_find_pred_on_key;
          Alcotest.test_case "multi-level FindPredOnKey" `Quick
            test_find_preds_on_keys_multilevel;
-         Alcotest.test_case "subst and params" `Quick test_subst_and_params;
+         Alcotest.test_case "bind params" `Quick test_bind_params;
          Alcotest.test_case "map and fold orders" `Quick test_walk_orders ]);
       ("restriction",
        [ Alcotest.test_case "shapes" `Quick test_restriction_shapes ]);

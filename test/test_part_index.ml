@@ -14,6 +14,9 @@
     - the point lookup {!Partition.Index.add_point} against [select_bits]
       and the oracle with a point restriction at one level, on cuts, in
       gaps and outside every arm, over fixed and randomized layouts;
+    - the half-line lookup {!Partition.Index.add_range} the same way, for
+      each of [< <= > >=], with bounds on cuts, in gaps, below and above
+      every cut, into default arms and on a categorical level;
     - static selection over per-level predicates
       ({!Partition.select_static}) against the oracle over each level's
       {!Expr.restriction}, with [None] when nothing is restricted or the
@@ -160,22 +163,25 @@ let test_find_leaf_hash () =
 
 (* ---- the point lookup ---- *)
 
-(* [add_point ~level v] must OR into its target exactly what [select_bits]
-   keeps under [Some {v}] at [level] and [None] elsewhere, which the oracle
+(* [add ~level into] must OR into its target exactly what [select_bits]
+   keeps under [Some r] at [level] and [None] elsewhere, which the oracle
    keeps too; [pre] is what the target held before. *)
-let add_point_agrees ?(pre = []) p ~level v =
+let lookup_agrees ?(pre = []) p ~level r add =
   let ix = p.Part.index in
   let restrictions =
-    Array.init (Part.nlevels p) (fun i ->
-        if i = level then Some (Interval.Set.point v) else None)
+    Array.init (Part.nlevels p) (fun i -> if i = level then Some r else None)
   in
   let into = Bitset.create (Part.nparts p) in
   Bitset.set_list into pre;
-  Part.Index.add_point ix ~level v into;
+  add ix ~level into;
   let expected = Part.Index.select_bits ix restrictions in
   Bitset.set_list expected pre;
   Bitset.equal into expected
   && (pre <> [] || oids_of_bits p into = Part.select_oids_legacy p restrictions)
+
+let add_point_agrees ?pre p ~level v =
+  lookup_agrees ?pre p ~level (Interval.Set.point v) (fun ix ~level ->
+      Part.Index.add_point ix ~level v)
 
 let check_add_point what p ~level v =
   Alcotest.(check bool)
@@ -228,6 +234,82 @@ let test_add_point () =
   done;
   check_add_point "default arms" def ~level:0 (Value.Float 39.5);
   check_add_point "default arms" def ~level:1 (Value.Float 2.0)
+
+(* ---- the half-line lookup ---- *)
+
+let half_line op v =
+  Interval.Set.singleton
+    (match op with
+    | Expr.Lt -> Interval.less_than v
+    | Expr.Le -> Interval.at_most v
+    | Expr.Gt -> Interval.greater_than v
+    | Expr.Ge -> Interval.at_least v
+    | Expr.Eq | Expr.Neq -> invalid_arg "half_line")
+
+let half_line_ops = [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
+
+let add_range_agrees ?pre p ~level op v =
+  lookup_agrees ?pre p ~level (half_line op v) (fun ix ~level ->
+      Part.Index.add_range ix ~level op v)
+
+(* every half-line with [v] as its bound, into an empty target and into
+   one holding leaf 0 *)
+let check_add_range what p ~level v =
+  List.iter
+    (fun op ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: add_range level %d %s %s = select_bits = legacy"
+           what level (Expr.cmp_to_string op) (Value.to_string v))
+        true
+        (add_range_agrees p ~level op v
+        && add_range_agrees ~pre:[ 0 ] p ~level op v))
+    half_line_ops
+
+let test_add_range () =
+  (* single-level range: a bound on every cut (inclusive and exclusive), in
+     the gap after it, below every cut and above every cut *)
+  let _, orders = Support.orders_schema () in
+  let monthly = Option.get orders.Mpp_catalog.Table.partitioning in
+  for m = 0 to 24 do
+    let first = Date.add_months (Date.of_ymd 2012 1 1) m in
+    check_add_range "monthly cut" monthly ~level:0 (Value.Date first);
+    check_add_range "monthly gap" monthly ~level:0
+      (Value.Date (Date.add_days first 14))
+  done;
+  check_add_range "monthly below" monthly ~level:0 (d "2001-01-01");
+  check_add_range "monthly above" monthly ~level:0 (d "2030-01-01");
+  (* a categorical level: its arms are points, the half-lines are not *)
+  let next = ref 0 in
+  let cat =
+    Part.single_level
+      ~alloc_oid:(fun () -> incr next; !next)
+      ~key_index:0 ~key_name:"c" ~scheme:Part.Categorical ~table_name:"c"
+      (Part.categorical
+         [ [ Value.Int 1; Value.Int 5 ]; [ Value.Int 2 ]; [ Value.Int 9 ] ])
+  in
+  List.iter
+    (fun v -> check_add_range "categorical" cat ~level:0 v)
+    [ Value.Int 1; Value.Int 5; Value.Int 2; Value.Int 9; Value.Float 2.0;
+      Value.Int 3; Value.Float 1.5; Value.Int (-4); Value.Int 100 ];
+  (* default arms at both levels: a half-line reaches the default arm
+     exactly when it leaves the covered values *)
+  let def = default_layout () in
+  for i = -3 to 45 do
+    check_add_range "default arms" def ~level:0 (Value.Int i);
+    check_add_range "default arms" def ~level:1 (Value.Int i)
+  done;
+  check_add_range "default arms" def ~level:0 (Value.Float 39.5);
+  check_add_range "default arms" def ~level:1 (Value.Float 2.0);
+  (* two levels: a range level over a categorical one *)
+  let _, two = Support.multilevel_schema () in
+  let two = Option.get two.Mpp_catalog.Table.partitioning in
+  List.iter
+    (fun v -> check_add_range "two-level" two ~level:0 v)
+    [ d "2012-01-01"; d "2012-03-15"; d "2012-12-31"; d "2013-01-01";
+      d "2011-06-01" ];
+  List.iter
+    (fun v -> check_add_range "two-level" two ~level:1 v)
+    [ Value.String "east"; Value.String "west"; Value.String "north" ]
 
 (* ---- randomized layouts: the oracle property ---- *)
 
@@ -329,6 +411,21 @@ let prop_add_point_matches_select =
       return (p, level, v, pre))
     (fun (p, level, v, pre) ->
       add_point_agrees p ~level v && add_point_agrees ~pre p ~level v)
+
+let prop_add_range_matches_select =
+  QCheck2.Test.make ~count:1500
+    ~name:"add_range = select_bits of a half-line = legacy (randomized layouts)"
+    QCheck2.Gen.(
+      let* p, _ = layout_and_restrictions_gen in
+      let* level = int_range 0 (Part.nlevels p - 1) in
+      let* op = oneofl half_line_ops in
+      let* v = key_value_gen in
+      (* [add_range] takes non-NULL values only *)
+      let v = if Value.is_null v then Value.Int 3 else v in
+      let* pre = list_size (int_range 0 2) (int_range 0 (Part.nparts p - 1)) in
+      return (p, level, op, v, pre))
+    (fun (p, level, op, v, pre) ->
+      add_range_agrees p ~level op v && add_range_agrees ~pre p ~level op v)
 
 (* ---- static selection over per-level predicates ---- *)
 
@@ -552,12 +649,14 @@ let () =
          Alcotest.test_case "default arms" `Quick test_default_arm_equivalence;
          Alcotest.test_case "find_leaf OID hash" `Quick test_find_leaf_hash;
          Alcotest.test_case "point lookup" `Quick test_add_point;
+         Alcotest.test_case "half-line lookup" `Quick test_add_range;
          Alcotest.test_case "static selection over predicates" `Quick
            test_select_static ]);
       ("oracle properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_select_matches_oracle; prop_route_matches_oracle;
-           prop_add_point_matches_select; prop_select_static_matches_oracle ]);
+           prop_add_point_matches_select; prop_add_range_matches_select;
+           prop_select_static_matches_oracle ]);
       ("bitset", [ Alcotest.test_case "word-level ops" `Quick test_bitset_basics ]);
       ("channel",
        [ Alcotest.test_case "leaf dedup" `Quick test_channel_dedup ]) ]
