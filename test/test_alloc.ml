@@ -314,7 +314,7 @@ let () =
     [ ("row kernels",
        [ Alcotest.test_case "minor words per scanned tuple" `Quick
            test_budgets ]);
-      ("streaming selector",
+      ("selector",
        [ Alcotest.test_case "minor words per input row" `Quick
            test_selector_words ]);
       ("stored data",
